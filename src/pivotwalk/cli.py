@@ -9,6 +9,7 @@ PIVOTWALK_SEED provides the seed when neither config nor flag does.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -17,10 +18,9 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import counting, pivotal, schottky, svgplot, verifier, walks
-from .geometry import constants_for
 from .spaces import model_by_name
 from .verifier import ConfigurationError
-from .words import GroupWord, word_from_str
+from .words import GroupWord
 
 EXIT_PASS = 0
 EXIT_CONFIG = 1
@@ -88,6 +88,7 @@ def cmd_schottky_find(args) -> int:
     if size <= 0 or block <= 0:
         raise ConfigurationError("size and block must be positive")
     model = model_by_name(model_name)
+    verifier.require_tree(model)
     g = GroupWord.generator(1, 1)
     h = GroupWord.generator(2, 1)
     sch = schottky.build_schottky(model, g, h, size=size, m0=block, seed=seed)
@@ -140,6 +141,8 @@ def cmd_run(args) -> int:
         )
     elif experiment == "clt":
         n_grid = _grid(_merged(args, config, "n"), [2000])
+        if len(n_grid) != 1:
+            raise ConfigurationError("clt takes a single --n value")
         report = verifier.run_clt(measure, model, n_grid[0], trials, seed)
     elif experiment == "clt-converse":
         n_grid = _grid(_merged(args, config, "n"), [500, 1000, 2000, 4000])
@@ -149,8 +152,6 @@ def cmd_run(args) -> int:
         n_grid = _grid(_merged(args, config, "n"), [50, 100])
         word_len = int(_merged(args, config, "word-len", 5))
         report = verifier.run_free_subgroup(measure, model, n_grid, trials, word_len, seed)
-    elif experiment == "count":
-        return _census(args, config, model, seed)
     else:
         raise ConfigurationError("unknown experiment %r" % experiment)
     report.write(outdir, svg=svg)
@@ -165,8 +166,8 @@ def cmd_pivot_trace(args) -> int:
     trials = int(_merged(args, config, "trials", 10000))
     out = _merged(args, config, "out", "pivot-trace.csv")
     seed = _resolve_seed(args)
-    if trials <= 0:
-        raise ConfigurationError("trials must be positive")
+    if trials <= 0 or n <= 0:
+        raise ConfigurationError("trials and n must be positive")
     if n0 <= 4:
         raise ConfigurationError("N0 must exceed 4")
     counts = pivotal.sample_jump_dominated_counts(n0, n, trials, seed)
@@ -175,8 +176,14 @@ def cmd_pivot_trace(args) -> int:
     return EXIT_PASS
 
 
-def _census(args, config: Dict, model, seed: int) -> int:
+def cmd_census(args) -> int:
+    config = _load_config(args)
+    model = model_by_name(_merged(args, config, "model", "tree2"))
+    verifier.require_tree(model)
+    seed = _resolve_seed(args)
     n_max = int(_merged(args, config, "n-max", 6))
+    if n_max <= 0:
+        raise ConfigurationError("n-max must be positive")
     out = _merged(args, config, "out", "census.csv")
     schpath = _merged(args, config, "schottky")
     if schpath:
@@ -186,7 +193,7 @@ def _census(args, config: Dict, model, seed: int) -> int:
             model, GroupWord.generator(1, 1), GroupWord.generator(2, 1), size=4, m0=5, seed=seed
         )
     base = [GroupWord.generator(1, 1), GroupWord.generator(2, 1)]
-    gens = counting.build_augmented_set(base, [s.product() for s in sch.sequences])
+    gens = counting.build_augmented_set(base, sch.products())
     K = float(_merged(args, config, "K", 0.5))
     rows = []
     prev_frac = None
@@ -202,10 +209,8 @@ def _census(args, config: Dict, model, seed: int) -> int:
         if prev_frac is not None and frac > prev_frac:
             monotone = False
         prev_frac = frac
-    import csv as _csv
-
     with open(out, "w", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(("n", "total", "bad_count", "bad_fraction", "exhaustive"))
         writer.writerows(rows)
     slope, r2 = verifier.log_slope_fit([r[0] for r in rows], [r[3] for r in rows])
@@ -213,23 +218,16 @@ def _census(args, config: Dict, model, seed: int) -> int:
     return EXIT_PASS if monotone and slope < 0 else EXIT_FAIL
 
 
-def cmd_census(args) -> int:
-    config = _load_config(args)
-    model = model_by_name(_merged(args, config, "model", "tree2"))
-    return _census(args, config, model, _resolve_seed(args))
-
-
 def cmd_report(args) -> int:
     """Re-render an SVG decay plot from a samples.csv file."""
 
-    import csv as _csv
     from collections import defaultdict
 
     if not os.path.exists(args.csv):
         raise ConfigurationError("no such file: %s" % args.csv)
     by_n = defaultdict(list)
     with open(args.csv) as fh:
-        reader = _csv.reader(fh)
+        reader = csv.reader(fh)
         header = next(reader)
         for row in reader:
             if len(row) < 2:
@@ -246,8 +244,6 @@ def cmd_report(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pivotwalk")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker pool size (results never depend on it)")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("schottky-find")
@@ -272,8 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schottky")
     p.add_argument("--claim-n", type=int)
     p.add_argument("--claim-trials", type=int)
-    p.add_argument("--n-max", type=int)
-    p.add_argument("--K", type=float)
     p.add_argument("--svg", action="store_const", const=True)
     p.add_argument("--out")
     p.add_argument("--config")

@@ -11,11 +11,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .words import GroupWord, common_prefix_letters, random_reduced_word
+from .words import GroupWord
 
 
 @dataclass(frozen=True)

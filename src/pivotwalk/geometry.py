@@ -8,11 +8,10 @@ throughout, so the same alignment predicate covers point/path mixtures.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from .words import GroupWord, tree_distance, tree_projection_to_segment
+from .words import GroupWord
 from .spaces import TreeModel
 
 

@@ -25,8 +25,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import Path, constants_for, is_aligned, is_semi_aligned
-from .schottky import SchottkySet, SchottkySequence, gamma_axis, in_tilde, tilde_pairs
+from .geometry import Path, is_aligned, is_semi_aligned
+from .schottky import SchottkySet, gamma_axis, in_tilde, tilde_pairs
 from .words import GroupWord, common_prefix_letters
 
 
@@ -142,8 +142,6 @@ def compute_pivotal_times(model, config: PivotConfig) -> PivotalTimes:
             stack.append(k)
             anchor_rel = config.w[k].inverse()
         else:
-            # current endpoint relative to the previous anchor frame moves on
-            anchor_rel = block_k.inverse() * anchor_rel
             while stack:
                 j = stack[-1]
                 tail = config.w[j]
@@ -241,7 +239,7 @@ def simulate_pivot_counts(
     ident = GroupWord.identity()
     N = len(sch)
     k0 = int(sch.constants.k0)
-    words = [s.product() for s in sch.sequences]
+    words = sch.products()
     w = list(w) if w is not None else [ident] * (n + 1)
     v = list(v) if v is not None else [ident] * n
     if len(w) != n + 1 or len(v) != n:
@@ -309,7 +307,6 @@ def simulate_pivot_counts(
                 stack.append(k)
                 anchor = w[k].inverse()
             else:
-                anchor = block.inverse() * anchor
                 while stack:
                     j = stack[-1]
                     tail = w[j]
@@ -318,17 +315,12 @@ def simulate_pivot_counts(
                     if common_prefix_letters(inv_words[draws[j - 1][3]], tail) < k0:
                         break
                     stack.pop()
-                if stack:
-                    j = stack[-1]
-                    rel = w[j]
-                    for i in range(j + 1, k + 1):
-                        rel = rel * block_words[i]
-                    anchor = rel.inverse()
-                else:
-                    rel = w[0]
-                    for i in range(1, k + 1):
-                        rel = rel * block_words[i]
-                    anchor = rel.inverse()
+                # the anchor returns to the last kept step's end, or to w_0
+                j = stack[-1] if stack else 0
+                rel = w[j]
+                for i in range(j + 1, k + 1):
+                    rel = rel * block_words[i]
+                anchor = rel.inverse()
         counts[t] = len(stack)
     return counts
 
@@ -355,7 +347,6 @@ def jump_walk_cdf(n0: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
 
     pmf = jump_law_pmf(n0)
     lo = min(pmf) * n
-    size = n * (1 - min(pmf)) + 1
     offset = -lo
     dist = np.zeros(int(n - lo + 1))
     dist[offset] = 1.0

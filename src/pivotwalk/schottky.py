@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .words import GroupWord, common_prefix_letters, random_reduced_word
+from .words import GroupWord, common_prefix_letters
 from .spaces import TreeModel
 from . import geometry
 from .geometry import Path, constants_for, is_aligned, is_contracting, schottky_length_scale
@@ -139,7 +139,6 @@ def verify_schottky(
     sch: SchottkySet,
     probe_radius: Optional[int] = None,
     contraction_radius: int = 4,
-    mode: str = "auto",
     rng=None,
     sample_points: int = 400,
 ) -> VerifyReport:
@@ -189,7 +188,7 @@ def verify_schottky(
         _axis_is_geodesic(model, gamma_axis(model, s)) for s in sch.sequences
     ):
         k0i = int(k0)
-        words = [s.product() for s in sch.sequences]
+        words = sch.products()
         wp = [w.prefix(k0i) for w in words]
         ip = [w.inverse().prefix(k0i) for w in words]
         # the predicate at x depends only on x's first k0 letters; when the
@@ -303,17 +302,14 @@ def build_schottky(
     m0: int,
     k0: Optional[float] = None,
     seed: int = 0,
-    symmetric: bool = True,
-    step_pool: Optional[Sequence] = None,
     budget: int = 200000,
     probe_radius: Optional[int] = None,
 ) -> SchottkySet:
     """Search for a Schottky set of `size` blocks of length `m0`.
 
-    Candidate blocks are step sequences over {g, h} (and inverses when
-    `symmetric`), or over `step_pool` when given.  Blocks are accepted
-    greedily when their leading/trailing letter patterns stay disjoint from
-    the ones already used, then the whole set is verified.
+    Candidate blocks are step sequences over {g, h} and their inverses.
+    Blocks are accepted greedily when their leading/trailing letter patterns
+    stay disjoint from the ones already used, then the whole set is verified.
     """
 
     import numpy as np
@@ -328,7 +324,7 @@ def build_schottky(
     if m0 <= consts.length_floor:
         raise ValueError("block length %d too short (floor %s)" % (m0, consts.length_floor))
 
-    pool = list(step_pool) if step_pool is not None else [g, h] + ([g.inverse(), h.inverse()] if symmetric else [])
+    pool = [g, h, g.inverse(), h.inverse()]
     rng = np.random.default_rng(seed)
 
     set_consts = SetConstants(

@@ -8,15 +8,13 @@ geometry) and the hyperbolic upper half-plane acted on by 2x2 real matrices
 from __future__ import annotations
 
 import math
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional
 
 from .words import (
     GroupWord,
-    common_prefix_letters,
     random_reduced_word,
     tree_distance,
     tree_geodesic,
-    tree_path_point,
 )
 
 
@@ -53,9 +51,6 @@ class TreeModel:
             picked.append(points[-1])
         return picked
 
-    def path_point(self, p: GroupWord, q: GroupWord, t: int) -> GroupWord:
-        return tree_path_point(p, q, t)
-
     def translation_length(self, g: GroupWord) -> int:
         return g.translation_length()
 
@@ -69,9 +64,6 @@ class TreeModel:
             out.append(GroupWord.generator(i))
             out.append(GroupWord.generator(i, -1))
         return out
-
-    def neighbors(self, p: GroupWord) -> List[GroupWord]:
-        return [p * g for g in self.generators()]
 
     def ball(self, radius: int, center: Optional[GroupWord] = None) -> Iterator[GroupWord]:
         """All vertices within `radius` of the center (default basepoint)."""
@@ -94,9 +86,6 @@ class TreeModel:
 
     def random_point(self, rng, max_len: int = 12) -> GroupWord:
         return random_reduced_word(rng, int(rng.integers(0, max_len + 1)), self.rank)
-
-    def random_isometry(self, rng, max_len: int = 12) -> GroupWord:
-        return self.random_point(rng, max_len)
 
 
 class MatrixIsometry:

@@ -14,10 +14,9 @@ def _fmt(x: float) -> str:
 
 
 class SvgCanvas:
-    def __init__(self, width: int = 640, height: int = 400, margin: int = 45):
-        self.width = width
-        self.height = height
-        self.margin = margin
+    width, height, margin = 640, 400, 45
+
+    def __init__(self):
         self._parts: List[str] = []
 
     def _scale(self, xlim, ylim):
@@ -37,28 +36,16 @@ class SvgCanvas:
             % (color, _fmt(width), joined)
         )
 
-    def circle(self, x: float, y: float, r: float = 2.5, color: str = "#c1392b"):
-        self._parts.append(
-            '<circle cx="%s" cy="%s" r="%s" fill="%s"/>' % (_fmt(x), _fmt(y), _fmt(r), color)
-        )
-
-    def rect(self, x, y, w, h, color="#888888", opacity=1.0):
-        self._parts.append(
-            '<rect x="%s" y="%s" width="%s" height="%s" fill="%s" fill-opacity="%s"/>'
-            % (_fmt(x), _fmt(y), _fmt(w), _fmt(h), color, _fmt(opacity))
-        )
-
     def text(self, x: float, y: float, s: str, size: int = 12, anchor: str = "start"):
         self._parts.append(
             '<text x="%s" y="%s" font-size="%d" font-family="monospace" text-anchor="%s">%s</text>'
             % (_fmt(x), _fmt(y), size, anchor, _escape(s))
         )
 
-    def line(self, x1, y1, x2, y2, color="#444444", width=1.0, dash: Optional[str] = None):
-        d = ' stroke-dasharray="%s"' % dash if dash else ""
+    def line(self, x1, y1, x2, y2, color="#444444", width=1.0):
         self._parts.append(
-            '<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="%s" stroke-width="%s"%s/>'
-            % (_fmt(x1), _fmt(y1), _fmt(x2), _fmt(y2), color, _fmt(width), d)
+            '<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="%s" stroke-width="%s"/>'
+            % (_fmt(x1), _fmt(y1), _fmt(x2), _fmt(y2), color, _fmt(width))
         )
 
     def render(self) -> str:
@@ -116,63 +103,3 @@ def line_plot(
             fh.write(out)
     return out
 
-
-def histogram(
-    values: Sequence[float],
-    bins: int,
-    title: str,
-    path: Optional[str] = None,
-    overlay: Optional[Sequence[Tuple[float, float]]] = None,
-) -> str:
-    """Histogram with optional (x, density) overlay curve."""
-
-    canvas = SvgCanvas()
-    if not values:
-        values = [0.0]
-    lo, hi = min(values), max(values)
-    if lo == hi:
-        lo, hi = lo - 0.5, hi + 0.5
-    step = (hi - lo) / bins
-    counts = [0] * bins
-    for v in values:
-        idx = min(int((v - lo) / step), bins - 1)
-        counts[idx] += 1
-    total = len(values)
-    dens = [c / (total * step) for c in counts]
-    ymax = max(dens + ([y for _, y in overlay] if overlay else [0.0]))
-    to_px = canvas._scale((lo, hi), (0.0, max(ymax, 1e-9)))
-    m, h, w = canvas.margin, canvas.height, canvas.width
-    canvas.line(m, h - m, w - m, h - m)
-    canvas.line(m, m, m, h - m)
-    canvas.text(w / 2, 20, title, size=13, anchor="middle")
-    canvas.text(m, h - m + 16, _fmt(lo), size=10)
-    canvas.text(w - m, h - m + 16, _fmt(hi), size=10, anchor="end")
-    for i, d in enumerate(dens):
-        x0, y0 = to_px(lo + i * step, 0.0)
-        x1, y1 = to_px(lo + (i + 1) * step, d)
-        canvas.rect(x0, y1, x1 - x0, y0 - y1, color="#6ca0c8", opacity=0.8)
-    if overlay:
-        canvas.polyline([to_px(x, y) for x, y in overlay], color="#c1392b", width=2.0)
-    out = canvas.render()
-    if path:
-        with open(path, "w") as fh:
-            fh.write(out)
-    return out
-
-
-def step_cdf_plot(
-    empirical: Sequence[Tuple[float, float]],
-    reference: Sequence[Tuple[float, float]],
-    title: str,
-    path: Optional[str] = None,
-) -> str:
-    return line_plot(
-        [
-            ("empirical", [x for x, _ in empirical], [y for _, y in empirical]),
-            ("reference", [x for x, _ in reference], [y for _, y in reference]),
-        ],
-        title=title,
-        xlabel="value",
-        ylabel="cdf",
-        path=path,
-    )

@@ -10,7 +10,6 @@ seed give identical JSON/CSV bytes.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -20,13 +19,8 @@ import numpy as np
 from scipy import stats as sps
 
 from .schottky import SchottkySet, independent_contracting_pair
-from .svgplot import histogram, line_plot
-from .walks import (
-    DiscrepancyWitness,
-    StepMeasure,
-    discrepancy_bound_witness,
-    sample_increments,
-)
+from .svgplot import line_plot
+from .walks import StepMeasure, discrepancy_bound_witness, walk_product
 from .words import GroupWord
 
 
@@ -168,6 +162,29 @@ def _trial_rng(seed: int, stream: int):
     return np.random.default_rng([seed, stream])
 
 
+def require_tree(model) -> None:
+    """The experiments compute exact word statistics on F2 only: refuse any
+    other model rather than label tree statistics with its name."""
+
+    if model.kind != "tree":
+        raise ConfigurationError("experiments run on the tree, not the %s model" % model.kind)
+
+
+def _check_grid(model, n_grid: Sequence[int], trials: int) -> None:
+    require_tree(model)
+    if not n_grid or min(n_grid) <= 0 or trials <= 0:
+        raise ConfigurationError("need a non-empty n grid, every n and the trial count positive")
+
+
+def _grid_ensembles(measure: StepMeasure, n_grid: Sequence[int], trials: int, seed: int):
+    """(n, displacement, translation length) per grid point, drawn from
+    stream gi of the seed at grid index gi."""
+
+    for gi, n in enumerate(n_grid):
+        disp, tau = tree_walk_ensemble(measure, n, trials, _trial_rng(seed, gi))
+        yield n, disp, tau
+
+
 # ---------------------------------------------------------------------------
 # shared statistics
 
@@ -219,11 +236,22 @@ def calibrate(measure: StepMeasure, model, n: int, trials: int, seed: int) -> Di
     """Escape-rate and variance estimates from a dedicated run (use a seed
     disjoint from the experiment seed to avoid selection bias)."""
 
-    rng = _trial_rng(seed, 0)
-    disp, _ = tree_walk_ensemble(measure, n, trials, rng)
+    [(_, disp, _)] = _grid_ensembles(measure, (n,), trials, seed)
     lam = float(disp.mean()) / n
     sigma2 = float(disp.var(ddof=1)) / n
     return {"lambda": lam, "sigma2": sigma2, "n": n, "trials": trials}
+
+
+def _calibration(calibration: Optional[Dict], measure: StepMeasure, model, n: int,
+                 trials: int, seed: int) -> Dict:
+    return calibration or calibrate(measure, model, n, min(trials, 2000), seed + 10_001)
+
+
+def _decay_fit(n_grid: Sequence[int], freqs: List[float]) -> Tuple[float, float, bool]:
+    """Log-slope, R^2 and monotone decrease of failure frequencies."""
+
+    slope, r2 = log_slope_fit(list(n_grid), freqs)
+    return slope, r2, all(b <= a for a, b in zip(freqs, freqs[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +270,10 @@ def run_genericity(
     """Frequency of {trivial or translation length < L*n} along the grid:
     must be non-increasing with a negative log-slope (or identically 0)."""
 
+    _check_grid(model, n_grid, trials)
     if not non_elementary(measure, model):
         raise ConfigurationError("measure is elementary")
-    calib = calibration or calibrate(measure, model, max(n_grid), min(trials, 2000), seed + 10_001)
+    calib = _calibration(calibration, measure, model, max(n_grid), trials, seed)
     if L >= calib["lambda"]:
         raise ConfigurationError(
             "rate floor L=%g is not below the escape rate estimate %g" % (L, calib["lambda"])
@@ -252,9 +281,7 @@ def run_genericity(
     per_n: Dict[str, Dict] = {}
     samples: List[Tuple] = []
     freqs = []
-    for gi, n in enumerate(n_grid):
-        rng = _trial_rng(seed, gi)
-        disp, tau = tree_walk_ensemble(measure, n, trials, rng)
+    for n, disp, tau in _grid_ensembles(measure, n_grid, trials, seed):
         fail = (tau < L * n) | (disp == 0)
         freq = float(fail.mean())
         freqs.append(freq)
@@ -265,8 +292,7 @@ def run_genericity(
         }
         for t in range(trials):
             samples.append((n, t, int(disp[t]), int(tau[t]), int(fail[t])))
-    slope, r2 = log_slope_fit(list(n_grid), freqs)
-    monotone = all(freqs[i + 1] <= freqs[i] for i in range(len(freqs) - 1))
+    slope, r2, monotone = _decay_fit(n_grid, freqs)
     # decay either reaches zero or fits a negative log-slope
     verdict = monotone and (freqs[-1] == 0 or (slope < 0 and r2 >= 0.8))
     return ExperimentReport(
@@ -298,19 +324,17 @@ def run_discrepancy(
     logarithmically (quadrupling n multiplies it by <= 1.6); optionally
     checks the per-trial two-sided reach bound on non-capped trials."""
 
+    _check_grid(model, n_grid, trials)
     per_n: Dict[str, Dict] = {}
     samples: List[Tuple] = []
     p95s = []
-    for gi, n in enumerate(n_grid):
-        rng = _trial_rng(seed, gi)
-        disp, tau = tree_walk_ensemble(measure, n, trials, rng)
+    for n, disp, tau in _grid_ensembles(measure, n_grid, trials, seed):
         gap = disp - tau
         p95 = float(np.percentile(gap, 95))
         p95s.append(p95)
         per_n[str(n)] = {"p95": p95, "mean_gap": float(gap.mean())}
         for t in range(trials):
             samples.append((n, t, int(gap[t])))
-    ratio_ok = True
     worst_ratio = 0.0
     grid = list(n_grid)
     for i, n in enumerate(grid):
@@ -318,7 +342,6 @@ def run_discrepancy(
             j = grid.index(4 * n)
             ratio = p95s[j] / max(p95s[i], 1e-9) if p95s[i] > 0 else (0.0 if p95s[j] == 0 else math.inf)
             worst_ratio = max(worst_ratio, ratio)
-            ratio_ok = ratio_ok and ratio <= 1.6
 
     claim_stats = None
     claim_ok = True
@@ -327,9 +350,9 @@ def run_discrepancy(
         violations = 0
         for t in range(claim_trials):
             rng = _trial_rng(seed, 10_000 + t)
-            incs = sample_increments(measure, claim_n, rng)
+            incs = measure.sample(rng, claim_n)
             horizon = max(sch.m0, claim_n // 10)
-            aux = sample_increments(measure, 2 * (horizon + claim_n - claim_n // 2), rng)
+            aux = measure.sample(rng, 2 * (horizon + claim_n - claim_n // 2))
             wit = discrepancy_bound_witness(model, sch, incs, aux, horizon=horizon)
             if wit.applicable:
                 applicable += 1
@@ -337,7 +360,7 @@ def run_discrepancy(
                     violations += 1
         claim_ok = violations == 0
         claim_stats = {"trials": claim_trials, "applicable": applicable, "violations": violations}
-    verdict = ratio_ok and claim_ok
+    verdict = worst_ratio <= 1.6 and claim_ok
     return ExperimentReport(
         experiment="discrepancy",
         model=model.kind,
@@ -363,7 +386,8 @@ def run_clt(
     """Standardized displacement and translation length against the normal
     law, and against each other."""
 
-    calib = calibration or calibrate(measure, model, n, min(trials, 2000), seed + 10_001)
+    _check_grid(model, (n,), trials)
+    calib = _calibration(calibration, measure, model, n, trials, seed)
     lam, sigma2 = calib["lambda"], calib["sigma2"]
     if sigma2 <= 1e-12:
         return ExperimentReport(
@@ -371,8 +395,7 @@ def run_clt(
             n_grid=(n,), stats={"degenerate": True, "calibration": calib},
             thresholds={}, verdict=True, samples=[], sample_header=(),
         )
-    rng = _trial_rng(seed, 0)
-    disp, tau = tree_walk_ensemble(measure, n, trials, rng)
+    [(_, disp, tau)] = _grid_ensembles(measure, (n,), trials, seed)
     scale = math.sqrt(sigma2 * n)
     z_disp = (disp - lam * n) / scale
     z_tau = (tau - lam * n) / scale
@@ -404,13 +427,15 @@ def run_clt_converse(
     n_grid: Sequence[int],
     trials: int,
     seed: int,
-    use_tau: bool = False,
     contrast: bool = False,
 ) -> ExperimentReport:
     """Non-tightness of (d(o, Z_n o) - median)/sqrt(n) for infinite-variance
     steps: the IQR must grow by >= 20% per doubling.  With `contrast` set,
     a finite-variance measure must instead stabilize within 5%."""
 
+    _check_grid(model, n_grid, trials)
+    if n_grid[0] == n_grid[-1]:
+        raise ConfigurationError("the growth per doubling needs a grid whose first and last n differ")
     if not contrast and measure.moment_profile != "heavy_tail":
         raise ConfigurationError("converse test requires an infinite-variance measure")
     if contrast and measure.moment_profile == "heavy_tail":
@@ -418,17 +443,14 @@ def run_clt_converse(
     per_n: Dict[str, Dict] = {}
     samples: List[Tuple] = []
     iqrs = []
-    for gi, n in enumerate(n_grid):
-        rng = _trial_rng(seed, gi)
-        disp, tau = tree_walk_ensemble(measure, n, trials, rng)
-        vals = tau if use_tau else disp
-        med = float(np.median(vals))
-        z = (vals - med) / math.sqrt(n)
+    for n, disp, _ in _grid_ensembles(measure, n_grid, trials, seed):
+        med = float(np.median(disp))
+        z = (disp - med) / math.sqrt(n)
         iqr = float(np.percentile(z, 75) - np.percentile(z, 25))
         iqrs.append(iqr)
         per_n[str(n)] = {"iqr": iqr, "median": med}
         for t in range(trials):
-            samples.append((n, t, int(vals[t])))
+            samples.append((n, t, int(disp[t])))
     ratios = [iqrs[i + 1] / max(iqrs[i], 1e-12) for i in range(len(iqrs) - 1)]
     # growth per doubling, averaged over the grid (endpoint geometric mean);
     # individual ratios are quantile estimates and too noisy to gate on
@@ -447,7 +469,7 @@ def run_clt_converse(
         seed=seed,
         n_grid=tuple(n_grid),
         stats={"per_n": per_n, "doubling_ratios": ratios, "growth_per_doubling": growth,
-               "statistic": "tau" if use_tau else "disp"},
+               "statistic": "disp"},
         thresholds=thresholds,
         verdict=verdict,
         samples=samples,
@@ -485,41 +507,36 @@ def run_free_subgroup(
     word_len: int,
     seed: int,
     seed2: Optional[int] = None,
-    k1: Optional[float] = None,
     calibration: Optional[Dict] = None,
 ) -> ExperimentReport:
     """Two independent walks generate a free group of rank 2 with a linear
     orbit lower bound, outside a failure set shrinking in n."""
 
+    _check_grid(model, n_grid, trials)
     if word_len <= 0:
         raise ConfigurationError("word_len must be positive")
     seed2 = seed2 if seed2 is not None else seed + 500_000
     if seed2 == seed:
         raise ConfigurationError("the two walks must use distinct seeds")
-    calib = calibration or calibrate(measure, model, max(n_grid), min(trials, 2000), seed + 10_001)
+    calib = _calibration(calibration, measure, model, max(n_grid), trials, seed)
     per_n: Dict[str, Dict] = {}
     samples: List[Tuple] = []
     freqs = []
     for gi, n in enumerate(n_grid):
-        k1_n = k1 if k1 is not None else max(1.0, 0.05 * calib["lambda"] * n)
+        k1 = max(1.0, 0.05 * calib["lambda"] * n)
         fails = 0
         for t in range(trials):
             rng1 = _trial_rng(seed, gi * trials + t)
             rng2 = _trial_rng(seed2, gi * trials + t)
-            z1 = GroupWord.identity()
-            for s in measure.sample(rng1, n):
-                z1 = z1 * s
-            z2 = GroupWord.identity()
-            for s in measure.sample(rng2, n):
-                z2 = z2 * s
-            ok = _free_words_ok(model, z1, z2, word_len, k1_n)
+            z1 = walk_product(measure.sample(rng1, n))
+            z2 = walk_product(measure.sample(rng2, n))
+            ok = _free_words_ok(model, z1, z2, word_len, k1)
             fails += 0 if ok else 1
             samples.append((n, t, int(not ok)))
         freq = fails / trials
         freqs.append(freq)
-        per_n[str(n)] = {"failure_freq": freq, "k1": k1_n}
-    slope, r2 = log_slope_fit(list(n_grid), freqs)
-    monotone = all(freqs[i + 1] <= freqs[i] for i in range(len(freqs) - 1))
+        per_n[str(n)] = {"failure_freq": freq, "k1": k1}
+    slope, r2, monotone = _decay_fit(n_grid, freqs)
     verdict = monotone and (freqs[-1] == 0 or slope < 0) and freqs[-1] <= 0.05
     return ExperimentReport(
         experiment="free_subgroup",

@@ -9,14 +9,16 @@ whose pivotal-time machinery then yields displacement lower bounds.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import constants_for, is_aligned
+from .geometry import Path, is_aligned
 from .schottky import SchottkySet, inverse_set
 from .words import GroupWord, word_from_str, word_to_str
 
@@ -122,15 +124,17 @@ def reflect(measure: StepMeasure) -> StepMeasure:
     return StepMeasure(tuple(k for k, _ in items), tuple(v for _, v in items), measure.moment_profile)
 
 
-def sample_increments(measure: StepMeasure, n: int, rng) -> List[GroupWord]:
-    return measure.sample(rng, n)
-
-
 def partial_products(increments: Sequence[GroupWord]) -> List[GroupWord]:
     out = [GroupWord.identity()]
     for s in increments:
         out.append(out[-1] * s)
     return out
+
+
+def walk_product(increments: Sequence[GroupWord]) -> GroupWord:
+    """W_n = g_1 g_2 ... g_n, the last of the partial products."""
+
+    return functools.reduce(operator.mul, increments, GroupWord.identity())
 
 
 def sample_path(measure: StepMeasure, n: int, rng) -> List[GroupWord]:
@@ -175,7 +179,7 @@ def deviation(
     """
 
     m0 = sch.m0
-    d1 = sch.constants.d1 if hasattr(sch.constants, "d1") else constants_for(model).d1
+    d1 = sch.constants.d1
     if horizon < m0:
         raise ValueError("horizon below block length")
     blocks = {tuple(seq.steps): i for i, seq in enumerate(sch.sequences)}
@@ -189,8 +193,6 @@ def deviation(
         if not _spells_block(side_incs, i - m0, blocks):
             continue
         axis_words = pts[i - m0 : i + 1]
-        from .geometry import Path
-
         axis = Path(tuple(model.apply(wd, model.basepoint) for wd in axis_words))
         # near side: every point of the opposite ray projects near the start
         near_pts = fwd_pts if mirrored else chk_pts
@@ -266,17 +268,11 @@ def discrepancy_bound_witness(
     if max(devs) >= n / 10:
         return DiscrepancyWitness(False, None, None, devs)
 
-    total = GroupWord.identity()
-    for s in g:
-        total = total * s
+    total = walk_product(g)
     lhs = model.distance(model.basepoint, model.apply(total, model.basepoint)) - model.translation_length(total)
 
-    zfwd = GroupWord.identity()
-    for s in fwd0[: d0.d]:
-        zfwd = zfwd * s
-    zchk = GroupWord.identity()
-    for s in chk0[: dc0.d]:
-        zchk = zchk * s
+    zfwd = walk_product(fwd0[: d0.d])
+    zchk = walk_product(chk0[: dc0.d])
     reach_f = model.distance(model.basepoint, model.apply(zfwd, model.basepoint))
     reach_b = model.distance(model.basepoint, model.apply(zchk, model.basepoint))
     rhs = 2.0 * min(reach_f, reach_b)
@@ -302,7 +298,7 @@ class FirstDecomposition:
     decorated_chunks: int
 
     def total(self, sch: SchottkySet) -> GroupWord:
-        words = [s.product() for s in sch.sequences]
+        words = sch.products()
         acc = self.w[0]
         for (a, b, c, d), vk, wk in zip(self.quads, self.v, self.w[1:]):
             acc = acc * words[a] * words[b] * vk * words[c] * words[d] * wk
@@ -357,7 +353,7 @@ def first_reduction(
     m_target = int(p * n / (8 * m0))
     chunks = n // span
     blocks = {tuple(seq.steps): i for i, seq in enumerate(sch.sequences)}
-    words = [s.product() for s in sch.sequences]
+    words = sch.products()
 
     decorated: List[Tuple[Tuple[int, int, int, int], GroupWord]] = []
     pieces: List[Tuple[str, object]] = []  # ("quad", (quad, v)) | ("word", word)
@@ -379,14 +375,9 @@ def first_reduction(
                 weight = (rate ** 4) * measure.mass(steps[2 * m0]) if spelled else 0.0
                 # accept from the complement law
                 if rng.random() < 1.0 - (p * weight / prod_mass if weight else 0.0):
-                    acc = GroupWord.identity()
-                    for s in steps:
-                        acc = acc * s
-                    pieces.append(("word", acc))
+                    pieces.append(("word", walk_product(steps)))
                     break
-    tail = GroupWord.identity()
-    for s in measure.sample(rng, n - chunks * span):
-        tail = tail * s
+    tail = walk_product(measure.sample(rng, n - chunks * span))
 
     quads: List[Tuple[int, int, int, int]] = []
     vs: List[GroupWord] = []
@@ -424,6 +415,15 @@ def first_reduction(
 # second reduction: rebalance decorations through the pivotal times
 
 
+def _fold_middles(w: Sequence[GroupWord], middles) -> GroupWord:
+    """w_0 B_1 v_1 C_1 w_1 ... B_m v_m C_m w_m."""
+
+    acc = w[0]
+    for (b, v, c), wk in zip(middles, w[1:]):
+        acc = acc * b * v * c * wk
+    return acc
+
+
 @dataclass(frozen=True)
 class SecondDecomposition:
     """Primed rewrite of a first-stage decomposition: only the middle pairs
@@ -437,10 +437,7 @@ class SecondDecomposition:
     complete: bool
 
     def total(self) -> GroupWord:
-        acc = self.w[0]
-        for (b, v, c), wk in zip(self.middles, self.w[1:]):
-            acc = acc * b * v * c * wk
-        return acc
+        return _fold_middles(self.w, self.middles)
 
 
 def second_reduction(model, sch: SchottkySet, first: FirstDecomposition) -> SecondDecomposition:
@@ -450,7 +447,7 @@ def second_reduction(model, sch: SchottkySet, first: FirstDecomposition) -> Seco
 
     from .pivotal import PivotConfig, compute_pivotal_times
 
-    words = [s.product() for s in sch.sequences]
+    words = sch.products()
     m = len(first.quads)
     m_target = 2 * (m // 4)
     if m == 0:
@@ -469,24 +466,20 @@ def second_reduction(model, sch: SchottkySet, first: FirstDecomposition) -> Seco
     idx = list(times.indices)
     selected = sorted(set(idx[:half] + idx[-half:]))
 
-    def chunk(k: int) -> GroupWord:
-        a, b, c, d = first.quads[k - 1]
-        return words[a] * words[b] * first.v[k - 1] * words[c] * words[d] * first.w[k]
-
     w_out: List[GroupWord] = []
     middles: List[Tuple[GroupWord, GroupWord, GroupWord]] = []
     prev = 0
     acc = first.w[0]
     for i in selected:
         for k in range(prev + 1, i):
-            acc = acc * chunk(k)
+            acc = acc * config.block_isometry(model, k)
         a, b, c, d = first.quads[i - 1]
         w_out.append(acc * words[a])
         middles.append((words[b], first.v[i - 1], words[c]))
         acc = words[d] * first.w[i]
         prev = i
     for k in range(prev + 1, m + 1):
-        acc = acc * chunk(k)
+        acc = acc * config.block_isometry(model, k)
     w_out.append(acc)
     return SecondDecomposition(
         w=tuple(w_out),
@@ -504,7 +497,7 @@ def second_reduction(model, sch: SchottkySet, first: FirstDecomposition) -> Seco
 def fourfold_products(sch: SchottkySet) -> List[GroupWord]:
     """All N^4 ordered products of four block words."""
 
-    words = [s.product() for s in sch.sequences]
+    words = sch.products()
     out = []
     for a in words:
         for b in words:
@@ -551,10 +544,7 @@ class CountingSample:
     eps: float
 
     def total(self) -> GroupWord:
-        acc = self.w[0]
-        for (b, v, c), wk in zip(self.middles, self.w[1:]):
-            acc = acc * b * v * c * wk
-        return acc
+        return _fold_middles(self.w, self.middles)
 
 
 def counting_measure_parts(sch: SchottkySet) -> Tuple[List[GroupWord], List[GroupWord]]:
@@ -609,8 +599,8 @@ def counting_reduction(
     eps = eps if eps is not None else pick_epsilon(p, q)
     fwd, inv = counting_measure_parts(sch)
     rest = counting_rest_measure(measure, fwd + inv, p)
-    words = [s.product() for s in sch.sequences]
-    inv_words = [s.product() for s in inverse_set(sch).sequences]
+    words = sch.products()
+    inv_words = inverse_set(sch).products()
     N = len(sch)
     m_target = 2 * int(eps * n)
 

@@ -12,7 +12,7 @@ generator g.  The string form uses 'a', 'b', ... for generators and 'A', 'B',
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 Syllable = Tuple[int, int]
 
@@ -73,10 +73,6 @@ class GroupWord:
     def __len__(self) -> int:
         return sum(abs(e) for _, e in self.syls)
 
-    @property
-    def length(self) -> int:
-        return len(self)
-
     def is_identity(self) -> bool:
         return not self.syls
 
@@ -113,10 +109,7 @@ class GroupWord:
                     break
             else:
                 out.append((gen, sign * left))
-                left = 0
                 break
-        if left > 0:
-            return GroupWord(tuple(out))
         return GroupWord(tuple(out))
 
     def suffix(self, count: int) -> "GroupWord":

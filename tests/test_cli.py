@@ -150,6 +150,33 @@ class TestReport:
         assert run_cli(monkeypatch, tmp_path, "report", "nope.csv") == EXIT_CONFIG
 
 
+_PLANE_RUNS = [
+    ["run", "--experiment", "genericity", "--n", "20,40"],
+    ["run", "--experiment", "discrepancy", "--n", "20,80"],
+    ["run", "--experiment", "clt", "--n", "40"],
+    ["run", "--experiment", "clt-converse", "--measure", "heavy", "--n", "20,40"],
+    ["run", "--experiment", "free-subgroup", "--n", "10,20", "--word-len", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", [
+    *[argv + ["--model", "plane", "--trials", "20", "--seed", "1"] for argv in _PLANE_RUNS],
+    ["census", "--model", "plane", "--n-max", "2"],
+    ["schottky-find", "--model", "plane", "--size", "2", "--block", "5"],
+    ["run", "--experiment", "genericity", "--n", "20,40", "--trials", "0"],
+    ["run", "--experiment", "discrepancy", "--n", "20,80", "--trials", "0"],
+    ["run", "--experiment", "free-subgroup", "--n", "10,20", "--trials", "0"],
+    ["run", "--experiment", "discrepancy", "--n", "0,40", "--trials", "20"],
+    ["run", "--experiment", "clt", "--n", "40,80", "--trials", "20"],
+    ["run", "--experiment", "clt-converse", "--measure", "heavy", "--n", "40", "--trials", "20"],
+    ["pivot-trace", "--N0", "100", "--n", "0", "--trials", "20"],
+    ["census", "--n-max", "0"],
+])
+def test_bad_input_is_refused_cleanly(monkeypatch, tmp_path, capsys, argv):
+    assert run_cli(monkeypatch, tmp_path, *argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error:")
+
+
 class TestUsage:
     def test_no_verb_is_config_error(self, monkeypatch, tmp_path):
         assert run_cli(monkeypatch, tmp_path) == EXIT_CONFIG

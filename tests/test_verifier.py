@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from pivotwalk.words import GroupWord
-from pivotwalk.spaces import TreeModel
+from pivotwalk.spaces import PlaneModel, TreeModel
 from pivotwalk.schottky import build_schottky
 from pivotwalk.walks import simple_rw, heavy_tail, dirac, mixture
 from pivotwalk.verifier import (
@@ -156,6 +156,19 @@ class TestFreeSubgroup:
             run_free_subgroup(simple_rw(), T, [10], 5, 0, seed=0, calibration=CAL)
         with pytest.raises(ConfigurationError):
             run_free_subgroup(simple_rw(), T, [10], 5, 2, seed=0, seed2=0, calibration=CAL)
+
+
+@pytest.mark.parametrize("run", [
+    lambda P: run_genericity(simple_rw(), P, [40], 10, 0.25, seed=0, calibration=CAL),
+    lambda P: run_discrepancy(simple_rw(), P, [40], 10, seed=0),
+    lambda P: run_clt(simple_rw(), P, 40, 10, seed=0, calibration=CAL),
+    lambda P: run_clt_converse(heavy_tail(kmax=16), P, [40, 80], 10, seed=0),
+    lambda P: run_free_subgroup(simple_rw(), P, [10], 5, 2, seed=0, calibration=CAL),
+], ids=["genericity", "discrepancy", "clt", "clt_converse", "free_subgroup"])
+def test_runners_refuse_the_plane(run):
+    # the runners compute tree statistics only; a plane label would be false
+    with pytest.raises(ConfigurationError):
+        run(PlaneModel())
 
 
 class TestReport:

@@ -17,7 +17,6 @@ from pivotwalk.walks import (
     mixture,
     reflect,
     heavy_tail,
-    sample_increments,
     partial_products,
     sample_path,
     deviation,
@@ -109,8 +108,8 @@ class TestSampling:
 
     def test_increments_reproducible(self):
         mu = simple_rw()
-        one = sample_increments(mu, 25, np.random.default_rng(7))
-        two = sample_increments(mu, 25, np.random.default_rng(7))
+        one = mu.sample(np.random.default_rng(7), 25)
+        two = mu.sample(np.random.default_rng(7), 25)
         assert one == two
 
 
@@ -126,7 +125,7 @@ class TestDeviation:
 
     def test_capped_when_no_block_spelled(self):
         rng = np.random.default_rng(1)
-        incs = sample_increments(simple_rw(), 20, rng)
+        incs = simple_rw().sample(rng, 20)
         d = deviation(T, SCH, incs, incs, horizon=10)
         assert d.capped and d.d == 11 and d.witness is None
 
@@ -151,8 +150,8 @@ class TestDiscrepancyWitness:
 
     def test_generic_walk_inapplicable_at_small_n(self):
         rng = np.random.default_rng(0)
-        incs = sample_increments(simple_rw(), 60, rng)
-        aux = sample_increments(simple_rw(), 2 * (6 + 30), rng)
+        incs = simple_rw().sample(rng, 60)
+        aux = simple_rw().sample(rng, 2 * (6 + 30))
         wit = discrepancy_bound_witness(T, SCH, incs, aux, horizon=6)
         assert not wit.applicable
         assert wit.lhs is None and wit.rhs is None
