@@ -2,8 +2,9 @@
 
 Verbs: schottky-find, run, pivot-trace, census, report.  Exit codes:
 0 = pass, 2 = experiment failed its verdict, 1 = configuration or usage
-error.  JSON config files supply defaults; explicit flags override them.
-PIVOTWALK_SEED provides the seed when neither config nor flag does.
+error.  A JSON config file (--config) is read as flags placed before the
+explicit ones, so explicit flags override it.  PIVOTWALK_SEED provides the
+seed when neither config nor flag does.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import csv
 import json
 import os
 import sys
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -44,23 +45,24 @@ def _resolve_seed(args) -> int:
     return 0
 
 
-def _load_config(args) -> Dict:
-    if not getattr(args, "config", None):
-        return {}
-    with open(args.config) as fh:
+def _config_tokens(path: str) -> List[str]:
+    """A JSON config file as `--key value` flags: a list value is joined
+    with commas, `true` is a bare flag, `false` and `null` are dropped."""
+
+    with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ConfigurationError("config file must hold a JSON object")
-    return data
-
-
-def _merged(args, config: Dict, key: str, default=None):
-    val = getattr(args, key.replace("-", "_"), None)
-    if val is not None:
-        return val
-    if key in config:
-        return config[key]
-    return default
+    tokens: List[str] = []
+    for key, value in data.items():
+        if value is None or value is False:
+            continue
+        tokens.append("--" + key)
+        if isinstance(value, list):
+            tokens.append(",".join(str(x) for x in value))
+        elif value is not True:
+            tokens.append(str(value))
+    return tokens
 
 
 def _measure_from_spec(spec: str) -> walks.StepMeasure:
@@ -78,123 +80,99 @@ def _schottky_from_file(path: str) -> schottky.SchottkySet:
 
 
 def cmd_schottky_find(args) -> int:
-    config = _load_config(args)
-    size = _merged(args, config, "size")
-    block = _merged(args, config, "block")
-    model_name = _merged(args, config, "model", "tree2")
     seed = _resolve_seed(args)
+    size, block = args.size, args.block
     if size is None or block is None:
         raise ConfigurationError("schottky-find requires --size and --block")
     if size <= 0 or block <= 0:
         raise ConfigurationError("size and block must be positive")
-    model = model_by_name(model_name)
+    model = model_by_name(args.model)
     verifier.require_tree(model)
     g = GroupWord.generator(1, 1)
     h = GroupWord.generator(2, 1)
     sch = schottky.build_schottky(model, g, h, size=size, m0=block, seed=seed)
     report = schottky.verify_schottky(model, sch)
     payload = schottky.schottky_to_json(sch)
-    out = _merged(args, config, "out", "schottky.json")
-    with open(out, "w") as fh:
+    with open(args.out, "w") as fh:
         fh.write(payload)
         fh.write("\n")
-    print("schottky-find: wrote %s (N=%d, M0=%d, verified=%s)" % (out, size, block, report.ok))
+    print("schottky-find: wrote %s (N=%d, M0=%d, verified=%s)" % (args.out, size, block, report.ok))
     return EXIT_PASS if report.ok else EXIT_FAIL
 
 
-def _grid(value, default: List[int]) -> List[int]:
+def _grid(value: Optional[str], default: List[int]) -> List[int]:
     if value is None:
         return default
-    if isinstance(value, str):
-        return [int(x) for x in value.split(",")]
-    if isinstance(value, int):
-        return [value]
-    return [int(x) for x in value]
+    return [int(x) for x in value.split(",")]
 
 
 def cmd_run(args) -> int:
-    config = _load_config(args)
-    experiment = _merged(args, config, "experiment")
+    experiment = args.experiment
     if not experiment:
         raise ConfigurationError("run requires --experiment")
-    model = model_by_name(_merged(args, config, "model", "tree2"))
-    measure = _measure_from_spec(_merged(args, config, "measure", "simple"))
-    seed = _resolve_seed(args) if getattr(args, "seed", None) is not None or "seed" not in config else config["seed"]
-    trials = int(_merged(args, config, "trials", 1000))
-    outdir = _merged(args, config, "out", "out-%s" % experiment)
-    svg = bool(_merged(args, config, "svg", False))
+    model = model_by_name(args.model)
+    measure = _measure_from_spec(args.measure)
+    seed = _resolve_seed(args)
+    trials = args.trials
+    outdir = args.out or "out-%s" % experiment
 
     if experiment == "genericity":
-        n_grid = _grid(_merged(args, config, "n"), [50, 100, 200, 400])
-        L = float(_merged(args, config, "L", 0.25))
-        report = verifier.run_genericity(measure, model, n_grid, trials, L, seed)
+        n_grid = _grid(args.n, [50, 100, 200, 400])
+        report = verifier.run_genericity(measure, model, n_grid, trials, args.L, seed)
     elif experiment == "discrepancy":
-        n_grid = _grid(_merged(args, config, "n"), [1000, 4000])
-        sch = None
-        schpath = _merged(args, config, "schottky")
-        if schpath:
-            sch = _schottky_from_file(schpath)
+        n_grid = _grid(args.n, [1000, 4000])
+        sch = _schottky_from_file(args.schottky) if args.schottky else None
         report = verifier.run_discrepancy(
             measure, model, n_grid, trials, seed, sch=sch,
-            claim_n=_merged(args, config, "claim-n"),
-            claim_trials=int(_merged(args, config, "claim-trials", 0)),
+            claim_n=args.claim_n, claim_trials=args.claim_trials,
         )
     elif experiment == "clt":
-        n_grid = _grid(_merged(args, config, "n"), [2000])
+        n_grid = _grid(args.n, [2000])
         if len(n_grid) != 1:
             raise ConfigurationError("clt takes a single --n value")
         report = verifier.run_clt(measure, model, n_grid[0], trials, seed)
     elif experiment == "clt-converse":
-        n_grid = _grid(_merged(args, config, "n"), [500, 1000, 2000, 4000])
-        contrast = bool(_merged(args, config, "contrast", False))
-        report = verifier.run_clt_converse(measure, model, n_grid, trials, seed, contrast=contrast)
+        n_grid = _grid(args.n, [500, 1000, 2000, 4000])
+        report = verifier.run_clt_converse(measure, model, n_grid, trials, seed, contrast=args.contrast)
     elif experiment == "free-subgroup":
-        n_grid = _grid(_merged(args, config, "n"), [50, 100])
-        word_len = int(_merged(args, config, "word-len", 5))
-        report = verifier.run_free_subgroup(measure, model, n_grid, trials, word_len, seed)
+        n_grid = _grid(args.n, [50, 100])
+        report = verifier.run_free_subgroup(measure, model, n_grid, trials, args.word_len, seed)
     else:
         raise ConfigurationError("unknown experiment %r" % experiment)
-    report.write(outdir, svg=svg)
+    report.write(outdir, svg=args.svg)
     print("run[%s]: verdict=%s -> %s" % (experiment, "pass" if report.verdict else "fail", outdir))
     return EXIT_PASS if report.verdict else EXIT_FAIL
 
 
 def cmd_pivot_trace(args) -> int:
-    config = _load_config(args)
-    n0 = int(_merged(args, config, "N0", 400))
-    n = int(_merged(args, config, "n", 20))
-    trials = int(_merged(args, config, "trials", 10000))
-    out = _merged(args, config, "out", "pivot-trace.csv")
+    n0, n, trials = args.N0, args.n, args.trials
     seed = _resolve_seed(args)
     if trials <= 0 or n <= 0:
         raise ConfigurationError("trials and n must be positive")
     if n0 <= 4:
         raise ConfigurationError("N0 must exceed 4")
     counts = pivotal.sample_jump_dominated_counts(n0, n, trials, seed)
-    pivotal.pivot_counts_csv(out, counts, n0, n, seed)
-    print("pivot-trace: wrote %s (mean/n=%.4f)" % (out, counts.mean() / n))
+    pivotal.pivot_counts_csv(args.out, counts, n0, n, seed)
+    print("pivot-trace: wrote %s (mean/n=%.4f)" % (args.out, counts.mean() / n))
     return EXIT_PASS
 
 
 def cmd_census(args) -> int:
-    config = _load_config(args)
-    model = model_by_name(_merged(args, config, "model", "tree2"))
+    model = model_by_name(args.model)
     verifier.require_tree(model)
     seed = _resolve_seed(args)
-    n_max = int(_merged(args, config, "n-max", 6))
+    n_max = args.n_max
     if n_max <= 0:
         raise ConfigurationError("n-max must be positive")
-    out = _merged(args, config, "out", "census.csv")
-    schpath = _merged(args, config, "schottky")
-    if schpath:
-        sch = _schottky_from_file(schpath)
+    if args.schottky:
+        sch = _schottky_from_file(args.schottky)
     else:
         sch = schottky.build_schottky(
             model, GroupWord.generator(1, 1), GroupWord.generator(2, 1), size=4, m0=5, seed=seed
         )
     base = [GroupWord.generator(1, 1), GroupWord.generator(2, 1)]
     gens = counting.build_augmented_set(base, sch.products())
-    K = float(_merged(args, config, "K", 0.5))
+    K = args.K
     rows = []
     prev_frac = None
     monotone = True
@@ -209,12 +187,12 @@ def cmd_census(args) -> int:
         if prev_frac is not None and frac > prev_frac:
             monotone = False
         prev_frac = frac
-    with open(out, "w", newline="") as fh:
+    with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("n", "total", "bad_count", "bad_fraction", "exhaustive"))
         writer.writerows(rows)
     slope, r2 = verifier.log_slope_fit([r[0] for r in rows], [r[3] for r in rows])
-    print("census: wrote %s (monotone=%s slope=%.3f)" % (out, monotone, slope))
+    print("census: wrote %s (monotone=%s slope=%.3f)" % (args.out, monotone, slope))
     return EXIT_PASS if monotone and slope < 0 else EXIT_FAIL
 
 
@@ -245,50 +223,51 @@ def cmd_report(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pivotwalk")
     sub = parser.add_subparsers(dest="verb", required=True)
+    # no abbreviated flags: a config key must name its flag in full
 
-    p = sub.add_parser("schottky-find")
-    p.add_argument("--model")
+    p = sub.add_parser("schottky-find", allow_abbrev=False)
+    p.add_argument("--model", default="tree2")
     p.add_argument("--size", type=int)
     p.add_argument("--block", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--out")
+    p.add_argument("--out", default="schottky.json")
     p.add_argument("--config")
     p.set_defaults(func=cmd_schottky_find)
 
-    p = sub.add_parser("run")
+    p = sub.add_parser("run", allow_abbrev=False)
     p.add_argument("--experiment")
-    p.add_argument("--model")
-    p.add_argument("--measure")
+    p.add_argument("--model", default="tree2")
+    p.add_argument("--measure", default="simple")
     p.add_argument("--n")
-    p.add_argument("--trials", type=int)
+    p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int)
-    p.add_argument("--L", type=float)
-    p.add_argument("--word-len", type=int)
-    p.add_argument("--contrast", action="store_const", const=True)
+    p.add_argument("--L", type=float, default=0.25)
+    p.add_argument("--word-len", type=int, default=5)
+    p.add_argument("--contrast", action="store_true")
     p.add_argument("--schottky")
     p.add_argument("--claim-n", type=int)
-    p.add_argument("--claim-trials", type=int)
-    p.add_argument("--svg", action="store_const", const=True)
+    p.add_argument("--claim-trials", type=int, default=0)
+    p.add_argument("--svg", action="store_true")
     p.add_argument("--out")
     p.add_argument("--config")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("pivot-trace")
-    p.add_argument("--N0", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--trials", type=int)
+    p = sub.add_parser("pivot-trace", allow_abbrev=False)
+    p.add_argument("--N0", type=int, default=400)
+    p.add_argument("--n", type=int, default=20)
+    p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int)
-    p.add_argument("--out")
+    p.add_argument("--out", default="pivot-trace.csv")
     p.add_argument("--config")
     p.set_defaults(func=cmd_pivot_trace)
 
-    p = sub.add_parser("census")
-    p.add_argument("--model")
-    p.add_argument("--n-max", type=int)
-    p.add_argument("--K", type=float)
+    p = sub.add_parser("census", allow_abbrev=False)
+    p.add_argument("--model", default="tree2")
+    p.add_argument("--n-max", type=int, default=6)
+    p.add_argument("--K", type=float, default=0.5)
     p.add_argument("--schottky")
     p.add_argument("--seed", type=int)
-    p.add_argument("--out")
+    p.add_argument("--out", default="census.csv")
     p.add_argument("--config")
     p.set_defaults(func=cmd_census)
 
@@ -301,12 +280,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            # config entries go right after the verb, so explicit flags win
+            args = parser.parse_args(argv[:1] + _config_tokens(args.config) + argv[1:])
+        return args.func(args)
     except SystemExit as exc:  # argparse uses its own exit codes
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_PASS
-    try:
-        return args.func(args)
     except ConfigurationError as exc:
         print("configuration error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG

@@ -48,7 +48,7 @@ class PivotConfig:
     def n(self) -> int:
         return len(self.quads)
 
-    def block_isometry(self, model, k: int):
+    def block_isometry(self, k: int):
         """Product contributed by step k (1-based), including w_k."""
         a, b, c, d = self.quads[k - 1]
         S = self.sch.sequences
@@ -61,18 +61,24 @@ class PivotConfig:
             * self.w[k]
         )
 
-    def total(self, model):
-        acc = self.w[0]
+    def prefixes(self) -> list:
+        """[W_0, ..., W_n]: W_k is the product through step k, w_k included."""
+        out = [self.w[0]]
         for k in range(1, self.n + 1):
-            acc = acc * self.block_isometry(model, k)
-        return acc
+            out.append(out[-1] * self.block_isometry(k))
+        return out
 
-    def prefix(self, model, k: int):
-        """W_k: product through step k (W_0 = w_0)."""
-        acc = self.w[0]
-        for i in range(1, k + 1):
-            acc = acc * self.block_isometry(model, i)
-        return acc
+    def total(self):
+        return self.prefixes()[-1]
+
+    def frames(self, k: int, start) -> tuple:
+        """Left frames of step k's blocks A, B, C, D when the step starts
+        at `start` (W_{k-1} in ambient coordinates)."""
+        a, b, c, _ = self.quads[k - 1]
+        S = self.sch.sequences
+        frame_b = start * S[a].product()
+        frame_c = frame_b * S[b].product() * self.v[k - 1]
+        return start, frame_b, frame_c, frame_c * S[c].product()
 
 
 @dataclass(frozen=True)
@@ -95,7 +101,7 @@ def _step_conditions(model, config: PivotConfig, k: int, anchor_rel) -> bool:
 
     S = config.sch
     k0 = S.constants.k0
-    a, b, c, d = config.quads[k - 1]
+    a, b, c, _ = config.quads[k - 1]
     # entry block vs current anchor (frame: start of the entry block)
     entry_axis = gamma_axis(model, S.sequences[a])
     z_local = model.apply(anchor_rel, model.basepoint)
@@ -105,16 +111,14 @@ def _step_conditions(model, config: PivotConfig, k: int, anchor_rel) -> bool:
     if not in_tilde(model, S, b, c, config.v[k - 1]):
         return False
     # exit block vs the step endpoint (frame: start of the exit block)
-    exit_axis = gamma_axis(model, S.sequences[d])
-    end_local = model.apply(S.sequences[d].product() * config.w[k], model.basepoint)
-    return is_aligned(model, [exit_axis, end_local], k0).aligned
+    return _exit_ok(model, config, k, config.w[k])
 
 
-def _backtrack_ok(model, config: PivotConfig, j: int, tail) -> bool:
-    """Does the current endpoint still respect the exit block of step j?
+def _exit_ok(model, config: PivotConfig, j: int, tail) -> bool:
+    """Does the endpoint respect the exit block of step j?
 
     `tail` is the isometry from the end of step j's exit block to the
-    current endpoint, expressed in that block's frame.
+    endpoint, expressed in that block's frame.
     """
 
     S = config.sch
@@ -127,41 +131,26 @@ def _backtrack_ok(model, config: PivotConfig, j: int, tail) -> bool:
 def compute_pivotal_times(model, config: PivotConfig) -> PivotalTimes:
     """Stack construction of the pivotal times of a configuration."""
 
-    S = config.sch
-    blocks = [None]  # blocks[k] = isometry of step k (with w_k)
+    W = config.prefixes()
     stack: List[int] = []
     # anchor point = anchor_rel applied to the basepoint, expressed in the
     # frame of the coming step's entry block; initially the basepoint seen
     # from the end of w_0
     anchor_rel = config.w[0].inverse()
 
+    def tail(j: int):
+        # from the end of step j's exit block (of w_0 when j = 0) to W_k
+        return config.w[j] * W[j].inverse() * W[k]
+
     for k in range(1, config.n + 1):
-        block_k = config.block_isometry(model, k)
-        blocks.append(block_k)
         if _step_conditions(model, config, k, anchor_rel):
             stack.append(k)
             anchor_rel = config.w[k].inverse()
         else:
-            while stack:
-                j = stack[-1]
-                tail = config.w[j]
-                for i in range(j + 1, k + 1):
-                    tail = tail * blocks[i]
-                if _backtrack_ok(model, config, j, tail):
-                    break
+            while stack and not _exit_ok(model, config, stack[-1], tail(stack[-1])):
                 stack.pop()
-            if stack:
-                j = stack[-1]
-                # anchor returns to the end of step j's exit block
-                rel = config.w[j]
-                for i in range(j + 1, k + 1):
-                    rel = rel * blocks[i]
-                anchor_rel = rel.inverse()
-            else:
-                rel = config.w[0]
-                for i in range(1, k + 1):
-                    rel = rel * blocks[i]
-                anchor_rel = rel.inverse()
+            # the anchor returns to the last kept step's end, or to w_0
+            anchor_rel = tail(stack[-1] if stack else 0).inverse()
     return PivotalTimes(tuple(stack))
 
 
@@ -170,20 +159,11 @@ def extremal_axes(model, config: PivotConfig, times: Optional[PivotalTimes] = No
 
     times = times if times is not None else compute_pivotal_times(model, config)
     S = config.sch.sequences
+    W = config.prefixes()
     axes: List[Path] = []
-    acc = config.w[0]
-    pos = 1
-    pivot_set = set(times.indices)
-    for k in range(1, config.n + 1):
-        a, b, c, d = config.quads[k - 1]
-        frames = [acc]
-        frames.append(frames[-1] * S[a].product())
-        frames.append(frames[-1] * S[b].product() * config.v[k - 1])
-        frames.append(frames[-1] * S[c].product())
-        if k in pivot_set:
-            for frame, idx in zip(frames, (a, b, c, d)):
-                axes.append(gamma_axis(model, S[idx], frame=frame))
-        acc = frames[-1] * S[d].product() * config.w[k]
+    for k in times:
+        for frame, idx in zip(config.frames(k, W[k - 1]), config.quads[k - 1]):
+            axes.append(gamma_axis(model, S[idx], frame=frame))
     return axes
 
 
@@ -192,7 +172,7 @@ def pivotal_chain_report(model, config: PivotConfig, times: Optional[PivotalTime
 
     times = times if times is not None else compute_pivotal_times(model, config)
     axes = extremal_axes(model, config, times)
-    endpoint = model.apply(config.total(model), model.basepoint)
+    endpoint = model.apply(config.total(), model.basepoint)
     items = [model.basepoint] + axes + [endpoint]
     return is_semi_aligned(model, items)
 
@@ -285,6 +265,13 @@ def simulate_pivot_counts(
                 bad.add(di)
         bad_exit.append(bad)
 
+    def tail(j: int) -> GroupWord:
+        # from the end of step j's exit block (of w_0 when j = 0) to step k's end
+        out = w[j]
+        for i in range(j + 1, k + 1):
+            out = out * block_words[i]
+        return out
+
     rng = np.random.default_rng(seed)
     counts = np.zeros(trials, dtype=np.int64)
     for t in range(trials):
@@ -307,20 +294,11 @@ def simulate_pivot_counts(
                 stack.append(k)
                 anchor = w[k].inverse()
             else:
-                while stack:
-                    j = stack[-1]
-                    tail = w[j]
-                    for i in range(j + 1, k + 1):
-                        tail = tail * block_words[i]
-                    if common_prefix_letters(inv_words[draws[j - 1][3]], tail) < k0:
-                        break
+                while stack and common_prefix_letters(inv_words[draws[stack[-1] - 1][3]],
+                                                       tail(stack[-1])) >= k0:
                     stack.pop()
                 # the anchor returns to the last kept step's end, or to w_0
-                j = stack[-1] if stack else 0
-                rel = w[j]
-                for i in range(j + 1, k + 1):
-                    rel = rel * block_words[i]
-                anchor = rel.inverse()
+                anchor = tail(stack[-1] if stack else 0).inverse()
         counts[t] = len(stack)
     return counts
 
@@ -440,16 +418,14 @@ def middle_chain(model, config: PivotConfig) -> List[Path]:
     endpoints, as used by the pre-alignment predicate."""
 
     S = config.sch.sequences
+    W = config.prefixes()
     items: List = [model.basepoint]
-    acc = config.w[0]
     for k in range(1, config.n + 1):
-        a, b, c, d = config.quads[k - 1]
-        acc_a = acc * S[a].product()
-        items.append(gamma_axis(model, S[b], frame=acc_a))
-        acc_bv = acc_a * S[b].product() * config.v[k - 1]
-        items.append(gamma_axis(model, S[c], frame=acc_bv))
-        acc = acc_bv * S[c].product() * S[d].product() * config.w[k]
-    items.append(model.apply(config.total(model), model.basepoint))
+        _, frame_b, frame_c, _ = config.frames(k, W[k - 1])
+        _, b, c, _ = config.quads[k - 1]
+        items.append(gamma_axis(model, S[b], frame=frame_b))
+        items.append(gamma_axis(model, S[c], frame=frame_c))
+    items.append(model.apply(W[-1], model.basepoint))
     return items
 
 
@@ -488,15 +464,13 @@ def is_pre_aligned_sequence(
             break
 
     def chain_for(assignment) -> List:
+        W = _decorated_prefixes(sch, w_seq, assignment)
         items: List = [model.basepoint]
-        acc = w_seq[0]
-        for k in range(n):
-            b, c, v = assignment[k]
-            items.append(gamma_axis(model, sch.sequences[b], frame=acc))
-            acc = acc * sch.sequences[b].product() * v
-            items.append(gamma_axis(model, sch.sequences[c], frame=acc))
-            acc = acc * sch.sequences[c].product() * w_seq[k + 1]
-        items.append(model.apply(acc, model.basepoint))
+        for k, (b, c, v) in enumerate(assignment):
+            items.append(gamma_axis(model, sch.sequences[b], frame=W[k]))
+            frame_c = W[k] * sch.sequences[b].product() * v
+            items.append(gamma_axis(model, sch.sequences[c], frame=frame_c))
+        items.append(model.apply(W[-1], model.basepoint))
         return items
 
     if total <= budget:
@@ -539,17 +513,21 @@ class RepulsionSets:
     back: Tuple[Tuple[int, int], ...]
 
 
-def _decorated_prefixes(model, sch: SchottkySet, w_seq, middles, upto: int):
-    """W_k products of the reduced decorated walk
+def _decorated_prefixes(sch: SchottkySet, w_seq, middles):
+    """[W_0, ..., W_n] of the reduced decorated walk
     W_k = w_0 B_1 v_1 C_1 w_1 ... B_k v_k C_k w_k."""
 
-    acc = w_seq[0]
-    out = [acc]
-    for k in range(upto):
-        b, c, v = middles[k]
-        acc = acc * sch.sequences[b].product() * v * sch.sequences[c].product() * w_seq[k + 1]
-        out.append(acc)
+    out = [w_seq[0]]
+    for k, (b, c, v) in enumerate(middles):
+        out.append(out[-1] * sch.sequences[b].product() * v * sch.sequences[c].product() * w_seq[k + 1])
     return out
+
+
+def _middle_head(sch: SchottkySet, prefixes, middles, pos: int):
+    """W_pos B v C: the walk through the middle pair at 0-based position pos."""
+
+    b, c, v = middles[pos]
+    return prefixes[pos] * sch.sequences[b].product() * v * sch.sequences[c].product()
 
 
 def repulsion_phi(model, sch: SchottkySet, w_seq, middles, k: int):
@@ -557,10 +535,8 @@ def repulsion_phi(model, sch: SchottkySet, w_seq, middles, k: int):
     mirrored tail: phi_k = (V_{n-k} C_{n-k+1})^{-1} W_n W_{k-1}."""
 
     n = len(middles)
-    prefixes = _decorated_prefixes(model, sch, w_seq, middles, n)
-    b, c, v = middles[n - k]
-    v_part = prefixes[n - k] * sch.sequences[b].product() * v
-    head = v_part * sch.sequences[c].product()
+    prefixes = _decorated_prefixes(sch, w_seq, middles)
+    head = _middle_head(sch, prefixes, middles, n - k)
     return head.inverse() * prefixes[n] * prefixes[k - 1]
 
 
@@ -608,24 +584,18 @@ def multi_repulsion_sets(model, sch1: SchottkySet, sch2: SchottkySet, walks, k: 
 
     (w1, m1), (w2, m2) = walks
     sets = [sch1, sch2]
-    ws = [w1, w2]
     ms = [m1, m2]
     n = len(m1)
     k0 = sch1.constants.k0
-
-    def prefixes(t, upto):
-        return _decorated_prefixes(model, sets[t], ws[t], ms[t], upto)
-
-    def v_head(t, pos):
-        pref = prefixes(t, n)
-        b, c, v = ms[t][pos]
-        return pref[pos] * sets[t].sequences[b].product() * v
+    pref = [_decorated_prefixes(sets[t], w, ms[t]) for t, w in enumerate((w1, w2))]
+    # mirrored heads W_{n-k} B v C of both walks
+    heads = [_middle_head(sets[t], pref[t], ms[t], n - k) for t in (0, 1)]
 
     fronts, backs, mixeds = [], [], []
     for t in (0, 1):
         s = 1 - t
         # front: heads of the two walks diverge
-        phi_front = prefixes(s, k - 1)[k - 1].inverse() * prefixes(t, k - 1)[k - 1]
+        phi_front = pref[s][k - 1].inverse() * pref[t][k - 1]
         anchor = model.apply(phi_front.inverse(), model.basepoint)
         front = []
         for b, c in tilde_pairs(model, sets[t], ms[t][k - 1][2]):
@@ -634,9 +604,7 @@ def multi_repulsion_sets(model, sch1: SchottkySet, sch2: SchottkySet, walks, k: 
         fronts.append(tuple(front))
 
         # back: mirrored tails diverge
-        head_t = v_head(t, n - k) * sets[t].sequences[ms[t][n - k][1]].product()
-        head_s = v_head(s, n - k) * sets[s].sequences[ms[s][n - k][1]].product()
-        phi_back = head_s.inverse() * prefixes(s, n)[n] * prefixes(t, n)[n].inverse() * head_t
+        phi_back = heads[s].inverse() * pref[s][n] * pref[t][n].inverse() * heads[t]
         back = []
         for b, c in tilde_pairs(model, sets[t], ms[t][n - k][2]):
             axis = gamma_axis(model, sets[t].sequences[c])
@@ -646,8 +614,7 @@ def multi_repulsion_sets(model, sch1: SchottkySet, sch2: SchottkySet, walks, k: 
         backs.append(tuple(back))
 
         # mixed: head of one walk vs mirrored tail of the other
-        head = v_head(s, n - k) * sets[s].sequences[ms[s][n - k][1]].product()
-        phi_mixed = head.inverse() * prefixes(s, n)[n] * prefixes(t, k - 1)[k - 1]
+        phi_mixed = heads[s].inverse() * pref[s][n] * pref[t][k - 1]
         anchor = model.apply(phi_mixed.inverse(), model.basepoint)
         mixed = []
         for b, c in tilde_pairs(model, sets[t], ms[t][k - 1][2]):

@@ -138,10 +138,10 @@ def tree_walk_ensemble(
     disp = np.where(mask, np.abs(E), 0).sum(axis=1)
     tau = np.empty(trials, dtype=np.int64)
     for t in range(trials):
+        # a push needs a new top generator and a pop leaves no new adjacent
+        # pair, so each stack row is already a reduced word
         p = int(ptr[t])
-        word = GroupWord.from_syllables(
-            (int(G[t, j]), int(E[t, j])) for j in range(p)
-        )
+        word = GroupWord(tuple(zip(G[t, :p].tolist(), E[t, :p].tolist())))
         tau[t] = word.translation_length()
     return disp.astype(np.int64), tau
 
@@ -236,6 +236,8 @@ def calibrate(measure: StepMeasure, model, n: int, trials: int, seed: int) -> Di
     """Escape-rate and variance estimates from a dedicated run (use a seed
     disjoint from the experiment seed to avoid selection bias)."""
 
+    if trials < 2:
+        raise ConfigurationError("calibration needs at least 2 trials for a variance")
     [(_, disp, _)] = _grid_ensembles(measure, (n,), trials, seed)
     lam = float(disp.mean()) / n
     sigma2 = float(disp.var(ddof=1)) / n
@@ -325,6 +327,10 @@ def run_discrepancy(
     checks the per-trial two-sided reach bound on non-capped trials."""
 
     _check_grid(model, n_grid, trials)
+    if claim_trials < 0 or (claim_n is not None and claim_n <= 0):
+        raise ConfigurationError("claim_trials must be non-negative and claim_n positive")
+    if claim_trials > 0 and (sch is None or claim_n is None):
+        raise ConfigurationError("the reach-bound claim needs a Schottky set and claim_n")
     per_n: Dict[str, Dict] = {}
     samples: List[Tuple] = []
     p95s = []
@@ -345,7 +351,7 @@ def run_discrepancy(
 
     claim_stats = None
     claim_ok = True
-    if sch is not None and claim_trials > 0 and claim_n:
+    if claim_trials > 0:
         applicable = 0
         violations = 0
         for t in range(claim_trials):

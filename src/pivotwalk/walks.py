@@ -472,14 +472,14 @@ def second_reduction(model, sch: SchottkySet, first: FirstDecomposition) -> Seco
     acc = first.w[0]
     for i in selected:
         for k in range(prev + 1, i):
-            acc = acc * config.block_isometry(model, k)
+            acc = acc * config.block_isometry(k)
         a, b, c, d = first.quads[i - 1]
         w_out.append(acc * words[a])
         middles.append((words[b], first.v[i - 1], words[c]))
         acc = words[d] * first.w[i]
         prev = i
     for k in range(prev + 1, m + 1):
-        acc = acc * config.block_isometry(model, k)
+        acc = acc * config.block_isometry(k)
     w_out.append(acc)
     return SecondDecomposition(
         w=tuple(w_out),

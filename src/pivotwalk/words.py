@@ -61,12 +61,7 @@ class GroupWord:
 
     @staticmethod
     def from_syllables(pairs: Iterable[Syllable]) -> "GroupWord":
-        word = _normalize(pairs)
-        while True:
-            again = _normalize(word)
-            if again == word:
-                return GroupWord(word)
-            word = again
+        return GroupWord(_normalize(pairs))
 
     # -- basic structure ----------------------------------------------
 
@@ -113,11 +108,8 @@ class GroupWord:
         return GroupWord(tuple(out))
 
     def suffix(self, count: int) -> "GroupWord":
-        if count <= 0:
-            return _IDENTITY
-        if count >= len(self):
-            return self
-        return _suffix(self, count)
+        """Last `count` letters as a word."""
+        return self.inverse().prefix(count).inverse()
 
     # -- group operations ---------------------------------------------
 
@@ -173,14 +165,14 @@ class GroupWord:
             s1 = 1 if e1 > 0 else -1
             e0_new = e0 - s0 * c
             e1_new = e1 + s0 * c
+            # the word is reduced, so both ends of the interior differ in
+            # generator from gen: nothing merges with the surviving end
             w = w[1:-1]
             if e1_new != 0:
                 w = w + [(gen, e1_new)]
             if e0_new != 0:
                 w = [(gen, e0_new)] + w
-            # interior syllables may now merge with the surviving ends
-            w = list(_normalize(w))
-        return GroupWord(tuple(_normalize(w)))
+        return GroupWord(tuple(w))
 
     def translation_length(self) -> int:
         return len(self.cyclic_reduce())
@@ -198,23 +190,6 @@ class GroupWord:
 
 
 _IDENTITY = GroupWord(())
-
-
-def _suffix(word: GroupWord, count: int) -> GroupWord:
-    out: List[Syllable] = []
-    left = count
-    for gen, exp in reversed(word.syls):
-        span = abs(exp)
-        sign = 1 if exp > 0 else -1
-        if left >= span:
-            out.append((gen, exp))
-            left -= span
-            if left == 0:
-                break
-        else:
-            out.append((gen, sign * left))
-            break
-    return GroupWord(tuple(reversed(out)))
 
 
 def common_prefix_letters(u: GroupWord, v: GroupWord) -> int:

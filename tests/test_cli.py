@@ -91,6 +91,23 @@ class TestConfigAndSeed:
         assert (tmp_path / "flagout").exists()
         assert not (tmp_path / "cfgout").exists()
 
+    def test_config_seed_matches_flag(self, monkeypatch, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 3}))
+        argv = ["pivot-trace", "--N0", "100", "--n", "5", "--trials", "20"]
+        assert run_cli(monkeypatch, tmp_path, *argv, "--config", str(cfg),
+                       "--out", "cfg.csv") == EXIT_PASS
+        assert run_cli(monkeypatch, tmp_path, *argv, "--seed", "3", "--out", "flag.csv") == EXIT_PASS
+        assert (tmp_path / "cfg.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()
+
+    @pytest.mark.parametrize("entries", [{"N0": 50.5}, {"N0": "many"}, {"nope": 1}, {"tri": 20}])
+    def test_bad_config_entry(self, monkeypatch, tmp_path, entries):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entries))
+        code = run_cli(monkeypatch, tmp_path, "pivot-trace", "--n", "5", "--trials", "20",
+                       "--config", str(cfg))
+        assert code == EXIT_CONFIG
+
     def test_env_seed_fallback(self, monkeypatch, tmp_path):
         monkeypatch.setenv("PIVOTWALK_SEED", "5")
         code = run_cli(monkeypatch, tmp_path, "pivot-trace", "--N0", "100",
@@ -171,6 +188,8 @@ _PLANE_RUNS = [
     ["run", "--experiment", "clt-converse", "--measure", "heavy", "--n", "40", "--trials", "20"],
     ["pivot-trace", "--N0", "100", "--n", "0", "--trials", "20"],
     ["census", "--n-max", "0"],
+    ["run", "--experiment", "clt", "--n", "50", "--trials", "1"],
+    ["run", "--experiment", "discrepancy", "--n", "20,80", "--trials", "20", "--claim-trials", "2"],
 ])
 def test_bad_input_is_refused_cleanly(monkeypatch, tmp_path, capsys, argv):
     assert run_cli(monkeypatch, tmp_path, *argv) == EXIT_CONFIG

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from pivotwalk.words import GroupWord, random_reduced_word
+from pivotwalk.words import GroupWord, random_reduced_word, word_from_str
 from pivotwalk.spaces import TreeModel
 from pivotwalk.schottky import build_schottky, tree_schottky_set, tilde_pairs
 from pivotwalk.pivotal import (
@@ -62,13 +62,19 @@ class TestConfig:
 
     def test_total_is_last_prefix(self):
         cfg = random_config(1, n=4)
-        assert cfg.total(T) == cfg.prefix(T, 4)
-        assert cfg.prefix(T, 0) == cfg.w[0]
+        W = cfg.prefixes()
+        assert len(W) == 5
+        assert cfg.total() == W[4]
+        assert W[0] == cfg.w[0]
 
     def test_prefix_recursion(self):
         cfg = random_config(2, n=4)
+        W = cfg.prefixes()
         for k in range(1, 5):
-            assert cfg.prefix(T, k) == cfg.prefix(T, k - 1) * cfg.block_isometry(T, k)
+            assert W[k] == W[k - 1] * cfg.block_isometry(k)
+            # the exit block's frame, then D_k w_k, ends the step
+            d = cfg.quads[k - 1][3]
+            assert cfg.frames(k, W[k - 1])[3] * SCH[d].product() * cfg.w[k] == W[k]
 
 
 class TestPivotalTimes:
@@ -84,19 +90,34 @@ class TestPivotalTimes:
             assert list(idx) == sorted(set(idx))
             assert all(1 <= k <= cfg.n for k in idx)
 
-    def test_fast_simulation_matches_stack_construction(self):
+    @pytest.mark.parametrize("n, seed, spacers, pops", [
+        pytest.param(6, 17, None, False, id="no-pop"),
+        # spacers that make a later step undo an earlier kept one
+        pytest.param(7, 2, (["", "A^5", "A^5", "A b", "b A", "", "A^2", "B A^2 B A"],
+                            ["", "A^2", "", "", "", "a", ""]), True, id="pops"),
+    ])
+    def test_fast_simulation_matches_stack_construction(self, n, seed, spacers, pops):
         # dual route: leading-letter simulation vs geometric stack, same draws
-        n, trials, seed = 6, 30, 17
-        rng_wv = np.random.default_rng([seed, 7])
-        w = [random_reduced_word(rng_wv, K0) for _ in range(n + 1)]
-        v = [random_reduced_word(rng_wv, K0) for _ in range(n)]
+        trials = 30
+        if spacers is None:
+            rng_wv = np.random.default_rng([seed, 7])
+            w = tuple(random_reduced_word(rng_wv, K0) for _ in range(n + 1))
+            v = tuple(random_reduced_word(rng_wv, K0) for _ in range(n))
+        else:
+            w, v = (tuple(word_from_str(x) for x in words) for words in spacers)
         counts = simulate_pivot_counts(SCH, n, trials, seed, w=w, v=v)
         rng = np.random.default_rng(seed)
+        popped = False
         for t in range(trials):
             draws = rng.integers(0, len(SCH), size=(n, 4))
             quads = tuple(tuple(int(x) for x in row) for row in draws)
-            cfg = PivotConfig(SCH, quads, tuple(w), tuple(v))
-            assert len(compute_pivotal_times(T, cfg)) == counts[t]
+            full = compute_pivotal_times(T, PivotConfig(SCH, quads, w, v)).indices
+            assert len(full) == counts[t]
+            # a pop: a time kept after the first k steps is gone at the end
+            for k in range(1, n):
+                cut = PivotConfig(SCH, quads[:k], w[: k + 1], v[:k])
+                popped |= any(j not in full for j in compute_pivotal_times(T, cut))
+        assert popped == pops
 
     def test_simulation_validates_spacer_lengths(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ path it validates.
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from pivotwalk.words import (
     GroupWord,
@@ -140,3 +141,41 @@ def test_random_reduced_word_is_reduced():
         assert len(w) == n
         letters = list(w.letters())
         assert all(letters[i] != -letters[i + 1] for i in range(len(letters) - 1))
+
+
+# word kernel against independent routes: syllable lists over three
+# generators, exponents in [-3, 3] (zero included), fixed example stream
+_syllables = st.lists(st.tuples(st.integers(1, 3), st.integers(-3, 3)), max_size=12)
+_kernel = settings(max_examples=300, deadline=None, database=None)
+
+
+@seed(2022)
+@_kernel
+@given(_syllables)
+def test_from_syllables_is_product_of_powers(pairs):
+    acc = GroupWord.identity()
+    for gen, exp in pairs:
+        acc = acc * GroupWord.generator(gen, exp)
+    assert GroupWord.from_syllables(pairs) == acc
+
+
+@seed(2022)
+@_kernel
+@given(_syllables)
+def test_cyclic_reduce_is_shortest_rotation(pairs):
+    word = GroupWord.from_syllables(pairs)
+    letters = list(word.letters())
+    core = list(word.cyclic_reduce().letters())
+    if core:
+        assert core[0] != -core[-1]
+    rotations = [GroupWord.from_letters(letters[i:] + letters[:i]) for i in range(len(letters))]
+    assert len(core) == min((len(r) for r in rotations), default=0)
+
+
+@seed(2022)
+@_kernel
+@given(_syllables, st.integers(0, 40))
+def test_suffix_is_last_letters(pairs, count):
+    word = GroupWord.from_syllables(pairs)
+    letters = list(word.letters())
+    assert word.suffix(count) == GroupWord.from_letters(letters[max(0, len(letters) - count):])
