@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .words import GroupWord, common_prefix_letters
+from .words import GroupWord
 from .spaces import TreeModel
 from . import geometry
 from .geometry import Path, constants_for, is_aligned, is_contracting, schottky_length_scale
@@ -32,15 +32,19 @@ class SchottkySequence:
     """A block of steps; the product and the axis derive from it."""
 
     steps: Tuple
+    _product: object = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        out = None
+        for s in self.steps:
+            out = s if out is None else out * s
+        object.__setattr__(self, "_product", out)
 
     def __len__(self) -> int:
         return len(self.steps)
 
     def product(self):
-        out = None
-        for s in self.steps:
-            out = s if out is None else out * s
-        return out
+        return self._product
 
     def inverse(self) -> "SchottkySequence":
         return SchottkySequence(tuple(s.inverse() for s in reversed(self.steps)))
@@ -119,19 +123,24 @@ class VerifyReport:
         return [k for k, v in self.properties.items() if not v.ok]
 
 
-def _tree_alignment_fail_count(word_prefixes, inv_prefixes, x: GroupWord, k0: int) -> int:
-    """Number of blocks badly aligned from x (tree fast predicate).
+def _tree_prefix_owners(words, k0: int) -> Dict[tuple, int]:
+    """Number of blocks owning each k0-letter prefix class (tree fast predicate).
 
     For a geodesic block axis [o, w o], the point x is badly aligned with
     the block iff x shares k0 letters with w, or cancels k0 letters when
-    appended to w; both depend only on the first k0 letters of x.
+    appended to w; both depend only on the first k0 letters of x.  A block
+    owns its forward and backward prefix, once if they coincide; a block
+    shorter than k0 owns none.
     """
 
-    fails = 0
-    for wp, ip in zip(word_prefixes, inv_prefixes):
-        if common_prefix_letters(x, wp) >= k0 or common_prefix_letters(x, ip) >= k0:
-            fails += 1
-    return fails
+    owners: Dict[tuple, int] = {}
+    for w in words:
+        if len(w) < k0:
+            continue
+        keys = {tuple(itertools.islice(u.letters(), k0)) for u in (w, w.inverse())}
+        for key in keys:
+            owners[key] = owners.get(key, 0) + 1
+    return owners
 
 
 def verify_schottky(
@@ -161,11 +170,14 @@ def verify_schottky(
         detail="m0=%d floor=%s" % (sch.m0, consts.length_floor),
     )
 
+    axes = [gamma_axis(model, seq) for seq in sch.sequences]
+    tree = model.kind == "tree"
+    geodesic = [tree and _axis_is_geodesic(model, axis) for axis in axes]
+
     # (2) every axis is a contracting quasigeodesic
     ok2, witness2, mode2 = True, None, "exact-geodesic"
-    for seq in sch.sequences:
-        axis = gamma_axis(model, seq)
-        if model.kind == "tree" and _axis_is_geodesic(model, axis):
+    for axis, geo in zip(axes, geodesic):
+        if geo:
             continue  # tree geodesics are contracting for any width >= 1
         good, wit = is_contracting(model, axis, k0, probe_radius=contraction_radius, rng=rng)
         mode2 = "probe"
@@ -176,7 +188,8 @@ def verify_schottky(
 
     # (3) blocks move the basepoint far
     floor3 = 10.0 * consts.e0
-    dists = [model.distance(model.basepoint, model.apply(p, model.basepoint)) for p in sch.products()]
+    products = sch.products()
+    dists = [model.distance(model.basepoint, model.apply(p, model.basepoint)) for p in products]
     props["length"] = PropertyReport(
         ok=all(d >= floor3 for d in dists),
         mode="exact",
@@ -184,29 +197,20 @@ def verify_schottky(
     )
 
     # (4) from any point, at most one block is badly aligned
-    if model.kind == "tree" and all(
-        _axis_is_geodesic(model, gamma_axis(model, s)) for s in sch.sequences
-    ):
+    if tree and all(geodesic):
         k0i = int(k0)
-        words = sch.products()
-        wp = [w.prefix(k0i) for w in words]
-        ip = [w.inverse().prefix(k0i) for w in words]
+        owners = _tree_prefix_owners(products, k0i)
         # the predicate at x depends only on x's first k0 letters; when the
         # requested ball is too large to walk, the k0-ball already covers
         # every prefix class of the whole tree and stays exhaustive
         scan_radius = probe_radius
         if 2 * model.rank * (2 * model.rank - 1) ** max(probe_radius - 1, 0) > 2_000_000:
             scan_radius = min(probe_radius, k0i)
-        cache: Dict[tuple, int] = {}
         ok4, witness4, scanned = True, None, 0
         for x in model.ball(scan_radius):
             scanned += 1
             key = tuple(itertools.islice(x.letters(), k0i))
-            fails = cache.get(key)
-            if fails is None:
-                fails = _tree_alignment_fail_count(wp, ip, x, k0i)
-                cache[key] = fails
-            if fails > 1:
+            if len(key) == k0i and owners.get(key, 0) > 1:
                 ok4, witness4 = False, (x,)
                 break
         props["general_position"] = PropertyReport(
@@ -221,8 +225,8 @@ def verify_schottky(
         for _ in range(sample_points):
             x = model.random_point(rng)
             fails = 0
-            for seq in sch.sequences:
-                if not _point_block_aligned(model, sch, seq, x):
+            for seq, axis in zip(sch.sequences, axes):
+                if not _point_block_aligned(model, k0, seq, axis, x):
                     fails += 1
             if fails > 1:
                 ok4, witness4 = False, (x,)
@@ -233,8 +237,7 @@ def verify_schottky(
 
     # (5) a block does not fold back on its own translate
     ok5, witness5 = True, None
-    for seq in sch.sequences:
-        axis = gamma_axis(model, seq)
+    for seq, axis in zip(sch.sequences, axes):
         translated = gamma_axis(model, seq, frame=seq.product())
         rep = is_aligned(model, [axis, translated], k0)
         if not rep.aligned:
@@ -245,9 +248,7 @@ def verify_schottky(
     return VerifyReport(ok=all(p.ok for p in props.values()), properties=props, probe_radius=probe_radius)
 
 
-def _point_block_aligned(model, sch: SchottkySet, seq: SchottkySequence, x) -> bool:
-    k0 = sch.constants.k0
-    axis = gamma_axis(model, seq)
+def _point_block_aligned(model, k0, seq: SchottkySequence, axis: Path, x) -> bool:
     first = is_aligned(model, [x, axis], k0).aligned
     moved = model.apply(seq.product(), x)
     second = is_aligned(model, [axis, moved], k0).aligned
@@ -288,10 +289,10 @@ def independent_contracting_pair(model, g, h) -> bool:
     tg, th = model.translation_length(g), model.translation_length(h)
     if tg <= 0 or th <= 0:
         return False
-    # distinct axes iff the commutator does not vanish on axis endpoints;
-    # cheap proxy: conjugating one by the other changes its axis midpoint
-    moved = g * h * g.inverse()
-    return not (moved == h)
+    # hyperbolics share a fixed point at infinity iff their commutator is
+    # parabolic or trivial, i.e. has trace +-2 (Beardon 1983, section 4.3)
+    commutator = g * h * g.inverse() * h.inverse()
+    return abs(abs(commutator.trace()) - 2) > 1e-9
 
 
 def build_schottky(
@@ -339,36 +340,38 @@ def build_schottky(
         return _build_generic(model, pool, size, m0, set_consts, rng, budget, probe_radius)
 
     k0i = int(k0)
+    floor = 10 * set_consts.e0
+    syllables = [s.syls for s in pool]
+    lengths = [len(s) for s in pool]
     chosen: List[SchottkySequence] = []
     used_prefixes: Set[tuple] = set()
     tried = 0
-    # systematic enumeration first (covers small pools), then random search
+    # systematic enumeration first (covers small pools), then random search;
+    # rows of draws give the same values as drawing one step at a time
     def candidates():
-        space = len(pool) ** m0
-        if space <= 4096:
-            for combo in itertools.product(range(len(pool)), repeat=m0):
-                yield [pool[i] for i in combo]
+        if len(pool) ** m0 <= 4096:
+            yield from itertools.product(range(len(pool)), repeat=m0)
         while True:
-            yield [pool[int(rng.integers(0, len(pool)))] for _ in range(m0)]
+            yield from rng.integers(0, len(pool), size=(256, m0)).tolist()
 
-    for steps in candidates():
+    for row in candidates():
         tried += 1
         if tried > budget:
             raise BudgetExhausted(
                 "no Schottky set of size %d found after %d candidates" % (size, tried)
             )
-        seq = SchottkySequence(tuple(steps))
-        word = seq.product()
-        axis = gamma_axis(model, seq)
-        if not _axis_is_geodesic(model, axis):
-            continue
-        if model.distance(model.basepoint, model.apply(word, model.basepoint)) < 10 * set_consts.e0:
+        word = GroupWord.from_syllables(itertools.chain.from_iterable(syllables[i] for i in row))
+        # the axis o, s1 o, s1 s2 o, ... has segments of length len(s_i), so it
+        # is a tree geodesic iff no letter cancels, and then len(word) is the
+        # displacement; verify_schottky still walks every chosen axis
+        n = len(word)
+        if n != sum(lengths[i] for i in row) or n < floor:
             continue
         fwd = tuple(word.prefix(k0i).letters())
         bwd = tuple(word.inverse().prefix(k0i).letters())
         if fwd == bwd or fwd in used_prefixes or bwd in used_prefixes:
             continue
-        chosen.append(seq)
+        chosen.append(SchottkySequence(tuple(pool[i] for i in row)))
         used_prefixes.add(fwd)
         used_prefixes.add(bwd)
         if len(chosen) == size:

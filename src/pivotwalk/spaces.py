@@ -68,14 +68,14 @@ class TreeModel:
     def ball(self, radius: int, center: Optional[GroupWord] = None) -> Iterator[GroupWord]:
         """All vertices within `radius` of the center (default basepoint)."""
         center = center if center is not None else self.basepoint
+        steps = [(g, g.syls[0][0] * (1 if g.syls[0][1] > 0 else -1)) for g in self.generators()]
         yield center
         stack = [(center, 0, 0)]
         while stack:
             point, depth, banned = stack.pop()
             if depth == radius:
                 continue
-            for g in self.generators():
-                letter = g.syls[0][0] * (1 if g.syls[0][1] > 0 else -1)
+            for g, letter in steps:
                 if letter == -banned:
                     continue
                 # right-multiplying by a reduced generator string moves away

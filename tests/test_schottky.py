@@ -1,17 +1,23 @@
 """Schottky block sets: construction, verification, products, serialization."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
-from pivotwalk.words import GroupWord, random_reduced_word, word_from_str
-from pivotwalk.spaces import TreeModel
+from pivotwalk.geometry import constants_for, schottky_length_scale
+from pivotwalk.words import GroupWord, common_prefix_letters, random_reduced_word, word_from_str
+from pivotwalk.spaces import MatrixIsometry, PlaneModel, TreeModel
 from pivotwalk.schottky import (
     SchottkySequence,
     SchottkySet,
     SetConstants,
     NonIndependentPair,
     BudgetExhausted,
+    _axis_is_geodesic,
     gamma_axis,
+    independent_contracting_pair,
     verify_schottky,
     build_schottky,
     tree_schottky_set,
@@ -97,6 +103,148 @@ class TestBuild:
 
 def sch_model():
     return T
+
+
+def reference_search(model, g, h, size, m0, k0, seed=0, budget=200000):
+    """The tree candidate search with every step spelled out: one scalar
+    draw per step, then the walked axis, the displacement and the prefix
+    rule.  `build_schottky` must choose the same blocks."""
+
+    pool = [g, h, g.inverse(), h.inverse()]
+    rng = np.random.default_rng(seed)
+    floor = 10 * schottky_length_scale(m0, k0)
+    k0i = int(k0)
+
+    def candidates():
+        if len(pool) ** m0 <= 4096:
+            for combo in itertools.product(range(len(pool)), repeat=m0):
+                yield [pool[i] for i in combo]
+        while True:
+            yield [pool[int(rng.integers(0, len(pool)))] for _ in range(m0)]
+
+    chosen, used, tried = [], set(), 0
+    for steps in candidates():
+        tried += 1
+        if tried > budget:
+            raise BudgetExhausted(
+                "no Schottky set of size %d found after %d candidates" % (size, tried)
+            )
+        seq = SchottkySequence(tuple(steps))
+        word = seq.product()
+        if not _axis_is_geodesic(model, gamma_axis(model, seq)):
+            continue
+        if model.distance(model.basepoint, model.apply(word, model.basepoint)) < floor:
+            continue
+        fwd = tuple(word.prefix(k0i).letters())
+        bwd = tuple(word.inverse().prefix(k0i).letters())
+        if fwd == bwd or fwd in used or bwd in used:
+            continue
+        chosen.append(seq)
+        used.update((fwd, bwd))
+        if len(chosen) == size:
+            return chosen
+
+
+class TestSearchMatchesReference:
+    @pytest.mark.parametrize(
+        "g, h, m0, size, seed",
+        [
+            ("a", "b", 5, 2, 0),
+            ("a", "b", 5, 4, 0),
+            ("a b", "b b A", 6, 2, 2),  # steps of several letters cancel
+            ("a", "b a b", 5, 3, 2),
+        ],
+    )
+    def test_chosen_blocks(self, g, h, m0, size, seed):
+        k0 = constants_for(T).k0
+        sch = build_schottky(T, w(g), w(h), size=size, m0=m0, seed=seed)
+        assert list(sch.sequences) == reference_search(T, w(g), w(h), size, m0, k0, seed)
+
+    def test_sized_set(self):
+        sch = tree_schottky_set(100, seed=1)
+        ref = reference_search(T, a, b, 100, sch.m0, sch.constants.k0, seed=1)
+        assert list(sch.sequences) == ref
+
+    def test_budget_message(self):
+        k0 = constants_for(T).k0
+        with pytest.raises(BudgetExhausted) as ref:
+            reference_search(T, a, b, 8, 5, k0, seed=0, budget=2000)
+        with pytest.raises(BudgetExhausted) as got:
+            build_schottky(T, a, b, size=8, m0=5, seed=0, budget=2000)
+        assert str(got.value) == str(ref.value)
+
+
+_pools = st.lists(
+    st.lists(st.sampled_from([1, -1, 2, -2]), max_size=4).map(GroupWord.from_letters),
+    min_size=1,
+    max_size=4,
+)
+
+
+@seed(2022)
+@settings(max_examples=300, deadline=None, database=None)
+@given(_pools, st.lists(st.integers(0, 3), min_size=1, max_size=8))
+def test_length_identity_is_walked_geodesy(pool, picks):
+    steps = [pool[i % len(pool)] for i in picks]
+    seq = SchottkySequence(tuple(steps))
+    flat = GroupWord.from_syllables(itertools.chain.from_iterable(s.syls for s in steps))
+    assert flat == seq.product()
+    walked = _axis_is_geodesic(T, gamma_axis(T, seq))
+    assert (len(flat) == sum(len(s) for s in steps)) == walked
+
+
+def brute_general_position(sch, radius):
+    """(ok, witness, scanned) of property (4), counting blocks per point."""
+    k0 = int(sch.constants.k0)
+    prefixes = [(p.prefix(k0), p.inverse().prefix(k0)) for p in sch.products()]
+    scanned = 0
+    for x in T.ball(radius):
+        scanned += 1
+        fails = sum(
+            1
+            for fp, bp in prefixes
+            if common_prefix_letters(x, fp) >= k0 or common_prefix_letters(x, bp) >= k0
+        )
+        if fails > 1:
+            return False, (x,), scanned
+    return True, None, scanned
+
+
+class TestGeneralPositionTable:
+    @pytest.mark.parametrize(
+        "blocks, k0, ok",
+        [
+            (["a a a a a", "a a b a b"], 2, False),  # both start with a a
+            (["a b a B A"], 2, True),  # forward and backward prefix are both a b
+            (["a a a a a", "a a a a a b"], 6, True),  # a^5 is shorter than k0
+            (["a b a b a", "b a b a b", "A B a b a"], 2, False),  # A B twice
+        ],
+    )
+    def test_matches_brute_force(self, blocks, k0, ok):
+        seqs = tuple(SchottkySequence(tuple(w(c) for c in t.split())) for t in blocks)
+        sch = SchottkySet(seqs, 5, SetConstants(k0=k0, d0=4, d1=6, e0=0.5, length_floor=4))
+        rep = verify_schottky(T, sch, probe_radius=7).properties["general_position"]
+        ref_ok, ref_witness, scanned = brute_general_position(sch, 7)
+        assert (rep.ok, ref_ok) == (ok, ok)
+        assert rep.witness == ref_witness
+        assert rep.mode == "ball-exhaustive"
+        assert rep.detail == "scanned %d points, radius 7" % scanned
+
+
+class TestPlaneIndependence:
+    def test_shared_fixed_point_rejected(self):
+        # both fix infinity, yet conjugating h by g does not give h back
+        g = MatrixIsometry(2.0, 0.0, 0.0, 0.5)
+        h = MatrixIsometry(2.0, 1.0, 0.0, 0.5)
+        assert not independent_contracting_pair(PlaneModel(), g, h)
+
+    def test_sanov_pair(self):
+        P = PlaneModel()
+        # the Sanov generators are parabolic, so not contracting; their
+        # products a b and b a are hyperbolic with distinct axes
+        assert not independent_contracting_pair(P, P.gen_a, P.gen_b)
+        assert independent_contracting_pair(P, P.gen_a * P.gen_b, P.gen_b * P.gen_a)
+        assert not independent_contracting_pair(P, P.gen_a * P.gen_b, (P.gen_a * P.gen_b) ** 2)
 
 
 class TestAxes:
