@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -197,8 +198,9 @@ def pivot(model, config: PivotConfig, i: int, beta: int, gamma: int, v) -> Pivot
 # fast tree simulation of the pivot-count distribution
 
 
-def _tree_prefix_key(word: GroupWord, k0: int) -> tuple:
-    return tuple(word.prefix(k0).letters()) if len(word) >= k0 else None
+# trials per pass of the vectorised check: bounds the draw array, whatever
+# the trial count
+_CHUNK = 4096
 
 
 def simulate_pivot_counts(
@@ -213,7 +215,13 @@ def simulate_pivot_counts(
 
     Tree-only fast path; spacers w (length n+1) and connectors v (length n)
     are fixed words.  Uses the same step/backtrack conditions as
-    compute_pivotal_times, specialized to leading-letter comparisons.
+    compute_pivotal_times, specialized to k0-letter prefix comparisons.
+
+    While every earlier step was kept the anchor is w_{k-1}^-1, so whether
+    step k fails is a table lookup on its draws, and a trial's count up to
+    its first failed step is that step's index.  Only trials with a failure
+    run the per-trial stack, from that step onward.  Trial t's blocks are
+    always the t-th `rng.integers(0, N, size=(n, 4))` draw.
     """
 
     ident = GroupWord.identity()
@@ -224,82 +232,81 @@ def simulate_pivot_counts(
     v = list(v) if v is not None else [ident] * n
     if len(w) != n + 1 or len(v) != n:
         raise ValueError("need n+1 spacers and n connectors")
-
-    fwd_prefix = {}
-    for idx, word in enumerate(words):
-        fwd_prefix.setdefault(tuple(word.prefix(k0).letters()), set()).add(idx)
-
-    # bad entry block for a given anchor word u: common_prefix(u, word) >= k0
-    def bad_entry(u: GroupWord) -> set:
-        if len(u) < k0:
-            return set()
-        return fwd_prefix.get(tuple(u.prefix(k0).letters()), set())
-
-    # per position: bad middle pairs (b, c) given connector v_k; a pair is
-    # bad when v*word_c cancels k0 letters into word_b, or v^-1 shares k0
-    # letters with word_c.  Both reduce to prefix-class lookups.
-    bad_middle: List[set] = []
     inv_words = [word.inverse() for word in words]
-    bwd_prefix = {}
-    for idx, word in enumerate(inv_words):
-        bwd_prefix.setdefault(tuple(word.prefix(k0).letters()), set()).add(idx)
-    for k in range(n):
-        bad = set()
-        vk_inv_key = _tree_prefix_key(v[k].inverse(), k0)
-        for ci in range(N):
-            t = v[k] * words[ci]
-            key = _tree_prefix_key(t, k0)
-            for bi in bwd_prefix.get(key, ()):
-                bad.add((bi, ci))
-            if vk_inv_key is not None and _tree_prefix_key(words[ci], k0) == vk_inv_key:
-                for bi in range(N):
-                    bad.add((bi, ci))
-        bad_middle.append(bad)
 
-    # per position: bad exit block d given spacer w_k
-    bad_exit: List[set] = []
-    for k in range(1, n + 1):
-        bad = set()
-        for di in range(N):
-            if common_prefix_letters(inv_words[di], w[k]) >= k0:
-                bad.add(di)
-        bad_exit.append(bad)
+    # two words share k0 leading letters iff both have k0-letter prefixes
+    # with equal ids; words shorter than k0 get a sentinel id, -2 for blocks
+    # and -1 for the words they are compared with, so they match nothing
+    ids: Dict[tuple, int] = {}
 
-    def tail(j: int) -> GroupWord:
-        # from the end of step j's exit block (of w_0 when j = 0) to step k's end
-        out = w[j]
-        for i in range(j + 1, k + 1):
-            out = out * block_words[i]
-        return out
+    def key_id(word: GroupWord, short: int) -> int:
+        key = tuple(islice(word.letters(), k0))
+        return ids.setdefault(key, len(ids)) if len(key) == k0 else short
 
-    rng = np.random.default_rng(seed)
-    counts = np.zeros(trials, dtype=np.int64)
-    for t in range(trials):
-        draws = rng.integers(0, N, size=(n, 4))
-        stack: List[int] = []
-        anchor = w[0].inverse()
-        block_words: List[Optional[GroupWord]] = [None]
-        for k in range(1, n + 1):
-            a, b, c, d = (int(x) for x in draws[k - 1])
-            ok = (
-                a not in bad_entry(anchor)
-                and (b, c) not in bad_middle[k - 1]
-                and d not in bad_exit[k - 1]
-            )
-            block = (
-                words[a] * words[b] * v[k - 1] * words[c] * words[d] * w[k]
-            )
-            block_words.append(block)
+    fwd = np.array([key_id(x, -2) for x in words])
+    bwd = np.array([key_id(x, -2) for x in inv_words])
+    # the entry block a fails against the anchor u when fwd[a] == id(u); a
+    # middle pair (b, c) fails when v_k word_c cancels k0 letters into
+    # word_b or v_k^-1 shares k0 letters with word_c; the exit block d fails
+    # when word_d^-1 shares k0 letters with w_k
+    entry = np.array([key_id(x.inverse(), -1) for x in w[:-1]])
+    v_word = np.array([[key_id(vk * x, -1) for x in words] for vk in v]).reshape(n, N)
+    v_inv = np.array([key_id(vk.inverse(), -1) for vk in v])
+    bad_exit = bwd == np.array([key_id(x, -1) for x in w[1:]]).reshape(n, 1)
+    pos = np.arange(n)
+
+    def finish(quads: list, loose: list, fails: list, first: int) -> int:
+        """Exact stack from 0-based step `first`, the trial's first failure."""
+
+        blocks: Dict[int, GroupWord] = {}
+
+        def block(i: int) -> GroupWord:
+            if i not in blocks:
+                a, b, c, d = quads[i - 1]
+                blocks[i] = words[a] * words[b] * v[i - 1] * words[c] * words[d] * w[i]
+            return blocks[i]
+
+        stack = list(range(1, first + 1))
+        anchor = None  # None while the anchor is w_{k-1}^-1: read `fails`
+        for k in range(first + 1, n + 1):
+            if anchor is None:
+                ok = not fails[k - 1]
+            else:
+                ok = not loose[k - 1] and fwd[quads[k - 1][0]] != key_id(anchor, -1)
             if ok:
                 stack.append(k)
-                anchor = w[k].inverse()
-            else:
-                while stack and common_prefix_letters(inv_words[draws[stack[-1] - 1][3]],
-                                                       tail(stack[-1])) >= k0:
-                    stack.pop()
-                # the anchor returns to the last kept step's end, or to w_0
-                anchor = tail(stack[-1] if stack else 0).inverse()
-        counts[t] = len(stack)
+                anchor = None
+                continue
+            # suffix = block(j+1) ... block(k), so tail(j) = w_j * suffix
+            suffix, j = ident, k
+            while True:
+                top = stack[-1] if stack else 0
+                while j > top:
+                    suffix = block(j) * suffix
+                    j -= 1
+                tail = w[top] * suffix
+                if not stack or common_prefix_letters(inv_words[quads[top - 1][3]], tail) < k0:
+                    break
+                stack.pop()
+            # the anchor returns to the last kept step's end, or to w_0
+            anchor = tail.inverse()
+        return len(stack)
+
+    rng = np.random.default_rng(seed)
+    counts = np.empty(trials, dtype=np.int64)
+    for lo in range(0, trials, _CHUNK):
+        m = min(_CHUNK, trials - lo)
+        # one call per trial, so the values do not rest on how numpy carries
+        # spare 32-bit halves from one call to the next
+        draws = np.stack([rng.integers(0, N, size=(n, 4)) for _ in range(m)])
+        A, B, C, D = (draws[:, :, i] for i in range(4))
+        # middle or exit fails: the step fails whatever the anchor
+        loose = (bwd[B] == v_word[pos, C]) | (fwd[C] == v_inv) | bad_exit[pos, D]
+        fails = loose | (fwd[A] == entry)
+        first = np.hstack([fails, np.ones((m, 1), dtype=bool)]).argmax(axis=1)
+        counts[lo:lo + m] = first
+        for t in np.flatnonzero(first < n):
+            counts[lo + t] = finish(draws[t].tolist(), loose[t].tolist(), fails[t].tolist(), int(first[t]))
     return counts
 
 
@@ -346,12 +353,9 @@ def dominates_jump_walk(counts: np.ndarray, n0: int, n: int, z: float = 3.0) -> 
 
     values, cdf = jump_walk_cdf(n0, n)
     trials = len(counts)
-    for x, fx in zip(values, cdf):
-        emp = np.mean(counts <= x)
-        slack = z * math.sqrt(max(fx * (1 - fx), 1e-12) / trials)
-        if emp > fx + slack:
-            return False
-    return True
+    emp = np.searchsorted(np.sort(counts), values, "right") / trials
+    slack = z * np.sqrt(np.maximum(cdf * (1 - cdf), 1e-12) / trials)
+    return not np.any(emp > cdf + slack)
 
 
 def half_count_tail_bound(n0: int, n: int) -> float:

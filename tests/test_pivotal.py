@@ -5,14 +5,18 @@ construction are independent routes to the same quantity; they are compared
 trial by trial below.
 """
 
+import functools
 import math
+from typing import List, Optional, Sequence
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
-from pivotwalk.words import GroupWord, random_reduced_word, word_from_str
+from pivotwalk import pivotal
+from pivotwalk.words import GroupWord, common_prefix_letters, random_reduced_word, word_from_str
 from pivotwalk.spaces import TreeModel
-from pivotwalk.schottky import build_schottky, tree_schottky_set, tilde_pairs
+from pivotwalk.schottky import SchottkySet, build_schottky, tree_schottky_set, tilde_pairs
 from pivotwalk.pivotal import (
     PivotConfig,
     PivotalTimes,
@@ -41,6 +45,121 @@ a = GroupWord.from_letters([1])
 b = GroupWord.from_letters([2])
 SCH = build_schottky(T, a, b, size=4, m0=5)
 K0 = int(SCH.constants.k0)
+
+
+# The per-step simulation that simulate_pivot_counts replaced: every step
+# multiplies its block out and re-keys the anchor.  Kept as the reference the
+# table-lookup pass and its exact tail are checked against.
+
+def _tree_prefix_key(word: GroupWord, k0: int) -> tuple:
+    return tuple(word.prefix(k0).letters()) if len(word) >= k0 else None
+
+
+def reference_simulate(
+    sch: SchottkySet,
+    n: int,
+    trials: int,
+    seed: int,
+    w: Optional[Sequence[GroupWord]] = None,
+    v: Optional[Sequence[GroupWord]] = None,
+) -> np.ndarray:
+    """Monte-Carlo sample of #pivotal times for uniform block choices.
+
+    Tree-only fast path; spacers w (length n+1) and connectors v (length n)
+    are fixed words.  Uses the same step/backtrack conditions as
+    compute_pivotal_times, specialized to leading-letter comparisons.
+    """
+
+    ident = GroupWord.identity()
+    N = len(sch)
+    k0 = int(sch.constants.k0)
+    words = sch.products()
+    w = list(w) if w is not None else [ident] * (n + 1)
+    v = list(v) if v is not None else [ident] * n
+    if len(w) != n + 1 or len(v) != n:
+        raise ValueError("need n+1 spacers and n connectors")
+
+    fwd_prefix = {}
+    for idx, word in enumerate(words):
+        fwd_prefix.setdefault(tuple(word.prefix(k0).letters()), set()).add(idx)
+
+    # bad entry block for a given anchor word u: common_prefix(u, word) >= k0
+    def bad_entry(u: GroupWord) -> set:
+        if len(u) < k0:
+            return set()
+        return fwd_prefix.get(tuple(u.prefix(k0).letters()), set())
+
+    # per position: bad middle pairs (b, c) given connector v_k; a pair is
+    # bad when v*word_c cancels k0 letters into word_b, or v^-1 shares k0
+    # letters with word_c.  Both reduce to prefix-class lookups.
+    bad_middle: List[set] = []
+    inv_words = [word.inverse() for word in words]
+    bwd_prefix = {}
+    for idx, word in enumerate(inv_words):
+        bwd_prefix.setdefault(tuple(word.prefix(k0).letters()), set()).add(idx)
+    for k in range(n):
+        bad = set()
+        vk_inv_key = _tree_prefix_key(v[k].inverse(), k0)
+        for ci in range(N):
+            t = v[k] * words[ci]
+            key = _tree_prefix_key(t, k0)
+            for bi in bwd_prefix.get(key, ()):
+                bad.add((bi, ci))
+            if vk_inv_key is not None and _tree_prefix_key(words[ci], k0) == vk_inv_key:
+                for bi in range(N):
+                    bad.add((bi, ci))
+        bad_middle.append(bad)
+
+    # per position: bad exit block d given spacer w_k
+    bad_exit: List[set] = []
+    for k in range(1, n + 1):
+        bad = set()
+        for di in range(N):
+            if common_prefix_letters(inv_words[di], w[k]) >= k0:
+                bad.add(di)
+        bad_exit.append(bad)
+
+    def tail(j: int) -> GroupWord:
+        # from the end of step j's exit block (of w_0 when j = 0) to step k's end
+        out = w[j]
+        for i in range(j + 1, k + 1):
+            out = out * block_words[i]
+        return out
+
+    rng = np.random.default_rng(seed)
+    counts = np.zeros(trials, dtype=np.int64)
+    for t in range(trials):
+        draws = rng.integers(0, N, size=(n, 4))
+        stack: List[int] = []
+        anchor = w[0].inverse()
+        block_words: List[Optional[GroupWord]] = [None]
+        for k in range(1, n + 1):
+            a, b, c, d = (int(x) for x in draws[k - 1])
+            ok = (
+                a not in bad_entry(anchor)
+                and (b, c) not in bad_middle[k - 1]
+                and d not in bad_exit[k - 1]
+            )
+            block = (
+                words[a] * words[b] * v[k - 1] * words[c] * words[d] * w[k]
+            )
+            block_words.append(block)
+            if ok:
+                stack.append(k)
+                anchor = w[k].inverse()
+            else:
+                while stack and common_prefix_letters(inv_words[draws[stack[-1] - 1][3]],
+                                                       tail(stack[-1])) >= k0:
+                    stack.pop()
+                # the anchor returns to the last kept step's end, or to w_0
+                anchor = tail(stack[-1] if stack else 0).inverse()
+        counts[t] = len(stack)
+    return counts
+
+
+@functools.lru_cache(maxsize=None)
+def tree_set(n0):
+    return tree_schottky_set(n0, seed=1)
 
 
 def random_config(seed, n=6):
@@ -124,6 +243,56 @@ class TestPivotalTimes:
             simulate_pivot_counts(SCH, 3, 1, 0, w=[GroupWord.identity()] * 3)
 
 
+# reduced spacers and connectors of 0 to 2*k0 letters: anchors shorter than
+# k0, the identity, and spacers that cancel into the blocks.  On this set a
+# pop needs particular spacer and block pairs (the pinned `pops` case has
+# `A^2` then `a B a^2 B`), so few examples pop; the N0 = 5 and 8 reference
+# cases and the `pops` case cover pops.
+_short_words = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=2 * K0).map(GroupWord.from_letters)
+
+
+class TestFastSimulation:
+    @pytest.mark.parametrize("n0, n, trials, seeds", [
+        (5, 30, 200, (0, 1, 2)),
+        (8, 30, 200, (0, 3)),
+        (100, 20, 300, (1, 2)),
+        (400, 20, 300, (1, 2)),
+    ])
+    def test_sampled_counts_match_reference(self, n0, n, trials, seeds):
+        sch = tree_set(n0)
+        k0 = int(sch.constants.k0)
+        for s in seeds:
+            # the spacers sample_jump_dominated_counts draws
+            rng = np.random.default_rng([s, 7])
+            w = [random_reduced_word(rng, k0) for _ in range(n + 1)]
+            v = [random_reduced_word(rng, k0) for _ in range(n)]
+            counts = sample_jump_dominated_counts(n0, n, trials, s, sch=sch)
+            assert (counts < n).any()  # some trials run the exact tail
+            assert np.array_equal(counts, reference_simulate(sch, n, trials, s, w=w, v=v))
+
+    def test_chunks_keep_counts(self, monkeypatch):
+        cfg = random_config(3)
+        whole = simulate_pivot_counts(SCH, cfg.n, 30, 3, w=cfg.w, v=cfg.v)
+        assert (whole < cfg.n).any()
+        monkeypatch.setattr(pivotal, "_CHUNK", 7)
+        assert np.array_equal(simulate_pivot_counts(SCH, cfg.n, 30, 3, w=cfg.w, v=cfg.v), whole)
+
+    @seed(2022)
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(st.data())
+    def test_counts_match_stack_on_random_spacers(self, data):
+        n = data.draw(st.integers(1, 8))
+        w = tuple(data.draw(st.lists(_short_words, min_size=n + 1, max_size=n + 1)))
+        v = tuple(data.draw(st.lists(_short_words, min_size=n, max_size=n)))
+        draw_seed = data.draw(st.integers(0, 2 ** 16))
+        trials = 10
+        counts = simulate_pivot_counts(SCH, n, trials, draw_seed, w=w, v=v)
+        rng = np.random.default_rng(draw_seed)
+        for t in range(trials):
+            quads = tuple(tuple(int(x) for x in row) for row in rng.integers(0, len(SCH), size=(n, 4)))
+            assert len(compute_pivotal_times(T, PivotConfig(SCH, quads, w, v))) == counts[t]
+
+
 class TestChainAndPivot:
     def test_chain_is_aligned(self):
         for s in range(15):
@@ -197,6 +366,31 @@ class TestJumpLaw:
         n0, n, trials = 100, 20, 2000
         assert dominates_jump_walk(np.full(trials, n), n0, n)
         assert not dominates_jump_walk(np.zeros(trials, dtype=int), n0, n)
+
+    def test_domination_matches_per_value_loop(self):
+        def per_value(counts, n0, n, z):
+            # the loop dominates_jump_walk replaced: one mean per support value
+            values, cdf = jump_walk_cdf(n0, n)
+            trials = len(counts)
+            for x, fx in zip(values, cdf):
+                emp = np.mean(counts <= x)
+                slack = z * math.sqrt(max(fx * (1 - fx), 1e-12) / trials)
+                if emp > fx + slack:
+                    return False
+            return True
+
+        n0, n = 20, 8
+        rng = np.random.default_rng(11)
+        arrays = [np.full(40, n), np.zeros(40, dtype=int), np.full(40, n - 1), np.array([n] * 39 + [-5 * n]),
+                  np.array([n - 2]), np.arange(-n, n + 1)]
+        arrays += [n + 1 - rng.geometric(p, size) for p in (0.5, 0.8, 0.95) for size in (5, 60, 400)]
+        seen = set()
+        for z in (0.0, 1.0, 3.0):
+            for counts in arrays:
+                verdict = dominates_jump_walk(counts, n0, n, z)
+                assert verdict == per_value(counts, n0, n, z)
+                seen.add(verdict)
+        assert seen == {True, False}
 
     def test_half_count_bound_values(self):
         assert half_count_tail_bound(400, 1) == pytest.approx(3 * 0.01 ** 0.25)
