@@ -65,18 +65,25 @@ def _config_tokens(path: str) -> List[str]:
     return tokens
 
 
+def _from_file(path: str, parse):
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        return parse(text)
+    except (KeyError, TypeError) as exc:  # a missing or mistyped entry
+        raise ConfigurationError("malformed input file %s (%s: %s)" % (path, type(exc).__name__, exc))
+
+
 def _measure_from_spec(spec: str) -> walks.StepMeasure:
     if spec in _MEASURES:
         return _MEASURES[spec]()
     if os.path.exists(spec):
-        with open(spec) as fh:
-            return walks.StepMeasure.from_json(fh.read())
+        return _from_file(spec, walks.StepMeasure.from_json)
     raise ConfigurationError("unknown measure %r" % spec)
 
 
 def _schottky_from_file(path: str) -> schottky.SchottkySet:
-    with open(path) as fh:
-        return schottky.schottky_from_json(fh.read())
+    return _from_file(path, schottky.schottky_from_json)
 
 
 def cmd_schottky_find(args) -> int:
@@ -172,21 +179,8 @@ def cmd_census(args) -> int:
         )
     base = [GroupWord.generator(1, 1), GroupWord.generator(2, 1)]
     gens = counting.build_augmented_set(base, sch.products())
-    K = args.K
-    rows = []
-    prev_frac = None
-    monotone = True
-    for n in range(1, n_max + 1):
-        ball = counting.enumerate_ball(gens, n)
-        bad = 0
-        for w in ball.elements:
-            if w.is_identity() or w.translation_length() <= K * n:
-                bad += 1
-        frac = bad / len(ball.elements)
-        rows.append((n, len(ball.elements), bad, frac, int(ball.exhaustive)))
-        if prev_frac is not None and frac > prev_frac:
-            monotone = False
-        prev_frac = frac
+    rows = counting.census_rows(counting.enumerate_ball(gens, n_max), n_max, args.K)
+    monotone = all(b[3] <= a[3] for a, b in zip(rows, rows[1:]))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("n", "total", "bad_count", "bad_fraction", "exhaustive"))

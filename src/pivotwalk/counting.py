@@ -61,7 +61,10 @@ def build_augmented_set(base: Sequence[GroupWord], sch_words: Sequence[GroupWord
 
 @dataclass(frozen=True)
 class BallResult:
-    elements: Tuple[GroupWord, ...]
+    """Each element mapped to its BFS level (a sampled one to its factor
+    count), in BFS order; `radius` is the largest radius walked in full."""
+
+    elements: Dict[GroupWord, int]
     radius: int
     exhaustive: bool
     visited: int
@@ -90,18 +93,15 @@ def enumerate_ball(
     exhausted = False
     for r in range(1, radius + 1):
         nxt: List[GroupWord] = []
-        for x in frontier:
-            for g in gens.elements:
-                visited += 1
-                if visited > budget:
-                    exhausted = True
-                    break
-                y = x * g
-                if y not in seen:
-                    seen[y] = r
-                    nxt.append(y)
-            if exhausted:
+        for x, g in itertools.product(frontier, gens.elements):
+            visited += 1
+            if visited > budget:
+                exhausted = True
                 break
+            y = x * g
+            if y not in seen:
+                seen[y] = r
+                nxt.append(y)
         if exhausted:
             break
         frontier = nxt
@@ -116,8 +116,23 @@ def enumerate_ball(
                 x = x * gens.elements[int(rng.integers(0, k))]
             if x not in seen:
                 seen[x] = length
-    elements = tuple(sorted(seen, key=lambda w: (len(w), tuple(w.letters()))))
-    return BallResult(elements=elements, radius=radius, exhaustive=not exhausted, visited=visited)
+    completed = r - 1 if exhausted else radius
+    return BallResult(elements=seen, radius=completed, exhaustive=not exhausted, visited=visited)
+
+
+def census_rows(ball: BallResult, n_max: int, K: float) -> List[Tuple[int, int, int, float, int]]:
+    """Rows (n, total, bad, bad fraction, exhaustive), n = 1..n_max, of a ball
+    walked to radius n_max: an element counts from its level on, and is bad
+    at n if it is the identity or its translation length is at most K*n."""
+
+    level = np.fromiter(ball.elements.values(), dtype=np.int64)
+    tau = np.fromiter((w.translation_length() for w in ball.elements), dtype=np.int64)
+    rows = []
+    for n in range(1, n_max + 1):
+        total = int(np.count_nonzero(level <= n))
+        bad = int(np.count_nonzero((level <= n) & ((level == 0) | (tau <= K * n))))
+        rows.append((n, total, bad, bad / total, int(n <= ball.radius)))
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .words import GroupWord
@@ -154,8 +154,8 @@ def verify_schottky(
     """Check the five defining properties of a Schottky set.
 
     On the tree the general-position property is exhausted over the ball of
-    `probe_radius` (the predicate for a point depends only on its first k0
-    letters, which the scan memoizes); elsewhere it is sampled.
+    radius min(`probe_radius`, k0), which decides it for the whole probe
+    ball; elsewhere it is sampled.
     """
 
     consts = sch.constants
@@ -200,12 +200,11 @@ def verify_schottky(
     if tree and all(geodesic):
         k0i = int(k0)
         owners = _tree_prefix_owners(products, k0i)
-        # the predicate at x depends only on x's first k0 letters; when the
-        # requested ball is too large to walk, the k0-ball already covers
-        # every prefix class of the whole tree and stays exhaustive
-        scan_radius = probe_radius
-        if 2 * model.rank * (2 * model.rank - 1) ** max(probe_radius - 1, 0) > 2_000_000:
-            scan_radius = min(probe_radius, k0i)
+        # the predicate at x depends only on x's first k0 letters, and a key
+        # owned twice is itself a point of length k0 that the depth-first
+        # ball yields before any extension of it: the k0-ball decides the
+        # whole probe ball, with the same witness
+        scan_radius = min(probe_radius, k0i)
         ok4, witness4, scanned = True, None, 0
         for x in model.ball(scan_radius):
             scanned += 1
@@ -536,13 +535,7 @@ def tilde_pairs(model, sch: SchottkySet, v) -> List[Tuple[int, int]]:
 def schottky_to_json(sch: SchottkySet) -> str:
     payload = {
         "m0": sch.m0,
-        "constants": {
-            "k0": sch.constants.k0,
-            "d0": sch.constants.d0,
-            "d1": sch.constants.d1,
-            "e0": sch.constants.e0,
-            "length_floor": sch.constants.length_floor,
-        },
+        "constants": asdict(sch.constants),
         "sequences": [
             [list(step.letters()) for step in seq.steps] for seq in sch.sequences
         ],
@@ -552,13 +545,7 @@ def schottky_to_json(sch: SchottkySet) -> str:
 
 def schottky_from_json(text: str) -> SchottkySet:
     payload = json.loads(text)
-    consts = SetConstants(
-        k0=payload["constants"]["k0"],
-        d0=payload["constants"]["d0"],
-        d1=payload["constants"]["d1"],
-        e0=payload["constants"]["e0"],
-        length_floor=payload["constants"]["length_floor"],
-    )
+    consts = SetConstants(**payload["constants"])
     seqs = tuple(
         SchottkySequence(tuple(GroupWord.from_letters(step) for step in seq))
         for seq in payload["sequences"]

@@ -176,6 +176,14 @@ _PLANE_RUNS = [
 ]
 
 
+_MALFORMED_FILES = {
+    "no-constants.json": '{"m0": 5}',
+    "list.json": "[1, 2]",
+    "bad-constants.json": '{"m0": 5, "constants": {"k": 2}, "sequences": []}',
+    "no-support.json": '{"weights": [1.0]}',
+}
+
+
 @pytest.mark.parametrize("argv", [
     *[argv + ["--model", "plane", "--trials", "20", "--seed", "1"] for argv in _PLANE_RUNS],
     ["census", "--model", "plane", "--n-max", "2"],
@@ -190,8 +198,17 @@ _PLANE_RUNS = [
     ["census", "--n-max", "0"],
     ["run", "--experiment", "clt", "--n", "50", "--trials", "1"],
     ["run", "--experiment", "discrepancy", "--n", "20,80", "--trials", "20", "--claim-trials", "2"],
+    ["census", "--n-max", "2", "--schottky", "no-constants.json"],
+    ["census", "--n-max", "2", "--schottky", "list.json"],
+    ["census", "--n-max", "2", "--schottky", "bad-constants.json"],
+    ["run", "--experiment", "discrepancy", "--n", "20,80", "--schottky", "no-constants.json"],
+    ["run", "--experiment", "discrepancy", "--n", "20,80", "--schottky", "list.json"],
+    ["run", "--experiment", "genericity", "--n", "20,40", "--measure", "no-support.json"],
+    ["run", "--experiment", "genericity", "--n", "20,40", "--measure", "list.json"],
 ])
 def test_bad_input_is_refused_cleanly(monkeypatch, tmp_path, capsys, argv):
+    for name, text in _MALFORMED_FILES.items():
+        (tmp_path / name).write_text(text)
     assert run_cli(monkeypatch, tmp_path, *argv) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("configuration error:")
 

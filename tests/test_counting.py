@@ -7,10 +7,14 @@ Rank values are frozen from hand-worked foldings: <a, b> has rank 2,
 import numpy as np
 import pytest
 
+from pivotwalk import counting
+from pivotwalk.schottky import build_schottky
+from pivotwalk.spaces import TreeModel
 from pivotwalk.words import GroupWord, word_from_str
 from pivotwalk.counting import (
     GeneratingSet,
     build_augmented_set,
+    census_rows,
     enumerate_ball,
     subgroup_rank,
     tuple_is_free,
@@ -52,7 +56,9 @@ class TestBall:
         for r, size in ((1, 5), (2, 17), (3, 53), (4, 161)):
             res = enumerate_ball(gens, r)
             assert len(res.elements) == size
-            assert res.exhaustive
+            assert res.exhaustive and res.radius == r
+            # a free basis: the BFS level is the word length
+            assert all(level == len(x) for x, level in res.elements.items())
 
     def test_cyclic_subgroup_ball(self):
         res = enumerate_ball(GeneratingSet((w("a^2"),)), 3)
@@ -63,6 +69,7 @@ class TestBall:
         res = enumerate_ball(GeneratingSet((a, b)), 4, budget=30,
                              rng=np.random.default_rng(0), sample_size=500)
         assert not res.exhaustive
+        assert res.radius == 2  # radius 3 needs 4 * 17 = 68 products
         assert 0 < len(res.elements) < 161 + 1
 
 
@@ -100,7 +107,7 @@ class TestCensus:
         assert res.fraction == pytest.approx(0.5)
 
     def test_sampled_census_past_budget(self):
-        elements = enumerate_ball(GeneratingSet((a, b)), 2).elements
+        elements = list(enumerate_ball(GeneratingSet((a, b)), 2).elements)
         res = ktuple_census(elements, 4, budget=1000, rng=np.random.default_rng(1))
         assert res.sampled and not res.exhaustive
         assert res.tuple_count_examined == 1000
@@ -110,3 +117,47 @@ class TestCensus:
         assert census_scale(16.0, 2) == 2
         assert census_scale(0.001, 2) == 2  # floor from lam0
         assert census_scale(2.0, 10000) == 10
+
+
+def reference_census(gens, n_max, K):
+    """The census verb's rows as it once computed them: a fresh ball walk per
+    radius, each element's translation length taken again for every row."""
+
+    rows = []
+    for n in range(1, n_max + 1):
+        ball = counting.enumerate_ball(gens, n)
+        bad = 0
+        for w in ball.elements:
+            if w.is_identity() or w.translation_length() <= K * n:
+                bad += 1
+        frac = bad / len(ball.elements)
+        rows.append((n, len(ball.elements), bad, frac, int(ball.exhaustive)))
+    return rows
+
+
+def census_gens(seed):
+    """The generating set the census verb builds for a seed."""
+    sch = build_schottky(TreeModel(), a, b, size=4, m0=5, seed=seed)
+    return build_augmented_set([a, b], sch.products())
+
+
+class TestBallCensus:
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("K", [0.5, 0.0, -1.0, 2.0])
+    def test_one_walk_matches_walk_per_radius(self, seed, K):
+        gens = census_gens(seed)
+        ref = reference_census(gens, 4, K)
+        assert [r[4] for r in ref] == [1, 1, 1, 1]
+        for n_max in range(1, 5):
+            assert census_rows(enumerate_ball(gens, n_max), n_max, K) == ref[:n_max]
+
+    def test_rows_past_the_budget_are_flagged(self):
+        gens = census_gens(0)
+        ref = reference_census(gens, 4, 0.5)
+        # 12 generators: radius 3 takes 12 * 137 products, radius 4 12 * 1393
+        ball = enumerate_ball(gens, 4, budget=5000, rng=np.random.default_rng(0),
+                              sample_size=2000)
+        assert not ball.exhaustive and ball.radius == 3
+        rows = census_rows(ball, 4, 0.5)
+        assert rows[:3] == ref[:3]
+        assert rows[3][4] == 0 and rows[3][1] < ref[3][1]

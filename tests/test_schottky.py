@@ -224,11 +224,13 @@ class TestGeneralPositionTable:
         seqs = tuple(SchottkySequence(tuple(w(c) for c in t.split())) for t in blocks)
         sch = SchottkySet(seqs, 5, SetConstants(k0=k0, d0=4, d1=6, e0=0.5, length_floor=4))
         rep = verify_schottky(T, sch, probe_radius=7).properties["general_position"]
-        ref_ok, ref_witness, scanned = brute_general_position(sch, 7)
+        ref_ok, ref_witness, _ = brute_general_position(sch, 7)
         assert (rep.ok, ref_ok) == (ok, ok)
         assert rep.witness == ref_witness
         assert rep.mode == "ball-exhaustive"
-        assert rep.detail == "scanned %d points, radius 7" % scanned
+        # the k0-ball decides the radius-7 ball; only it is scanned
+        _, _, scanned = brute_general_position(sch, min(7, k0))
+        assert rep.detail == "scanned %d points, radius %d" % (scanned, min(7, k0))
 
 
 class TestPlaneIndependence:
