@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from typing import List, Optional
@@ -143,7 +144,7 @@ def cmd_run(args) -> int:
         report = verifier.run_clt_converse(measure, model, n_grid, trials, seed, contrast=args.contrast)
     elif experiment == "free-subgroup":
         n_grid = _grid(args.n, [50, 100])
-        report = verifier.run_free_subgroup(measure, model, n_grid, trials, args.word_len, seed)
+        report = verifier.run_free_subgroup(measure, model, n_grid, trials, seed)
     else:
         raise ConfigurationError("unknown experiment %r" % experiment)
     report.write(outdir, svg=args.svg)
@@ -171,6 +172,8 @@ def cmd_census(args) -> int:
     n_max = args.n_max
     if n_max <= 0:
         raise ConfigurationError("n-max must be positive")
+    if not math.isfinite(args.K):
+        raise ConfigurationError("K must be finite")
     if args.schottky:
         sch = _schottky_from_file(args.schottky)
     else:
@@ -200,11 +203,13 @@ def cmd_report(args) -> int:
     by_n = defaultdict(list)
     with open(args.csv) as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        next(reader, None)  # the header
         for row in reader:
             if len(row) < 2:
                 continue
             by_n[int(row[0])].append(float(row[-1]))
+    if not by_n:
+        raise ConfigurationError("no samples in %s" % args.csv)
     ns = sorted(by_n)
     means = [float(np.mean(by_n[n])) for n in ns]
     out = args.out or (os.path.splitext(args.csv)[0] + ".svg")
@@ -236,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int)
     p.add_argument("--L", type=float, default=0.25)
-    p.add_argument("--word-len", type=int, default=5)
     p.add_argument("--contrast", action="store_true")
     p.add_argument("--schottky")
     p.add_argument("--claim-n", type=int)

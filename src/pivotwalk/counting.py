@@ -15,7 +15,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .words import GroupWord
+from .words import GroupWord, common_prefix_letters
 
 
 @dataclass(frozen=True)
@@ -214,6 +214,23 @@ def tuple_is_free(words: Sequence[GroupWord]) -> bool:
             return False
         seen.add(w)
     return subgroup_rank(words) == len(words)
+
+
+def free_basis_margin(words: Sequence[GroupWord]) -> int:
+    """min |z_i| - 2c, where c is the most letters any product x y of tuple
+    letters (x, y among the z_i and their inverses, y not x's own inverse)
+    cancels.  Letters are told apart by index and sign, not by value, so an
+    equal or inverse pair cancels fully.  When the margin is positive the
+    cancellations at the junctions of a reduced tuple word cannot meet, so
+    the tuple is a free basis and every reduced tuple word of length m has
+    word length at least m * margin (Nielsen)."""
+
+    signed = {}
+    for i, z in enumerate(words):
+        signed[i, 1], signed[i, -1] = z, z.inverse()
+    c = max(common_prefix_letters(signed[i, -s], signed[j, t])
+            for i, s in signed for j, t in signed if (j, t) != (i, -s))
+    return min(len(z) for z in words) - 2 * c
 
 
 @dataclass(frozen=True)

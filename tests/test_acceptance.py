@@ -218,7 +218,7 @@ def test_08_no_normal_limit_for_heavy_tails():
 
 
 def test_09_independent_walks_freeness():
-    rep = run_free_subgroup(simple_rw(), T, [50, 100], 1000, 5, seed=16,
+    rep = run_free_subgroup(simple_rw(), T, [50, 100], 1000, seed=16,
                             calibration=CAL)
     freqs = [rep.stats["per_n"][str(n)]["failure_freq"] for n in (50, 100)]
     ok = rep.verdict and freqs[-1] <= 0.05 and freqs[1] <= freqs[0]

@@ -172,7 +172,7 @@ _PLANE_RUNS = [
     ["run", "--experiment", "discrepancy", "--n", "20,80"],
     ["run", "--experiment", "clt", "--n", "40"],
     ["run", "--experiment", "clt-converse", "--measure", "heavy", "--n", "20,40"],
-    ["run", "--experiment", "free-subgroup", "--n", "10,20", "--word-len", "2"],
+    ["run", "--experiment", "free-subgroup", "--n", "10,20"],
 ]
 
 
@@ -181,6 +181,8 @@ _MALFORMED_FILES = {
     "list.json": "[1, 2]",
     "bad-constants.json": '{"m0": 5, "constants": {"k": 2}, "sequences": []}',
     "no-support.json": '{"weights": [1.0]}',
+    "empty.csv": "",
+    "header-only.csv": "n,trial,fail\n",
 }
 
 
@@ -205,6 +207,12 @@ _MALFORMED_FILES = {
     ["run", "--experiment", "discrepancy", "--n", "20,80", "--schottky", "list.json"],
     ["run", "--experiment", "genericity", "--n", "20,40", "--measure", "no-support.json"],
     ["run", "--experiment", "genericity", "--n", "20,40", "--measure", "list.json"],
+    ["run", "--experiment", "genericity", "--n", "20,40", "--trials", "20", "--L", "nan"],
+    ["run", "--experiment", "genericity", "--n", "20,40", "--trials", "20", "--L=-inf"],
+    ["census", "--n-max", "2", "--K", "nan"],
+    ["census", "--n-max", "2", "--K", "inf"],
+    ["report", "empty.csv"],
+    ["report", "header-only.csv"],
 ])
 def test_bad_input_is_refused_cleanly(monkeypatch, tmp_path, capsys, argv):
     for name, text in _MALFORMED_FILES.items():

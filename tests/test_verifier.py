@@ -1,7 +1,9 @@
 """Experiment runners: ensemble generation, calibration, verdicts, reports.
 
 The vectorized ensemble and the step-by-step word-product ensemble are
-independent implementations compared draw for draw.
+independent implementations compared draw for draw.  The free-basis margin
+is checked against `reference_free_words_ok`, the word enumeration it
+replaced in the free-subgroup runner.
 """
 
 import json
@@ -9,16 +11,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
-from pivotwalk.words import GroupWord
+from pivotwalk.counting import free_basis_margin, tuple_is_free
+from pivotwalk.words import GroupWord, word_from_str
 from pivotwalk.spaces import PlaneModel, TreeModel
 from pivotwalk.schottky import build_schottky
-from pivotwalk.walks import simple_rw, heavy_tail, dirac, mixture
+from pivotwalk.walks import simple_rw, heavy_tail, dirac, mixture, walk_product
 from pivotwalk.verifier import (
     ConfigurationError,
     ExperimentReport,
     tree_walk_ensemble,
     _slow_ensemble,
+    _trial_rng,
     log_slope_fit,
     non_elementary,
     calibrate,
@@ -144,18 +149,113 @@ class TestCltConverse:
             run_clt_converse(heavy_tail(), T, [100], 10, seed=0, contrast=True)
 
 
+def reference_free_words_ok(model, z1: GroupWord, z2: GroupWord, word_len: int, k1: float) -> bool:
+    """Every nontrivial reduced word of length <= word_len in z1, z2 and
+    inverses moves the basepoint by at least (word length) * k1."""
+
+    alphabet = [(1, z1), (-1, z1.inverse()), (2, z2), (-2, z2.inverse())]
+
+    def rec(prev: int, acc: GroupWord, depth: int) -> bool:
+        for sym, w in alphabet:
+            if sym == -prev:
+                continue
+            nxt = acc * w
+            if nxt.is_identity():
+                return False
+            if len(nxt) < depth * k1:
+                return False
+            if depth < word_len and not rec(sym, nxt, depth + 1):
+                return False
+        return True
+
+    return rec(0, GroupWord.identity(), 1)
+
+
+def _certificate_is_sound(z1: GroupWord, z2: GroupWord) -> bool:
+    """A positive margin must imply a free basis whose words of length m
+    are at least m * margin long (checked up to m = 5 by the oracle)."""
+
+    margin = free_basis_margin([z1, z2])
+    if margin <= 0:
+        return False
+    assert tuple_is_free([z1, z2])
+    assert reference_free_words_ok(T, z1, z2, 5, margin)
+    return True
+
+
 class TestFreeSubgroup:
     def test_two_walks_generate_free_pairs(self):
-        rep = run_free_subgroup(simple_rw(), T, [30, 60], 50, 3, seed=5, calibration=CAL)
+        rep = run_free_subgroup(simple_rw(), T, [30, 60], 50, seed=5, calibration=CAL)
         assert rep.verdict
         freqs = [rep.stats["per_n"][str(n)]["failure_freq"] for n in (30, 60)]
         assert freqs[1] <= freqs[0] <= 0.05
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            run_free_subgroup(simple_rw(), T, [10], 5, 0, seed=0, calibration=CAL)
+            run_free_subgroup(simple_rw(), T, [10], 0, seed=0, calibration=CAL)
         with pytest.raises(ConfigurationError):
-            run_free_subgroup(simple_rw(), T, [10], 5, 2, seed=0, seed2=0, calibration=CAL)
+            run_free_subgroup(simple_rw(), T, [], 5, seed=0, calibration=CAL)
+
+    def test_samples_record_margin_and_fail(self):
+        rep = run_free_subgroup(simple_rw(), T, [11, 21], 100, seed=7, calibration=CAL)
+        assert rep.sample_header == ("n", "trial", "margin", "fail")
+        assert "word_len" not in rep.stats
+        for n, _, margin, fail in rep.samples:
+            assert fail == int(margin < rep.stats["per_n"][str(n)]["k1"])
+
+    @pytest.mark.parametrize("seed_", [0, 7])
+    def test_certificate_implies_oracle_on_walks(self, seed_):
+        # the runner's own draws: walk 1 from `seed`, walk 2 from seed + 500,000
+        mu = simple_rw()
+        for gi, n in enumerate((10, 20, 50)):
+            certified = 0
+            for t in range(200):
+                z1 = walk_product(mu.sample(_trial_rng(seed_, gi * 200 + t), n))
+                z2 = walk_product(mu.sample(_trial_rng(seed_ + 500_000, gi * 200 + t), n))
+                certified += _certificate_is_sound(z1, z2)
+            assert certified > 0
+
+    @pytest.mark.parametrize("z", ["a", "a b", "a^2 b A b", "a b^3 A^2 B a"])
+    def test_equal_and_inverse_pairs_are_never_certified(self, z):
+        # a cyclically reduced z cancels nothing against itself, so only
+        # telling letters apart by index sees that z^-1 z cancels fully
+        z = word_from_str(z)
+        assert free_basis_margin([z, z]) <= 0
+        assert free_basis_margin([z, z.inverse()]) <= 0
+
+    def test_margin_of_small_bases(self):
+        assert free_basis_margin([a, b]) == 1
+        assert free_basis_margin([a * a, b * b]) == 2
+        assert free_basis_margin([a, GroupWord.identity()]) <= 0
+
+
+def _words(max_size):
+    return st.lists(st.sampled_from([1, -1, 2, -2]), max_size=max_size).map(GroupWord.from_letters)
+
+
+@st.composite
+def _adversarial_pairs(draw):
+    """p x q and p y q^(+-1) sharing a prefix and a suffix, or an equal,
+    inverse or identity pair."""
+
+    p, x, y, q = draw(_words(4)), draw(_words(10)), draw(_words(10)), draw(_words(4))
+    z = p * x * q
+    kind = draw(st.sampled_from(["shared", "shared_inverse", "equal", "inverse", "identity"]))
+    partner = {
+        "shared": p * y * q,
+        "shared_inverse": p * y * q.inverse(),
+        "equal": z,
+        "inverse": z.inverse(),
+        "identity": GroupWord.identity(),
+    }[kind]
+    return (z, partner) if draw(st.booleans()) else (partner, z)
+
+
+@seed(2022)
+@settings(max_examples=300, deadline=None, database=None)
+@given(_adversarial_pairs())
+def test_certificate_implies_oracle_on_adversarial_pairs(pair):
+    _certificate_is_sound(*pair)
 
 
 @pytest.mark.parametrize("run", [
@@ -163,7 +263,7 @@ class TestFreeSubgroup:
     lambda P: run_discrepancy(simple_rw(), P, [40], 10, seed=0),
     lambda P: run_clt(simple_rw(), P, 40, 10, seed=0, calibration=CAL),
     lambda P: run_clt_converse(heavy_tail(kmax=16), P, [40, 80], 10, seed=0),
-    lambda P: run_free_subgroup(simple_rw(), P, [10], 5, 2, seed=0, calibration=CAL),
+    lambda P: run_free_subgroup(simple_rw(), P, [10], 5, seed=0, calibration=CAL),
 ], ids=["genericity", "discrepancy", "clt", "clt_converse", "free_subgroup"])
 def test_runners_refuse_the_plane(run):
     # the runners compute tree statistics only; a plane label would be false
