@@ -71,7 +71,7 @@ def _from_file(path: str, parse):
         text = fh.read()
     try:
         return parse(text)
-    except (KeyError, TypeError) as exc:  # a missing or mistyped entry
+    except (KeyError, TypeError, ValueError) as exc:  # a missing, mistyped or out-of-range entry
         raise ConfigurationError("malformed input file %s (%s: %s)" % (path, type(exc).__name__, exc))
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as sps
 
 from .counting import free_basis_margin
 from .schottky import SchottkySet, independent_contracting_pair
@@ -87,17 +86,6 @@ class ExperimentReport:
 # fast tree walk ensembles (vectorized syllable stacks)
 
 
-def _atom_syllables(measure: StepMeasure) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    gens, exps = [], []
-    for w in measure.support:
-        if len(w.syls) != 1:
-            return None
-        g, e = w.syls[0]
-        gens.append(g)
-        exps.append(e)
-    return np.asarray(gens, dtype=np.int16), np.asarray(exps, dtype=np.int64)
-
-
 def tree_walk_ensemble(
     measure: StepMeasure, n: int, trials: int, rng
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -108,12 +96,10 @@ def tree_walk_ensemble(
     stacks; anything else falls back to per-trial word products.
     """
 
-    atoms = _atom_syllables(measure)
-    if atoms is None:
+    if measure.syllables is None:
         return _slow_ensemble(measure, n, trials, rng)
-    gen_a, exp_a = atoms
-    k = len(measure.support)
-    idx = rng.choice(k, size=(trials, n), p=np.asarray(measure.weights))
+    gen_a, exp_a = measure.syllables
+    idx = rng.choice(len(gen_a), size=(trials, n), p=measure.weights)
     G = np.zeros((trials, n + 1), dtype=np.int16)
     E = np.zeros((trials, n + 1), dtype=np.int64)
     ptr = np.zeros(trials, dtype=np.int64)
@@ -163,16 +149,20 @@ def _trial_rng(seed: int, stream: int):
     return np.random.default_rng([seed, stream])
 
 
-def require_tree(model) -> None:
-    """The experiments compute exact word statistics on F2 only: refuse any
-    other model rather than label tree statistics with its name."""
+def require_tree(model, measure: Optional[StepMeasure] = None) -> None:
+    """The experiments compute exact word statistics on the tree only:
+    refuse any other model, or a measure with a generator beyond the tree's
+    rank, rather than label statistics of another group with its name."""
 
     if model.kind != "tree":
         raise ConfigurationError("experiments run on the tree, not the %s model" % model.kind)
+    if measure is not None and measure.rank > model.rank:
+        raise ConfigurationError("the measure uses generator %d, beyond the rank-%d tree"
+                                 % (measure.rank, model.rank))
 
 
-def _check_grid(model, n_grid: Sequence[int], trials: int) -> None:
-    require_tree(model)
+def _check_grid(model, measure: StepMeasure, n_grid: Sequence[int], trials: int) -> None:
+    require_tree(model, measure)
     if not n_grid or min(n_grid) <= 0 or trials <= 0:
         raise ConfigurationError("need a non-empty n grid, every n and the trial count positive")
 
@@ -273,7 +263,7 @@ def run_genericity(
     """Frequency of {trivial or translation length < L*n} along the grid:
     must be non-increasing with a negative log-slope (or identically 0)."""
 
-    _check_grid(model, n_grid, trials)
+    _check_grid(model, measure, n_grid, trials)
     if not non_elementary(measure, model):
         raise ConfigurationError("measure is elementary")
     calib = _calibration(calibration, measure, model, max(n_grid), trials, seed)
@@ -327,7 +317,7 @@ def run_discrepancy(
     logarithmically (quadrupling n multiplies it by <= 1.6); optionally
     checks the per-trial two-sided reach bound on non-capped trials."""
 
-    _check_grid(model, n_grid, trials)
+    _check_grid(model, measure, n_grid, trials)
     if claim_trials < 0 or (claim_n is not None and claim_n <= 0):
         raise ConfigurationError("claim_trials must be non-negative and claim_n positive")
     if claim_trials > 0 and (sch is None or claim_n is None):
@@ -393,7 +383,7 @@ def run_clt(
     """Standardized displacement and translation length against the normal
     law, and against each other."""
 
-    _check_grid(model, (n,), trials)
+    _check_grid(model, measure, (n,), trials)
     calib = _calibration(calibration, measure, model, n, trials, seed)
     lam, sigma2 = calib["lambda"], calib["sigma2"]
     if sigma2 <= 1e-12:
@@ -406,6 +396,9 @@ def run_clt(
     scale = math.sqrt(sigma2 * n)
     z_disp = (disp - lam * n) / scale
     z_tau = (tau - lam * n) / scale
+    # only this runner needs scipy.stats, which is most of the CLI's import time and memory
+    from scipy import stats as sps
+
     ks_disp = float(sps.kstest(z_disp, "norm").statistic)
     ks_tau = float(sps.kstest(z_tau, "norm").statistic)
     ks_two = float(sps.ks_2samp(z_disp, z_tau).statistic)
@@ -440,7 +433,7 @@ def run_clt_converse(
     steps: the IQR must grow by >= 20% per doubling.  With `contrast` set,
     a finite-variance measure must instead stabilize within 5%."""
 
-    _check_grid(model, n_grid, trials)
+    _check_grid(model, measure, n_grid, trials)
     if n_grid[0] == n_grid[-1]:
         raise ConfigurationError("the growth per doubling needs a grid whose first and last n differ")
     if not contrast and measure.moment_profile != "heavy_tail":
@@ -498,7 +491,7 @@ def run_free_subgroup(
     reduced word of every length m in the pair moves the basepoint by at
     least m * k1."""
 
-    _check_grid(model, n_grid, trials)
+    _check_grid(model, measure, n_grid, trials)
     calib = _calibration(calibration, measure, model, max(n_grid), trials, seed)
     per_n: Dict[str, Dict] = {}
     samples: List[Tuple] = []

@@ -10,8 +10,10 @@ whose pivotal-time machinery then yields displacement lower bounds.
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -23,46 +25,115 @@ from .schottky import SchottkySet, inverse_set
 from .words import GroupWord, word_from_str, word_to_str
 
 
-@dataclass(frozen=True)
 class StepMeasure:
-    """Finitely supported step distribution on group elements."""
+    """Finitely supported step distribution on group elements.
 
-    support: Tuple[GroupWord, ...]
-    weights: Tuple[float, ...]
-    moment_profile: str = "bounded"  # bounded | heavy_tail
+    The atoms are held as words (`support`) or, when every atom is a single
+    syllable, as generator and exponent arrays (`syllables`); the form not
+    given is built from the other on first use.  A measure that a few
+    numbers determine (`heavy_tail`) keeps them in `params` and is written
+    to JSON as those numbers and the sha256 of its weight bytes.
+    """
 
-    def __post_init__(self):
-        if len(self.support) != len(self.weights):
+    def __init__(self, support: Optional[Sequence[GroupWord]], weights: Sequence[float],
+                 moment_profile: str = "bounded", syllables=None, params: Optional[Dict] = None):
+        # an attribute set here shadows the cached property of the same name
+        if support is not None:
+            self.support = tuple(support)
+        if syllables is not None:
+            self.syllables = syllables
+        self.weights = np.array(weights, dtype=np.float64)
+        self.weights.flags.writeable = False
+        self.moment_profile = moment_profile  # bounded | heavy_tail
+        self.params = params
+        atoms = len(self.support) if support is not None else len(syllables[0])
+        if atoms != len(self.weights):
             raise ValueError("support/weight length mismatch")
-        total = sum(self.weights)
+        total = float(self.weights.sum())
         if not math.isclose(total, 1.0, rel_tol=0, abs_tol=1e-9):
             raise ValueError("weights must sum to 1, got %r" % total)
-        if any(p < 0 for p in self.weights):
+        if (self.weights < 0).any():
             raise ValueError("negative weight")
 
+    @functools.cached_property
+    def support(self) -> Tuple[GroupWord, ...]:
+        gens, exps = self.syllables
+        return tuple(GroupWord.generator(g, e) for g, e in zip(gens.tolist(), exps.tolist()))
+
+    @functools.cached_property
+    def syllables(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """(generator, exponent) of each atom, or None when some atom is not
+        a single syllable."""
+
+        if any(len(s.syls) != 1 for s in self.support):
+            return None
+        gens, exps = zip(*(s.syls[0] for s in self.support))
+        return np.asarray(gens, dtype=np.int16), np.asarray(exps, dtype=np.int64)
+
+    @functools.cached_property
+    def _masses(self) -> Dict[Tuple, float]:
+        """Weight by syllable tuple; a repeated atom keeps its first weight."""
+
+        if self.syllables is None:
+            keys = (s.syls for s in self.support)
+        else:
+            gens, exps = self.syllables
+            keys = (((g, e),) for g, e in zip(gens.tolist(), exps.tolist()))
+        masses: Dict[Tuple, float] = {}
+        for key, p in zip(keys, self.weights.tolist()):
+            masses.setdefault(key, p)
+        return masses
+
+    @property
+    def weights_sha256(self) -> str:
+        return hashlib.sha256(self.weights.tobytes()).hexdigest()
+
+    @property
+    def rank(self) -> int:
+        """Largest generator index an atom uses."""
+
+        if self.syllables is not None:
+            return int(self.syllables[0].max())
+        return max((g for s in self.support for g, _ in s.syls), default=0)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, StepMeasure):
+            return NotImplemented
+        return (
+            (self.moment_profile, self.params) == (other.moment_profile, other.params)
+            and np.array_equal(self.weights, other.weights)
+            and (self.params is not None or self.support == other.support)
+        )
+
+    __hash__ = None
+
     def sample(self, rng, size: int) -> List[GroupWord]:
-        idx = rng.choice(len(self.support), size=size, p=np.asarray(self.weights))
+        idx = rng.choice(len(self.weights), size=size, p=self.weights)
         return [self.support[i] for i in idx]
 
     def mass(self, word: GroupWord) -> float:
-        for s, p in zip(self.support, self.weights):
-            if s == word:
-                return p
-        return 0.0
+        return self._masses.get(word.syls, 0.0)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "moment_profile": self.moment_profile,
-                "support": [word_to_str(s) for s in self.support],
-                "weights": list(self.weights),
-            },
-            sort_keys=True,
-        )
+        if self.params is not None:
+            data = dict(self.params, weights_sha256=self.weights_sha256)
+        else:
+            data = {"support": [word_to_str(s) for s in self.support], "weights": self.weights.tolist()}
+        data["moment_profile"] = self.moment_profile
+        return json.dumps(data, sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "StepMeasure":
+        """Inverse of `to_json`; a heavy-tail descriptor is rebuilt from its
+        parameters and refused when its weights digest differs."""
+
         data = json.loads(text)
+        if "eta" in data:
+            mu = heavy_tail(data["eta"], data["kmax"], data["rank"])
+            if data["weights_sha256"] != mu.weights_sha256:
+                raise ValueError("weights_sha256 does not match the weights of heavy_tail(%s)"
+                                 % ", ".join("%s=%r" % kv for kv in sorted(mu.params.items())))
+            return mu
         return StepMeasure(
             tuple(word_from_str(s) for s in data["support"]),
             tuple(float(x) for x in data["weights"]),
@@ -87,21 +158,25 @@ def heavy_tail(eta: float = 1.1, kmax: int = 65536, rank: int = 2) -> StepMeasur
     """Power-tail measure on generator powers: the mass of a ±k-th power
     decays like k^-(1+eta), so eta in (1, 2) gives finite mean displacement
     with infinite variance (truncated at kmax; truncation is disclosed by
-    the callers' reports)."""
+    the callers' reports).
 
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    Atom i is generator (i // 2) % rank + 1 to the power ±(i // (2 rank) + 1),
+    positive for even i: k-major, then generator, then sign.
+    """
+
+    if not (math.isfinite(eta) and eta > 0):
+        raise ValueError("eta must be positive and finite, got %r" % (eta,))
+    for name, value in (("kmax", kmax), ("rank", rank)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise ValueError("%s must be a positive integer, got %r" % (name, value))
     raw = [(k + 1) ** -(1.0 + eta) for k in range(kmax)]
     z = sum(raw) * 2 * rank
-    support: List[GroupWord] = []
-    weights: List[float] = []
-    for k in range(1, kmax + 1):
-        for g in range(1, rank + 1):
-            for sign in (1, -1):
-                support.append(GroupWord.generator(g, sign * k))
-                weights.append(raw[k - 1] / z)
-    weights[-1] += 1.0 - sum(weights)  # pin rounding onto the lightest atom
-    return StepMeasure(tuple(support), tuple(weights), "heavy_tail")
+    weights = np.repeat(np.array(raw) / z, 2 * rank)
+    weights[-1] += 1.0 - sum(weights.tolist())  # pin rounding onto the lightest atom
+    gens = np.tile(np.repeat(np.arange(1, rank + 1, dtype=np.int16), 2), kmax)
+    exps = np.repeat(np.arange(1, kmax + 1), 2 * rank) * np.tile([1, -1], rank * kmax)
+    params = {"eta": float(eta), "kmax": int(kmax), "rank": int(rank)}
+    return StepMeasure(None, weights, "heavy_tail", syllables=(gens, exps), params=params)
 
 
 def mixture(parts: Sequence[Tuple[StepMeasure, float]]) -> StepMeasure:

@@ -3,6 +3,8 @@ artifact determinism."""
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -70,6 +72,35 @@ class TestRun:
                (tmp_path / "r2" / "report.json").read_bytes()
         assert (tmp_path / "r1" / "samples.csv").read_bytes() == \
                (tmp_path / "r2" / "samples.csv").read_bytes()
+
+
+    def test_heavy_measure_from_report_reruns_identically(self, monkeypatch, tmp_path):
+        argv = ["run", "--experiment", "clt-converse", "--n", "20,40", "--trials", "30", "--seed", "3"]
+        assert run_cli(monkeypatch, tmp_path, *argv, "--measure", "heavy", "--out", "h1") == EXIT_PASS
+        report = json.loads((tmp_path / "h1" / "report.json").read_text())
+        measure = json.loads(report["measure"])
+        assert measure["kmax"] == 65536 and measure["moment_profile"] == "heavy_tail"
+        (tmp_path / "m.json").write_text(report["measure"])
+        assert run_cli(monkeypatch, tmp_path, *argv, "--measure", "m.json", "--out", "h2") == EXIT_PASS
+        for name in ("report.json", "samples.csv"):
+            assert (tmp_path / "h1" / name).read_bytes() == (tmp_path / "h2" / name).read_bytes()
+
+    def test_rank3_measure_runs_on_rank3_tree(self, monkeypatch, tmp_path):
+        (tmp_path / "m.json").write_text(
+            '{"support": ["a", "A", "c", "C"], "weights": [0.25, 0.25, 0.25, 0.25]}')
+        code = run_cli(monkeypatch, tmp_path, "run", "--experiment", "genericity", "--model", "tree3",
+                       "--measure", "m.json", "--n", "40,80", "--trials", "100", "--seed", "1")
+        assert code == EXIT_PASS
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    import pivotwalk
+
+    src = os.path.dirname(os.path.dirname(pivotwalk.__file__))
+    code = "import sys, pivotwalk.cli; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestConfigAndSeed:
@@ -181,6 +212,12 @@ _MALFORMED_FILES = {
     "list.json": "[1, 2]",
     "bad-constants.json": '{"m0": 5, "constants": {"k": 2}, "sequences": []}',
     "no-support.json": '{"weights": [1.0]}',
+    "rank24.json": '{"support": ["a", "A", "x", "X"], "weights": [0.25, 0.25, 0.25, 0.25]}',
+    "eta-nan.json": '{"eta": NaN, "kmax": 16, "rank": 2}',
+    "kmax-zero.json": '{"eta": 1.1, "kmax": 0, "rank": 2}',
+    "kmax-float.json": '{"eta": 1.1, "kmax": 2.5, "rank": 2}',
+    "rank-zero.json": '{"eta": 1.1, "kmax": 16, "rank": 0}',
+    "bad-digest.json": '{"eta": 1.1, "kmax": 16, "rank": 2, "weights_sha256": "00"}',
     "empty.csv": "",
     "header-only.csv": "n,trial,fail\n",
 }
@@ -213,6 +250,10 @@ _MALFORMED_FILES = {
     ["census", "--n-max", "2", "--K", "inf"],
     ["report", "empty.csv"],
     ["report", "header-only.csv"],
+    ["run", "--experiment", "genericity", "--n", "20,40", "--trials", "20", "--measure", "rank24.json"],
+    *[["run", "--experiment", "clt-converse", "--n", "20,40", "--trials", "20", "--measure", name]
+      for name in ("eta-nan.json", "kmax-zero.json", "kmax-float.json", "rank-zero.json",
+                   "bad-digest.json")],
 ])
 def test_bad_input_is_refused_cleanly(monkeypatch, tmp_path, capsys, argv):
     for name, text in _MALFORMED_FILES.items():

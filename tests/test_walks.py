@@ -3,11 +3,13 @@ pipeline (block decomposition, pivotal re-folding, counting decomposition)."""
 
 import json
 import math
+from typing import List
 
 import numpy as np
 import pytest
 
-from pivotwalk.words import GroupWord, word_from_str
+from pivotwalk.verifier import _slow_ensemble, tree_walk_ensemble
+from pivotwalk.words import GroupWord, word_from_str, word_to_str
 from pivotwalk.spaces import TreeModel
 from pivotwalk.schottky import SchottkySet, build_schottky
 from pivotwalk.walks import (
@@ -86,6 +88,115 @@ class TestStepMeasure:
         back = StepMeasure.from_json(mu.to_json())
         assert back == mu
         assert json.loads(mu.to_json())["moment_profile"] == "heavy_tail"
+
+    def test_explicit_json_roundtrip(self):
+        mu = mixture([(dirac(w("a b")), 0.5), (simple_rw(), 0.5)])
+        text = mu.to_json()
+        assert set(json.loads(text)) == {"moment_profile", "support", "weights"}
+        assert StepMeasure.from_json(text) == mu
+
+
+def reference_heavy_tail(eta: float = 1.1, kmax: int = 65536, rank: int = 2) -> StepMeasure:
+    """Power-tail measure on generator powers: the mass of a ±k-th power
+    decays like k^-(1+eta), so eta in (1, 2) gives finite mean displacement
+    with infinite variance (truncated at kmax; truncation is disclosed by
+    the callers' reports)."""
+
+    if eta <= 0:
+        raise ValueError("eta must be positive")
+    raw = [(k + 1) ** -(1.0 + eta) for k in range(kmax)]
+    z = sum(raw) * 2 * rank
+    support: List[GroupWord] = []
+    weights: List[float] = []
+    for k in range(1, kmax + 1):
+        for g in range(1, rank + 1):
+            for sign in (1, -1):
+                support.append(GroupWord.generator(g, sign * k))
+                weights.append(raw[k - 1] / z)
+    weights[-1] += 1.0 - sum(weights)  # pin rounding onto the lightest atom
+    return StepMeasure(tuple(support), tuple(weights), "heavy_tail")
+
+
+@pytest.fixture(scope="module", params=[(1, 2), (16, 2), (65536, 2), (5, 3)],
+                ids=lambda p: "kmax%d-rank%d" % p)
+def heavy_pair(request):
+    kmax, rank = request.param
+    return heavy_tail(kmax=kmax, rank=rank), reference_heavy_tail(kmax=kmax, rank=rank)
+
+
+class TestHeavyTailAgainstReference:
+    def test_weights_bit_equal(self, heavy_pair):
+        mu, ref = heavy_pair
+        assert np.array_equal(mu.weights, np.asarray(ref.weights))
+        assert mu.weights.tobytes() == np.asarray(ref.weights).tobytes()
+
+    def test_samples_and_masses_equal(self, heavy_pair):
+        mu, ref = heavy_pair
+        for seed in range(3):
+            assert mu.sample(np.random.default_rng(seed), 200) == \
+                ref.sample(np.random.default_rng(seed), 200)
+        kmax = mu.params["kmax"]
+        probes = [GroupWord.generator(g, e) for g in (1, 2, 3, 4)
+                  for e in (1, -1, 2, -kmax, kmax + 1)] + [w("a b"), GroupWord.identity()]
+        for word in probes + list(ref.support[:: max(1, len(ref.support) // 500)]):
+            assert mu.mass(word) == ref.mass(word)
+
+    def test_ensembles_equal(self, heavy_pair):
+        mu, ref = heavy_pair
+        for seed in range(3):
+            fast, want = (tree_walk_ensemble(m, 30, 40, np.random.default_rng(seed)) for m in (mu, ref))
+            slow, slow_ref = (_slow_ensemble(m, 30, 40, np.random.default_rng(seed)) for m in (mu, ref))
+            for got in (fast, slow, slow_ref):
+                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("kmax, rank", [(16, 2), (5, 3)])
+def test_old_explicit_file_draws_the_same_walks(kmax, rank):
+    ref = reference_heavy_tail(kmax=kmax, rank=rank)
+    old = json.dumps({"moment_profile": "heavy_tail",
+                      "support": [word_to_str(s) for s in ref.support],
+                      "weights": list(ref.weights)}, sort_keys=True)
+    back = StepMeasure.from_json(old)
+    assert back.params is None and back.moment_profile == "heavy_tail"
+    for seed in range(3):
+        got = tree_walk_ensemble(back, 25, 30, np.random.default_rng(seed))
+        want = tree_walk_ensemble(heavy_tail(kmax=kmax, rank=rank), 25, 30, np.random.default_rng(seed))
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+class TestHeavyTailParameters:
+    def test_builds_no_words(self, monkeypatch):
+        built = []
+        init = GroupWord.__init__
+        monkeypatch.setattr(GroupWord, "__init__", lambda self, *args: built.append(1) or init(self, *args))
+        mu = heavy_tail()
+        assert not built
+        assert len(mu.weights) == 4 * 65536
+        assert len(mu.to_json()) < 400
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"kmax": 0}, "kmax"), ({"rank": 0}, "rank"), ({"kmax": 2.5}, "kmax"),
+        ({"kmax": True}, "kmax"), ({"rank": -1}, "rank"), ({"eta": float("nan")}, "eta"),
+        ({"eta": float("inf")}, "eta"), ({"eta": -1.0}, "eta"),
+    ])
+    def test_bad_parameters_are_named(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            heavy_tail(**kwargs)
+
+    @pytest.mark.parametrize("change", [
+        {"eta": float("nan")}, {"kmax": 0}, {"kmax": 2.5}, {"rank": 0}, {"rank": "2"},
+        {"weights_sha256": "0" * 64},
+    ])
+    def test_bad_descriptor_is_refused(self, change):
+        data = dict(json.loads(heavy_tail(kmax=8).to_json()), **change)
+        with pytest.raises(ValueError):
+            StepMeasure.from_json(json.dumps(data))
+
+    def test_descriptor_needs_its_digest(self):
+        data = json.loads(heavy_tail(kmax=8).to_json())
+        del data["weights_sha256"]
+        with pytest.raises(KeyError):
+            StepMeasure.from_json(json.dumps(data))
 
 
 class TestSampling:
