@@ -98,14 +98,14 @@ def cmd_schottky_find(args) -> int:
     verifier.require_tree(model)
     g = GroupWord.generator(1, 1)
     h = GroupWord.generator(2, 1)
+    # build_schottky verifies the set and raises unless it passes
     sch = schottky.build_schottky(model, g, h, size=size, m0=block, seed=seed)
-    report = schottky.verify_schottky(model, sch)
     payload = schottky.schottky_to_json(sch)
     with open(args.out, "w") as fh:
         fh.write(payload)
         fh.write("\n")
-    print("schottky-find: wrote %s (N=%d, M0=%d, verified=%s)" % (args.out, size, block, report.ok))
-    return EXIT_PASS if report.ok else EXIT_FAIL
+    print("schottky-find: wrote %s (N=%d, M0=%d, verified=True)" % (args.out, size, block))
+    return EXIT_PASS
 
 
 def _grid(value: Optional[str], default: List[int]) -> List[int]:

@@ -258,33 +258,11 @@ def _point_block_aligned(model, k0, seq: SchottkySequence, axis: Path, x) -> boo
 # construction
 
 
-def _primitive_cyclic_key(word: GroupWord) -> tuple:
-    """Conjugacy/axis invariant: primitive root of the cyclic word, up to
-    rotation and inversion."""
-
-    cyc = word.cyclic_reduce()
-    letters = list(cyc.letters())
-    n = len(letters)
-    if n == 0:
-        return ()
-    # primitive root
-    for period in range(1, n + 1):
-        if n % period == 0 and letters == letters[period:] + letters[:period]:
-            letters = letters[:period]
-            break
-    n = len(letters)
-    variants = []
-    for seq in (letters, [-l for l in reversed(letters)]):
-        for r in range(n):
-            variants.append(tuple(seq[r:] + seq[:r]))
-    return min(variants)
-
-
 def independent_contracting_pair(model, g, h) -> bool:
     if model.kind == "tree":
-        if g.is_identity() or h.is_identity():
-            return False
-        return _primitive_cyclic_key(g) != _primitive_cyclic_key(h)
+        # centralisers in a free group are cyclic, so two non-identity
+        # elements fix a common end iff they commute
+        return not (g.is_identity() or h.is_identity()) and g * h != h * g
     tg, th = model.translation_length(g), model.translation_length(h)
     if tg <= 0 or th <= 0:
         return False

@@ -92,57 +92,47 @@ def tree_walk_ensemble(
     """(displacement, translation length) arrays for `trials` independent
     n-step walks, exact word arithmetic throughout.
 
-    Single-syllable supports (generator powers) run on vectorized syllable
-    stacks; anything else falls back to per-trial word products.
+    Each step feeds its atom's row of the syllable table, one column at a
+    time, through a vectorized stack of syllables.
     """
 
-    if measure.syllables is None:
-        return _slow_ensemble(measure, n, trials, rng)
-    gen_a, exp_a = measure.syllables
+    gen_a, exp_a = measure.table
     idx = rng.choice(len(gen_a), size=(trials, n), p=measure.weights)
-    G = np.zeros((trials, n + 1), dtype=np.int16)
-    E = np.zeros((trials, n + 1), dtype=np.int64)
+    # the stack of row t sits in columns 1..ptr[t]; column 0 holds generator
+    # -1, which neither a syllable nor the padding (generator 0) matches
+    depth = n * gen_a.shape[1] + 1
+    G = np.zeros((trials, depth), dtype=np.int16)
+    G[:, 0] = -1
+    E = np.zeros((trials, depth), dtype=np.int64)
     ptr = np.zeros(trials, dtype=np.int64)
     rows = np.arange(trials)
-    for i in range(n):
-        g = gen_a[idx[:, i]]
-        e = exp_a[idx[:, i]]
-        top_g = G[rows, np.maximum(ptr - 1, 0)]
-        merge = (ptr > 0) & (top_g == g)
-        mrows = rows[merge]
-        if len(mrows):
-            pm = ptr[mrows] - 1
+    for step in idx.T:
+        for col_g, col_e in zip(gen_a.T, exp_a.T):
+            g = col_g[step]
+            e = col_e[step]
+            merge = G[rows, ptr] == g
+            mrows = rows[merge]
+            pm = ptr[mrows]
             E[mrows, pm] += e[merge]
-            dead = E[mrows, pm] == 0
-            ptr[mrows[dead]] -= 1
-        prows = rows[~merge]
-        if len(prows):
-            pp = ptr[prows]
-            G[prows, pp] = g[~merge]
-            E[prows, pp] = e[~merge]
-            ptr[prows] += 1
-    mask = np.arange(n + 1)[None, :] < ptr[:, None]
+            ptr[mrows[E[mrows, pm] == 0]] -= 1
+            push = ~merge
+            prows = rows[push]
+            pe = e[push]
+            pp = ptr[prows] + 1
+            G[prows, pp] = g[push]
+            E[prows, pp] = pe
+            # a padding syllable is written above the top, not pushed
+            ptr[prows] += pe != 0
+    mask = np.arange(depth)[None, :] <= ptr[:, None]
     disp = np.where(mask, np.abs(E), 0).sum(axis=1)
     tau = np.empty(trials, dtype=np.int64)
     for t in range(trials):
         # a push needs a new top generator and a pop leaves no new adjacent
         # pair, so each stack row is already a reduced word
-        p = int(ptr[t])
-        word = GroupWord(tuple(zip(G[t, :p].tolist(), E[t, :p].tolist())))
+        p = int(ptr[t]) + 1
+        word = GroupWord(tuple(zip(G[t, 1:p].tolist(), E[t, 1:p].tolist())))
         tau[t] = word.translation_length()
     return disp.astype(np.int64), tau
-
-
-def _slow_ensemble(measure: StepMeasure, n: int, trials: int, rng):
-    disp = np.empty(trials, dtype=np.int64)
-    tau = np.empty(trials, dtype=np.int64)
-    for t in range(trials):
-        acc = GroupWord.identity()
-        for s in measure.sample(rng, n):
-            acc = acc * s
-        disp[t] = len(acc)
-        tau[t] = acc.translation_length()
-    return disp, tau
 
 
 def _trial_rng(seed: int, stream: int):
@@ -197,30 +187,16 @@ def log_slope_fit(ns: Sequence[float], ys: Sequence[float]) -> Tuple[float, floa
     return float(slope), r2
 
 
-def non_elementary(measure: StepMeasure, model, budget: int = 64) -> bool:
-    """Search the support semigroup for two independent contracting
-    isometries (short products only)."""
+def non_elementary(measure: StepMeasure, model) -> bool:
+    """Whether two support atoms are independent contracting isometries,
+    testing each atom against the first contracting one.  Exact on the
+    tree: if every atom commutes with that one, all lie in its cyclic
+    centraliser, and the walk's group is elementary."""
 
-    frontier = list(measure.support)
-    elements = list(frontier)
-    while len(elements) < budget and frontier:
-        new = []
-        for a in frontier[: budget // 4]:
-            for s in measure.support:
-                w = a * s
-                if w not in elements:
-                    new.append(w)
-                    elements.append(w)
-                    if len(elements) >= budget:
-                        break
-            if len(elements) >= budget:
-                break
-        frontier = new
-    for i in range(len(elements)):
-        for j in range(i + 1, len(elements)):
-            if independent_contracting_pair(model, elements[i], elements[j]):
-                return True
-    return False
+    atoms = map(measure.atom, range(len(measure.weights)))
+    first = next((g for g in atoms if model.is_contracting_isometry(g)), None)
+    # `any` goes on from the atom after `first`
+    return any(independent_contracting_pair(model, first, g) for g in atoms)
 
 
 def calibrate(measure: StepMeasure, model, n: int, trials: int, seed: int) -> Dict[str, float]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import math
 import numbers
@@ -28,26 +29,27 @@ from .words import GroupWord, word_from_str, word_to_str
 class StepMeasure:
     """Finitely supported step distribution on group elements.
 
-    The atoms are held as words (`support`) or, when every atom is a single
-    syllable, as generator and exponent arrays (`syllables`); the form not
-    given is built from the other on first use.  A measure that a few
-    numbers determine (`heavy_tail`) keeps them in `params` and is written
-    to JSON as those numbers and the sha256 of its weight bytes.
+    The atoms are held as a syllable table: generator and exponent arrays
+    of shape (atoms, S), row i holding atom i's syllables from the left and
+    exponent 0 (generator 0) padding a shorter atom.  An atom's word is
+    built the first time it is asked for.  A measure that a few numbers
+    determine (`heavy_tail`) keeps them in `params` and is written to JSON
+    as those numbers and the sha256 of its weight bytes.
     """
 
     def __init__(self, support: Optional[Sequence[GroupWord]], weights: Sequence[float],
-                 moment_profile: str = "bounded", syllables=None, params: Optional[Dict] = None):
-        # an attribute set here shadows the cached property of the same name
+                 moment_profile: str = "bounded", table=None, params: Optional[Dict] = None):
+        # `table` stands in for the words when `support` is None
         if support is not None:
-            self.support = tuple(support)
-        if syllables is not None:
-            self.syllables = syllables
+            support = tuple(support)
+            table = _syllable_table(support)
+        self.table: Tuple[np.ndarray, np.ndarray] = table
+        self._words: Dict[int, GroupWord] = dict(enumerate(support or ()))
         self.weights = np.array(weights, dtype=np.float64)
         self.weights.flags.writeable = False
         self.moment_profile = moment_profile  # bounded | heavy_tail
         self.params = params
-        atoms = len(self.support) if support is not None else len(syllables[0])
-        if atoms != len(self.weights):
+        if len(table[0]) != len(self.weights):
             raise ValueError("support/weight length mismatch")
         total = float(self.weights.sum())
         if not math.isclose(total, 1.0, rel_tol=0, abs_tol=1e-9):
@@ -55,34 +57,30 @@ class StepMeasure:
         if (self.weights < 0).any():
             raise ValueError("negative weight")
 
-    @functools.cached_property
+    def atom(self, i: int) -> GroupWord:
+        """Atom i as a word, built from its table row on first use."""
+
+        word = self._words.get(i)
+        if word is None:
+            gens, exps = self.table
+            # a row holds a reduced word, padding only at its end
+            word = GroupWord(tuple((g, e) for g, e in zip(gens[i].tolist(), exps[i].tolist()) if e))
+            self._words[i] = word
+        return word
+
+    @property
     def support(self) -> Tuple[GroupWord, ...]:
-        gens, exps = self.syllables
-        return tuple(GroupWord.generator(g, e) for g, e in zip(gens.tolist(), exps.tolist()))
+        """Every atom's word; `atom` builds only the one asked for."""
 
-    @functools.cached_property
-    def syllables(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """(generator, exponent) of each atom, or None when some atom is not
-        a single syllable."""
-
-        if any(len(s.syls) != 1 for s in self.support):
-            return None
-        gens, exps = zip(*(s.syls[0] for s in self.support))
-        return np.asarray(gens, dtype=np.int16), np.asarray(exps, dtype=np.int64)
+        return tuple(map(self.atom, range(len(self.weights))))
 
     @functools.cached_property
     def _masses(self) -> Dict[Tuple, float]:
-        """Weight by syllable tuple; a repeated atom keeps its first weight."""
+        """Weight by padded table row; a repeated atom keeps its first weight."""
 
-        if self.syllables is None:
-            keys = (s.syls for s in self.support)
-        else:
-            gens, exps = self.syllables
-            keys = (((g, e),) for g, e in zip(gens.tolist(), exps.tolist()))
-        masses: Dict[Tuple, float] = {}
-        for key, p in zip(keys, self.weights.tolist()):
-            masses.setdefault(key, p)
-        return masses
+        gens, exps = self.table
+        rows = list(zip(*(zip(g.tolist(), e.tolist()) for g, e in zip(gens.T, exps.T))))
+        return dict(zip(reversed(rows), reversed(self.weights.tolist())))
 
     @property
     def weights_sha256(self) -> str:
@@ -92,27 +90,25 @@ class StepMeasure:
     def rank(self) -> int:
         """Largest generator index an atom uses."""
 
-        if self.syllables is not None:
-            return int(self.syllables[0].max())
-        return max((g for s in self.support for g, _ in s.syls), default=0)
+        return int(self.table[0].max(initial=0))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StepMeasure):
             return NotImplemented
         return (
             (self.moment_profile, self.params) == (other.moment_profile, other.params)
-            and np.array_equal(self.weights, other.weights)
-            and (self.params is not None or self.support == other.support)
+            and all(map(np.array_equal, (self.weights, *self.table), (other.weights, *other.table)))
         )
 
     __hash__ = None
 
     def sample(self, rng, size: int) -> List[GroupWord]:
         idx = rng.choice(len(self.weights), size=size, p=self.weights)
-        return [self.support[i] for i in idx]
+        return [self.atom(i) for i in idx.tolist()]
 
     def mass(self, word: GroupWord) -> float:
-        return self._masses.get(word.syls, 0.0)
+        pad = ((0, 0),) * (self.table[0].shape[1] - len(word.syls))
+        return self._masses.get(word.syls + pad, 0.0)
 
     def to_json(self) -> str:
         if self.params is not None:
@@ -139,6 +135,18 @@ class StepMeasure:
             tuple(float(x) for x in data["weights"]),
             data.get("moment_profile", "bounded"),
         )
+
+
+def _syllable_table(support: Sequence[GroupWord]) -> Tuple[np.ndarray, np.ndarray]:
+    """Generator and exponent arrays of shape (atoms, S), S the most
+    syllables an atom has (at least 1), zero-padded on the right."""
+
+    width = max([1] + [len(s.syls) for s in support])
+    pad = ((0, 0),) * width
+    rows = (s.syls + pad[len(s.syls):] for s in support)
+    flat = itertools.chain.from_iterable(itertools.chain.from_iterable(rows))
+    table = np.fromiter(flat, dtype=np.int64, count=2 * width * len(support)).reshape(-1, width, 2)
+    return table[..., 0].astype(np.int16), np.ascontiguousarray(table[..., 1])
 
 
 def simple_rw(rank: int = 2) -> StepMeasure:
@@ -176,7 +184,7 @@ def heavy_tail(eta: float = 1.1, kmax: int = 65536, rank: int = 2) -> StepMeasur
     gens = np.tile(np.repeat(np.arange(1, rank + 1, dtype=np.int16), 2), kmax)
     exps = np.repeat(np.arange(1, kmax + 1), 2 * rank) * np.tile([1, -1], rank * kmax)
     params = {"eta": float(eta), "kmax": int(kmax), "rank": int(rank)}
-    return StepMeasure(None, weights, "heavy_tail", syllables=(gens, exps), params=params)
+    return StepMeasure(None, weights, "heavy_tail", table=(gens[:, None], exps[:, None]), params=params)
 
 
 def mixture(parts: Sequence[Tuple[StepMeasure, float]]) -> StepMeasure:
@@ -230,11 +238,6 @@ class DeviationSample:
     capped: bool
 
 
-def _spells_block(increments: Sequence[GroupWord], start: int, blocks: Dict[tuple, int]) -> bool:
-    m0 = len(next(iter(blocks)))
-    return tuple(increments[start : start + m0]) in blocks
-
-
 def deviation(
     model,
     sch: SchottkySet,
@@ -265,7 +268,9 @@ def deviation(
 
     best: Optional[Tuple[int, int]] = None  # (k, witness i)
     for i in range(m0, horizon + 1):
-        if not _spells_block(side_incs, i - m0, blocks):
+        if best is not None and best[0] <= i:
+            break  # a later witness i gives k >= i >= best k, and loses the tie on i
+        if tuple(side_incs[i - m0 : i]) not in blocks:
             continue
         axis_words = pts[i - m0 : i + 1]
         axis = Path(tuple(model.apply(wd, model.basepoint) for wd in axis_words))

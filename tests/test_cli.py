@@ -10,6 +10,7 @@ import pytest
 
 from pivotwalk.cli import main, EXIT_PASS, EXIT_CONFIG, EXIT_FAIL
 from pivotwalk.schottky import schottky_from_json
+from pivotwalk.walks import heavy_tail
 
 
 def run_cli(monkeypatch, tmp_path, *argv):
@@ -220,6 +221,7 @@ _MALFORMED_FILES = {
     "bad-digest.json": '{"eta": 1.1, "kmax": 16, "rank": 2, "weights_sha256": "00"}',
     "empty.csv": "",
     "header-only.csv": "n,trial,fail\n",
+    "rank1.json": heavy_tail(kmax=65536, rank=1).to_json(),  # 131,072 powers of a: elementary
 }
 
 
@@ -254,6 +256,7 @@ _MALFORMED_FILES = {
     *[["run", "--experiment", "clt-converse", "--n", "20,40", "--trials", "20", "--measure", name]
       for name in ("eta-nan.json", "kmax-zero.json", "kmax-float.json", "rank-zero.json",
                    "bad-digest.json")],
+    ["run", "--experiment", "genericity", "--n", "20,40", "--trials", "20", "--measure", "rank1.json"],
 ])
 def test_bad_input_is_refused_cleanly(monkeypatch, tmp_path, capsys, argv):
     for name, text in _MALFORMED_FILES.items():

@@ -233,6 +233,14 @@ class TestGeneralPositionTable:
         assert rep.detail == "scanned %d points, radius %d" % (scanned, min(7, k0))
 
 
+def test_tree_independence_is_non_commutation():
+    # a conjugate of a that does not commute with it has another axis
+    assert independent_contracting_pair(T, a, word_from_str("B a b"))
+    assert not independent_contracting_pair(T, a, word_from_str("a a"))
+    assert not independent_contracting_pair(T, word_from_str("a b"), word_from_str("a b a b"))
+    assert not independent_contracting_pair(T, a, GroupWord.identity())
+
+
 class TestPlaneIndependence:
     def test_shared_fixed_point_rejected(self):
         # both fix infinity, yet conjugating h by g does not give h back

@@ -1,9 +1,9 @@
 """Experiment runners: ensemble generation, calibration, verdicts, reports.
 
-The vectorized ensemble and the step-by-step word-product ensemble are
-independent implementations compared draw for draw.  The free-basis margin
-is checked against `reference_free_words_ok`, the word enumeration it
-replaced in the free-subgroup runner.
+The vectorized walk ensemble is compared draw for draw against
+`reference_ensemble`, which multiplies each trial's sampled words step by
+step.  The free-basis margin is checked against `reference_free_words_ok`,
+the word enumeration it replaced in the free-subgroup runner.
 """
 
 import json
@@ -17,12 +17,11 @@ from pivotwalk.counting import free_basis_margin, tuple_is_free
 from pivotwalk.words import GroupWord, word_from_str
 from pivotwalk.spaces import PlaneModel, TreeModel
 from pivotwalk.schottky import build_schottky
-from pivotwalk.walks import simple_rw, heavy_tail, dirac, mixture, walk_product
+from pivotwalk.walks import StepMeasure, simple_rw, heavy_tail, dirac, mixture, walk_product
 from pivotwalk.verifier import (
     ConfigurationError,
     ExperimentReport,
     tree_walk_ensemble,
-    _slow_ensemble,
     _trial_rng,
     log_slope_fit,
     non_elementary,
@@ -40,17 +39,58 @@ b = GroupWord.from_letters([2])
 CAL = {"lambda": 0.5, "sigma2": 0.75, "n": 0, "trials": 0}
 
 
+def reference_ensemble(measure, n: int, trials: int, rng):
+    """(displacement, translation length) of `trials` walks, each the
+    product of its n sampled step words."""
+
+    disp = np.empty(trials, dtype=np.int64)
+    tau = np.empty(trials, dtype=np.int64)
+    for t in range(trials):
+        acc = GroupWord.identity()
+        for s in measure.sample(rng, n):
+            acc = acc * s
+        disp[t] = len(acc)
+        tau[t] = acc.translation_length()
+    return disp, tau
+
+
+_atom_words = st.lists(st.tuples(st.integers(1, 3), st.integers(-3, 3)), max_size=4).map(
+    GroupWord.from_syllables)
+
+
+@st.composite
+def _step_laws(draw):
+    """Up to 6 atoms of up to 4 syllables, identity atoms, zero weights and
+    atoms cancelling an earlier one included."""
+
+    atoms = draw(st.lists(_atom_words, min_size=1, max_size=5))
+    if draw(st.booleans()):
+        atoms.append(draw(st.sampled_from(atoms)).inverse())
+    weights = draw(st.lists(st.integers(0, 4), min_size=len(atoms), max_size=len(atoms))
+                   .filter(any))
+    return StepMeasure(atoms, [x / sum(weights) for x in weights])
+
+
+@seed(2022)
+@settings(max_examples=150, deadline=None, database=None)
+@given(_step_laws(), st.integers(1, 12), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+def test_ensemble_matches_reference_on_any_law(mu, n, trials, rng_seed):
+    fast = tree_walk_ensemble(mu, n, trials, np.random.default_rng(rng_seed))
+    want = reference_ensemble(mu, n, trials, np.random.default_rng(rng_seed))
+    assert np.array_equal(fast[0], want[0]) and np.array_equal(fast[1], want[1])
+
+
 class TestEnsembles:
     def test_fast_matches_slow_simple(self):
         fast = tree_walk_ensemble(simple_rw(), 30, 40, np.random.default_rng(3))
-        slow = _slow_ensemble(simple_rw(), 30, 40, np.random.default_rng(3))
+        slow = reference_ensemble(simple_rw(), 30, 40, np.random.default_rng(3))
         assert np.array_equal(fast[0], slow[0])
         assert np.array_equal(fast[1], slow[1])
 
     def test_fast_matches_slow_heavy(self):
         mu = heavy_tail(kmax=16)
         fast = tree_walk_ensemble(mu, 20, 30, np.random.default_rng(4))
-        slow = _slow_ensemble(mu, 20, 30, np.random.default_rng(4))
+        slow = reference_ensemble(mu, 20, 30, np.random.default_rng(4))
         assert np.array_equal(fast[0], slow[0])
         assert np.array_equal(fast[1], slow[1])
 
@@ -77,6 +117,9 @@ class TestStatistics:
         assert not non_elementary(
             mixture([(dirac(a), 0.5), (dirac(a.inverse()), 0.5)]), T
         )
+        # conjugate atoms that do not commute have distinct axes
+        assert non_elementary(mixture([(dirac(a), 0.5), (dirac(word_from_str("B a b")), 0.5)]), T)
+        assert not non_elementary(heavy_tail(kmax=512, rank=1), T)
 
     def test_calibrate_simple_rw(self):
         calib = calibrate(simple_rw(), T, 200, 400, seed=1)

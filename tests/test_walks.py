@@ -8,7 +8,8 @@ from typing import List
 import numpy as np
 import pytest
 
-from pivotwalk.verifier import _slow_ensemble, tree_walk_ensemble
+from pivotwalk.geometry import Path, is_aligned
+from pivotwalk.verifier import non_elementary, tree_walk_ensemble
 from pivotwalk.words import GroupWord, word_from_str, word_to_str
 from pivotwalk.spaces import TreeModel
 from pivotwalk.schottky import SchottkySet, build_schottky
@@ -35,6 +36,8 @@ from pivotwalk.walks import (
     counting_rest_measure,
     counting_reduction,
 )
+
+from test_verifier import reference_ensemble
 
 T = TreeModel()
 a = GroupWord.from_letters([1])
@@ -145,7 +148,7 @@ class TestHeavyTailAgainstReference:
         mu, ref = heavy_pair
         for seed in range(3):
             fast, want = (tree_walk_ensemble(m, 30, 40, np.random.default_rng(seed)) for m in (mu, ref))
-            slow, slow_ref = (_slow_ensemble(m, 30, 40, np.random.default_rng(seed)) for m in (mu, ref))
+            slow, slow_ref = (reference_ensemble(m, 30, 40, np.random.default_rng(seed)) for m in (mu, ref))
             for got in (fast, slow, slow_ref):
                 assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
@@ -173,6 +176,16 @@ class TestHeavyTailParameters:
         assert not built
         assert len(mu.weights) == 4 * 65536
         assert len(mu.to_json()) < 400
+
+    def test_sample_and_non_elementary_build_few_words(self, monkeypatch):
+        mu = heavy_tail()
+        built = []
+        init = GroupWord.__init__
+        monkeypatch.setattr(GroupWord, "__init__", lambda self, *args: built.append(1) or init(self, *args))
+        assert len(mu.sample(np.random.default_rng(0), 10)) == 10
+        assert len(built) <= 10
+        assert non_elementary(mu, T)
+        assert len(built) <= 30
 
     @pytest.mark.parametrize("kwargs, name", [
         ({"kmax": 0}, "kmax"), ({"rank": 0}, "rank"), ({"kmax": 2.5}, "kmax"),
@@ -224,7 +237,55 @@ class TestSampling:
         assert one == two
 
 
+def reference_deviation(model, sch, check_incs, fwd_incs, horizon, mirrored=False):
+    """(d, witness) straight from the definition: the least k, then the
+    least witness i <= k, whose block axis separates every near-side point
+    from every far-side point at or past k."""
+
+    m0, d1 = sch.m0, sch.constants.d1
+    blocks = {tuple(seq.steps) for seq in sch.sequences}
+    fwd = [model.apply(x, model.basepoint) for x in partial_products(fwd_incs[:horizon])]
+    chk = [model.apply(x, model.basepoint) for x in partial_products(check_incs[:horizon])]
+    side_incs, side, near, far = (check_incs, chk, fwd, chk) if mirrored else (fwd_incs, fwd, chk, fwd)
+    witnesses = []  # (i, whether each far point is aligned past the axis)
+    for i in range(m0, horizon + 1):
+        axis = Path(tuple(side[i - m0 : i + 1]))
+        if tuple(side_incs[i - m0 : i]) in blocks and all(
+                is_aligned(model, [x, axis], d1).aligned for x in near):
+            witnesses.append((i, [is_aligned(model, [axis, x], d1).aligned for x in far]))
+    for k in range(m0, horizon + 1):
+        for i, aligned in witnesses:
+            if i <= k and all(aligned[k:]):
+                return k, i
+    return horizon + 1, None
+
+
 class TestDeviation:
+    @pytest.mark.parametrize("rng_seed", range(12))
+    def test_matches_reference_on_folding_walks(self, rng_seed):
+        sch = build_schottky(T, a, b, size=2, m0=10)
+        rng = np.random.default_rng(rng_seed)
+
+        def incs(count):
+            # blocks, single letters, and retreats that come back, so that
+            # several windows witness and a walk can fold back past one
+            out = []
+            while len(out) < count:
+                pick = int(rng.integers(0, 4))
+                if pick < 2:
+                    out += sch[pick].steps
+                elif pick == 2:
+                    out += simple_rw().sample(rng, 1)
+                else:
+                    back = out[-int(rng.integers(1, 12)):]
+                    out += [s.inverse() for s in reversed(back)] + back
+            return out
+
+        chk, fwd = incs(60), incs(60)
+        for mirrored in (False, True):
+            got = deviation(T, sch, chk, fwd, 40, mirrored=mirrored)
+            assert (got.d, got.witness) == reference_deviation(T, sch, chk, fwd, 40, mirrored)
+
     def test_straight_block_walk_has_minimal_deviation(self):
         blk0, blk1 = list(SCH[0].steps), list(SCH[1].steps)
         fwd = blk0 + blk1 + blk0
