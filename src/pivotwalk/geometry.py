@@ -33,12 +33,6 @@ class Path:
     def end(self):
         return self.points[-1]
 
-    def reversed(self) -> "Path":
-        return Path(tuple(reversed(self.points)))
-
-    def translated(self, model, g) -> "Path":
-        return Path(tuple(model.apply(g, p) for p in self.points))
-
     def __len__(self) -> int:
         return len(self.points)
 
@@ -144,11 +138,6 @@ def diameter(model, points: Iterable) -> float:
             if d > best:
                 best = d
     return best
-
-
-def gromov_product(model, x, y, base) -> float:
-    val = model.distance(x, base) + model.distance(y, base) - model.distance(x, y)
-    return val / 2 if model.kind != "tree" else val // 2
 
 
 def is_aligned(model, items: Sequence[PathLike], width: float) -> AlignmentReport:
@@ -272,77 +261,3 @@ def _plane_offset(model, z, rng, radius):
     if x.imag <= 0:
         x = complex(x.real, z.imag * math.exp(-r))
     return x
-
-
-def fellow_travel_witness(model, segment: PathLike, axis: PathLike, width: float):
-    """Subpath of `segment` that tracks `axis` within `width`, if any.
-
-    Returns (start_index, end_index) into the segment or None.
-    """
-
-    seg = as_path(segment)
-    ax = as_path(axis)
-    idxs = []
-    for q in ax.points:
-        best, best_i = None, None
-        for i, s in enumerate(seg.points):
-            d = model.distance(q, s)
-            if best is None or d < best:
-                best, best_i = d, i
-        if best > width:
-            return None
-        idxs.append(best_i)
-    lo, hi = min(idxs), max(idxs)
-    for i in range(lo, hi + 1):
-        if project(model, ax, seg.points[i]).distance > width:
-            return None
-    return lo, hi
-
-
-def check_alignment_closure(
-    model,
-    items: Sequence[PathLike],
-    width: float,
-    g,
-    extension: Optional[Sequence[PathLike]] = None,
-) -> dict:
-    """Stability of alignment under concatenation, reversal and translation.
-
-    `extension`, when given, must be a second aligned chain whose first path
-    equals the last path of `items`; the concatenated chain is then checked
-    as well.
-    """
-
-    paths = [as_path(it) for it in items]
-    out = {"base": is_aligned(model, paths, width).aligned}
-    rev = [p.reversed() for p in reversed(paths)]
-    out["reversal"] = is_aligned(model, rev, width).aligned
-    moved = [p.translated(model, g) for p in paths]
-    out["translation"] = is_aligned(model, moved, width).aligned
-    if extension is not None:
-        ext = [as_path(it) for it in extension]
-        if ext[0].points != paths[-1].points:
-            raise ValueError("extension must start with the last path of the chain")
-        out["concatenation"] = is_aligned(model, paths + ext[1:], width).aligned
-    return out
-
-
-def calibrate_pair_width(model, instances: Sequence[Tuple[PathLike, PathLike]], width: float) -> float:
-    """Empirical pair-alignment width for endpoint-aligned axis pairs.
-
-    Every instance must satisfy the endpoint conditions at `width`; returns
-    the maximum observed pairwise alignment diameter plus one unit.
-    """
-
-    worst = 0.0
-    unit = 1.0 if model.kind == "tree" else 0.1
-    for left, right in instances:
-        lp, rp = as_path(left), as_path(right)
-        end_cond = is_aligned(model, [Path((lp.end,)), rp], width)
-        start_cond = is_aligned(model, [lp, Path((rp.start,))], width)
-        if not (end_cond.aligned and start_cond.aligned):
-            continue
-        rep = is_aligned(model, [lp, rp], float("inf"))
-        if rep.worst_diameter > worst:
-            worst = rep.worst_diameter
-    return worst + unit

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .geometry import Path, is_aligned, is_semi_aligned
-from .schottky import SchottkySet, gamma_axis, in_tilde, tilde_pairs
+from .schottky import SchottkySet, gamma_axis, in_tilde
 from .words import GroupWord, common_prefix_letters
 
 
@@ -315,8 +315,8 @@ def simulate_pivot_counts(
 
 
 def jump_law_pmf(n0: int, floor: int = -60) -> Dict[int, float]:
-    """One-step law the pivot count dominates: +1 with mass (n0-4)/n0,
-    -m with mass ((n0-4)/n0) * (4/n0)^m."""
+    """One-step law the pivot count dominates: +1 with probability (n0-4)/n0,
+    -m with probability ((n0-4)/n0) * (4/n0)^m."""
 
     q = (n0 - 4) / n0
     r = 4 / n0
@@ -411,232 +411,3 @@ def pivot_counts_csv(path: str, counts: np.ndarray, n0: int, n: int, seed: int) 
         writer.writerow(["trial", "n0", "n", "seed", "pivot_count"])
         for t, c in enumerate(counts):
             writer.writerow([t, n0, n, seed, int(c)])
-
-
-# ---------------------------------------------------------------------------
-# pre-alignment and repulsion
-
-
-def middle_chain(model, config: PivotConfig) -> List[Path]:
-    """Axes of the middle pairs (B_k, C_k) in ambient coordinates, plus the
-    endpoints, as used by the pre-alignment predicate."""
-
-    S = config.sch.sequences
-    W = config.prefixes()
-    items: List = [model.basepoint]
-    for k in range(1, config.n + 1):
-        _, frame_b, frame_c, _ = config.frames(k, W[k - 1])
-        _, b, c, _ = config.quads[k - 1]
-        items.append(gamma_axis(model, S[b], frame=frame_b))
-        items.append(gamma_axis(model, S[c], frame=frame_c))
-    items.append(model.apply(W[-1], model.basepoint))
-    return items
-
-
-def is_pre_aligned_sequence(
-    model,
-    sch: SchottkySet,
-    w_seq: Sequence,
-    v_pool: Sequence,
-    budget: int = 4096,
-    rng=None,
-) -> bool:
-    """All admissible middle choices keep the middle chain aligned.
-
-    w_seq has n+1 entries (the step quads' entry/exit blocks are already
-    folded into the w's here, i.e. blocks are only the middle pairs).  The
-    check enumerates admissible (b, c, v) choices exhaustively when the
-    space is small, otherwise samples `budget` random choices.
-    """
-
-    n = len(w_seq) - 1
-    N = len(sch)
-    choices: List[List[Tuple[int, int, object]]] = []
-    for _ in range(n):
-        per = []
-        for v in v_pool:
-            for b, c in tilde_pairs(model, sch, v):
-                per.append((b, c, v))
-        if not per:
-            return False
-        choices.append(per)
-
-    total = 1
-    for per in choices:
-        total *= len(per)
-        if total > budget:
-            break
-
-    def chain_for(assignment) -> List:
-        W = _decorated_prefixes(sch, w_seq, assignment)
-        items: List = [model.basepoint]
-        for k, (b, c, v) in enumerate(assignment):
-            items.append(gamma_axis(model, sch.sequences[b], frame=W[k]))
-            frame_c = W[k] * sch.sequences[b].product() * v
-            items.append(gamma_axis(model, sch.sequences[c], frame=frame_c))
-        items.append(model.apply(W[-1], model.basepoint))
-        return items
-
-    if total <= budget:
-        import itertools as it
-
-        for assignment in it.product(*choices):
-            if not is_semi_aligned(model, chain_for(assignment)).aligned:
-                return False
-        return True
-
-    rng = rng if rng is not None else np.random.default_rng(0)
-    for _ in range(budget):
-        assignment = [per[int(rng.integers(0, len(per)))] for per in choices]
-        if not is_semi_aligned(model, chain_for(assignment)).aligned:
-            return False
-    return True
-
-
-def is_pre_aligned_isometry(model, sch: SchottkySet, phi, v_pool: Sequence, budget: int = 4096) -> bool:
-    """phi is pre-aligned when every admissible exit/entry pair of middle
-    blocks stays aligned across it."""
-
-    checked = 0
-    for v in v_pool:
-        for b, c in tilde_pairs(model, sch, v):
-            gaxis = gamma_axis(model, sch.sequences[c])
-            baxis = gamma_axis(model, sch.sequences[b], frame=sch.sequences[c].product() * phi)
-            if not is_semi_aligned(model, [gaxis, baxis]).aligned:
-                return False
-            checked += 1
-            if checked >= budget:
-                return True
-    return True
-
-
-@dataclass(frozen=True)
-class RepulsionSets:
-    phi: object
-    front: Tuple[Tuple[int, int], ...]
-    back: Tuple[Tuple[int, int], ...]
-
-
-def _decorated_prefixes(sch: SchottkySet, w_seq, middles):
-    """[W_0, ..., W_n] of the reduced decorated walk
-    W_k = w_0 B_1 v_1 C_1 w_1 ... B_k v_k C_k w_k."""
-
-    out = [w_seq[0]]
-    for k, (b, c, v) in enumerate(middles):
-        out.append(out[-1] * sch.sequences[b].product() * v * sch.sequences[c].product() * w_seq[k + 1])
-    return out
-
-
-def _middle_head(sch: SchottkySet, prefixes, middles, pos: int):
-    """W_pos B v C: the walk through the middle pair at 0-based position pos."""
-
-    b, c, v = middles[pos]
-    return prefixes[pos] * sch.sequences[b].product() * v * sch.sequences[c].product()
-
-
-def repulsion_phi(model, sch: SchottkySet, w_seq, middles, k: int):
-    """Comparison isometry between the length-(k-1) head of the walk and its
-    mirrored tail: phi_k = (V_{n-k} C_{n-k+1})^{-1} W_n W_{k-1}."""
-
-    n = len(middles)
-    prefixes = _decorated_prefixes(sch, w_seq, middles)
-    head = _middle_head(sch, prefixes, middles, n - k)
-    return head.inverse() * prefixes[n] * prefixes[k - 1]
-
-
-def self_repulsion_sets(model, sch: SchottkySet, w_seq, middles, k: int) -> RepulsionSets:
-    """Admissible middle pairs at positions k and n-k+1 that keep the walk
-    away from its own mirrored tail."""
-
-    n = len(middles)
-    k0 = sch.constants.k0
-    phi = repulsion_phi(model, sch, w_seq, middles, k)
-    v_front = middles[k - 1][2]
-    v_back = middles[n - k][2]
-    front = []
-    anchor = model.apply(phi.inverse(), model.basepoint)
-    for b, c in tilde_pairs(model, sch, v_front):
-        axis = gamma_axis(model, sch.sequences[b])
-        if is_aligned(model, [anchor, axis], k0).aligned:
-            front.append((b, c))
-    back = []
-    b_k = middles[k - 1][0]
-    shift = phi * sch.sequences[b_k].product()
-    for b, c in tilde_pairs(model, sch, v_back):
-        axis = gamma_axis(model, sch.sequences[c])
-        point = model.apply(sch.sequences[c].product() * shift, model.basepoint)
-        if is_aligned(model, [axis, point], k0).aligned:
-            back.append((b, c))
-    return RepulsionSets(phi=phi, front=tuple(front), back=tuple(back))
-
-
-@dataclass(frozen=True)
-class MultiRepulsionSets:
-    front: Tuple[tuple, tuple]
-    back: Tuple[tuple, tuple]
-    mixed: Tuple[tuple, tuple]
-    condition: bool
-
-
-def multi_repulsion_sets(model, sch1: SchottkySet, sch2: SchottkySet, walks, k: int) -> MultiRepulsionSets:
-    """Admissible-pair sets keeping two decorated walks transverse.
-
-    `walks` is a pair of (w_seq, middles).  Produces the front/back/mixed
-    membership sets at level k and whether the joint condition holds for the
-    current choices.
-    """
-
-    (w1, m1), (w2, m2) = walks
-    sets = [sch1, sch2]
-    ms = [m1, m2]
-    n = len(m1)
-    k0 = sch1.constants.k0
-    pref = [_decorated_prefixes(sets[t], w, ms[t]) for t, w in enumerate((w1, w2))]
-    # mirrored heads W_{n-k} B v C of both walks
-    heads = [_middle_head(sets[t], pref[t], ms[t], n - k) for t in (0, 1)]
-
-    fronts, backs, mixeds = [], [], []
-    for t in (0, 1):
-        s = 1 - t
-        # front: heads of the two walks diverge
-        phi_front = pref[s][k - 1].inverse() * pref[t][k - 1]
-        anchor = model.apply(phi_front.inverse(), model.basepoint)
-        front = []
-        for b, c in tilde_pairs(model, sets[t], ms[t][k - 1][2]):
-            if is_aligned(model, [anchor, gamma_axis(model, sets[t].sequences[b])], k0).aligned:
-                front.append((b, c))
-        fronts.append(tuple(front))
-
-        # back: mirrored tails diverge
-        phi_back = heads[s].inverse() * pref[s][n] * pref[t][n].inverse() * heads[t]
-        back = []
-        for b, c in tilde_pairs(model, sets[t], ms[t][n - k][2]):
-            axis = gamma_axis(model, sets[t].sequences[c])
-            point = model.apply(sets[t].sequences[c].product() * phi_back.inverse(), model.basepoint)
-            if is_aligned(model, [axis, point], k0).aligned:
-                back.append((b, c))
-        backs.append(tuple(back))
-
-        # mixed: head of one walk vs mirrored tail of the other
-        phi_mixed = heads[s].inverse() * pref[s][n] * pref[t][k - 1]
-        anchor = model.apply(phi_mixed.inverse(), model.basepoint)
-        mixed = []
-        for b, c in tilde_pairs(model, sets[t], ms[t][k - 1][2]):
-            if is_aligned(model, [anchor, gamma_axis(model, sets[t].sequences[b])], k0).aligned:
-                mixed.append((b, c))
-        mixeds.append(tuple(mixed))
-
-    condition = True
-    for t in (0, 1):
-        cur_front = (ms[t][k - 1][0], ms[t][k - 1][1])
-        cur_back = (ms[t][n - k][0], ms[t][n - k][1])
-        if cur_front not in set(fronts[t]) or cur_front not in set(mixeds[t]):
-            condition = False
-        if cur_back not in set(backs[t]):
-            condition = False
-    return MultiRepulsionSets(
-        front=(fronts[0], fronts[1]),
-        back=(backs[0], backs[1]),
-        mixed=(mixeds[0], mixeds[1]),
-        condition=condition,
-    )

@@ -32,12 +32,6 @@ from pivotwalk.pivotal import (
     half_count_tail_ok,
     sample_jump_dominated_counts,
     pivot_counts_csv,
-    middle_chain,
-    is_pre_aligned_sequence,
-    is_pre_aligned_isometry,
-    repulsion_phi,
-    self_repulsion_sets,
-    multi_repulsion_sets,
 )
 
 T = TreeModel()
@@ -426,43 +420,3 @@ class TestSampling:
         assert lines[0] == "trial,n0,n,seed,pivot_count"
         assert lines[1] == "0,100,5,7,3"
         assert len(lines) == 4
-
-
-class TestPreAlignmentAndRepulsion:
-    def setup_method(self):
-        rng = np.random.default_rng(5)
-        self.middles = []
-        for _ in range(4):
-            vv = random_reduced_word(rng, K0)
-            prs = tilde_pairs(T, SCH, vv)
-            self.middles.append((*prs[int(rng.integers(0, len(prs)))], vv))
-        self.w_seq = [random_reduced_word(rng, K0) for _ in range(5)]
-
-    def test_pre_aligned_sequence(self):
-        w_seq = [random_reduced_word(np.random.default_rng(9), K0) for _ in range(3)]
-        assert is_pre_aligned_sequence(T, SCH, w_seq, [GroupWord.identity()], budget=300)
-
-    def test_pre_aligned_isometry(self):
-        phi = random_reduced_word(np.random.default_rng(4), 6)
-        assert is_pre_aligned_isometry(T, SCH, phi, [GroupWord.identity()], budget=200)
-
-    def test_self_repulsion_sets(self):
-        n_sq = len(SCH) ** 2
-        rs = self_repulsion_sets(T, SCH, self.w_seq, self.middles, 2)
-        assert rs.phi == repulsion_phi(T, SCH, self.w_seq, self.middles, 2)
-        admissible_front = set(tilde_pairs(T, SCH, self.middles[1][2]))
-        assert set(rs.front) <= admissible_front
-        # at most one prefix class is excluded per admissible pair
-        assert len(rs.front) >= len(admissible_front) - len(SCH)
-        assert 0 < len(rs.back) <= n_sq
-
-    def test_multi_repulsion_sets(self):
-        walks = ((self.w_seq, self.middles), (self.w_seq, self.middles))
-        mm = multi_repulsion_sets(T, SCH, SCH, walks, 2)
-        assert all(len(s) > 0 for s in mm.front + mm.back + mm.mixed)
-        assert isinstance(mm.condition, bool)
-
-    def test_middle_chain_shape(self):
-        cfg = random_config(3)
-        chain = middle_chain(T, cfg)
-        assert len(chain) == 2 * cfg.n + 2  # endpoints plus two axes per step

@@ -17,7 +17,7 @@ from pivotwalk.counting import free_basis_margin, tuple_is_free
 from pivotwalk.words import GroupWord, word_from_str
 from pivotwalk.spaces import PlaneModel, TreeModel
 from pivotwalk.schottky import build_schottky
-from pivotwalk.walks import StepMeasure, simple_rw, heavy_tail, dirac, mixture, walk_product
+from pivotwalk.walks import StepMeasure, simple_rw, heavy_tail, walk_product
 from pivotwalk.verifier import (
     ConfigurationError,
     ExperimentReport,
@@ -113,12 +113,10 @@ class TestStatistics:
 
     def test_non_elementary(self):
         assert non_elementary(simple_rw(), T)
-        assert not non_elementary(dirac(a), T)
-        assert not non_elementary(
-            mixture([(dirac(a), 0.5), (dirac(a.inverse()), 0.5)]), T
-        )
+        assert not non_elementary(StepMeasure((a,), (1.0,)), T)
+        assert not non_elementary(StepMeasure((a, a.inverse()), (0.5, 0.5)), T)
         # conjugate atoms that do not commute have distinct axes
-        assert non_elementary(mixture([(dirac(a), 0.5), (dirac(word_from_str("B a b")), 0.5)]), T)
+        assert non_elementary(StepMeasure((a, word_from_str("B a b")), (0.5, 0.5)), T)
         assert not non_elementary(heavy_tail(kmax=512, rank=1), T)
 
     def test_calibrate_simple_rw(self):
@@ -136,7 +134,7 @@ class TestGenericity:
 
     def test_elementary_measure_rejected(self):
         with pytest.raises(ConfigurationError):
-            run_genericity(dirac(a), T, [10], 10, 0.25, seed=0, calibration=CAL)
+            run_genericity(StepMeasure((a,), (1.0,)), T, [10], 10, 0.25, seed=0, calibration=CAL)
 
     def test_rate_floor_above_escape_rate_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -169,7 +167,7 @@ class TestClt:
         assert stats["ks_two_sample"] <= 0.03
 
     def test_degenerate_measure_short_circuits(self):
-        rep = run_clt(dirac(a), T, 100, 100, seed=0,
+        rep = run_clt(StepMeasure((a,), (1.0,)), T, 100, 100, seed=0,
                       calibration={"lambda": 1.0, "sigma2": 0.0, "n": 0, "trials": 0})
         assert rep.verdict and rep.stats.get("degenerate")
 
