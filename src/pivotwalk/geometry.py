@@ -8,10 +8,12 @@ throughout, so the same alignment predicate covers point/path mixtures.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from .words import GroupWord
+from .words import GroupWord, tree_distance
 from .spaces import TreeModel
 
 
@@ -35,6 +37,20 @@ class Path:
 
     def __len__(self) -> int:
         return len(self.points)
+
+    @cached_property
+    def tree_offsets(self) -> Optional[List[int]]:
+        """Tree distance from the start to each point, when the points run
+        in order along one tree geodesic (no step backtracks); else None.
+        Only tree paths (points are words) may ask for it."""
+
+        pts = self.points
+        offsets = [0]
+        for p, q in zip(pts, pts[1:]):
+            offsets.append(offsets[-1] + tree_distance(p, q))
+        if len(pts) > 1 and tree_distance(pts[0], pts[-1]) != offsets[-1]:
+            return None
+        return offsets
 
 
 PathLike = Union[Path, Sequence, object]
@@ -101,6 +117,11 @@ def schottky_length_scale(m0: int, k0: float) -> float:
 def project(model, target: PathLike, x) -> ProjectionResult:
     """Nearest-point projection of x to a path (a set of points)."""
     path = as_path(target)
+    offsets = _geodesic_offsets(model, path)
+    if offsets is not None:
+        t, h = _foot(path, offsets, x)
+        lo, hi, gap = _nearest(offsets, t)
+        return ProjectionResult(path.points[lo:hi], h + gap)
     best = None
     points: List = []
     for p in path.points:
@@ -111,6 +132,35 @@ def project(model, target: PathLike, x) -> ProjectionResult:
         elif abs(d - best) <= _tol(model):
             points.append(p)
     return ProjectionResult(tuple(points), best)
+
+
+def _geodesic_offsets(model, path: Path) -> Optional[List[int]]:
+    """The path's offsets along its geodesic when it is a tree geodesic (a
+    single point included); None sends any other path, and every path in
+    the plane, to the scan."""
+
+    return path.tree_offsets if model.kind == "tree" else None
+
+
+def _foot(path: Path, offsets: List[int], x) -> Tuple[int, int]:
+    """(t, h): x's nearest point on the tree geodesic through the path lies
+    t from its start, and x lies h from it, so a point at offset s is
+    h + |s - t| from x."""
+
+    d_start = tree_distance(x, path.start)
+    t = (d_start + offsets[-1] - tree_distance(x, path.end)) // 2
+    return t, d_start - t
+
+
+def _nearest(offsets: List[int], t: int) -> Tuple[int, int, int]:
+    """(lo, hi, gap): the samples nearest offset t are lo..hi-1, each gap
+    from it.  `offsets` is sorted and runs from 0 to at least t."""
+
+    i = bisect_left(offsets, t)
+    gap = offsets[i] - t
+    if i and t - offsets[i - 1] < gap:
+        gap = t - offsets[i - 1]
+    return bisect_left(offsets, t - gap), bisect_right(offsets, t + gap), gap
 
 
 def project_path(model, target: PathLike, source: PathLike) -> ProjectionResult:
@@ -154,16 +204,41 @@ def is_aligned(model, items: Sequence[PathLike], width: float) -> AlignmentRepor
     worst = 0.0
     for i in range(len(paths) - 1):
         left, right = paths[i], paths[i + 1]
-        fwd = project_path(model, left, right)
-        d1 = diameter(model, fwd.points + (left.end,))
-        back = project_path(model, right, left)
-        d2 = diameter(model, back.points + (right.start,))
-        local = max(d1, d2)
+        local = max(_junction_spread(model, left, right, True),
+                    _junction_spread(model, right, left, False))
         if local > worst:
             worst = local
         if local >= width:
             return AlignmentReport(False, width, local, failing_index=i)
     return AlignmentReport(True, width, worst)
+
+
+def _junction_spread(model, target: Path, source: Path, at_end: bool) -> float:
+    """Diameter of the projection of `source` to `target` together with the
+    target's end (`at_end`) or start."""
+
+    offsets = _geodesic_offsets(model, target)
+    if offsets is None:
+        proj = project_path(model, target, source)
+        return diameter(model, proj.points + ((target.end if at_end else target.start),))
+    if not offsets[-1]:
+        return 0.0  # a one-point target is the whole projection
+    # every sample lies on the target's geodesic, so the diameter is the
+    # offset of the union's sample farthest from the chosen end; feet move
+    # monotonically along a geodesic source, so its extreme feet come from
+    # its endpoints
+    ends = source.points
+    if len(ends) > 2 and source.tree_offsets is not None:
+        ends = (source.start, source.end)
+    feet = [_foot(target, offsets, x)[0] for x in ends]
+    if at_end:
+        lo, _, _ = _nearest(offsets, min(feet))
+        spread = offsets[-1] - offsets[lo]
+    else:
+        _, hi, _ = _nearest(offsets, max(feet))
+        spread = offsets[hi - 1]
+    # `diameter` reads 0.0 when every distance is 0
+    return max(0.0, spread)
 
 
 def is_semi_aligned(model, items: Sequence[PathLike], constants: Optional[ModelConstants] = None) -> AlignmentReport:

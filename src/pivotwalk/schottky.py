@@ -94,13 +94,6 @@ def gamma_axis(model, seq: SchottkySequence, frame=None) -> Path:
     return Path(tuple(pts))
 
 
-def _axis_is_geodesic(model, axis: Path) -> bool:
-    total = 0
-    for i in range(len(axis.points) - 1):
-        total += model.distance(axis.points[i], axis.points[i + 1])
-    return model.distance(axis.start, axis.end) == total
-
-
 # ---------------------------------------------------------------------------
 # verification
 
@@ -172,7 +165,7 @@ def verify_schottky(
 
     axes = [gamma_axis(model, seq) for seq in sch.sequences]
     tree = model.kind == "tree"
-    geodesic = [tree and _axis_is_geodesic(model, axis) for axis in axes]
+    geodesic = [tree and axis.tree_offsets is not None for axis in axes]
 
     # (2) every axis is a contracting quasigeodesic
     ok2, witness2, mode2 = True, None, "exact-geodesic"

@@ -21,7 +21,6 @@ from .counting import free_basis_margin
 from .schottky import SchottkySet, independent_contracting_pair
 from .svgplot import line_plot
 from .walks import StepMeasure, discrepancy_bound_witness, walk_product
-from .words import GroupWord
 
 
 class ConfigurationError(ValueError):
@@ -93,7 +92,7 @@ def tree_walk_ensemble(
     n-step walks, exact word arithmetic throughout.
 
     Each step feeds its atom's row of the syllable table, one column at a
-    time, through a vectorized stack of syllables.
+    time, through a vectorized stack of syllables, one update for all rows.
     """
 
     gen_a, exp_a = measure.table
@@ -104,35 +103,58 @@ def tree_walk_ensemble(
     G = np.zeros((trials, depth), dtype=np.int16)
     G[:, 0] = -1
     E = np.zeros((trials, depth), dtype=np.int64)
-    ptr = np.zeros(trials, dtype=np.int64)
-    rows = np.arange(trials)
+    Gf, Ef = G.reshape(-1), E.reshape(-1)
+    base = np.arange(trials) * depth
+    top = base.copy()  # flat index of each row's top syllable
     for step in idx.T:
         for col_g, col_e in zip(gen_a.T, exp_a.T):
             g = col_g[step]
             e = col_e[step]
-            merge = G[rows, ptr] == g
-            mrows = rows[merge]
-            pm = ptr[mrows]
-            E[mrows, pm] += e[merge]
-            ptr[mrows[E[mrows, pm] == 0]] -= 1
-            push = ~merge
-            prows = rows[push]
-            pe = e[push]
-            pp = ptr[prows] + 1
-            G[prows, pp] = g[push]
-            E[prows, pp] = pe
-            # a padding syllable is written above the top, not pushed
-            ptr[prows] += pe != 0
-    mask = np.arange(depth)[None, :] <= ptr[:, None]
-    disp = np.where(mask, np.abs(E), 0).sum(axis=1)
-    tau = np.empty(trials, dtype=np.int64)
-    for t in range(trials):
-        # a push needs a new top generator and a pop leaves no new adjacent
-        # pair, so each stack row is already a reduced word
-        p = int(ptr[t]) + 1
-        word = GroupWord(tuple(zip(G[t, 1:p].tolist(), E[t, 1:p].tolist())))
-        tau[t] = word.translation_length()
-    return disp.astype(np.int64), tau
+            # a syllable on the top's generator merges into it, any other
+            # goes above it; a zero result (a cancellation, or padding) is
+            # written but not kept, so E stays zero above the top
+            push = Gf[top] != g
+            s = np.where(push, e, Ef[top] + e)
+            top += push
+            Gf[top] = g
+            Ef[top] = s
+            top -= s == 0
+    # a push needs a new top generator and a pop leaves no new adjacent
+    # pair, so each stack row is already a reduced word
+    cut = _cyclic_cut(G, E, top - base)
+    disp = np.abs(E, out=E).sum(axis=1)
+    return disp, disp - 2 * cut
+
+
+def _cyclic_cut(G: np.ndarray, E: np.ndarray, ptr: np.ndarray) -> np.ndarray:
+    """Letters that cyclic reduction cancels from each end of each stack
+    row, as `GroupWord.cyclic_reduce` strips them: while the first and last
+    syllables are inverse powers of one generator, the shorter wears off
+    both ends.  Only the rows still cancelling stay in the loop."""
+
+    cut = np.zeros(len(ptr), dtype=np.int64)
+    rows = np.arange(len(ptr))
+    lo = np.ones_like(ptr)
+    hi = ptr.copy()
+    # end exponents as worn so far; a fresh end is read from E
+    e_lo = E[rows, lo]
+    e_hi = E[rows, hi]
+    while True:
+        live = (lo < hi) & (G[rows, lo] == G[rows, hi]) & ((e_lo > 0) != (e_hi > 0))
+        rows, lo, hi, e_lo, e_hi = rows[live], lo[live], hi[live], e_lo[live], e_hi[live]
+        if not len(rows):
+            return cut
+        c = np.minimum(np.abs(e_lo), np.abs(e_hi))
+        cut[rows] += c
+        c *= np.sign(e_lo)
+        e_lo -= c
+        e_hi += c
+        gone_lo = e_lo == 0
+        gone_hi = e_hi == 0
+        lo += gone_lo
+        hi -= gone_hi
+        e_lo = np.where(gone_lo, E[rows, lo], e_lo)
+        e_hi = np.where(gone_hi, E[rows, hi], e_hi)
 
 
 def _trial_rng(seed: int, stream: int):
@@ -298,6 +320,10 @@ def run_discrepancy(
         raise ConfigurationError("claim_trials must be non-negative and claim_n positive")
     if claim_trials > 0 and (sch is None or claim_n is None):
         raise ConfigurationError("the reach-bound claim needs a Schottky set and claim_n")
+    if claim_trials > 0 and claim_n // 2 < sch.m0:
+        # each half of a claim walk must hold a whole block for `deviation`
+        raise ConfigurationError("the reach-bound claim needs claim_n // 2 >= the block length %d, "
+                                 "got claim_n %d" % (sch.m0, claim_n))
     per_n: Dict[str, Dict] = {}
     samples: List[Tuple] = []
     p95s = []

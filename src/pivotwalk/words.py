@@ -37,10 +37,11 @@ def _normalize(pairs: Iterable[Syllable]) -> Tuple[Syllable, ...]:
 class GroupWord:
     """An element of a free group, always stored reduced."""
 
-    __slots__ = ("syls",)
+    __slots__ = ("syls", "_len")
 
     def __init__(self, syls: Tuple[Syllable, ...] = ()):
         self.syls = syls
+        self._len = None
 
     # -- constructors -------------------------------------------------
 
@@ -66,7 +67,10 @@ class GroupWord:
     # -- basic structure ----------------------------------------------
 
     def __len__(self) -> int:
-        return sum(abs(e) for _, e in self.syls)
+        # a word never changes, so its letter count is summed once
+        if self._len is None:
+            self._len = sum(abs(e) for _, e in self.syls)
+        return self._len
 
     def is_identity(self) -> bool:
         return not self.syls
@@ -145,9 +149,15 @@ class GroupWord:
             return _IDENTITY
         base = self if n > 0 else self.inverse()
         result = _IDENTITY
-        for _ in range(abs(n)):
-            result = result * base
-        return result
+        n = abs(n)
+        # square and multiply: one product per bit of n
+        while True:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if not n:
+                return result
+            base = base * base
 
     def conjugate(self, by: "GroupWord") -> "GroupWord":
         return by * self * by.inverse()

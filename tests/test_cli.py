@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from pivotwalk.cli import main, EXIT_PASS, EXIT_CONFIG, EXIT_FAIL
-from pivotwalk.schottky import schottky_from_json
+from pivotwalk.schottky import schottky_from_json, schottky_to_json, tree_schottky_set
 from pivotwalk.walks import heavy_tail
 
 
@@ -208,7 +208,7 @@ _PLANE_RUNS = [
 ]
 
 
-_MALFORMED_FILES = {
+_INPUT_FILES = {
     "no-constants.json": '{"m0": 5}',
     "list.json": "[1, 2]",
     "bad-constants.json": '{"m0": 5, "constants": {"k": 2}, "sequences": []}',
@@ -222,6 +222,7 @@ _MALFORMED_FILES = {
     "empty.csv": "",
     "header-only.csv": "n,trial,fail\n",
     "rank1.json": heavy_tail(kmax=65536, rank=1).to_json(),  # 131,072 powers of a: elementary
+    "block5.json": schottky_to_json(tree_schottky_set(2)),  # well formed; blocks of 5 steps
 }
 
 
@@ -257,9 +258,12 @@ _MALFORMED_FILES = {
       for name in ("eta-nan.json", "kmax-zero.json", "kmax-float.json", "rank-zero.json",
                    "bad-digest.json")],
     ["run", "--experiment", "genericity", "--n", "20,40", "--trials", "20", "--measure", "rank1.json"],
+    # claim walks of 6 steps split into halves of 3, shorter than a block
+    ["run", "--experiment", "discrepancy", "--n", "100", "--trials", "10", "--claim-trials", "1",
+     "--claim-n", "6", "--schottky", "block5.json"],
 ])
 def test_bad_input_is_refused_cleanly(monkeypatch, tmp_path, capsys, argv):
-    for name, text in _MALFORMED_FILES.items():
+    for name, text in _INPUT_FILES.items():
         (tmp_path / name).write_text(text)
     assert run_cli(monkeypatch, tmp_path, *argv) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("configuration error:")

@@ -1,12 +1,16 @@
 """Projection / alignment / contraction predicates, checked on the tree.
 
 Tree values are exact, so most expectations are hand-computed integers;
-the independent oracle for projections is the word-level segment
-projection from the words module.
+the independent oracles for projections are the word-level segment
+projection from the words module and `reference_project`, the scan over
+every sample that the closed form on tree geodesics replaced.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from pivotwalk.words import (
     GroupWord,
@@ -16,8 +20,11 @@ from pivotwalk.words import (
     word_from_str,
 )
 from pivotwalk.spaces import TreeModel, PlaneModel
+from pivotwalk.schottky import schottky_to_json, tree_schottky_set
 from pivotwalk.geometry import (
+    AlignmentReport,
     Path,
+    ProjectionResult,
     as_path,
     project,
     project_path,
@@ -37,6 +44,154 @@ o = GroupWord.identity()
 
 def w(text):
     return word_from_str(text)
+
+
+def reference_project(model, target, x):
+    """Nearest samples of a path to x, by the distance to every sample."""
+    path = as_path(target)
+    best = None
+    points = []
+    for p in path.points:
+        d = model.distance(x, p)
+        if best is None or d < best:
+            best = d
+            points = [p]
+        elif d == best:
+            points.append(p)
+    return ProjectionResult(tuple(points), best)
+
+
+def reference_project_path(model, target, source):
+    path = as_path(target)
+    seen = []
+    dist = None
+    for x in as_path(source).points:
+        res = reference_project(model, path, x)
+        if dist is None or res.distance < dist:
+            dist = res.distance
+        for p in res.points:
+            if p not in seen:
+                seen.append(p)
+    return ProjectionResult(tuple(seen), dist)
+
+
+def reference_is_aligned(model, items, width):
+    """`is_aligned` by projecting every sample of each path at a junction."""
+    paths = [as_path(it) for it in items]
+    worst = 0.0
+    for i in range(len(paths) - 1):
+        left, right = paths[i], paths[i + 1]
+        fwd = reference_project_path(model, left, right)
+        d1 = diameter(model, fwd.points + (left.end,))
+        back = reference_project_path(model, right, left)
+        d2 = diameter(model, back.points + (right.start,))
+        local = max(d1, d2)
+        if local > worst:
+            worst = local
+        if local >= width:
+            return AlignmentReport(False, width, local, failing_index=i)
+    return AlignmentReport(True, width, worst)
+
+
+# tree paths for the closed form against the scan: every path lies near
+# one base word, so projections and junctions overlap often
+_letters = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=9).map(GroupWord.from_letters)
+
+
+@st.composite
+def _tree_paths(draw, base):
+    """A sampled geodesic along a stretch of `base` (steps of several
+    letters, repeated samples, either direction), a point, a path that
+    backtracks along `base`, or points scattered off it."""
+
+    kind = draw(st.sampled_from(["geodesic", "geodesic", "point", "backtrack", "scatter"]))
+    n = len(base)
+    if kind == "point":
+        return Path((base.prefix(draw(st.integers(0, n))) * draw(_letters),))
+    if kind == "backtrack":
+        cuts = draw(st.lists(st.integers(0, n), min_size=3, max_size=6))
+        return Path(tuple(base.prefix(c) for c in cuts))
+    if kind == "scatter":
+        return Path(tuple(base.prefix(draw(st.integers(0, n))) * draw(_letters)
+                          for _ in range(draw(st.integers(2, 5)))))
+    i, j = sorted(draw(st.lists(st.integers(0, n), min_size=2, max_size=2)))
+    cuts = sorted(draw(st.lists(st.integers(i, j), max_size=5)) + [i, j])
+    if draw(st.booleans()):
+        cuts.reverse()
+    return Path(tuple(base.prefix(c) for c in cuts))
+
+
+@st.composite
+def _chains(draw):
+    base = draw(st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=16)
+                .map(GroupWord.from_letters))
+    frame = draw(_letters)
+    chain = draw(st.lists(_tree_paths(base), min_size=2, max_size=4))
+    # a common left translate keeps every distance
+    return [Path(tuple(frame * p for p in path.points)) for path in chain]
+
+
+_closed_form = settings(max_examples=400, deadline=None, database=None)
+
+
+@seed(2022)
+@_closed_form
+@given(_chains(), _letters)
+def test_project_matches_scan(chain, x):
+    for path in chain:
+        for point in (x, *path.points, x * path.start, path.end * x):
+            assert project(T, path, point) == reference_project(T, path, point)
+
+
+@seed(2022)
+@_closed_form
+@given(_chains())
+def test_project_path_matches_scan(chain):
+    for target in chain:
+        for source in chain:
+            assert project_path(T, target, source) == reference_project_path(T, target, source)
+
+
+@seed(2022)
+@_closed_form
+@given(_chains(), st.sampled_from([0, 1, 2, 3, 4, 6, 2.5]))
+def test_alignment_report_matches_scan(chain, width):
+    rep = is_aligned(T, chain, width)
+    want = reference_is_aligned(T, chain, width)
+    assert rep.aligned == want.aligned
+    assert rep.failing_index == want.failing_index
+    assert rep.worst_diameter == want.worst_diameter
+    assert type(rep.worst_diameter) is type(want.worst_diameter)
+    assert rep == want
+
+
+def test_backtracking_source_reads_every_foot():
+    # the source turns back, so its middle sample, not an endpoint, has the
+    # foot nearest the target's start
+    target = Path((o, w("a^3"), w("a^6"), w("a^10")))
+    source = Path((w("a^8"), w("a^2"), w("a^8")))
+    rep = is_aligned(T, [target, source], 20)
+    assert rep == reference_is_aligned(T, [target, source], 20)
+    assert rep.worst_diameter == 7
+
+
+def test_equidistant_samples_both_project():
+    # a^2 B hangs one edge off the geodesic at a^2, midway between the
+    # samples o and a^2 b^2, so both are 3 away
+    seg = Path((o, w("a^2 b^2")))
+    res = project(T, seg, w("a^2 B"))
+    assert res == reference_project(T, seg, w("a^2 B"))
+    assert res.points == (o, w("a^2 b^2")) and res.distance == 3
+
+
+@pytest.mark.parametrize("size, sch_seed, digest", [
+    (400, 1, "eec10543dbd16cdd609def7b763b1d38c32d6a9491ae6aa35b36f3db0ec5d05d"),
+    (18, 0, "171cc875b0197f4b48569959d58a55317246983c02f24fef87a89a5cc1fa8e8d"),
+])
+def test_benchmark_schottky_sets_unchanged(size, sch_seed, digest):
+    # building a set verifies it, and verification runs the alignment predicate
+    text = schottky_to_json(tree_schottky_set(size, seed=sch_seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestPath:

@@ -15,7 +15,6 @@ from pivotwalk.schottky import (
     SetConstants,
     NonIndependentPair,
     BudgetExhausted,
-    _axis_is_geodesic,
     gamma_axis,
     independent_contracting_pair,
     verify_schottky,
@@ -131,7 +130,7 @@ def reference_search(model, g, h, size, m0, k0, seed=0, budget=200000):
             )
         seq = SchottkySequence(tuple(steps))
         word = seq.product()
-        if not _axis_is_geodesic(model, gamma_axis(model, seq)):
+        if gamma_axis(model, seq).tree_offsets is None:
             continue
         if model.distance(model.basepoint, model.apply(word, model.basepoint)) < floor:
             continue
@@ -189,7 +188,7 @@ def test_length_identity_is_walked_geodesy(pool, picks):
     seq = SchottkySequence(tuple(steps))
     flat = GroupWord.from_syllables(itertools.chain.from_iterable(s.syls for s in steps))
     assert flat == seq.product()
-    walked = _axis_is_geodesic(T, gamma_axis(T, seq))
+    walked = gamma_axis(T, seq).tree_offsets is not None
     assert (len(flat) == sum(len(s) for s in steps)) == walked
 
 

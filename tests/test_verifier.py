@@ -80,6 +80,45 @@ def test_ensemble_matches_reference_on_any_law(mu, n, trials, rng_seed):
     assert np.array_equal(fast[0], want[0]) and np.array_equal(fast[1], want[1])
 
 
+@st.composite
+def _conjugate_laws(draw):
+    """Atoms followed by conjugates u g u^-1 and inverses g^-1 of earlier
+    atoms: a walk's word then sits inside long conjugating shells, so the
+    cyclic reduction of a stack row runs many rounds, and a round can wear
+    a syllable to zero on one end only."""
+
+    atoms = draw(st.lists(_atom_words.filter(lambda g: not g.is_identity()), min_size=1, max_size=3))
+    for _ in range(draw(st.integers(1, 4))):
+        g = draw(st.sampled_from(atoms))
+        u = draw(_atom_words)
+        atoms.append(draw(st.sampled_from([u * g * u.inverse(), g.inverse()])))
+    weights = draw(st.lists(st.integers(1, 4), min_size=len(atoms), max_size=len(atoms)))
+    return StepMeasure(atoms, [x / sum(weights) for x in weights])
+
+
+@seed(2022)
+@settings(max_examples=150, deadline=None, database=None)
+@given(_conjugate_laws(), st.integers(1, 40), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+def test_ensemble_tau_matches_reference_on_conjugates(mu, n, trials, rng_seed):
+    fast = tree_walk_ensemble(mu, n, trials, np.random.default_rng(rng_seed))
+    want = reference_ensemble(mu, n, trials, np.random.default_rng(rng_seed))
+    assert np.array_equal(fast[0], want[0]) and np.array_equal(fast[1], want[1])
+
+
+@pytest.mark.parametrize("atoms", [
+    (GroupWord.identity(),),
+    (a, a.inverse()),
+    (a, a ** 2),
+    (a ** 3, a ** -2),
+    (word_from_str("a b A"), word_from_str("a B A")),
+], ids=["identity", "a_A", "a_a2", "a3_A2", "conjugates"])
+def test_ensemble_identity_and_one_syllable_rows(atoms):
+    mu = StepMeasure(atoms, [1 / len(atoms)] * len(atoms))
+    disp, tau = tree_walk_ensemble(mu, 9, 60, np.random.default_rng(8))
+    want = reference_ensemble(mu, 9, 60, np.random.default_rng(8))
+    assert np.array_equal(disp, want[0]) and np.array_equal(tau, want[1])
+
+
 class TestEnsembles:
     def test_fast_matches_slow_simple(self):
         fast = tree_walk_ensemble(simple_rw(), 30, 40, np.random.default_rng(3))
