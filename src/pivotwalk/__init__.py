@@ -4,7 +4,7 @@ hyperbolic plane."""
 
 from .words import GroupWord, word_from_str, word_to_str
 from .spaces import TreeModel, PlaneModel, MatrixIsometry, model_by_name
-from .geometry import Path, constants_for, is_aligned, is_contracting, project
+from .geometry import Path, is_aligned, is_contracting, project
 from .schottky import (
     SchottkySet,
     SchottkySequence,
@@ -29,7 +29,6 @@ __all__ = [
     "MatrixIsometry",
     "model_by_name",
     "Path",
-    "constants_for",
     "is_aligned",
     "is_contracting",
     "project",

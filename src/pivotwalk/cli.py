@@ -83,8 +83,10 @@ def _measure_from_spec(spec: str) -> walks.StepMeasure:
     raise ConfigurationError("unknown measure %r" % spec)
 
 
-def _schottky_from_file(path: str) -> schottky.SchottkySet:
-    return _from_file(path, schottky.schottky_from_json)
+def _schottky_from_file(path: str, model) -> schottky.SchottkySet:
+    sch = _from_file(path, schottky.schottky_from_json)
+    verifier.require_tree(model, sch)
+    return sch
 
 
 def cmd_schottky_find(args) -> int:
@@ -129,7 +131,7 @@ def cmd_run(args) -> int:
         report = verifier.run_genericity(measure, model, n_grid, trials, args.L, seed)
     elif experiment == "discrepancy":
         n_grid = _grid(args.n, [1000, 4000])
-        sch = _schottky_from_file(args.schottky) if args.schottky else None
+        sch = _schottky_from_file(args.schottky, model) if args.schottky else None
         report = verifier.run_discrepancy(
             measure, model, n_grid, trials, seed, sch=sch,
             claim_n=args.claim_n, claim_trials=args.claim_trials,
@@ -175,7 +177,7 @@ def cmd_census(args) -> int:
     if not math.isfinite(args.K):
         raise ConfigurationError("K must be finite")
     if args.schottky:
-        sch = _schottky_from_file(args.schottky)
+        sch = _schottky_from_file(args.schottky, model)
     else:
         sch = schottky.build_schottky(
             model, GroupWord.generator(1, 1), GroupWord.generator(2, 1), size=4, m0=5, seed=seed

@@ -1,8 +1,7 @@
 """Projections, alignment and contraction predicates.
 
 Paths are finite point sequences in a model.  On the tree all predicates are
-exact; on the plane they are evaluated on sampled paths with a small
-tolerance.  Single points are treated as degenerate (one-point) paths
+exact.  Single points are treated as degenerate (one-point) paths
 throughout, so the same alignment predicate covers point/path mixtures.
 """
 
@@ -13,8 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from .words import GroupWord, tree_distance
-from .spaces import TreeModel
+from .words import tree_distance
 
 
 @dataclass(frozen=True)
@@ -80,7 +78,7 @@ class AlignmentReport:
 
 @dataclass(frozen=True)
 class ModelConstants:
-    """Calibrated alignment constants for one model.
+    """Calibrated alignment constants of the tree.
 
     k0: width used by the basic alignment / Schottky predicates.
     d0: pair-alignment width guaranteed for endpoint-aligned contracting axes.
@@ -92,15 +90,9 @@ class ModelConstants:
     d0: float
     d1: float
     length_floor: float
-    tol: float
 
 
-TREE_CONSTANTS = ModelConstants(k0=2, d0=4, d1=6, length_floor=4, tol=0)
-PLANE_CONSTANTS = ModelConstants(k0=1.0, d0=2.5, d1=4.0, length_floor=2.0, tol=1e-6)
-
-
-def constants_for(model) -> ModelConstants:
-    return TREE_CONSTANTS if model.kind == "tree" else PLANE_CONSTANTS
+TREE_CONSTANTS = ModelConstants(k0=2, d0=4, d1=6, length_floor=4)
 
 
 def schottky_length_scale(m0: int, k0: float) -> float:
@@ -126,18 +118,17 @@ def project(model, target: PathLike, x) -> ProjectionResult:
     points: List = []
     for p in path.points:
         d = model.distance(x, p)
-        if best is None or d < best - _tol(model):
+        if best is None or d < best:
             best = d
             points = [p]
-        elif abs(d - best) <= _tol(model):
+        elif d == best:
             points.append(p)
     return ProjectionResult(tuple(points), best)
 
 
 def _geodesic_offsets(model, path: Path) -> Optional[List[int]]:
     """The path's offsets along its geodesic when it is a tree geodesic (a
-    single point included); None sends any other path, and every path in
-    the plane, to the scan."""
+    single point included); None sends any other path to the scan."""
 
     return path.tree_offsets if model.kind == "tree" else None
 
@@ -241,98 +232,27 @@ def _junction_spread(model, target: Path, source: Path, at_end: bool) -> float:
     return max(0.0, spread)
 
 
-def is_semi_aligned(model, items: Sequence[PathLike], constants: Optional[ModelConstants] = None) -> AlignmentReport:
-    """Testable stand-in for 'subsequence of a d0-aligned chain'.
-
-    Dropping interior axes from a d0-aligned chain degrades the pairwise
-    alignment width by a bounded amount, so a subchain is checked directly
-    at the calibrated width d1.
-    """
-
-    constants = constants or constants_for(model)
-    return is_aligned(model, items, constants.d1)
-
-
-def _tol(model) -> float:
-    return 0 if model.kind == "tree" else 1e-6
-
-
-def _tree_ball_around_set(model: TreeModel, pts: Sequence[GroupWord], radius: int):
-    seen = set()
-    for p in pts:
-        for q in model.ball(radius, center=p):
-            seen.add(q)
-    return seen
-
-
-def is_contracting(
-    model,
-    path: PathLike,
-    width: float,
-    probe_radius: int = 4,
-    rng=None,
-    probes: int = 200,
-) -> Tuple[bool, Optional[tuple]]:
-    """Check the contraction property of a point set.
+def is_contracting(model, path: PathLike, width: float, probe_radius: int) -> Tuple[bool, Optional[tuple]]:
+    """Check the contraction property of a point set in the tree.
 
     Pairs x, y with d(x, y) <= d(x, path) must have joint projection
-    diameter at most `width`.  On the tree the check is exhaustive over the
-    ball of `probe_radius` around the set; on the plane it is randomized
-    with `probes` sampled pairs.  Returns (ok, witness_pair_or_None).
+    diameter at most `width`.  The check is exhaustive over the ball of
+    `probe_radius` around the set.  Returns (ok, witness_pair_or_None).
     """
 
+    if model.kind != "tree":
+        raise ValueError("the contraction check runs on the tree, not the %s model" % model.kind)
     p = as_path(path)
-    if model.kind == "tree":
-        points = _tree_ball_around_set(model, p.points, probe_radius)
-        proj_cache = {}
-        dist_cache = {}
-        for x in points:
-            res = project(model, p, x)
-            proj_cache[x] = res.points
-            dist_cache[x] = res.distance
-        for x in points:
-            rx = dist_cache[x]
-            if rx == 0:
-                continue
-            for y in model.ball(int(rx), center=x):
-                if y not in proj_cache:
-                    res = project(model, p, y)
-                    proj_cache[y] = res.points
-                    dist_cache[y] = res.distance
-                joint = diameter(model, set(proj_cache[x]) | set(proj_cache[y]))
-                if joint > width:
-                    return False, (x, y)
-        return True, None
-
-    rng = rng if rng is not None else _default_rng()
-    for _ in range(probes):
-        anchor = p.points[int(rng.integers(0, len(p.points)))]
-        x = _plane_offset(model, anchor, rng, probe_radius)
-        rx = project(model, p, x).distance
-        if rx <= 1e-9:
+    points = {x for pt in p.points for x in model.ball(probe_radius, center=pt)}
+    cache = {x: project(model, p, x) for x in points}
+    for x in points:
+        rx = cache[x].distance
+        if rx == 0:
             continue
-        y = _plane_offset(model, x, rng, rx)
-        if model.distance(x, y) > rx:
-            continue
-        pts = set(project(model, p, x).points) | set(project(model, p, y).points)
-        if diameter(model, pts) > width + _tol(model):
-            return False, (x, y)
+        for y in model.ball(int(rx), center=x):
+            if y not in cache:
+                cache[y] = project(model, p, y)
+            joint = diameter(model, set(cache[x].points) | set(cache[y].points))
+            if joint > width:
+                return False, (x, y)
     return True, None
-
-
-def _default_rng():
-    import numpy as np
-
-    return np.random.default_rng(0)
-
-
-def _plane_offset(model, z, rng, radius):
-    import math
-
-    angle = rng.uniform(0, 2 * math.pi)
-    r = rng.uniform(0, radius)
-    # move along a random direction for hyperbolic distance r
-    x = z + complex(math.cos(angle), math.sin(angle)) * z.imag * (math.exp(r) - 1)
-    if x.imag <= 0:
-        x = complex(x.real, z.imag * math.exp(-r))
-    return x

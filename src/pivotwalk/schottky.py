@@ -4,6 +4,7 @@ A Schottky sequence is a block of `m0` isometries; its axis is the orbit of
 the basepoint under the partial products.  A Schottky set is a family of
 such blocks whose axes are contracting, long, and mutually in general
 position: from any point, at most one block of the family is badly aligned.
+Sets are built and verified on the tree only.
 """
 
 from __future__ import annotations
@@ -13,10 +14,11 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from .words import GroupWord
 from .spaces import TreeModel
-from . import geometry
-from .geometry import Path, constants_for, is_aligned, is_contracting, schottky_length_scale
+from .geometry import TREE_CONSTANTS, Path, is_aligned, is_contracting, schottky_length_scale
 
 
 class BudgetExhausted(RuntimeError):
@@ -49,14 +51,6 @@ class SchottkySequence:
     def inverse(self) -> "SchottkySequence":
         return SchottkySequence(tuple(s.inverse() for s in reversed(self.steps)))
 
-    def partial_products(self) -> List:
-        out = []
-        acc = None
-        for s in self.steps:
-            acc = s if acc is None else acc * s
-            out.append(acc)
-        return out
-
 
 @dataclass(frozen=True)
 class SetConstants:
@@ -81,6 +75,12 @@ class SchottkySet:
 
     def __getitem__(self, i: int) -> SchottkySequence:
         return self.sequences[i]
+
+    @property
+    def rank(self) -> int:
+        """Largest generator index a block uses (tree sets)."""
+
+        return max((gen for seq in self.sequences for step in seq.steps for gen, _ in step.syls), default=0)
 
 
 def gamma_axis(model, seq: SchottkySequence, frame=None) -> Path:
@@ -136,21 +136,20 @@ def _tree_prefix_owners(words, k0: int) -> Dict[tuple, int]:
     return owners
 
 
-def verify_schottky(
-    model,
-    sch: SchottkySet,
-    probe_radius: Optional[int] = None,
-    contraction_radius: int = 4,
-    rng=None,
-    sample_points: int = 400,
-) -> VerifyReport:
-    """Check the five defining properties of a Schottky set.
+def _require_tree(model) -> None:
+    if model.kind != "tree":
+        raise ValueError("Schottky sets are built and verified on the tree, not the %s model" % model.kind)
 
-    On the tree the general-position property is exhausted over the ball of
-    radius min(`probe_radius`, k0), which decides it for the whole probe
-    ball; elsewhere it is sampled.
+
+def verify_schottky(model, sch: SchottkySet, probe_radius: Optional[int] = None) -> VerifyReport:
+    """Check the five defining properties of a tree Schottky set.
+
+    When every axis is a geodesic, the general-position property is
+    exhausted over the ball of radius min(`probe_radius`, k0), which decides
+    it for the whole probe ball; otherwise it is sampled at 400 points.
     """
 
+    _require_tree(model)
     consts = sch.constants
     k0 = consts.k0
     probe_radius = probe_radius if probe_radius is not None else sch.m0 + 5
@@ -164,15 +163,14 @@ def verify_schottky(
     )
 
     axes = [gamma_axis(model, seq) for seq in sch.sequences]
-    tree = model.kind == "tree"
-    geodesic = [tree and axis.tree_offsets is not None for axis in axes]
+    geodesic = [axis.tree_offsets is not None for axis in axes]
 
     # (2) every axis is a contracting quasigeodesic
     ok2, witness2, mode2 = True, None, "exact-geodesic"
     for axis, geo in zip(axes, geodesic):
         if geo:
             continue  # tree geodesics are contracting for any width >= 1
-        good, wit = is_contracting(model, axis, k0, probe_radius=contraction_radius, rng=rng)
+        good, wit = is_contracting(model, axis, k0, probe_radius=4)
         mode2 = "probe"
         if not good:
             ok2, witness2 = False, wit
@@ -190,7 +188,7 @@ def verify_schottky(
     )
 
     # (4) from any point, at most one block is badly aligned
-    if tree and all(geodesic):
+    if all(geodesic):
         k0i = int(k0)
         owners = _tree_prefix_owners(products, k0i)
         # the predicate at x depends only on x's first k0 letters, and a key
@@ -212,9 +210,9 @@ def verify_schottky(
             witness=witness4,
         )
     else:
-        rng = rng if rng is not None else geometry._default_rng()
+        rng = np.random.default_rng(0)
         ok4, witness4 = True, None
-        for _ in range(sample_points):
+        for _ in range(400):
             x = model.random_point(rng)
             fails = 0
             for seq, axis in zip(sch.sequences, axes):
@@ -224,7 +222,7 @@ def verify_schottky(
                 ok4, witness4 = False, (x,)
                 break
         props["general_position"] = PropertyReport(
-            ok=ok4, mode="sampled", detail="%d sampled points" % sample_points, witness=witness4
+            ok=ok4, mode="sampled", detail="400 sampled points", witness=witness4
         )
 
     # (5) a block does not fold back on its own translate
@@ -256,13 +254,13 @@ def independent_contracting_pair(model, g, h) -> bool:
         # centralisers in a free group are cyclic, so two non-identity
         # elements fix a common end iff they commute
         return not (g.is_identity() or h.is_identity()) and g * h != h * g
-    tg, th = model.translation_length(g), model.translation_length(h)
-    if tg <= 0 or th <= 0:
+    # a plane isometry is hyperbolic iff |tr| > 2; two hyperbolics share a
+    # fixed point at infinity iff their commutator is parabolic or trivial,
+    # i.e. has |tr| = 2 (Beardon 1983, section 4.3)
+    if abs(g.trace()) <= 2 or abs(h.trace()) <= 2:
         return False
-    # hyperbolics share a fixed point at infinity iff their commutator is
-    # parabolic or trivial, i.e. has trace +-2 (Beardon 1983, section 4.3)
     commutator = g * h * g.inverse() * h.inverse()
-    return abs(abs(commutator.trace()) - 2) > 1e-9
+    return abs(commutator.trace()) != 2
 
 
 def build_schottky(
@@ -276,38 +274,33 @@ def build_schottky(
     budget: int = 200000,
     probe_radius: Optional[int] = None,
 ) -> SchottkySet:
-    """Search for a Schottky set of `size` blocks of length `m0`.
+    """Search for a tree Schottky set of `size` blocks of length `m0`.
 
     Candidate blocks are step sequences over {g, h} and their inverses.
     Blocks are accepted greedily when their leading/trailing letter patterns
     stay disjoint from the ones already used, then the whole set is verified.
     """
 
-    import numpy as np
-
+    _require_tree(model)
     if size <= 0:
         raise ValueError("size must be positive")
     if not independent_contracting_pair(model, g, h):
         raise NonIndependentPair("seed isometries must be independent and contracting")
 
-    consts = constants_for(model)
-    k0 = k0 if k0 is not None else consts.k0
-    if m0 <= consts.length_floor:
-        raise ValueError("block length %d too short (floor %s)" % (m0, consts.length_floor))
+    k0 = k0 if k0 is not None else TREE_CONSTANTS.k0
+    if m0 <= TREE_CONSTANTS.length_floor:
+        raise ValueError("block length %d too short (floor %s)" % (m0, TREE_CONSTANTS.length_floor))
 
     pool = [g, h, g.inverse(), h.inverse()]
     rng = np.random.default_rng(seed)
 
     set_consts = SetConstants(
         k0=k0,
-        d0=consts.d0,
-        d1=consts.d1,
+        d0=TREE_CONSTANTS.d0,
+        d1=TREE_CONSTANTS.d1,
         e0=schottky_length_scale(m0, k0),
-        length_floor=consts.length_floor,
+        length_floor=TREE_CONSTANTS.length_floor,
     )
-
-    if model.kind != "tree":
-        return _build_generic(model, pool, size, m0, set_consts, rng, budget, probe_radius)
 
     k0i = int(k0)
     floor = 10 * set_consts.e0
@@ -356,25 +349,6 @@ def build_schottky(
     return sch
 
 
-def _build_generic(model, pool, size, m0, set_consts, rng, budget, probe_radius):
-    chosen: List[SchottkySequence] = []
-    tried = 0
-    while len(chosen) < size:
-        tried += 1
-        if tried > budget:
-            raise BudgetExhausted("no Schottky set found after %d candidates" % tried)
-        steps = [pool[int(rng.integers(0, len(pool)))] for _ in range(m0)]
-        seq = SchottkySequence(tuple(steps))
-        trial = SchottkySet(tuple(chosen + [seq]), m0, set_consts)
-        if verify_schottky(model, trial, probe_radius=probe_radius, rng=rng, sample_points=100).ok:
-            chosen.append(seq)
-    sch = SchottkySet(tuple(chosen), m0, set_consts)
-    report = verify_schottky(model, sch, probe_radius=probe_radius, rng=rng)
-    if not report.ok:
-        raise BudgetExhausted("constructed set failed verification: %s" % report.failures())
-    return sch
-
-
 def tree_schottky_set(size: int, seed: int = 0, model: Optional[TreeModel] = None) -> SchottkySet:
     """Build a tree Schottky set of a requested size, picking k0 and m0.
 
@@ -390,7 +364,7 @@ def tree_schottky_set(size: int, seed: int = 0, model: Optional[TreeModel] = Non
     k0 = 2
     while 4 * 3 ** (k0 - 1) < 2 * size:
         k0 += 1
-    m0 = max(int(constants_for(model).length_floor) + 1, 2 * k0 - 1)
+    m0 = max(int(TREE_CONSTANTS.length_floor) + 1, 2 * k0 - 1)
     g = GroupWord.from_letters([1])
     h = GroupWord.from_letters([2])
     return build_schottky(model, g, h, size=size, m0=m0, k0=float(k0), seed=seed)
@@ -417,9 +391,6 @@ class PhiImage:
 
     def __contains__(self, w) -> bool:
         return w in self.index
-
-    def preimage(self, w) -> Tuple[int, int, int, int]:
-        return self.index[w]
 
 
 def phi_image(sch: SchottkySet, budget: int = 2_000_000) -> PhiImage:
@@ -521,4 +492,6 @@ def schottky_from_json(text: str) -> SchottkySet:
         SchottkySequence(tuple(GroupWord.from_letters(step) for step in seq))
         for seq in payload["sequences"]
     )
+    if any(len(seq) != payload["m0"] for seq in seqs):
+        raise ValueError("every block must have m0 = %s steps" % payload["m0"])
     return SchottkySet(seqs, payload["m0"], consts)

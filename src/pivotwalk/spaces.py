@@ -1,20 +1,20 @@
 """Metric models the experiments run on.
 
 Two concrete models: the Cayley tree of a free group (exact integer
-geometry) and the hyperbolic upper half-plane acted on by 2x2 real matrices
-(floating point, Sanov generators by default).
+geometry) and the hyperbolic upper half-plane acted on by exact 2x2
+matrices of determinant 1 (the Sanov generators).
 """
 
 from __future__ import annotations
 
 import math
+from numbers import Rational
 from typing import Iterator, List, Optional
 
 from .words import (
     GroupWord,
     random_reduced_word,
     tree_distance,
-    tree_geodesic,
 )
 
 
@@ -41,15 +41,6 @@ class TreeModel:
 
     def identity(self) -> GroupWord:
         return GroupWord.identity()
-
-    def geodesic(self, p: GroupWord, q: GroupWord, step: int = 1) -> List[GroupWord]:
-        points = tree_geodesic(p, q)
-        if step == 1:
-            return points
-        picked = points[::step]
-        if picked[-1] != points[-1]:
-            picked.append(points[-1])
-        return picked
 
     def translation_length(self, g: GroupWord) -> int:
         return g.translation_length()
@@ -84,31 +75,25 @@ class TreeModel:
                 yield child
                 stack.append((child, depth + 1, letter))
 
-    def random_point(self, rng, max_len: int = 12) -> GroupWord:
-        return random_reduced_word(rng, int(rng.integers(0, max_len + 1)), self.rank)
+    def random_point(self, rng) -> GroupWord:
+        """A uniform reduced word of a uniform length from 0 to 12."""
+        return random_reduced_word(rng, int(rng.integers(0, 13)), self.rank)
 
 
 class MatrixIsometry:
-    """Element of PSL(2, R), normalized to det 1 and a sign convention."""
+    """Element of PSL(2, R) with exact entries (ints, or Fractions) and
+    determinant exactly 1, stored under a sign convention."""
 
     __slots__ = ("a", "b", "c", "d")
 
-    def __init__(self, a: float, b: float, c: float, d: float):
-        det = a * d - b * c
-        if det <= 0:
-            raise ValueError("matrix must have positive determinant")
-        scale = math.sqrt(det)
-        a, b, c, d = a / scale, b / scale, c / scale, d / scale
-        # PSL(2,R): pick the representative with a >= 0 (ties: b >= 0, then c)
-        flip = False
-        if a < 0:
-            flip = True
-        elif a == 0:
-            if b < 0:
-                flip = True
-            elif b == 0 and c < 0:
-                flip = True
-        if flip:
+    def __init__(self, a, b, c, d):
+        if not all(isinstance(x, Rational) for x in (a, b, c, d)):
+            raise TypeError("matrix entries must be exact (int or Fraction)")
+        if a * d - b * c != 1:
+            raise ValueError("matrix must have determinant 1")
+        # PSL(2,R): pick the representative with a > 0, or a == 0 and b > 0
+        # (det 1 rules out a == b == 0)
+        if a < 0 or (a == 0 and b < 0):
             a, b, c, d = -a, -b, -c, -d
         self.a, self.b, self.c, self.d = a, b, c, d
 
@@ -124,56 +109,51 @@ class MatrixIsometry:
         return MatrixIsometry(self.d, -self.b, -self.c, self.a)
 
     def __pow__(self, n: int) -> "MatrixIsometry":
-        result = MatrixIsometry(1.0, 0.0, 0.0, 1.0)
         base = self if n >= 0 else self.inverse()
-        for _ in range(abs(n)):
-            result = result * base
+        result = MatrixIsometry(1, 0, 0, 1)
+        n = abs(n)
+        # square and multiply: one product per bit of n
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
         return result
 
-    def trace(self) -> float:
+    def trace(self):
         return self.a + self.d
 
     def apply(self, z: complex) -> complex:
-        return (self.a * z + self.b) / (self.c * z + self.d)
+        # (az + b)(c conj(z) + d) has imaginary part (ad - bc) Im z = Im z, so
+        # the image's height is not a float difference of huge products
+        x, y = z.real, z.imag
+        den = (self.c * x + self.d) ** 2 + (self.c * y) ** 2
+        re = self.a * self.c * (x * x + y * y) + (self.a * self.d + self.b * self.c) * x + self.b * self.d
+        return complex(re / den, y / den)
 
-    def is_identity(self, tol: float = 1e-9) -> bool:
-        return (
-            abs(self.a - 1) < tol
-            and abs(self.d - 1) < tol
-            and abs(self.b) < tol
-            and abs(self.c) < tol
-        )
+    def is_identity(self) -> bool:
+        return (self.a, self.b, self.c, self.d) == (1, 0, 0, 1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MatrixIsometry):
             return NotImplemented
-        return (
-            abs(self.a - other.a) < 1e-9
-            and abs(self.b - other.b) < 1e-9
-            and abs(self.c - other.c) < 1e-9
-            and abs(self.d - other.d) < 1e-9
-        )
+        return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
 
     def __repr__(self) -> str:
-        return "MatrixIsometry([[%.6g, %.6g], [%.6g, %.6g]])" % (
-            self.a,
-            self.b,
-            self.c,
-            self.d,
-        )
+        return "MatrixIsometry([[%s, %s], [%s, %s]])" % (self.a, self.b, self.c, self.d)
 
 
 class PlaneModel:
-    """Hyperbolic upper half-plane with matrix Mobius isometries."""
+    """Hyperbolic upper half-plane with exact matrix Mobius isometries."""
 
     kind = "plane"
 
-    def __init__(self, geodesic_step: float = 0.25):
+    def __init__(self):
         self.basepoint = 1j
-        self.geodesic_step = geodesic_step
-        # Sanov pair: generates a free group of rank 2
-        self.gen_a = MatrixIsometry(1.0, 2.0, 0.0, 1.0)
-        self.gen_b = MatrixIsometry(1.0, 0.0, 2.0, 1.0)
+        # Sanov pair: generates a free group of rank 2 (Sanov 1947)
+        self.gen_a = MatrixIsometry(1, 2, 0, 1)
+        self.gen_b = MatrixIsometry(1, 0, 2, 1)
 
     def distance(self, p: complex, q: complex) -> float:
         dx2 = abs(p - q) ** 2
@@ -184,63 +164,22 @@ class PlaneModel:
         return g.apply(p)
 
     def identity(self) -> MatrixIsometry:
-        return MatrixIsometry(1.0, 0.0, 0.0, 1.0)
-
-    def geodesic(self, p: complex, q: complex, step: Optional[float] = None) -> List[complex]:
-        """Sampled geodesic from p to q, spaced by arclength `step`."""
-        step = step or self.geodesic_step
-        total = self.distance(p, q)
-        if total < 1e-12:
-            return [p]
-        count = max(1, int(math.ceil(total / step)))
-        return [self._interpolate(p, q, total * k / count) for k in range(count + 1)]
-
-    def _interpolate(self, p: complex, q: complex, s: float) -> complex:
-        """Point at arclength s from p on the geodesic [p, q]."""
-        if abs(p.real - q.real) < 1e-12:
-            # vertical line
-            sign = 1.0 if q.imag > p.imag else -1.0
-            return complex(p.real, p.imag * math.exp(sign * s))
-        c = (abs(p) ** 2 - abs(q) ** 2) / (2.0 * (p.real - q.real))
-        r = abs(p - c)
-        # arclength parameter along the circle: u = log tan(theta/2)
-        u_p = math.log(math.tan(math.atan2(p.imag, p.real - c) / 2.0))
-        u_q = math.log(math.tan(math.atan2(q.imag, q.real - c) / 2.0))
-        sign = 1.0 if u_q > u_p else -1.0
-        u = u_p + sign * s
-        theta = 2.0 * math.atan(math.exp(u))
-        return complex(c + r * math.cos(theta), r * math.sin(theta))
+        return MatrixIsometry(1, 0, 0, 1)
 
     def translation_length(self, g: MatrixIsometry) -> float:
         t = abs(g.trace())
-        if t <= 2.0:
+        if t <= 2:
             return 0.0
-        return 2.0 * math.acosh(t / 2.0)
+        return 2.0 * math.acosh(t / 2)
 
     def is_contracting_isometry(self, g: MatrixIsometry) -> bool:
         return self.translation_length(g) > 0.0
 
-    def generators(self) -> List[MatrixIsometry]:
-        return [
-            self.gen_a,
-            self.gen_a.inverse(),
-            self.gen_b,
-            self.gen_b.inverse(),
-        ]
-
-    def random_point(self, rng, spread: float = 2.0) -> complex:
-        return complex(rng.normal(0, spread), math.exp(rng.normal(0, 1.0)))
-
-    def random_isometry(self, rng, max_len: int = 6) -> MatrixIsometry:
-        word = random_reduced_word(rng, int(rng.integers(0, max_len + 1)), 2)
-        return self.matrix_for_word(word)
-
     def matrix_for_word(self, word: GroupWord) -> MatrixIsometry:
         gens = {1: self.gen_a, 2: self.gen_b}
         out = self.identity()
-        for letter in word.letters():
-            g = gens[abs(letter)]
-            out = out * (g if letter > 0 else g.inverse())
+        for gen, exp in word.syls:
+            out = out * gens[gen] ** exp
         return out
 
 

@@ -161,16 +161,18 @@ def _trial_rng(seed: int, stream: int):
     return np.random.default_rng([seed, stream])
 
 
-def require_tree(model, measure: Optional[StepMeasure] = None) -> None:
+def require_tree(model, *inputs) -> None:
     """The experiments compute exact word statistics on the tree only:
-    refuse any other model, or a measure with a generator beyond the tree's
-    rank, rather than label statistics of another group with its name."""
+    refuse any other model, or an input (a step measure or a Schottky set)
+    with a generator beyond the tree's rank, rather than label statistics of
+    another group with its name."""
 
     if model.kind != "tree":
         raise ConfigurationError("experiments run on the tree, not the %s model" % model.kind)
-    if measure is not None and measure.rank > model.rank:
-        raise ConfigurationError("the measure uses generator %d, beyond the rank-%d tree"
-                                 % (measure.rank, model.rank))
+    for item in inputs:
+        if item.rank > model.rank:
+            raise ConfigurationError("the %s uses generator %d, beyond the rank-%d tree"
+                                     % (type(item).__name__, item.rank, model.rank))
 
 
 def _check_grid(model, measure: StepMeasure, n_grid: Sequence[int], trials: int) -> None:

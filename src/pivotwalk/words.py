@@ -81,17 +81,6 @@ class GroupWord:
             for _ in range(abs(exp)):
                 yield sign * gen
 
-    def letter_at(self, index: int) -> int:
-        if index < 0:
-            index += len(self)
-        pos = 0
-        for gen, exp in self.syls:
-            span = abs(exp)
-            if index < pos + span:
-                return gen if exp > 0 else -gen
-            pos += span
-        raise IndexError("letter index out of range")
-
     def prefix(self, count: int) -> "GroupWord":
         """First `count` letters as a word."""
         if count <= 0:
@@ -110,10 +99,6 @@ class GroupWord:
                 out.append((gen, sign * left))
                 break
         return GroupWord(tuple(out))
-
-    def suffix(self, count: int) -> "GroupWord":
-        """Last `count` letters as a word."""
-        return self.inverse().prefix(count).inverse()
 
     # -- group operations ---------------------------------------------
 
@@ -158,9 +143,6 @@ class GroupWord:
             if not n:
                 return result
             base = base * base
-
-    def conjugate(self, by: "GroupWord") -> "GroupWord":
-        return by * self * by.inverse()
 
     # -- reduction ------------------------------------------------------
 

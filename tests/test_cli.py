@@ -223,6 +223,10 @@ _INPUT_FILES = {
     "header-only.csv": "n,trial,fail\n",
     "rank1.json": heavy_tail(kmax=65536, rank=1).to_json(),  # 131,072 powers of a: elementary
     "block5.json": schottky_to_json(tree_schottky_set(2)),  # well formed; blocks of 5 steps
+    # generator c (letter 3) in a block, beyond the rank-2 tree
+    "gen-c.json": schottky_to_json(tree_schottky_set(2)).replace("[2]", "[3]"),
+    # m0 of 3 with blocks of 5 steps
+    "m0-short.json": schottky_to_json(tree_schottky_set(2)).replace('"m0": 5', '"m0": 3'),
 }
 
 
@@ -261,6 +265,11 @@ _INPUT_FILES = {
     # claim walks of 6 steps split into halves of 3, shorter than a block
     ["run", "--experiment", "discrepancy", "--n", "100", "--trials", "10", "--claim-trials", "1",
      "--claim-n", "6", "--schottky", "block5.json"],
+    ["census", "--n-max", "2", "--schottky", "gen-c.json"],
+    ["run", "--experiment", "discrepancy", "--n", "20,80", "--trials", "20", "--schottky", "gen-c.json"],
+    ["census", "--n-max", "2", "--schottky", "m0-short.json"],
+    ["run", "--experiment", "discrepancy", "--n", "20,80", "--trials", "20", "--claim-trials", "2",
+     "--claim-n", "40", "--schottky", "m0-short.json"],
 ])
 def test_bad_input_is_refused_cleanly(monkeypatch, tmp_path, capsys, argv):
     for name, text in _INPUT_FILES.items():

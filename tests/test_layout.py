@@ -1,4 +1,5 @@
-"""Every top-level function and class in `src/pivotwalk/` is reached.
+"""Every top-level function and class, and every method, in
+`src/pivotwalk/` is reached.
 
 A definition counts as reached when its name is exported in
 `pivotwalk.__all__`, used by perfbench, by an acceptance test or by a
@@ -9,9 +10,16 @@ with `ast` (identifiers, attribute names, and string constants that are a
 bare identifier, which is how perfbench's tracer names what it wraps), so a
 mention in a comment or docstring does not count, and neither does an
 import that nothing uses.
+
+Methods are checked by name, since a call on a model or a word does not say
+which class it reaches: a method counts as reached when its name is read as
+an attribute in `src/` outside the method's own body, in an acceptance test
+or by perfbench.  Dunder methods are called by Python itself and are not
+checked.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pivotwalk
@@ -24,6 +32,11 @@ ALLOWED = {
     "tree_projection_to_segment": "word-level oracle for geometry.project, whose closed form needs only the foot's offset",
     "ktuple_census": "the census-tuples rows decide whether it stays",
     "census_scale": "the census-tuples rows decide whether it stays",
+}
+
+# methods reached by no caller today, kept on purpose
+ALLOWED_METHODS = {
+    "PlaneModel.matrix_for_word": "the exact Sanov map the plane ensemble will walk with",
 }
 
 
@@ -62,3 +75,31 @@ def test_every_definition_is_reached():
     unreached = sorted("%s:%s" % (f, name) for name, (f, _) in defs.items() if name not in reached)
     assert not unreached, "defined in src/pivotwalk but reached by nothing: " + ", ".join(unreached)
     assert set(ALLOWED) <= set(defs)
+
+
+def _attributes(node) -> Counter:
+    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+
+def test_every_method_is_reached():
+    outside = Counter()
+    for path in [ROOT / "tests" / "test_acceptance.py", *(ROOT / "perfbench").glob("*.py")]:
+        outside += _attributes(ast.parse(path.read_text()))
+    trees = {path: ast.parse(path.read_text()) for path in SRC}
+    in_src = sum((_attributes(tree) for tree in trees.values()), Counter())
+    methods = set()
+    unreached = []
+    for path, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for meth in cls.body:
+                if not isinstance(meth, ast.FunctionDef) or meth.name.startswith("__"):
+                    continue
+                key = "%s.%s" % (cls.name, meth.name)
+                methods.add(key)
+                own = _attributes(meth)[meth.name]
+                if not (outside[meth.name] or in_src[meth.name] > own or key in ALLOWED_METHODS):
+                    unreached.append("%s:%s" % (path.name, key))
+    assert not unreached, "methods in src/pivotwalk reached by nothing: " + ", ".join(sorted(unreached))
+    assert set(ALLOWED_METHODS) <= methods

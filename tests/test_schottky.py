@@ -1,12 +1,13 @@
 """Schottky block sets: construction, verification, products, serialization."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from pivotwalk.geometry import constants_for, schottky_length_scale
+from pivotwalk.geometry import TREE_CONSTANTS, schottky_length_scale
 from pivotwalk.words import GroupWord, common_prefix_letters, random_reduced_word, word_from_str
 from pivotwalk.spaces import MatrixIsometry, PlaneModel, TreeModel
 from pivotwalk.schottky import (
@@ -43,7 +44,7 @@ class TestSequence:
     def test_product_and_partials(self):
         seq = SchottkySequence((a, b, a))
         assert seq.product() == w("a b a")
-        assert seq.partial_products() == [w("a"), w("a b"), w("a b a")]
+        assert gamma_axis(T, seq).points == (o, w("a"), w("a b"), w("a b a"))
         assert len(seq) == 3
 
     def test_inverse_reverses_and_inverts(self):
@@ -155,7 +156,7 @@ class TestSearchMatchesReference:
         ],
     )
     def test_chosen_blocks(self, g, h, m0, size, seed):
-        k0 = constants_for(T).k0
+        k0 = TREE_CONSTANTS.k0
         sch = build_schottky(T, w(g), w(h), size=size, m0=m0, seed=seed)
         assert list(sch.sequences) == reference_search(T, w(g), w(h), size, m0, k0, seed)
 
@@ -165,7 +166,7 @@ class TestSearchMatchesReference:
         assert list(sch.sequences) == ref
 
     def test_budget_message(self):
-        k0 = constants_for(T).k0
+        k0 = TREE_CONSTANTS.k0
         with pytest.raises(BudgetExhausted) as ref:
             reference_search(T, a, b, 8, 5, k0, seed=0, budget=2000)
         with pytest.raises(BudgetExhausted) as got:
@@ -242,9 +243,11 @@ def test_tree_independence_is_non_commutation():
 
 class TestPlaneIndependence:
     def test_shared_fixed_point_rejected(self):
-        # both fix infinity, yet conjugating h by g does not give h back
-        g = MatrixIsometry(2.0, 0.0, 0.0, 0.5)
-        h = MatrixIsometry(2.0, 1.0, 0.0, 0.5)
+        # both fix infinity, yet conjugating h by g does not give h back; a
+        # discrete group has no integral hyperbolic pair with exactly one
+        # common fixed point, so the entries are fractions
+        g = MatrixIsometry(2, 0, 0, Fraction(1, 2))
+        h = MatrixIsometry(2, 1, 0, Fraction(1, 2))
         assert not independent_contracting_pair(PlaneModel(), g, h)
 
     def test_sanov_pair(self):
@@ -254,6 +257,13 @@ class TestPlaneIndependence:
         assert not independent_contracting_pair(P, P.gen_a, P.gen_b)
         assert independent_contracting_pair(P, P.gen_a * P.gen_b, P.gen_b * P.gen_a)
         assert not independent_contracting_pair(P, P.gen_a * P.gen_b, (P.gen_a * P.gen_b) ** 2)
+
+    def test_schottky_search_refuses_the_plane(self):
+        P = PlaneModel()
+        with pytest.raises(ValueError, match="tree"):
+            build_schottky(P, P.gen_a * P.gen_b, P.gen_b * P.gen_a, size=2, m0=5)
+        with pytest.raises(ValueError, match="tree"):
+            verify_schottky(P, build_schottky(T, a, b, size=2, m0=5))
 
 
 class TestAxes:
@@ -282,7 +292,7 @@ class TestProducts:
         img = phi_image(self.sch)
         assert len(img) == 16
         for el in img.elements:
-            i, j, k, l = img.preimage(el)
+            i, j, k, l = img.index[el]
             ps = self.sch.products()
             assert ps[i] * ps[j] * ps[k] * ps[l] == el
 

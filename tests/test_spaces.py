@@ -1,12 +1,14 @@
 """Model spaces: the 4-regular tree and the hyperbolic upper half-plane."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from pivotwalk.spaces import MatrixIsometry, PlaneModel, TreeModel, model_by_name
-from pivotwalk.words import GroupWord, word_from_str
+from pivotwalk.words import GroupWord, random_reduced_word, tree_geodesic, word_from_str
 
 W = word_from_str
 
@@ -28,7 +30,7 @@ class TestTree:
 
     def test_geodesic_endpoints_and_length(self):
         p, q = W("aab"), W("bA")
-        geo = self.T.geodesic(p, q)
+        geo = tree_geodesic(p, q)
         assert geo[0] == p and geo[-1] == q
         assert len(geo) == self.T.distance(p, q) + 1
         for i in range(len(geo) - 1):
@@ -57,9 +59,8 @@ class TestPlane:
     def test_mobius_isometry_invariance(self):
         rng = np.random.default_rng(0)
         for _ in range(30):
-            g = self.P.random_isometry(rng)
-            p = self.P.random_point(rng)
-            q = self.P.random_point(rng)
+            g = self.P.matrix_for_word(random_reduced_word(rng, int(rng.integers(0, 7))))
+            p, q = (complex(rng.normal(0, 2.0), math.exp(rng.normal(0, 1.0))) for _ in range(2))
             assert self.P.distance(self.P.apply(g, p), self.P.apply(g, q)) == pytest.approx(
                 self.P.distance(p, q), abs=1e-8
             )
@@ -77,15 +78,6 @@ class TestPlane:
         assert self.P.translation_length(self.P.gen_a) == 0.0
         assert not self.P.is_contracting_isometry(self.P.gen_a)
 
-    def test_geodesic_arc_spacing(self):
-        p, q = 1j, 2.0 + 1j
-        geo = self.P.geodesic(p, q)
-        assert geo[0] == pytest.approx(p) and geo[-1] == pytest.approx(q)
-        total = self.P.distance(p, q)
-        segs = [self.P.distance(geo[i], geo[i + 1]) for i in range(len(geo) - 1)]
-        assert sum(segs) == pytest.approx(total, abs=1e-6)
-        assert max(segs) <= self.P.geodesic_step + 1e-6
-
     def test_matrix_for_word_is_homomorphism(self):
         u, v = W("ab"), W("Ba")
         left = self.P.matrix_for_word(u * v)
@@ -94,9 +86,102 @@ class TestPlane:
 
 
 def test_matrix_isometry_algebra():
-    m = MatrixIsometry(1.0, 2.0, 0.0, 1.0)
+    m = MatrixIsometry(1, 2, 0, 1)
     assert (m * m.inverse()).is_identity()
     assert (m ** 3).apply(1j) == pytest.approx(m.apply(m.apply(m.apply(1j))))
+    assert m ** 3 == m * m * m and m ** -2 == m.inverse() * m.inverse()
+    assert m ** 0 == MatrixIsometry(1, 0, 0, 1)
+    # PSL: -M is M, stored with a > 0 (or a == 0 and b > 0)
+    assert MatrixIsometry(-1, -2, 0, -1) == m
+    assert (MatrixIsometry(0, -1, 1, 0).a, MatrixIsometry(0, -1, 1, 0).b) == (0, 1)
+    assert MatrixIsometry(-1, 0, 0, -1).is_identity()
+
+
+@pytest.mark.parametrize("entries", [(1, 2, 0, 2), (2, 0, 0, 2), (0, 0, 0, 0), (1, 1, 1, 0)])
+def test_matrix_isometry_refuses_determinant_not_one(entries):
+    with pytest.raises(ValueError):
+        MatrixIsometry(*entries)
+
+
+def test_matrix_isometry_refuses_float_entries():
+    with pytest.raises(TypeError):
+        MatrixIsometry(1.0, 2.0, 0.0, 1.0)
+    half = Fraction(1, 2)
+    assert MatrixIsometry(2, 1, 0, half).trace() == Fraction(5, 2)
+
+
+def _reduced_words(max_len):
+    """Reduced words of up to `max_len` letters: a first letter, then at
+    every step one of the three letters that do not cancel the last."""
+
+    def build(first, turns):
+        letters = [first]
+        for t in turns:
+            options = [l for l in (1, -1, 2, -2) if l != -letters[-1]]
+            letters.append(options[t])
+        return GroupWord.from_letters(letters)
+
+    return st.one_of(
+        st.just(GroupWord.identity()),
+        st.builds(build, st.sampled_from([1, -1, 2, -2]),
+                  st.lists(st.integers(0, 2), max_size=max_len - 1)),
+    )
+
+
+_words = _reduced_words(60)
+_P = PlaneModel()
+_exact = settings(max_examples=200, deadline=None, database=None)
+
+
+@seed(2022)
+@_exact
+@given(_words, _words)
+def test_sanov_map_is_a_homomorphism(u, v):
+    assert _P.matrix_for_word(u * v) == _P.matrix_for_word(u) * _P.matrix_for_word(v)
+
+
+@seed(2022)
+@_exact
+@given(_words, _words)
+def test_abs_trace_is_conjugation_invariant(w, u):
+    g, h = _P.matrix_for_word(w), _P.matrix_for_word(u)
+    assert abs((h * g * h.inverse()).trace()) == abs(g.trace())
+    assert abs(_P.matrix_for_word(u * w * u.inverse()).trace()) == abs(g.trace())
+
+
+@seed(2022)
+@_exact
+@given(_words, st.sampled_from([1, 2]), st.integers(-60, 60).filter(bool))
+def test_generator_powers_are_parabolic(u, gen, k):
+    # a nonzero power of a Sanov generator, and every conjugate of one, has
+    # |trace| exactly 2: parabolic, translation length 0
+    power = GroupWord.generator(gen, k)
+    assert abs(_P.matrix_for_word(power).trace()) == 2
+    conj = _P.matrix_for_word(u * power * u.inverse())
+    assert abs(conj.trace()) == 2
+    assert _P.translation_length(conj) == 0.0
+
+
+@seed(2022)
+@_exact
+@given(_words)
+def test_identity_iff_trivial_word(w):
+    # the Sanov pair generates a free group, so only the trivial word maps
+    # to the identity
+    assert _P.matrix_for_word(w).is_identity() == w.is_identity()
+    assert (_P.matrix_for_word(w) * _P.matrix_for_word(w.inverse())).is_identity()
+
+
+@pytest.mark.parametrize("length", [30, 40, 60, 80])
+def test_matrix_for_word_long_words(length):
+    # the exact integers hold at every length: the bound d(i, g i) <= acosh(3) |w|
+    # is the Sanov generators' own displacement, d(i, a i) = acosh(3)
+    rng = np.random.default_rng(length)
+    for _ in range(100):
+        word = random_reduced_word(rng, length)
+        g = _P.matrix_for_word(word)
+        assert not g.is_identity()
+        assert _P.distance(_P.basepoint, _P.apply(g, _P.basepoint)) <= math.acosh(3) * length + 1e-9
 
 
 def test_model_by_name():
