@@ -4,7 +4,7 @@ hyperbolic plane."""
 
 from .words import GroupWord, word_from_str, word_to_str
 from .spaces import TreeModel, PlaneModel, MatrixIsometry, model_by_name
-from .geometry import Path, is_aligned, is_contracting, project
+from .geometry import Path, is_aligned, project
 from .schottky import (
     SchottkySet,
     SchottkySequence,
@@ -30,7 +30,6 @@ __all__ = [
     "model_by_name",
     "Path",
     "is_aligned",
-    "is_contracting",
     "project",
     "SchottkySet",
     "SchottkySequence",

@@ -1,29 +1,41 @@
-"""Projections, alignment and contraction predicates.
+"""Projections and alignment predicates on the tree.
 
-Paths are finite point sequences in a model.  On the tree all predicates are
-exact.  Single points are treated as degenerate (one-point) paths
-throughout, so the same alignment predicate covers point/path mixtures.
+A path is a finite sequence of tree vertices that run in order along one
+tree geodesic, so every predicate here is exact and in closed form.  Single
+points are treated as degenerate (one-point) paths throughout, so the same
+alignment predicate covers point/path mixtures.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .words import tree_distance
 
 
 @dataclass(frozen=True)
 class Path:
-    """A finite path given by its point sequence (orientation matters)."""
+    """A finite path of tree vertices that run in order along one tree
+    geodesic (orientation matters; a sample may repeat)."""
 
     points: tuple
+    # tree distance from the start to each point
+    tree_offsets: List[int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not self.points:
+        pts = self.points
+        if not pts:
             raise ValueError("a path needs at least one point")
+        offsets = [0]
+        for p, q in zip(pts, pts[1:]):
+            offsets.append(offsets[-1] + tree_distance(p, q))
+        # the broken path through the samples is a geodesic iff its length
+        # is the distance between its ends
+        if len(pts) > 1 and tree_distance(pts[0], pts[-1]) != offsets[-1]:
+            raise ValueError("path samples must run in order along one tree geodesic")
+        object.__setattr__(self, "tree_offsets", offsets)
 
     @property
     def start(self):
@@ -35,20 +47,6 @@ class Path:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    @cached_property
-    def tree_offsets(self) -> Optional[List[int]]:
-        """Tree distance from the start to each point, when the points run
-        in order along one tree geodesic (no step backtracks); else None.
-        Only tree paths (points are words) may ask for it."""
-
-        pts = self.points
-        offsets = [0]
-        for p, q in zip(pts, pts[1:]):
-            offsets.append(offsets[-1] + tree_distance(p, q))
-        if len(pts) > 1 and tree_distance(pts[0], pts[-1]) != offsets[-1]:
-            return None
-        return offsets
 
 
 PathLike = Union[Path, Sequence, object]
@@ -107,30 +105,13 @@ def schottky_length_scale(m0: int, k0: float) -> float:
 
 
 def project(model, target: PathLike, x) -> ProjectionResult:
-    """Nearest-point projection of x to a path (a set of points)."""
+    """Nearest-point projection of x to a path (a set of points).  `model`
+    is not read: every path is a tree geodesic."""
     path = as_path(target)
-    offsets = _geodesic_offsets(model, path)
-    if offsets is not None:
-        t, h = _foot(path, offsets, x)
-        lo, hi, gap = _nearest(offsets, t)
-        return ProjectionResult(path.points[lo:hi], h + gap)
-    best = None
-    points: List = []
-    for p in path.points:
-        d = model.distance(x, p)
-        if best is None or d < best:
-            best = d
-            points = [p]
-        elif d == best:
-            points.append(p)
-    return ProjectionResult(tuple(points), best)
-
-
-def _geodesic_offsets(model, path: Path) -> Optional[List[int]]:
-    """The path's offsets along its geodesic when it is a tree geodesic (a
-    single point included); None sends any other path to the scan."""
-
-    return path.tree_offsets if model.kind == "tree" else None
+    offsets = path.tree_offsets
+    t, h = _foot(path, offsets, x)
+    lo, hi, gap = _nearest(offsets, t)
+    return ProjectionResult(path.points[lo:hi], h + gap)
 
 
 def _foot(path: Path, offsets: List[int], x) -> Tuple[int, int]:
@@ -154,33 +135,6 @@ def _nearest(offsets: List[int], t: int) -> Tuple[int, int, int]:
     return bisect_left(offsets, t - gap), bisect_right(offsets, t + gap), gap
 
 
-def project_path(model, target: PathLike, source: PathLike) -> ProjectionResult:
-    """Union of projections of every point of `source` onto `target`."""
-    path = as_path(target)
-    source = as_path(source)
-    seen = []
-    dist = None
-    for x in source.points:
-        res = project(model, path, x)
-        if dist is None or res.distance < dist:
-            dist = res.distance
-        for p in res.points:
-            if p not in seen:
-                seen.append(p)
-    return ProjectionResult(tuple(seen), dist)
-
-
-def diameter(model, points: Iterable) -> float:
-    pts = list(points)
-    best = 0.0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = model.distance(pts[i], pts[j])
-            if d > best:
-                best = d
-    return best
-
-
 def is_aligned(model, items: Sequence[PathLike], width: float) -> AlignmentReport:
     """Alignment of a chain of paths/points at the given width.
 
@@ -188,15 +142,16 @@ def is_aligned(model, items: Sequence[PathLike], width: float) -> AlignmentRepor
     endpoints: for each i, the projection of the (i+1)-st path to the i-th
     stays within `width` of the i-th ending point, and symmetrically the
     projection of the i-th path to the (i+1)-st stays within `width` of the
-    (i+1)-st starting point.  Strict inequality.
+    (i+1)-st starting point.  Strict inequality.  `model` is not read:
+    every path is a tree geodesic.
     """
 
     paths = [as_path(it) for it in items]
     worst = 0.0
     for i in range(len(paths) - 1):
         left, right = paths[i], paths[i + 1]
-        local = max(_junction_spread(model, left, right, True),
-                    _junction_spread(model, right, left, False))
+        local = max(_junction_spread(left, right, True),
+                    _junction_spread(right, left, False))
         if local > worst:
             worst = local
         if local >= width:
@@ -204,23 +159,18 @@ def is_aligned(model, items: Sequence[PathLike], width: float) -> AlignmentRepor
     return AlignmentReport(True, width, worst)
 
 
-def _junction_spread(model, target: Path, source: Path, at_end: bool) -> float:
+def _junction_spread(target: Path, source: Path, at_end: bool) -> float:
     """Diameter of the projection of `source` to `target` together with the
     target's end (`at_end`) or start."""
 
-    offsets = _geodesic_offsets(model, target)
-    if offsets is None:
-        proj = project_path(model, target, source)
-        return diameter(model, proj.points + ((target.end if at_end else target.start),))
+    offsets = target.tree_offsets
     if not offsets[-1]:
         return 0.0  # a one-point target is the whole projection
     # every sample lies on the target's geodesic, so the diameter is the
     # offset of the union's sample farthest from the chosen end; feet move
     # monotonically along a geodesic source, so its extreme feet come from
     # its endpoints
-    ends = source.points
-    if len(ends) > 2 and source.tree_offsets is not None:
-        ends = (source.start, source.end)
+    ends = source.points if len(source) <= 2 else (source.start, source.end)
     feet = [_foot(target, offsets, x)[0] for x in ends]
     if at_end:
         lo, _, _ = _nearest(offsets, min(feet))
@@ -228,31 +178,5 @@ def _junction_spread(model, target: Path, source: Path, at_end: bool) -> float:
     else:
         _, hi, _ = _nearest(offsets, max(feet))
         spread = offsets[hi - 1]
-    # `diameter` reads 0.0 when every distance is 0
+    # a diameter reads 0.0 when every distance is 0
     return max(0.0, spread)
-
-
-def is_contracting(model, path: PathLike, width: float, probe_radius: int) -> Tuple[bool, Optional[tuple]]:
-    """Check the contraction property of a point set in the tree.
-
-    Pairs x, y with d(x, y) <= d(x, path) must have joint projection
-    diameter at most `width`.  The check is exhaustive over the ball of
-    `probe_radius` around the set.  Returns (ok, witness_pair_or_None).
-    """
-
-    if model.kind != "tree":
-        raise ValueError("the contraction check runs on the tree, not the %s model" % model.kind)
-    p = as_path(path)
-    points = {x for pt in p.points for x in model.ball(probe_radius, center=pt)}
-    cache = {x: project(model, p, x) for x in points}
-    for x in points:
-        rx = cache[x].distance
-        if rx == 0:
-            continue
-        for y in model.ball(int(rx), center=x):
-            if y not in cache:
-                cache[y] = project(model, p, y)
-            joint = diameter(model, set(cache[x].points) | set(cache[y].points))
-            if joint > width:
-                return False, (x, y)
-    return True, None

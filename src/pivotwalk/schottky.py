@@ -4,7 +4,8 @@ A Schottky sequence is a block of `m0` isometries; its axis is the orbit of
 the basepoint under the partial products.  A Schottky set is a family of
 such blocks whose axes are contracting, long, and mutually in general
 position: from any point, at most one block of the family is badly aligned.
-Sets are built and verified on the tree only.
+Sets are built and verified on the tree only, where no block's steps
+cancel, so every axis is a tree geodesic.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .words import GroupWord
 from .spaces import TreeModel
-from .geometry import TREE_CONSTANTS, Path, is_aligned, is_contracting, schottky_length_scale
+from .geometry import TREE_CONSTANTS, Path, is_aligned, schottky_length_scale
 
 
 class BudgetExhausted(RuntimeError):
@@ -66,6 +67,15 @@ class SchottkySet:
     sequences: Tuple[SchottkySequence, ...]
     m0: int
     constants: SetConstants
+
+    def __post_init__(self):
+        if not self.sequences:
+            raise ValueError("a Schottky set needs at least one block")
+        for i, seq in enumerate(self.sequences):
+            # the axis o, s1 o, s1 s2 o, ... has segments of length len(s_i),
+            # so it is a tree geodesic iff no letter cancels
+            if len(seq.product()) != sum(len(s) for s in seq.steps):
+                raise ValueError("the steps of block %d cancel, so its axis is not a geodesic" % i)
 
     def __len__(self) -> int:
         return len(self.sequences)
@@ -144,9 +154,9 @@ def _require_tree(model) -> None:
 def verify_schottky(model, sch: SchottkySet, probe_radius: Optional[int] = None) -> VerifyReport:
     """Check the five defining properties of a tree Schottky set.
 
-    When every axis is a geodesic, the general-position property is
+    Every axis is a tree geodesic, so the general-position property is
     exhausted over the ball of radius min(`probe_radius`, k0), which decides
-    it for the whole probe ball; otherwise it is sampled at 400 points.
+    it for the whole probe ball.
     """
 
     _require_tree(model)
@@ -162,20 +172,10 @@ def verify_schottky(model, sch: SchottkySet, probe_radius: Optional[int] = None)
         detail="m0=%d floor=%s" % (sch.m0, consts.length_floor),
     )
 
-    axes = [gamma_axis(model, seq) for seq in sch.sequences]
-    geodesic = [axis.tree_offsets is not None for axis in axes]
-
-    # (2) every axis is a contracting quasigeodesic
-    ok2, witness2, mode2 = True, None, "exact-geodesic"
-    for axis, geo in zip(axes, geodesic):
-        if geo:
-            continue  # tree geodesics are contracting for any width >= 1
-        good, wit = is_contracting(model, axis, k0, probe_radius=4)
-        mode2 = "probe"
-        if not good:
-            ok2, witness2 = False, wit
-            break
-    props["contracting_axes"] = PropertyReport(ok=ok2, mode=mode2, witness=witness2)
+    # (2) every axis is a contracting quasigeodesic: `SchottkySet` refuses a
+    # block whose steps cancel, so every axis is a tree geodesic, and tree
+    # geodesics are contracting for any width >= 1
+    props["contracting_axes"] = PropertyReport(ok=True, mode="exact-geodesic")
 
     # (3) blocks move the basepoint far
     floor3 = 10.0 * consts.e0
@@ -188,61 +188,38 @@ def verify_schottky(model, sch: SchottkySet, probe_radius: Optional[int] = None)
     )
 
     # (4) from any point, at most one block is badly aligned
-    if all(geodesic):
-        k0i = int(k0)
-        owners = _tree_prefix_owners(products, k0i)
-        # the predicate at x depends only on x's first k0 letters, and a key
-        # owned twice is itself a point of length k0 that the depth-first
-        # ball yields before any extension of it: the k0-ball decides the
-        # whole probe ball, with the same witness
-        scan_radius = min(probe_radius, k0i)
-        ok4, witness4, scanned = True, None, 0
-        for x in model.ball(scan_radius):
-            scanned += 1
-            key = tuple(itertools.islice(x.letters(), k0i))
-            if len(key) == k0i and owners.get(key, 0) > 1:
-                ok4, witness4 = False, (x,)
-                break
-        props["general_position"] = PropertyReport(
-            ok=ok4,
-            mode="ball-exhaustive",
-            detail="scanned %d points, radius %d" % (scanned, scan_radius),
-            witness=witness4,
-        )
-    else:
-        rng = np.random.default_rng(0)
-        ok4, witness4 = True, None
-        for _ in range(400):
-            x = model.random_point(rng)
-            fails = 0
-            for seq, axis in zip(sch.sequences, axes):
-                if not _point_block_aligned(model, k0, seq, axis, x):
-                    fails += 1
-            if fails > 1:
-                ok4, witness4 = False, (x,)
-                break
-        props["general_position"] = PropertyReport(
-            ok=ok4, mode="sampled", detail="400 sampled points", witness=witness4
-        )
+    k0i = int(k0)
+    owners = _tree_prefix_owners(products, k0i)
+    # the predicate at x depends only on x's first k0 letters, and a key
+    # owned twice is itself a point of length k0 that the depth-first
+    # ball yields before any extension of it: the k0-ball decides the
+    # whole probe ball, with the same witness
+    scan_radius = min(probe_radius, k0i)
+    ok4, witness4, scanned = True, None, 0
+    for x in model.ball(scan_radius):
+        scanned += 1
+        key = tuple(itertools.islice(x.letters(), k0i))
+        if len(key) == k0i and owners.get(key, 0) > 1:
+            ok4, witness4 = False, (x,)
+            break
+    props["general_position"] = PropertyReport(
+        ok=ok4,
+        mode="ball-exhaustive",
+        detail="scanned %d points, radius %d" % (scanned, scan_radius),
+        witness=witness4,
+    )
 
     # (5) a block does not fold back on its own translate
     ok5, witness5 = True, None
-    for seq, axis in zip(sch.sequences, axes):
+    for seq in sch.sequences:
         translated = gamma_axis(model, seq, frame=seq.product())
-        rep = is_aligned(model, [axis, translated], k0)
+        rep = is_aligned(model, [gamma_axis(model, seq), translated], k0)
         if not rep.aligned:
             ok5, witness5 = False, (seq,)
             break
     props["self_alignment"] = PropertyReport(ok=ok5, mode="exact", witness=witness5)
 
     return VerifyReport(ok=all(p.ok for p in props.values()), properties=props, probe_radius=probe_radius)
-
-
-def _point_block_aligned(model, k0, seq: SchottkySequence, axis: Path, x) -> bool:
-    first = is_aligned(model, [x, axis], k0).aligned
-    moved = model.apply(seq.product(), x)
-    second = is_aligned(model, [axis, moved], k0).aligned
-    return first and second
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +249,6 @@ def build_schottky(
     k0: Optional[float] = None,
     seed: int = 0,
     budget: int = 200000,
-    probe_radius: Optional[int] = None,
 ) -> SchottkySet:
     """Search for a tree Schottky set of `size` blocks of length `m0`.
 
@@ -324,9 +300,9 @@ def build_schottky(
                 "no Schottky set of size %d found after %d candidates" % (size, tried)
             )
         word = GroupWord.from_syllables(itertools.chain.from_iterable(syllables[i] for i in row))
-        # the axis o, s1 o, s1 s2 o, ... has segments of length len(s_i), so it
-        # is a tree geodesic iff no letter cancels, and then len(word) is the
-        # displacement; verify_schottky still walks every chosen axis
+        # the axis is a tree geodesic iff no letter cancels (the length
+        # identity `SchottkySet` checks), and then len(word) is the
+        # displacement
         n = len(word)
         if n != sum(lengths[i] for i in row) or n < floor:
             continue
@@ -343,13 +319,13 @@ def build_schottky(
         raise BudgetExhausted("candidate space exhausted at %d of %d blocks" % (len(chosen), size))
 
     sch = SchottkySet(tuple(chosen), m0, set_consts)
-    report = verify_schottky(model, sch, probe_radius=probe_radius)
+    report = verify_schottky(model, sch)
     if not report.ok:
         raise BudgetExhausted("constructed set failed verification: %s" % report.failures())
     return sch
 
 
-def tree_schottky_set(size: int, seed: int = 0, model: Optional[TreeModel] = None) -> SchottkySet:
+def tree_schottky_set(size: int, seed: int = 0) -> SchottkySet:
     """Build a tree Schottky set of a requested size, picking k0 and m0.
 
     A block occupies two letter-prefix classes (forward and backward), so a
@@ -360,14 +336,13 @@ def tree_schottky_set(size: int, seed: int = 0, model: Optional[TreeModel] = Non
 
     if size <= 0:
         raise ValueError("size must be positive")
-    model = model if model is not None else TreeModel()
     k0 = 2
     while 4 * 3 ** (k0 - 1) < 2 * size:
         k0 += 1
     m0 = max(int(TREE_CONSTANTS.length_floor) + 1, 2 * k0 - 1)
     g = GroupWord.from_letters([1])
     h = GroupWord.from_letters([2])
-    return build_schottky(model, g, h, size=size, m0=m0, k0=float(k0), seed=seed)
+    return build_schottky(TreeModel(), g, h, size=size, m0=m0, k0=float(k0), seed=seed)
 
 
 # ---------------------------------------------------------------------------

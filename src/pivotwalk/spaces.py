@@ -11,11 +11,7 @@ import math
 from numbers import Rational
 from typing import Iterator, List, Optional
 
-from .words import (
-    GroupWord,
-    random_reduced_word,
-    tree_distance,
-)
+from .words import GroupWord, tree_distance
 
 
 class TreeModel:
@@ -74,10 +70,6 @@ class TreeModel:
                 child = point * g
                 yield child
                 stack.append((child, depth + 1, letter))
-
-    def random_point(self, rng) -> GroupWord:
-        """A uniform reduced word of a uniform length from 0 to 12."""
-        return random_reduced_word(rng, int(rng.integers(0, 13)), self.rank)
 
 
 class MatrixIsometry:

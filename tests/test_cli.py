@@ -208,6 +208,13 @@ _PLANE_RUNS = [
 ]
 
 
+_SET2 = json.loads(schottky_to_json(tree_schottky_set(2)))  # two blocks of 5 steps
+
+
+def _with_blocks(sequences):
+    return json.dumps(dict(_SET2, sequences=sequences))
+
+
 _INPUT_FILES = {
     "no-constants.json": '{"m0": 5}',
     "list.json": "[1, 2]",
@@ -227,6 +234,11 @@ _INPUT_FILES = {
     "gen-c.json": schottky_to_json(tree_schottky_set(2)).replace("[2]", "[3]"),
     # m0 of 3 with blocks of 5 steps
     "m0-short.json": schottky_to_json(tree_schottky_set(2)).replace('"m0": 5', '"m0": 3'),
+    # one block listed twice: general position fails
+    "dup-block.json": _with_blocks([_SET2["sequences"][0]] * 2),
+    # a block a A a b b, whose steps cancel
+    "cancel-block.json": _with_blocks([[[1], [-1], [1], [2], [2]], _SET2["sequences"][1]]),
+    "no-blocks.json": _with_blocks([]),
 }
 
 
@@ -270,6 +282,10 @@ _INPUT_FILES = {
     ["census", "--n-max", "2", "--schottky", "m0-short.json"],
     ["run", "--experiment", "discrepancy", "--n", "20,80", "--trials", "20", "--claim-trials", "2",
      "--claim-n", "40", "--schottky", "m0-short.json"],
+    *[argv + ["--schottky", name]
+      for name in ("dup-block.json", "cancel-block.json", "no-blocks.json")
+      for argv in (["census", "--n-max", "2"],
+                   ["run", "--experiment", "discrepancy", "--n", "20,80", "--trials", "20"])],
 ])
 def test_bad_input_is_refused_cleanly(monkeypatch, tmp_path, capsys, argv):
     for name, text in _INPUT_FILES.items():

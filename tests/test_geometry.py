@@ -1,4 +1,4 @@
-"""Projection / alignment / contraction predicates, checked on the tree.
+"""Paths, projections and alignment predicates on the tree.
 
 Tree values are exact, so most expectations are hand-computed integers;
 the independent oracles for projections are the word-level segment
@@ -19,7 +19,7 @@ from pivotwalk.words import (
     random_reduced_word,
     word_from_str,
 )
-from pivotwalk.spaces import TreeModel, PlaneModel
+from pivotwalk.spaces import TreeModel
 from pivotwalk.schottky import schottky_to_json, tree_schottky_set
 from pivotwalk.geometry import (
     AlignmentReport,
@@ -27,10 +27,7 @@ from pivotwalk.geometry import (
     ProjectionResult,
     as_path,
     project,
-    project_path,
-    diameter,
     is_aligned,
-    is_contracting,
     schottky_length_scale,
     TREE_CONSTANTS,
 )
@@ -56,6 +53,17 @@ def reference_project(model, target, x):
         elif d == best:
             points.append(p)
     return ProjectionResult(tuple(points), best)
+
+
+def diameter(model, points):
+    pts = list(points)
+    best = 0.0
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            d = model.distance(pts[i], pts[j])
+            if d > best:
+                best = d
+    return best
 
 
 def reference_project_path(model, target, source):
@@ -90,42 +98,49 @@ def reference_is_aligned(model, items, width):
     return AlignmentReport(True, width, worst)
 
 
-# tree paths for the closed form against the scan: every path lies near
+# tree samples for the closed form against the scan: every path lies near
 # one base word, so projections and junctions overlap often
 _letters = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=9).map(GroupWord.from_letters)
+_bases = st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=16).map(GroupWord.from_letters)
+_GEODESIC = ("geodesic", "geodesic", "point")
 
 
 @st.composite
-def _tree_paths(draw, base):
-    """A sampled geodesic along a stretch of `base` (steps of several
-    letters, repeated samples, either direction), a point, a path that
-    backtracks along `base`, or points scattered off it."""
+def _tree_samples(draw, base, kinds):
+    """Samples of one kind: a sampled geodesic along a stretch of `base`
+    (steps of several letters, repeated samples, either direction), a
+    point, samples that backtrack along `base`, or points scattered off it."""
 
-    kind = draw(st.sampled_from(["geodesic", "geodesic", "point", "backtrack", "scatter"]))
+    kind = draw(st.sampled_from(kinds))
     n = len(base)
     if kind == "point":
-        return Path((base.prefix(draw(st.integers(0, n))) * draw(_letters),))
+        return (base.prefix(draw(st.integers(0, n))) * draw(_letters),)
     if kind == "backtrack":
         cuts = draw(st.lists(st.integers(0, n), min_size=3, max_size=6))
-        return Path(tuple(base.prefix(c) for c in cuts))
+        return tuple(base.prefix(c) for c in cuts)
     if kind == "scatter":
-        return Path(tuple(base.prefix(draw(st.integers(0, n))) * draw(_letters)
-                          for _ in range(draw(st.integers(2, 5)))))
+        return tuple(base.prefix(draw(st.integers(0, n))) * draw(_letters)
+                     for _ in range(draw(st.integers(2, 5))))
     i, j = sorted(draw(st.lists(st.integers(0, n), min_size=2, max_size=2)))
     cuts = sorted(draw(st.lists(st.integers(i, j), max_size=5)) + [i, j])
     if draw(st.booleans()):
         cuts.reverse()
-    return Path(tuple(base.prefix(c) for c in cuts))
+    return tuple(base.prefix(c) for c in cuts)
 
 
 @st.composite
 def _chains(draw):
-    base = draw(st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=16)
-                .map(GroupWord.from_letters))
+    base = draw(_bases)
     frame = draw(_letters)
-    chain = draw(st.lists(_tree_paths(base), min_size=2, max_size=4))
+    chain = draw(st.lists(_tree_samples(base, _GEODESIC), min_size=2, max_size=4))
     # a common left translate keeps every distance
-    return [Path(tuple(frame * p for p in path.points)) for path in chain]
+    return [Path(tuple(frame * p for p in points)) for points in chain]
+
+
+@st.composite
+def _any_samples(draw):
+    kinds = _GEODESIC + ("backtrack", "scatter")
+    return draw(_tree_samples(draw(_bases), kinds))
 
 
 _closed_form = settings(max_examples=400, deadline=None, database=None)
@@ -142,11 +157,14 @@ def test_project_matches_scan(chain, x):
 
 @seed(2022)
 @_closed_form
-@given(_chains())
-def test_project_path_matches_scan(chain):
-    for target in chain:
-        for source in chain:
-            assert project_path(T, target, source) == reference_project_path(T, target, source)
+@given(_any_samples())
+def test_path_accepts_exactly_geodesic_samples(points):
+    steps = sum(T.distance(p, q) for p, q in zip(points, points[1:]))
+    if steps == T.distance(points[0], points[-1]):
+        assert Path(points).tree_offsets[-1] == steps
+    else:
+        with pytest.raises(ValueError, match="geodesic"):
+            Path(points)
 
 
 @seed(2022)
@@ -162,14 +180,14 @@ def test_alignment_report_matches_scan(chain, width):
     assert rep == want
 
 
-def test_backtracking_source_reads_every_foot():
-    # the source turns back, so its middle sample, not an endpoint, has the
-    # foot nearest the target's start
+def test_backtracking_source_is_refused():
+    # the source turns back: its steps sum to 12, its ends are 0 apart
     target = Path((o, w("a^3"), w("a^6"), w("a^10")))
-    source = Path((w("a^8"), w("a^2"), w("a^8")))
-    rep = is_aligned(T, [target, source], 20)
-    assert rep == reference_is_aligned(T, [target, source], 20)
-    assert rep.worst_diameter == 7
+    source = [w("a^8"), w("a^2"), w("a^8")]
+    with pytest.raises(ValueError, match="geodesic"):
+        Path(tuple(source))
+    with pytest.raises(ValueError, match="geodesic"):
+        is_aligned(T, [target, source], 20)
 
 
 def test_equidistant_samples_both_project():
@@ -227,13 +245,6 @@ class TestProjection:
         assert res.points == (w("a^2"),)
         assert res.distance == 1
 
-    def test_project_path_union(self):
-        seg = tree_geodesic(o, w("a^2"))
-        src = [w("a b"), w("a^2 b")]
-        res = project_path(T, seg, src)
-        assert set(res.points) == {w("a"), w("a^2")}
-        assert res.distance == 1
-
     def test_diameter(self):
         assert diameter(T, [o, w("a^2"), w("b")]) == 3
         assert diameter(T, [o]) == 0
@@ -279,26 +290,6 @@ class TestAlignment:
         translation = [[T.apply(g, x) for x in p] for p in chain]
         for variant in (chain, reversal, translation, chain + ext[1:]):
             assert is_aligned(T, variant, 2).aligned
-
-
-class TestContraction:
-    def test_tree_geodesic_is_contracting_at_width_zero(self):
-        # on a tree, d(x,y) <= d(x, axis) forces equal projections
-        axis = tree_geodesic(w("A^3"), w("a^3"))
-        ok, witness = is_contracting(T, axis, width=0, probe_radius=3)
-        assert ok and witness is None
-
-    def test_two_point_gap_set_is_not_contracting(self):
-        gappy = [o, w("a^6")]
-        ok, witness = is_contracting(T, gappy, width=2, probe_radius=4)
-        assert not ok
-        x, y = witness
-        d_set = min(T.distance(x, p) for p in gappy)
-        assert T.distance(x, y) <= d_set  # witness pair is admissible
-
-    def test_plane_is_refused(self):
-        with pytest.raises(ValueError):
-            is_contracting(PlaneModel(), [1j, 2j], width=4, probe_radius=4)
 
 
 class TestConstants:

@@ -62,6 +62,7 @@ class TestBuild:
         rep = verify_schottky(T, sch)
         assert rep.ok, rep.failures()
         assert rep.probe_radius == sch.m0 + 5
+        assert rep.properties["contracting_axes"].mode == "exact-geodesic"
 
     def test_step_scale_value(self):
         sch = build_schottky(T, a, b, size=2, m0=5)
@@ -100,9 +101,27 @@ class TestBuild:
         assert not rep.ok
         assert "general_position" in rep.failures()
 
+    def test_cancelling_or_empty_family_refused(self):
+        consts = SetConstants(k0=2, d0=4, d1=6, e0=0.5, length_floor=4)
+        with pytest.raises(ValueError, match="cancel"):
+            SchottkySet((SchottkySequence((a, a.inverse(), a, b, b)),), 5, consts)
+        with pytest.raises(ValueError, match="block"):
+            SchottkySet((), 5, consts)
+
 
 def sch_model():
     return T
+
+
+def walked_geodesic(model, steps):
+    """Whether the orbit o, s1 o, s1 s2 o, ... is a tree geodesic: its
+    segments add up to the distance between its ends."""
+    pts, acc = [model.basepoint], model.identity()
+    for s in steps:
+        acc = acc * s
+        pts.append(model.apply(acc, model.basepoint))
+    walked = sum(model.distance(p, q) for p, q in zip(pts, pts[1:]))
+    return walked == model.distance(pts[0], pts[-1])
 
 
 def reference_search(model, g, h, size, m0, k0, seed=0, budget=200000):
@@ -131,7 +150,7 @@ def reference_search(model, g, h, size, m0, k0, seed=0, budget=200000):
             )
         seq = SchottkySequence(tuple(steps))
         word = seq.product()
-        if gamma_axis(model, seq).tree_offsets is None:
+        if not walked_geodesic(model, steps):
             continue
         if model.distance(model.basepoint, model.apply(word, model.basepoint)) < floor:
             continue
@@ -189,8 +208,7 @@ def test_length_identity_is_walked_geodesy(pool, picks):
     seq = SchottkySequence(tuple(steps))
     flat = GroupWord.from_syllables(itertools.chain.from_iterable(s.syls for s in steps))
     assert flat == seq.product()
-    walked = gamma_axis(T, seq).tree_offsets is not None
-    assert (len(flat) == sum(len(s) for s in steps)) == walked
+    assert (len(flat) == sum(len(s) for s in steps)) == walked_geodesic(T, steps)
 
 
 def brute_general_position(sch, radius):

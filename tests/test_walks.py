@@ -218,9 +218,10 @@ def reference_deviation(model, sch, check_incs, fwd_incs, horizon, mirrored=Fals
     side_incs, side, near, far = (check_incs, chk, fwd, chk) if mirrored else (fwd_incs, fwd, chk, fwd)
     witnesses = []  # (i, whether each far point is aligned past the axis)
     for i in range(m0, horizon + 1):
-        axis = Path(tuple(side[i - m0 : i + 1]))
-        if tuple(side_incs[i - m0 : i]) in blocks and all(
-                is_aligned(model, [x, axis], d1).aligned for x in near):
+        if tuple(side_incs[i - m0 : i]) not in blocks:
+            continue
+        axis = Path(tuple(side[i - m0 : i + 1]))  # a block's axis is a geodesic
+        if all(is_aligned(model, [x, axis], d1).aligned for x in near):
             witnesses.append((i, [is_aligned(model, [axis, x], d1).aligned for x in far]))
     for k in range(m0, horizon + 1):
         for i, aligned in witnesses:
