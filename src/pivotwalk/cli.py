@@ -86,7 +86,7 @@ def _measure_from_spec(spec: str) -> walks.StepMeasure:
 def _schottky_from_file(path: str, model) -> schottky.SchottkySet:
     sch = _from_file(path, schottky.schottky_from_json)
     verifier.require_tree(model, sch)
-    failures = schottky.verify_schottky(model, sch).failures()
+    failures = schottky.verify_schottky(sch).failures()
     if failures:
         raise ConfigurationError("Schottky set %s fails verification: %s" % (path, ", ".join(failures)))
     return sch
@@ -104,7 +104,7 @@ def cmd_schottky_find(args) -> int:
     g = GroupWord.generator(1, 1)
     h = GroupWord.generator(2, 1)
     # build_schottky verifies the set and raises unless it passes
-    sch = schottky.build_schottky(model, g, h, size=size, m0=block, seed=seed)
+    sch = schottky.build_schottky(g, h, size=size, m0=block, seed=seed)
     payload = schottky.schottky_to_json(sch)
     with open(args.out, "w") as fh:
         fh.write(payload)
@@ -179,13 +179,11 @@ def cmd_census(args) -> int:
         raise ConfigurationError("n-max must be positive")
     if not math.isfinite(args.K):
         raise ConfigurationError("K must be finite")
+    base = [GroupWord.generator(1, 1), GroupWord.generator(2, 1)]
     if args.schottky:
         sch = _schottky_from_file(args.schottky, model)
     else:
-        sch = schottky.build_schottky(
-            model, GroupWord.generator(1, 1), GroupWord.generator(2, 1), size=4, m0=5, seed=seed
-        )
-    base = [GroupWord.generator(1, 1), GroupWord.generator(2, 1)]
+        sch = schottky.build_schottky(*base, size=4, m0=5, seed=seed)
     gens = counting.build_augmented_set(base, sch.products())
     rows = counting.census_rows(counting.enumerate_ball(gens, n_max), n_max, args.K)
     monotone = all(b[3] <= a[3] for a, b in zip(rows, rows[1:]))

@@ -48,6 +48,14 @@ class Path:
     def __len__(self) -> int:
         return len(self.points)
 
+    def translate(self, g) -> "Path":
+        """The path of left translates g p.  Left multiplication is a tree
+        isometry, so the offsets carry over and are not summed again."""
+        out = object.__new__(Path)
+        object.__setattr__(out, "points", tuple(g * p for p in self.points))
+        object.__setattr__(out, "tree_offsets", self.tree_offsets)
+        return out
+
 
 PathLike = Union[Path, Sequence, object]
 
@@ -74,39 +82,8 @@ class AlignmentReport:
     failing_index: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class ModelConstants:
-    """Calibrated alignment constants of the tree.
-
-    k0: width used by the basic alignment / Schottky predicates.
-    d0: pair-alignment width guaranteed for endpoint-aligned contracting axes.
-    d1: width a subsequence of a d0-aligned axis chain is tested at.
-    length_floor: every Schottky block must be longer than this many steps.
-    """
-
-    k0: float
-    d0: float
-    d1: float
-    length_floor: float
-
-
-TREE_CONSTANTS = ModelConstants(k0=2, d0=4, d1=6, length_floor=4)
-
-
-def schottky_length_scale(m0: int, k0: float) -> float:
-    """Length unit e0 stored with a Schottky set of block length m0.
-
-    Chosen so that a block of m0 steps is at least 10*e0 long and so that a
-    chain of k blocks whose junctions overlap by less than k0 still moves
-    the basepoint by at least 5*e0*k.
-    """
-
-    return min(m0 / 10.0, (m0 - 2.0 * (k0 - 1.0)) / 5.0)
-
-
-def project(model, target: PathLike, x) -> ProjectionResult:
-    """Nearest-point projection of x to a path (a set of points).  `model`
-    is not read: every path is a tree geodesic."""
+def project(x, target: PathLike) -> ProjectionResult:
+    """Nearest-point projection of x to a path (a set of points)."""
     path = as_path(target)
     offsets = path.tree_offsets
     t, h = _foot(path, offsets, x)
@@ -135,15 +112,14 @@ def _nearest(offsets: List[int], t: int) -> Tuple[int, int, int]:
     return bisect_left(offsets, t - gap), bisect_right(offsets, t + gap), gap
 
 
-def is_aligned(model, items: Sequence[PathLike], width: float) -> AlignmentReport:
+def is_aligned(items: Sequence[PathLike], width: float) -> AlignmentReport:
     """Alignment of a chain of paths/points at the given width.
 
     Consecutive paths must project onto each other near the adjacent
     endpoints: for each i, the projection of the (i+1)-st path to the i-th
     stays within `width` of the i-th ending point, and symmetrically the
     projection of the i-th path to the (i+1)-st stays within `width` of the
-    (i+1)-st starting point.  Strict inequality.  `model` is not read:
-    every path is a tree geodesic.
+    (i+1)-st starting point.  Strict inequality.
     """
 
     paths = [as_path(it) for it in items]

@@ -26,8 +26,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import TREE_CONSTANTS, Path, is_aligned
-from .schottky import SchottkySet, gamma_axis, in_tilde
+from .geometry import Path, is_aligned
+from .schottky import TREE_CONSTANTS, SchottkySet, in_tilde
 from .words import GroupWord, common_prefix_letters
 
 
@@ -96,26 +96,24 @@ class PivotalTimes:
         return iter(self.indices)
 
 
-def _step_conditions(model, config: PivotConfig, k: int, anchor_rel) -> bool:
-    """Local admissibility of step k; `anchor_rel` carries the anchor point
-    into the frame of the step's entry block."""
+def _step_conditions(config: PivotConfig, k: int, anchor_rel) -> bool:
+    """Local admissibility of step k; `anchor_rel` is the anchor point in
+    the frame of the step's entry block."""
 
     S = config.sch
     k0 = S.constants.k0
     a, b, c, _ = config.quads[k - 1]
     # entry block vs current anchor (frame: start of the entry block)
-    entry_axis = gamma_axis(model, S.sequences[a])
-    z_local = model.apply(anchor_rel, model.basepoint)
-    if not is_aligned(model, [z_local, entry_axis], k0).aligned:
+    if not is_aligned([anchor_rel, S.sequences[a].axis], k0).aligned:
         return False
     # admissible middle pair around the connector
-    if not in_tilde(model, S, b, c, config.v[k - 1]):
+    if not in_tilde(S, b, c, config.v[k - 1]):
         return False
     # exit block vs the step endpoint (frame: start of the exit block)
-    return _exit_ok(model, config, k, config.w[k])
+    return _exit_ok(config, k, config.w[k])
 
 
-def _exit_ok(model, config: PivotConfig, j: int, tail) -> bool:
+def _exit_ok(config: PivotConfig, j: int, tail) -> bool:
     """Does the endpoint respect the exit block of step j?
 
     `tail` is the isometry from the end of step j's exit block to the
@@ -123,13 +121,11 @@ def _exit_ok(model, config: PivotConfig, j: int, tail) -> bool:
     """
 
     S = config.sch
-    d = config.quads[j - 1][3]
-    exit_axis = gamma_axis(model, S.sequences[d])
-    point = model.apply(S.sequences[d].product() * tail, model.basepoint)
-    return is_aligned(model, [exit_axis, point], S.constants.k0).aligned
+    exit_block = S.sequences[config.quads[j - 1][3]]
+    return is_aligned([exit_block.axis, exit_block.product() * tail], S.constants.k0).aligned
 
 
-def compute_pivotal_times(model, config: PivotConfig) -> PivotalTimes:
+def compute_pivotal_times(config: PivotConfig) -> PivotalTimes:
     """Stack construction of the pivotal times of a configuration."""
 
     W = config.prefixes()
@@ -144,49 +140,47 @@ def compute_pivotal_times(model, config: PivotConfig) -> PivotalTimes:
         return config.w[j] * W[j].inverse() * W[k]
 
     for k in range(1, config.n + 1):
-        if _step_conditions(model, config, k, anchor_rel):
+        if _step_conditions(config, k, anchor_rel):
             stack.append(k)
             anchor_rel = config.w[k].inverse()
         else:
-            while stack and not _exit_ok(model, config, stack[-1], tail(stack[-1])):
+            while stack and not _exit_ok(config, stack[-1], tail(stack[-1])):
                 stack.pop()
             # the anchor returns to the last kept step's end, or to w_0
             anchor_rel = tail(stack[-1] if stack else 0).inverse()
     return PivotalTimes(tuple(stack))
 
 
-def extremal_axes(model, config: PivotConfig, times: Optional[PivotalTimes] = None) -> List[Path]:
+def extremal_axes(config: PivotConfig, times: Optional[PivotalTimes] = None) -> List[Path]:
     """The four translated block axes of every pivotal step, in order."""
 
-    times = times if times is not None else compute_pivotal_times(model, config)
+    times = times if times is not None else compute_pivotal_times(config)
     S = config.sch.sequences
     W = config.prefixes()
     axes: List[Path] = []
     for k in times:
         for frame, idx in zip(config.frames(k, W[k - 1]), config.quads[k - 1]):
-            axes.append(gamma_axis(model, S[idx], frame=frame))
+            axes.append(S[idx].axis.translate(frame))
     return axes
 
 
-def pivotal_chain_report(model, config: PivotConfig, times: Optional[PivotalTimes] = None):
+def pivotal_chain_report(config: PivotConfig, times: Optional[PivotalTimes] = None):
     """Alignment of (basepoint, pivotal axes..., endpoint) at width d1."""
 
-    times = times if times is not None else compute_pivotal_times(model, config)
-    axes = extremal_axes(model, config, times)
-    endpoint = model.apply(config.total(), model.basepoint)
-    items = [model.basepoint] + axes + [endpoint]
+    times = times if times is not None else compute_pivotal_times(config)
+    items = [GroupWord.identity()] + extremal_axes(config, times) + [config.total()]
     # dropping interior axes from a d0-aligned chain degrades the pairwise
     # width by a bounded amount, so the subchain is checked at width d1
-    return is_aligned(model, items, TREE_CONSTANTS.d1)
+    return is_aligned(items, TREE_CONSTANTS.d1)
 
 
-def pivot(model, config: PivotConfig, i: int, beta: int, gamma: int, v) -> PivotConfig:
+def pivot(config: PivotConfig, i: int, beta: int, gamma: int, v) -> PivotConfig:
     """Replace the middle pair and connector at pivotal time i."""
 
-    times = compute_pivotal_times(model, config)
+    times = compute_pivotal_times(config)
     if i not in times:
         raise ValueError("time %d is not pivotal" % i)
-    if not in_tilde(model, config.sch, beta, gamma, v):
+    if not in_tilde(config.sch, beta, gamma, v):
         raise ValueError("replacement middle pair is not admissible")
     a, _, _, d = config.quads[i - 1]
     quads = list(config.quads)

@@ -1,9 +1,10 @@
 """Schottky sets: construction, verification and the product maps.
 
 A Schottky sequence is a block of `m0` isometries; its axis is the orbit of
-the basepoint under the partial products.  A Schottky set is a family of
-such blocks whose axes are contracting, long, and mutually in general
-position: from any point, at most one block of the family is badly aligned.
+the basepoint under the partial products, built once with the block.  A
+Schottky set is a family of such blocks whose axes are contracting, long,
+and mutually in general position: from any point, at most one block of the
+family is badly aligned.
 Sets are built and verified on the tree only, where no block's steps
 cancel, so every axis is a tree geodesic.
 """
@@ -12,14 +13,16 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import asdict, dataclass, field
+import operator
+from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from .words import GroupWord
 from .spaces import TreeModel
-from .geometry import TREE_CONSTANTS, Path, is_aligned, schottky_length_scale
+from .geometry import Path, is_aligned
 
 
 class BudgetExhausted(RuntimeError):
@@ -35,19 +38,25 @@ class SchottkySequence:
     """A block of steps; the product and the axis derive from it."""
 
     steps: Tuple
-    _product: object = field(init=False, compare=False, repr=False)
+    # the identity, then the product of each leading run of steps
+    _partials: Tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        out = None
-        for s in self.steps:
-            out = s if out is None else out * s
-        object.__setattr__(self, "_product", out)
+        partials = itertools.accumulate(self.steps, operator.mul, initial=GroupWord.identity())
+        object.__setattr__(self, "_partials", tuple(partials))
 
     def __len__(self) -> int:
         return len(self.steps)
 
     def product(self):
-        return self._product
+        return self._partials[-1]
+
+    @cached_property
+    def axis(self) -> Path:
+        """The basepoint's orbit o, s1 o, s1 s2 o, ... under the partial
+        products, made on first use.  It is a path only if no letter
+        cancels, as in every block of a `SchottkySet`."""
+        return Path(self._partials)
 
     def inverse(self) -> "SchottkySequence":
         return SchottkySequence(tuple(s.inverse() for s in reversed(self.steps)))
@@ -55,11 +64,36 @@ class SchottkySequence:
 
 @dataclass(frozen=True)
 class SetConstants:
+    """Alignment constants of a Schottky set.
+
+    k0: width used by the basic alignment / Schottky predicates.
+    d0: pair-alignment width guaranteed for endpoint-aligned contracting axes.
+    d1: width a subsequence of a d0-aligned axis chain is tested at.
+    e0: length unit of the blocks (`schottky_length_scale`).
+    length_floor: every Schottky block must be longer than this many steps.
+    """
+
     k0: float
     d0: float
     d1: float
     e0: float
     length_floor: float
+
+
+def schottky_length_scale(m0: int, k0: float) -> float:
+    """Length unit e0 stored with a Schottky set of block length m0.
+
+    Chosen so that a block of m0 steps is at least 10*e0 long and so that a
+    chain of k blocks whose junctions overlap by less than k0 still moves
+    the basepoint by at least 5*e0*k.
+    """
+
+    return min(m0 / 10.0, (m0 - 2.0 * (k0 - 1.0)) / 5.0)
+
+
+# the constants of a tree set of 5-step blocks (the shortest above the
+# floor) at k0 = 2; `build_schottky` sets k0 and e0 for the blocks it builds
+TREE_CONSTANTS = SetConstants(k0=2, d0=4, d1=6, e0=schottky_length_scale(5, 2), length_floor=4)
 
 
 @dataclass(frozen=True)
@@ -72,6 +106,8 @@ class SchottkySet:
         if not self.sequences:
             raise ValueError("a Schottky set needs at least one block")
         for i, seq in enumerate(self.sequences):
+            if not seq.steps:
+                raise ValueError("block %d has no steps" % i)
             # the axis o, s1 o, s1 s2 o, ... has segments of length len(s_i),
             # so it is a tree geodesic iff no letter cancels
             if len(seq.product()) != sum(len(s) for s in seq.steps):
@@ -91,17 +127,6 @@ class SchottkySet:
         """Largest generator index a block uses (tree sets)."""
 
         return max((gen for seq in self.sequences for step in seq.steps for gen, _ in step.syls), default=0)
-
-
-def gamma_axis(model, seq: SchottkySequence, frame=None) -> Path:
-    """Axis of a block: basepoint orbit under the partial products."""
-    frame = frame if frame is not None else model.identity()
-    pts = [model.apply(frame, model.basepoint)]
-    acc = frame
-    for s in seq.steps:
-        acc = acc * s
-        pts.append(model.apply(acc, model.basepoint))
-    return Path(tuple(pts))
 
 
 # ---------------------------------------------------------------------------
@@ -146,12 +171,7 @@ def _tree_prefix_owners(words, k0: int) -> Dict[tuple, int]:
     return owners
 
 
-def _require_tree(model) -> None:
-    if model.kind != "tree":
-        raise ValueError("Schottky sets are built and verified on the tree, not the %s model" % model.kind)
-
-
-def verify_schottky(model, sch: SchottkySet, probe_radius: Optional[int] = None) -> VerifyReport:
+def verify_schottky(sch: SchottkySet, probe_radius: Optional[int] = None) -> VerifyReport:
     """Check the five defining properties of a tree Schottky set.
 
     Every axis is a tree geodesic, so the general-position property is
@@ -159,7 +179,6 @@ def verify_schottky(model, sch: SchottkySet, probe_radius: Optional[int] = None)
     it for the whole probe ball.
     """
 
-    _require_tree(model)
     consts = sch.constants
     k0 = consts.k0
     probe_radius = probe_radius if probe_radius is not None else sch.m0 + 5
@@ -180,7 +199,7 @@ def verify_schottky(model, sch: SchottkySet, probe_radius: Optional[int] = None)
     # (3) blocks move the basepoint far
     floor3 = 10.0 * consts.e0
     products = sch.products()
-    dists = [model.distance(model.basepoint, model.apply(p, model.basepoint)) for p in products]
+    dists = [len(p) for p in products]
     props["length"] = PropertyReport(
         ok=all(d >= floor3 for d in dists),
         mode="exact",
@@ -193,10 +212,11 @@ def verify_schottky(model, sch: SchottkySet, probe_radius: Optional[int] = None)
     # the predicate at x depends only on x's first k0 letters, and a key
     # owned twice is itself a point of length k0 that the depth-first
     # ball yields before any extension of it: the k0-ball decides the
-    # whole probe ball, with the same witness
+    # whole probe ball, with the same witness; the ball is that of the tree
+    # the blocks' generators span
     scan_radius = min(probe_radius, k0i)
     ok4, witness4, scanned = True, None, 0
-    for x in model.ball(scan_radius):
+    for x in TreeModel(max(2, sch.rank)).ball(scan_radius):
         scanned += 1
         key = tuple(itertools.islice(x.letters(), k0i))
         if len(key) == k0i and owners.get(key, 0) > 1:
@@ -212,9 +232,7 @@ def verify_schottky(model, sch: SchottkySet, probe_radius: Optional[int] = None)
     # (5) a block does not fold back on its own translate
     ok5, witness5 = True, None
     for seq in sch.sequences:
-        translated = gamma_axis(model, seq, frame=seq.product())
-        rep = is_aligned(model, [gamma_axis(model, seq), translated], k0)
-        if not rep.aligned:
+        if not is_aligned([seq.axis, seq.axis.translate(seq.product())], k0).aligned:
             ok5, witness5 = False, (seq,)
             break
     props["self_alignment"] = PropertyReport(ok=ok5, mode="exact", witness=witness5)
@@ -241,7 +259,6 @@ def independent_contracting_pair(model, g, h) -> bool:
 
 
 def build_schottky(
-    model,
     g,
     h,
     size: int,
@@ -257,10 +274,9 @@ def build_schottky(
     stay disjoint from the ones already used, then the whole set is verified.
     """
 
-    _require_tree(model)
     if size <= 0:
         raise ValueError("size must be positive")
-    if not independent_contracting_pair(model, g, h):
+    if not independent_contracting_pair(TreeModel(), g, h):
         raise NonIndependentPair("seed isometries must be independent and contracting")
 
     k0 = k0 if k0 is not None else TREE_CONSTANTS.k0
@@ -270,13 +286,7 @@ def build_schottky(
     pool = [g, h, g.inverse(), h.inverse()]
     rng = np.random.default_rng(seed)
 
-    set_consts = SetConstants(
-        k0=k0,
-        d0=TREE_CONSTANTS.d0,
-        d1=TREE_CONSTANTS.d1,
-        e0=schottky_length_scale(m0, k0),
-        length_floor=TREE_CONSTANTS.length_floor,
-    )
+    set_consts = replace(TREE_CONSTANTS, k0=k0, e0=schottky_length_scale(m0, k0))
 
     k0i = int(k0)
     floor = 10 * set_consts.e0
@@ -319,7 +329,7 @@ def build_schottky(
         raise BudgetExhausted("candidate space exhausted at %d of %d blocks" % (len(chosen), size))
 
     sch = SchottkySet(tuple(chosen), m0, set_consts)
-    report = verify_schottky(model, sch)
+    report = verify_schottky(sch)
     if not report.ok:
         raise BudgetExhausted("constructed set failed verification: %s" % report.failures())
     return sch
@@ -342,7 +352,7 @@ def tree_schottky_set(size: int, seed: int = 0) -> SchottkySet:
     m0 = max(int(TREE_CONSTANTS.length_floor) + 1, 2 * k0 - 1)
     g = GroupWord.from_letters([1])
     h = GroupWord.from_letters([2])
-    return build_schottky(TreeModel(), g, h, size=size, m0=m0, k0=float(k0), seed=seed)
+    return build_schottky(g, h, size=size, m0=m0, k0=float(k0), seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +394,7 @@ def phi_image(sch: SchottkySet, budget: int = 2_000_000) -> PhiImage:
     return PhiImage(tuple(elements), index)
 
 
-def concat_check(model, sch: SchottkySet, indices: Sequence[int], signs: Sequence[int]) -> dict:
+def concat_check(sch: SchottkySet, indices: Sequence[int], signs: Sequence[int]) -> dict:
     """Alignment and progress of a chain of (possibly inverted) blocks.
 
     Rejects patterns with an adjacent block/inverse-block pair, which is the
@@ -404,15 +414,14 @@ def concat_check(model, sch: SchottkySet, indices: Sequence[int], signs: Sequenc
         for i, s in zip(indices, signs)
     ]
     axes = []
-    frame = model.identity()
+    word = GroupWord.identity()
     for seq in seqs:
-        axes.append(gamma_axis(model, seq, frame=frame))
-        frame = frame * seq.product()
-    word = frame
-    displacement = model.distance(model.basepoint, model.apply(word, model.basepoint))
+        axes.append(seq.axis.translate(word))
+        word = word * seq.product()
+    displacement = len(word)
     k = len(indices)
     floor = 5.0 * sch.constants.e0 * k
-    rep = is_aligned(model, axes, sch.constants.d0)
+    rep = is_aligned(axes, sch.constants.d0)
     return {
         "aligned": rep.aligned,
         "displacement": displacement,
@@ -422,26 +431,23 @@ def concat_check(model, sch: SchottkySet, indices: Sequence[int], signs: Sequenc
     }
 
 
-def in_tilde(model, sch: SchottkySet, beta: int, gamma: int, v) -> bool:
+def in_tilde(sch: SchottkySet, beta: int, gamma: int, v) -> bool:
     """Membership in the admissible middle set for a connector v."""
     k0 = sch.constants.k0
     bseq, gseq = sch.sequences[beta], sch.sequences[gamma]
-    baxis = gamma_axis(model, bseq)
-    endpoint = model.apply(bseq.product() * v * gseq.product(), model.basepoint)
-    if not is_aligned(model, [baxis, endpoint], k0).aligned:
+    endpoint = bseq.product() * v * gseq.product()
+    if not is_aligned([bseq.axis, endpoint], k0).aligned:
         return False
-    gaxis = gamma_axis(model, gseq)
-    tail = model.apply(v.inverse(), model.basepoint)
-    return is_aligned(model, [tail, gaxis], k0).aligned
+    return is_aligned([v.inverse(), gseq.axis], k0).aligned
 
 
-def tilde_pairs(model, sch: SchottkySet, v) -> List[Tuple[int, int]]:
+def tilde_pairs(sch: SchottkySet, v) -> List[Tuple[int, int]]:
     n = len(sch)
     return [
         (b, c)
         for b in range(n)
         for c in range(n)
-        if in_tilde(model, sch, b, c, v)
+        if in_tilde(sch, b, c, v)
     ]
 
 

@@ -223,7 +223,7 @@ def non_elementary(measure: StepMeasure, model) -> bool:
     return any(independent_contracting_pair(model, first, g) for g in atoms)
 
 
-def calibrate(measure: StepMeasure, model, n: int, trials: int, seed: int) -> Dict[str, float]:
+def calibrate(measure: StepMeasure, n: int, trials: int, seed: int) -> Dict[str, float]:
     """Escape-rate and variance estimates from a dedicated run (use a seed
     disjoint from the experiment seed to avoid selection bias)."""
 
@@ -235,9 +235,8 @@ def calibrate(measure: StepMeasure, model, n: int, trials: int, seed: int) -> Di
     return {"lambda": lam, "sigma2": sigma2, "n": n, "trials": trials}
 
 
-def _calibration(calibration: Optional[Dict], measure: StepMeasure, model, n: int,
-                 trials: int, seed: int) -> Dict:
-    return calibration or calibrate(measure, model, n, min(trials, 2000), seed + 10_001)
+def _calibration(calibration: Optional[Dict], measure: StepMeasure, n: int, trials: int, seed: int) -> Dict:
+    return calibration or calibrate(measure, n, min(trials, 2000), seed + 10_001)
 
 
 def _decay_fit(n_grid: Sequence[int], freqs: List[float]) -> Tuple[float, float, bool]:
@@ -266,7 +265,7 @@ def run_genericity(
     _check_grid(model, measure, n_grid, trials)
     if not non_elementary(measure, model):
         raise ConfigurationError("measure is elementary")
-    calib = _calibration(calibration, measure, model, max(n_grid), trials, seed)
+    calib = _calibration(calibration, measure, max(n_grid), trials, seed)
     if not (math.isfinite(L) and L < calib["lambda"]):
         raise ConfigurationError(
             "rate floor L=%g must be finite and below the escape rate estimate %g" % (L, calib["lambda"])
@@ -354,7 +353,7 @@ def run_discrepancy(
             incs = measure.sample(rng, claim_n)
             horizon = max(sch.m0, claim_n // 10)
             aux = measure.sample(rng, 2 * (horizon + claim_n - claim_n // 2))
-            wit = discrepancy_bound_witness(model, sch, incs, aux, horizon=horizon)
+            wit = discrepancy_bound_witness(sch, incs, aux, horizon=horizon)
             if wit.applicable:
                 applicable += 1
                 if wit.lhs > wit.rhs + 1e-9:
@@ -388,7 +387,7 @@ def run_clt(
     law, and against each other."""
 
     _check_grid(model, measure, (n,), trials)
-    calib = _calibration(calibration, measure, model, n, trials, seed)
+    calib = _calibration(calibration, measure, n, trials, seed)
     lam, sigma2 = calib["lambda"], calib["sigma2"]
     if sigma2 <= 1e-12:
         return ExperimentReport(
@@ -496,7 +495,7 @@ def run_free_subgroup(
     least m * k1."""
 
     _check_grid(model, measure, n_grid, trials)
-    calib = _calibration(calibration, measure, model, max(n_grid), trials, seed)
+    calib = _calibration(calibration, measure, max(n_grid), trials, seed)
     per_n: Dict[str, Dict] = {}
     samples: List[Tuple] = []
     freqs = []

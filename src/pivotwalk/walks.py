@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import Path, is_aligned
+from .geometry import is_aligned
 from .schottky import SchottkySet
 from .words import GroupWord, word_from_str, word_to_str
 
@@ -202,7 +202,6 @@ class DeviationSample:
 
 
 def deviation(
-    model,
     sch: SchottkySet,
     check_incs: Sequence[GroupWord],
     fwd_incs: Sequence[GroupWord],
@@ -223,7 +222,7 @@ def deviation(
     d1 = sch.constants.d1
     if horizon < m0:
         raise ValueError("horizon below block length")
-    blocks = {tuple(seq.steps): i for i, seq in enumerate(sch.sequences)}
+    blocks = {tuple(seq.steps): seq for seq in sch.sequences}
     side_incs = check_incs if mirrored else fwd_incs
     fwd_pts = partial_products(fwd_incs[:horizon])
     chk_pts = partial_products(check_incs[:horizon])
@@ -233,24 +232,21 @@ def deviation(
     for i in range(m0, horizon + 1):
         if best is not None and best[0] <= i:
             break  # a later witness i gives k >= i >= best k, and loses the tie on i
-        if tuple(side_incs[i - m0 : i]) not in blocks:
+        block = blocks.get(tuple(side_incs[i - m0 : i]))
+        if block is None:
             continue
-        axis_words = pts[i - m0 : i + 1]
-        axis = Path(tuple(model.apply(wd, model.basepoint) for wd in axis_words))
+        # the window's points pts[i - m0 .. i] are the block's axis, moved
+        # to the window's start
+        axis = block.axis.translate(pts[i - m0])
         # near side: every point of the opposite ray projects near the start
         near_pts = fwd_pts if mirrored else chk_pts
         far_pts = chk_pts if mirrored else fwd_pts
-        ok_near = all(
-            is_aligned(model, [model.apply(wd, model.basepoint), axis], d1).aligned
-            for wd in near_pts
-        )
-        if not ok_near:
+        if not all(is_aligned([pt, axis], d1).aligned for pt in near_pts):
             continue
         # far side: find the least k >= i from which alignment never breaks
         k_min = i
         for k in range(horizon, i - 1, -1):
-            pt = model.apply(far_pts[k], model.basepoint)
-            if not is_aligned(model, [axis, pt], d1).aligned:
+            if not is_aligned([axis, far_pts[k]], d1).aligned:
                 k_min = k + 1
                 break
         if k_min > horizon:
@@ -272,7 +268,6 @@ class DiscrepancyWitness:
 
 
 def discrepancy_bound_witness(
-    model,
     sch: SchottkySet,
     increments: Sequence[GroupWord],
     aux: Sequence[GroupWord],
@@ -303,20 +298,18 @@ def discrepancy_bound_witness(
     fwd1 = g[half:] + aux_pos
     chk1 = [w.inverse() for w in reversed(g[:half])] + aux_neg
 
-    d0 = deviation(model, sch, chk0, fwd0, horizon)
-    dc0 = deviation(model, sch, chk0, fwd0, horizon, mirrored=True)
-    d1v = deviation(model, sch, chk1, fwd1, horizon)
-    dc1 = deviation(model, sch, chk1, fwd1, horizon, mirrored=True)
+    d0 = deviation(sch, chk0, fwd0, horizon)
+    dc0 = deviation(sch, chk0, fwd0, horizon, mirrored=True)
+    d1v = deviation(sch, chk1, fwd1, horizon)
+    dc1 = deviation(sch, chk1, fwd1, horizon, mirrored=True)
     devs = (d0.d, dc0.d, d1v.d, dc1.d)
     if max(devs) >= n / 10:
         return DiscrepancyWitness(False, None, None, devs)
 
     total = walk_product(g)
-    lhs = model.distance(model.basepoint, model.apply(total, model.basepoint)) - model.translation_length(total)
-
-    zfwd = walk_product(fwd0[: d0.d])
-    zchk = walk_product(chk0[: dc0.d])
-    reach_f = model.distance(model.basepoint, model.apply(zfwd, model.basepoint))
-    reach_b = model.distance(model.basepoint, model.apply(zchk, model.basepoint))
+    lhs = len(total) - total.translation_length()
+    # the reaches: displacements at the deviation times
+    reach_f = len(walk_product(fwd0[: d0.d]))
+    reach_b = len(walk_product(chk0[: dc0.d]))
     rhs = 2.0 * min(reach_f, reach_b)
     return DiscrepancyWitness(True, lhs, rhs, devs)

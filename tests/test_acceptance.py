@@ -77,8 +77,8 @@ def test_01_exact_tree_arithmetic():
         ok &= (g * x * g.inverse()).translation_length() == x.translation_length()
         # nearest-point projection to a segment is idempotent
         seg = tree_geodesic(y, z)
-        p = project(T, seg, x).points[0]
-        ok &= project(T, seg, p).points[0] == p
+        p = project(x, seg).points[0]
+        ok &= project(p, seg).points[0] == p
         if not ok:
             break
     elapsed = time.perf_counter() - t0
@@ -89,13 +89,13 @@ def test_02_block_set_properties():
     rng = np.random.default_rng(202)
     ok = True
     for size in (2, 4):
-        sch = build_schottky(T, A, B, size=size, m0=5, seed=0)
-        rep = verify_schottky(T, sch)  # exhaustive probe at radius m0 + 5
+        sch = build_schottky(A, B, size=size, m0=5, seed=0)
+        rep = verify_schottky(sch)  # exhaustive probe at radius m0 + 5
         ok &= rep.ok and rep.probe_radius == sch.m0 + 5
         floor = size * size - 2 * size
         for _ in range(1000):
             v = random_reduced_word(rng, int(rng.integers(0, 4)))
-            ok &= len(tilde_pairs(T, sch, v)) >= floor
+            ok &= len(tilde_pairs(sch, v)) >= floor
         if not ok:
             break
     report(2, "block sets verify; middle pairs >= N^2-2N", ok)
@@ -106,7 +106,7 @@ def test_03_product_injectivity_and_progress():
     rng = np.random.default_rng(303)
     ok = True
     for size in (2, 4):
-        sch = build_schottky(T, A, B, size=size, m0=5, seed=0)
+        sch = build_schottky(A, B, size=size, m0=5, seed=0)
         fwd = phi_image(sch)  # raises on any collision
         back = phi_image(inverse_set(sch))
         ok &= len(fwd) == size ** 4 and len(back) == size ** 4
@@ -118,7 +118,7 @@ def test_03_product_injectivity_and_progress():
             for i in range(k - 1):
                 if idx[i] == idx[i + 1] and sgn[i] * sgn[i + 1] == -1:
                     sgn[i + 1] = sgn[i]
-            out = concat_check(T, sch, idx, sgn)
+            out = concat_check(sch, idx, sgn)
             ok &= out["aligned"] and out["displacement"] >= 5.0 * sch.constants.e0 * k
         if not ok:
             break
@@ -128,7 +128,7 @@ def test_03_product_injectivity_and_progress():
 
 
 def test_04_pivotal_machinery():
-    sch = build_schottky(T, A, B, size=4, m0=5, seed=0)
+    sch = build_schottky(A, B, size=4, m0=5, seed=0)
     k0 = int(sch.constants.k0)
     n = 5
     ok = True
@@ -142,7 +142,7 @@ def test_04_pivotal_machinery():
 
     # 10^3 random configurations stay aligned through their pivotal chain
     for s in range(1000):
-        if not pivotal_chain_report(T, config(s)).aligned:
+        if not pivotal_chain_report(config(s)).aligned:
             ok = False
             break
 
@@ -151,12 +151,12 @@ def test_04_pivotal_machinery():
     s = 0
     while ok and moves < 1000:
         cfg = config(s)
-        times = compute_pivotal_times(T, cfg)
+        times = compute_pivotal_times(cfg)
         for i in times:
             vv = cfg.v[i - 1]
-            for pair in tilde_pairs(T, sch, vv)[:3]:
-                cfg2 = pivot(T, cfg, i, pair[0], pair[1], vv)
-                if compute_pivotal_times(T, cfg2).indices != times.indices:
+            for pair in tilde_pairs(sch, vv)[:3]:
+                cfg2 = pivot(cfg, i, pair[0], pair[1], vv)
+                if compute_pivotal_times(cfg2).indices != times.indices:
                     ok = False
                 moves += 1
                 if not ok or moves >= 1000:
@@ -177,7 +177,7 @@ def test_04_pivotal_machinery():
 
 
 def test_05_escape_rate_and_normal_limit():
-    calib = calibrate(simple_rw(), T, 1000, 10_000, seed=11)
+    calib = calibrate(simple_rw(), 1000, 10_000, seed=11)
     ok = abs(calib["lambda"] - 0.5) <= 0.01
     # variance oracle: |W_n| is a birth-death chain stepping +1 w.p. 3/4
     # and -1 w.p. 1/4 (off 0), so lambda = 1/2 and sigma^2 = 3/4

@@ -239,7 +239,12 @@ _INPUT_FILES = {
     # a block a A a b b, whose steps cancel
     "cancel-block.json": _with_blocks([[[1], [-1], [1], [2], [2]], _SET2["sequences"][1]]),
     "no-blocks.json": _with_blocks([]),
+    # one block of no steps
+    "zero.json": json.dumps(dict(_SET2, m0=0, sequences=[[]])),
 }
+
+_SCHOTTKY_ARGVS = (["census", "--n-max", "2"],
+                   ["run", "--experiment", "discrepancy", "--n", "20,80", "--trials", "20"])
 
 
 @pytest.mark.parametrize("argv", [
@@ -284,14 +289,22 @@ _INPUT_FILES = {
      "--claim-n", "40", "--schottky", "m0-short.json"],
     *[argv + ["--schottky", name]
       for name in ("dup-block.json", "cancel-block.json", "no-blocks.json")
-      for argv in (["census", "--n-max", "2"],
-                   ["run", "--experiment", "discrepancy", "--n", "20,80", "--trials", "20"])],
+      for argv in _SCHOTTKY_ARGVS],
 ])
 def test_bad_input_is_refused_cleanly(monkeypatch, tmp_path, capsys, argv):
     for name, text in _INPUT_FILES.items():
         (tmp_path / name).write_text(text)
     assert run_cli(monkeypatch, tmp_path, *argv) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("configuration error:")
+
+
+@pytest.mark.parametrize("argv", _SCHOTTKY_ARGVS)
+def test_empty_block_is_refused_by_name(monkeypatch, tmp_path, capsys, argv):
+    (tmp_path / "zero.json").write_text(_INPUT_FILES["zero.json"])
+    assert run_cli(monkeypatch, tmp_path, *argv, "--schottky", "zero.json") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert "block 0 has no steps" in err and "NoneType" not in err
 
 
 class TestUsage:

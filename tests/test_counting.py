@@ -9,7 +9,6 @@ import pytest
 
 from pivotwalk import counting
 from pivotwalk.schottky import build_schottky
-from pivotwalk.spaces import TreeModel
 from pivotwalk.words import GroupWord, word_from_str
 from pivotwalk.counting import (
     GeneratingSet,
@@ -137,7 +136,7 @@ def reference_census(gens, n_max, K):
 
 def census_gens(seed):
     """The generating set the census verb builds for a seed."""
-    sch = build_schottky(TreeModel(), a, b, size=4, m0=5, seed=seed)
+    sch = build_schottky(a, b, size=4, m0=5, seed=seed)
     return build_augmented_set([a, b], sch.products())
 
 

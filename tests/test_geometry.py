@@ -20,7 +20,12 @@ from pivotwalk.words import (
     word_from_str,
 )
 from pivotwalk.spaces import TreeModel
-from pivotwalk.schottky import schottky_to_json, tree_schottky_set
+from pivotwalk.schottky import (
+    TREE_CONSTANTS,
+    schottky_length_scale,
+    schottky_to_json,
+    tree_schottky_set,
+)
 from pivotwalk.geometry import (
     AlignmentReport,
     Path,
@@ -28,8 +33,6 @@ from pivotwalk.geometry import (
     as_path,
     project,
     is_aligned,
-    schottky_length_scale,
-    TREE_CONSTANTS,
 )
 
 T = TreeModel()
@@ -152,7 +155,17 @@ _closed_form = settings(max_examples=400, deadline=None, database=None)
 def test_project_matches_scan(chain, x):
     for path in chain:
         for point in (x, *path.points, x * path.start, path.end * x):
-            assert project(T, path, point) == reference_project(T, path, point)
+            assert project(point, path) == reference_project(T, path, point)
+
+
+@seed(2022)
+@settings(max_examples=100, deadline=None, database=None)
+@given(_chains(), _letters)
+def test_translate_keeps_offsets(chain, g):
+    for path in chain:
+        moved = path.translate(g)
+        fresh = Path(tuple(g * p for p in path.points))
+        assert moved == fresh and moved.tree_offsets == fresh.tree_offsets
 
 
 @seed(2022)
@@ -171,7 +184,7 @@ def test_path_accepts_exactly_geodesic_samples(points):
 @_closed_form
 @given(_chains(), st.sampled_from([0, 1, 2, 3, 4, 6, 2.5]))
 def test_alignment_report_matches_scan(chain, width):
-    rep = is_aligned(T, chain, width)
+    rep = is_aligned(chain, width)
     want = reference_is_aligned(T, chain, width)
     assert rep.aligned == want.aligned
     assert rep.failing_index == want.failing_index
@@ -187,14 +200,14 @@ def test_backtracking_source_is_refused():
     with pytest.raises(ValueError, match="geodesic"):
         Path(tuple(source))
     with pytest.raises(ValueError, match="geodesic"):
-        is_aligned(T, [target, source], 20)
+        is_aligned([target, source], 20)
 
 
 def test_equidistant_samples_both_project():
     # a^2 B hangs one edge off the geodesic at a^2, midway between the
     # samples o and a^2 b^2, so both are 3 away
     seg = Path((o, w("a^2 b^2")))
-    res = project(T, seg, w("a^2 B"))
+    res = project(w("a^2 B"), seg)
     assert res == reference_project(T, seg, w("a^2 B"))
     assert res.points == (o, w("a^2 b^2")) and res.distance == 3
 
@@ -235,13 +248,13 @@ class TestProjection:
             v = random_reduced_word(rng, int(rng.integers(1, 7)))
             x = random_reduced_word(rng, int(rng.integers(0, 8)))
             seg = tree_geodesic(u, v)
-            res = project(T, seg, x)
+            res = project(x, seg)
             assert len(res.points) == 1  # tree projections are single points
             assert res.points[0] == tree_projection_to_segment(x, u, v)
 
     def test_hand_values(self):
         seg = tree_geodesic(o, w("a^3"))
-        res = project(T, seg, w("a^2 b"))
+        res = project(w("a^2 b"), seg)
         assert res.points == (w("a^2"),)
         assert res.distance == 1
 
@@ -253,12 +266,12 @@ class TestProjection:
 class TestAlignment:
     def test_chained_geodesics_align(self):
         chain = [tree_geodesic(o, w("a^2")), tree_geodesic(w("a^2"), w("a^2 b^2"))]
-        rep = is_aligned(T, chain, width=1)
+        rep = is_aligned(chain, width=1)
         assert rep.aligned and rep.worst_diameter == 0
 
     def test_backtracking_chain_fails(self):
         chain = [tree_geodesic(o, w("a^2")), tree_geodesic(w("a^2"), o)]
-        rep = is_aligned(T, chain, width=2)
+        rep = is_aligned(chain, width=2)
         assert not rep.aligned
         assert rep.failing_index == 0
         assert rep.worst_diameter == 2  # full overlap; strict inequality bites
@@ -266,17 +279,17 @@ class TestAlignment:
     def test_strict_inequality_at_width(self):
         # junction overlap of exactly 2 is rejected at width 2, passes at 3
         chain = [tree_geodesic(o, w("a^3")), tree_geodesic(w("a"), w("a b^3"))]
-        assert not is_aligned(T, chain, width=2).aligned
-        assert is_aligned(T, chain, width=3).aligned
+        assert not is_aligned(chain, width=2).aligned
+        assert is_aligned(chain, width=3).aligned
 
     def test_points_as_degenerate_paths(self):
-        rep = is_aligned(T, [o, w("a^4")], width=1)
+        rep = is_aligned([o, w("a^4")], width=1)
         assert rep.aligned  # two points always align
 
     def test_semi_aligned_uses_wider_threshold(self):
         chain = [tree_geodesic(o, w("a^5")), tree_geodesic(w("a"), w("a b^7"))]
-        assert not is_aligned(T, chain, width=TREE_CONSTANTS.d0).aligned
-        assert is_aligned(T, chain, width=TREE_CONSTANTS.d1).aligned
+        assert not is_aligned(chain, width=TREE_CONSTANTS.d0).aligned
+        assert is_aligned(chain, width=TREE_CONSTANTS.d1).aligned
 
     def test_closure_under_reversal_translation_concatenation(self):
         chain = [tree_geodesic(o, w("a^3")), tree_geodesic(w("a^3"), w("a^3 b^3"))]
@@ -289,7 +302,7 @@ class TestAlignment:
         reversal = [list(reversed(p)) for p in reversed(chain)]
         translation = [[T.apply(g, x) for x in p] for p in chain]
         for variant in (chain, reversal, translation, chain + ext[1:]):
-            assert is_aligned(T, variant, 2).aligned
+            assert is_aligned(variant, 2).aligned
 
 
 class TestConstants:

@@ -16,6 +16,9 @@ which class it reaches: a method counts as reached when its name is read as
 an attribute in `src/` outside the method's own body, in an acceptance test
 or by perfbench.  Dunder methods are called by Python itself and are not
 checked.
+
+Every parameter of every function is read in its body (`self` and `cls`
+excepted).
 """
 
 import ast
@@ -37,6 +40,10 @@ ALLOWED = {
 # methods reached by no caller today, kept on purpose
 ALLOWED_METHODS = {
     "PlaneModel.matrix_for_word": "the exact Sanov map the plane ensemble will walk with",
+    # tree-only code reads words, not a model; the plane keeps the interface
+    "PlaneModel.apply": "the plane action a plane ensemble will report displacements with",
+    "PlaneModel.distance": "the plane metric a plane ensemble will report displacements with",
+    "TreeModel.distance": "the tree side of the model interface; perfbench's tracer wraps it by name",
 }
 
 
@@ -103,3 +110,21 @@ def test_every_method_is_reached():
                     unreached.append("%s:%s" % (path.name, key))
     assert not unreached, "methods in src/pivotwalk reached by nothing: " + ", ".join(sorted(unreached))
     assert set(ALLOWED_METHODS) <= methods
+
+
+def test_every_parameter_is_read():
+    # a parameter that its function never reads makes every caller pass a
+    # value for nothing; a nested function's reads count for the outer one
+    unread = []
+    for path in SRC:
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+                continue
+            a = fn.args
+            params = [p.arg for p in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg] if p]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {sub.id for stmt in body for sub in ast.walk(stmt)
+                    if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            unread += ["%s:%s(%s)" % (path.name, getattr(fn, "name", "lambda"), p)
+                       for p in params if p not in read and p not in ("self", "cls")]
+    assert not unread, "parameters in src/pivotwalk that are never read: " + ", ".join(unread)

@@ -15,7 +15,6 @@ from hypothesis import given, seed, settings, strategies as st
 
 from pivotwalk import pivotal
 from pivotwalk.words import GroupWord, common_prefix_letters, random_reduced_word, word_from_str
-from pivotwalk.spaces import TreeModel
 from pivotwalk.schottky import SchottkySet, build_schottky, tree_schottky_set, tilde_pairs
 from pivotwalk.pivotal import (
     PivotConfig,
@@ -34,10 +33,9 @@ from pivotwalk.pivotal import (
     pivot_counts_csv,
 )
 
-T = TreeModel()
 a = GroupWord.from_letters([1])
 b = GroupWord.from_letters([2])
-SCH = build_schottky(T, a, b, size=4, m0=5)
+SCH = build_schottky(a, b, size=4, m0=5)
 K0 = int(SCH.constants.k0)
 
 
@@ -199,7 +197,7 @@ class TestPivotalTimes:
     def test_times_sorted_and_in_range(self):
         for s in range(20):
             cfg = random_config(s)
-            idx = compute_pivotal_times(T, cfg).indices
+            idx = compute_pivotal_times(cfg).indices
             assert list(idx) == sorted(set(idx))
             assert all(1 <= k <= cfg.n for k in idx)
 
@@ -224,12 +222,12 @@ class TestPivotalTimes:
         for t in range(trials):
             draws = rng.integers(0, len(SCH), size=(n, 4))
             quads = tuple(tuple(int(x) for x in row) for row in draws)
-            full = compute_pivotal_times(T, PivotConfig(SCH, quads, w, v)).indices
+            full = compute_pivotal_times(PivotConfig(SCH, quads, w, v)).indices
             assert len(full) == counts[t]
             # a pop: a time kept after the first k steps is gone at the end
             for k in range(1, n):
                 cut = PivotConfig(SCH, quads[:k], w[: k + 1], v[:k])
-                popped |= any(j not in full for j in compute_pivotal_times(T, cut))
+                popped |= any(j not in full for j in compute_pivotal_times(cut))
         assert popped == pops
 
     def test_simulation_validates_spacer_lengths(self):
@@ -284,47 +282,47 @@ class TestFastSimulation:
         rng = np.random.default_rng(draw_seed)
         for t in range(trials):
             quads = tuple(tuple(int(x) for x in row) for row in rng.integers(0, len(SCH), size=(n, 4)))
-            assert len(compute_pivotal_times(T, PivotConfig(SCH, quads, w, v))) == counts[t]
+            assert len(compute_pivotal_times(PivotConfig(SCH, quads, w, v))) == counts[t]
 
 
 class TestChainAndPivot:
     def test_chain_is_aligned(self):
         for s in range(15):
             cfg = random_config(s)
-            assert pivotal_chain_report(T, cfg).aligned
+            assert pivotal_chain_report(cfg).aligned
 
     def test_four_axes_per_pivotal_time(self):
         cfg = random_config(3)
-        times = compute_pivotal_times(T, cfg)
-        assert len(extremal_axes(T, cfg, times)) == 4 * len(times)
+        times = compute_pivotal_times(cfg)
+        assert len(extremal_axes(cfg, times)) == 4 * len(times)
 
     def test_pivot_preserves_pivotal_times(self):
         hit = 0
         for s in range(10):
             cfg = random_config(s)
-            times = compute_pivotal_times(T, cfg)
+            times = compute_pivotal_times(cfg)
             for i in times:
                 vv = cfg.v[i - 1]
-                for pair in tilde_pairs(T, SCH, vv)[:4]:
-                    cfg2 = pivot(T, cfg, i, pair[0], pair[1], vv)
-                    assert compute_pivotal_times(T, cfg2).indices == times.indices
+                for pair in tilde_pairs(SCH, vv)[:4]:
+                    cfg2 = pivot(cfg, i, pair[0], pair[1], vv)
+                    assert compute_pivotal_times(cfg2).indices == times.indices
                     hit += 1
         assert hit > 50
 
     def test_pivot_rejects_non_pivotal_time(self):
         cfg = random_config(4)
-        times = compute_pivotal_times(T, cfg)
+        times = compute_pivotal_times(cfg)
         free = next(k for k in range(1, cfg.n + 1) if k not in times)
         with pytest.raises(ValueError):
-            pivot(T, cfg, free, 0, 1, cfg.v[free - 1])
+            pivot(cfg, free, 0, 1, cfg.v[free - 1])
 
     def test_pivot_rejects_inadmissible_pair(self):
         cfg = random_config(5)
-        times = compute_pivotal_times(T, cfg)
+        times = compute_pivotal_times(cfg)
         i = times.indices[0]
         # a connector equal to an inverse block excludes some middle pairs
         bad_v = SCH[0].product().inverse()
-        pairs = set(tilde_pairs(T, SCH, bad_v))
+        pairs = set(tilde_pairs(SCH, bad_v))
         excluded = next(
             (bi, ci)
             for bi in range(len(SCH))
@@ -332,7 +330,7 @@ class TestChainAndPivot:
             if (bi, ci) not in pairs
         )
         with pytest.raises(ValueError):
-            pivot(T, cfg, i, excluded[0], excluded[1], bad_v)
+            pivot(cfg, i, excluded[0], excluded[1], bad_v)
 
 
 class TestJumpLaw:

@@ -7,16 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from pivotwalk.geometry import TREE_CONSTANTS, schottky_length_scale
+from pivotwalk.geometry import Path
 from pivotwalk.words import GroupWord, common_prefix_letters, random_reduced_word, word_from_str
 from pivotwalk.spaces import MatrixIsometry, PlaneModel, TreeModel
 from pivotwalk.schottky import (
+    TREE_CONSTANTS,
     SchottkySequence,
     SchottkySet,
     SetConstants,
     NonIndependentPair,
     BudgetExhausted,
-    gamma_axis,
     independent_contracting_pair,
     verify_schottky,
     build_schottky,
@@ -26,6 +26,7 @@ from pivotwalk.schottky import (
     concat_check,
     in_tilde,
     tilde_pairs,
+    schottky_length_scale,
     schottky_to_json,
     schottky_from_json,
 )
@@ -44,7 +45,7 @@ class TestSequence:
     def test_product_and_partials(self):
         seq = SchottkySequence((a, b, a))
         assert seq.product() == w("a b a")
-        assert gamma_axis(T, seq).points == (o, w("a"), w("a b"), w("a b a"))
+        assert seq.axis.points == (o, w("a"), w("a b"), w("a b a"))
         assert len(seq) == 3
 
     def test_inverse_reverses_and_inverts(self):
@@ -56,28 +57,28 @@ class TestSequence:
 
 class TestBuild:
     def test_small_set_verifies(self):
-        sch = build_schottky(T, a, b, size=2, m0=5, seed=0)
+        sch = build_schottky(a, b, size=2, m0=5, seed=0)
         assert len(sch) == 2
         assert all(len(seq) == 5 for seq in sch.sequences)
-        rep = verify_schottky(T, sch)
+        rep = verify_schottky(sch)
         assert rep.ok, rep.failures()
         assert rep.probe_radius == sch.m0 + 5
         assert rep.properties["contracting_axes"].mode == "exact-geodesic"
 
     def test_step_scale_value(self):
-        sch = build_schottky(T, a, b, size=2, m0=5)
+        sch = build_schottky(a, b, size=2, m0=5)
         # min(m0/10, (m0 - 2(k0-1))/5) with k0=2
         assert sch.constants.e0 == pytest.approx(0.5)
 
     def test_dependent_seed_pair_rejected(self):
         with pytest.raises(NonIndependentPair):
-            build_schottky(T, a, a ** 2, size=2, m0=5)
+            build_schottky(a, a ** 2, size=2, m0=5)
         with pytest.raises(NonIndependentPair):
-            build_schottky(T, a, o, size=2, m0=5)
+            build_schottky(a, o, size=2, m0=5)
 
     def test_short_blocks_rejected(self):
         with pytest.raises(ValueError):
-            build_schottky(T, a, b, size=2, m0=4)  # at the floor, not above
+            build_schottky(a, b, size=2, m0=4)  # at the floor, not above
 
     def test_sized_builder_scales_prefix_width(self):
         sch2 = tree_schottky_set(2)
@@ -85,7 +86,7 @@ class TestBuild:
         sch100 = tree_schottky_set(100)
         # 4*3^(k0-1) >= 200 first at k0 = 5; m0 = 2*5 - 1
         assert len(sch100) == 100 and sch100.constants.k0 == 5 and sch100.m0 == 9
-        assert verify_schottky(sch_model(), sch100).ok
+        assert verify_schottky(sch100).ok
 
     def test_broken_set_detected(self):
         # two blocks sharing a leading letter pattern: general position fails
@@ -97,7 +98,7 @@ class TestBuild:
             m0=5,
             constants=SetConstants(k0=2, d0=4, d1=6, e0=0.5, length_floor=4),
         )
-        rep = verify_schottky(T, bad)
+        rep = verify_schottky(bad)
         assert not rep.ok
         assert "general_position" in rep.failures()
 
@@ -107,10 +108,8 @@ class TestBuild:
             SchottkySet((SchottkySequence((a, a.inverse(), a, b, b)),), 5, consts)
         with pytest.raises(ValueError, match="block"):
             SchottkySet((), 5, consts)
-
-
-def sch_model():
-    return T
+        with pytest.raises(ValueError, match="block 1 has no steps"):
+            SchottkySet((SchottkySequence((a,) * 5), SchottkySequence(())), 5, consts)
 
 
 def walked_geodesic(model, steps):
@@ -176,7 +175,7 @@ class TestSearchMatchesReference:
     )
     def test_chosen_blocks(self, g, h, m0, size, seed):
         k0 = TREE_CONSTANTS.k0
-        sch = build_schottky(T, w(g), w(h), size=size, m0=m0, seed=seed)
+        sch = build_schottky(w(g), w(h), size=size, m0=m0, seed=seed)
         assert list(sch.sequences) == reference_search(T, w(g), w(h), size, m0, k0, seed)
 
     def test_sized_set(self):
@@ -189,7 +188,7 @@ class TestSearchMatchesReference:
         with pytest.raises(BudgetExhausted) as ref:
             reference_search(T, a, b, 8, 5, k0, seed=0, budget=2000)
         with pytest.raises(BudgetExhausted) as got:
-            build_schottky(T, a, b, size=8, m0=5, seed=0, budget=2000)
+            build_schottky(a, b, size=8, m0=5, seed=0, budget=2000)
         assert str(got.value) == str(ref.value)
 
 
@@ -212,11 +211,12 @@ def test_length_identity_is_walked_geodesy(pool, picks):
 
 
 def brute_general_position(sch, radius):
-    """(ok, witness, scanned) of property (4), counting blocks per point."""
+    """(ok, witness, scanned) of property (4), counting blocks per point of
+    the ball of the tree the set's generators span."""
     k0 = int(sch.constants.k0)
     prefixes = [(p.prefix(k0), p.inverse().prefix(k0)) for p in sch.products()]
     scanned = 0
-    for x in T.ball(radius):
+    for x in TreeModel(max(2, sch.rank)).ball(radius):
         scanned += 1
         fails = sum(
             1
@@ -236,12 +236,13 @@ class TestGeneralPositionTable:
             (["a b a B A"], 2, True),  # forward and backward prefix are both a b
             (["a a a a a", "a a a a a b"], 6, True),  # a^5 is shorter than k0
             (["a b a b a", "b a b a b", "A B a b a"], 2, False),  # A B twice
+            (["a c a c a", "a c A c a"], 2, False),  # a c twice, on the rank-3 tree
         ],
     )
     def test_matches_brute_force(self, blocks, k0, ok):
         seqs = tuple(SchottkySequence(tuple(w(c) for c in t.split())) for t in blocks)
         sch = SchottkySet(seqs, 5, SetConstants(k0=k0, d0=4, d1=6, e0=0.5, length_floor=4))
-        rep = verify_schottky(T, sch, probe_radius=7).properties["general_position"]
+        rep = verify_schottky(sch, probe_radius=7).properties["general_position"]
         ref_ok, ref_witness, _ = brute_general_position(sch, 7)
         assert (rep.ok, ref_ok) == (ok, ok)
         assert rep.witness == ref_witness
@@ -276,19 +277,12 @@ class TestPlaneIndependence:
         assert independent_contracting_pair(P, P.gen_a * P.gen_b, P.gen_b * P.gen_a)
         assert not independent_contracting_pair(P, P.gen_a * P.gen_b, (P.gen_a * P.gen_b) ** 2)
 
-    def test_schottky_search_refuses_the_plane(self):
-        P = PlaneModel()
-        with pytest.raises(ValueError, match="tree"):
-            build_schottky(P, P.gen_a * P.gen_b, P.gen_b * P.gen_a, size=2, m0=5)
-        with pytest.raises(ValueError, match="tree"):
-            verify_schottky(P, build_schottky(T, a, b, size=2, m0=5))
-
 
 class TestAxes:
     def test_axis_endpoints_and_geodesy(self):
-        sch = build_schottky(T, a, b, size=2, m0=5)
+        sch = build_schottky(a, b, size=2, m0=5)
         seq = sch[0]
-        axis = gamma_axis(T, seq)
+        axis = seq.axis
         assert axis.start == o
         assert axis.end == seq.product()
         assert len(axis) == 6
@@ -296,15 +290,17 @@ class TestAxes:
         assert T.distance(axis.start, axis.end) == 5
 
     def test_axis_respects_frame(self):
-        sch = build_schottky(T, a, b, size=2, m0=5)
-        axis = gamma_axis(T, sch[1], frame=w("b a"))
+        sch = build_schottky(a, b, size=2, m0=5)
+        axis = sch[1].axis.translate(w("b a"))
         assert axis.start == w("b a")
         assert axis.end == w("b a") * sch[1].product()
+        # the translate keeps the offsets a fresh path sums
+        assert axis.tree_offsets == Path(axis.points).tree_offsets == [0, 1, 2, 3, 4, 5]
 
 
 class TestProducts:
     def setup_method(self):
-        self.sch = build_schottky(T, a, b, size=2, m0=5)
+        self.sch = build_schottky(a, b, size=2, m0=5)
 
     def test_four_block_map_is_injective(self):
         img = phi_image(self.sch)
@@ -331,7 +327,7 @@ class TestProducts:
 
 class TestConcat:
     def setup_method(self):
-        self.sch = build_schottky(T, a, b, size=4, m0=5)
+        self.sch = build_schottky(a, b, size=4, m0=5)
 
     def test_chain_progress_floor(self):
         rng = np.random.default_rng(11)
@@ -342,45 +338,45 @@ class TestConcat:
             for i in range(k - 1):  # avoid the excluded inverse-pair pattern
                 if idx[i] == idx[i + 1] and sgn[i] * sgn[i + 1] == -1:
                     sgn[i + 1] = sgn[i]
-            out = concat_check(T, self.sch, idx, sgn)
+            out = concat_check(self.sch, idx, sgn)
             assert out["aligned"]
             assert out["meets_floor"]
             assert out["displacement"] >= 5.0 * self.sch.constants.e0 * k
 
     def test_inverse_pair_pattern_rejected(self):
         with pytest.raises(ValueError):
-            concat_check(T, self.sch, [0, 0], [1, -1])
+            concat_check(self.sch, [0, 0], [1, -1])
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
-            concat_check(T, self.sch, [0, 1], [1])
+            concat_check(self.sch, [0, 1], [1])
         with pytest.raises(ValueError):
-            concat_check(T, self.sch, [0], [2])
+            concat_check(self.sch, [0], [2])
 
     def test_product_matches_block_words(self):
-        out = concat_check(T, self.sch, [0, 1], [1, 1])
+        out = concat_check(self.sch, [0, 1], [1, 1])
         ps = self.sch.products()
         assert out["product"] == ps[0] * ps[1]
 
 
 class TestTilde:
     def test_admissible_middle_count(self):
-        sch = build_schottky(T, a, b, size=4, m0=5)
+        sch = build_schottky(a, b, size=4, m0=5)
         n = len(sch)
         rng = np.random.default_rng(2)
         for _ in range(20):
             v = random_reduced_word(rng, int(rng.integers(0, 4)))
-            pairs = tilde_pairs(T, sch, v)
+            pairs = tilde_pairs(sch, v)
             assert len(pairs) >= n * n - 2 * n
             for bi, ci in pairs:
-                assert in_tilde(T, sch, bi, ci, v)
+                assert in_tilde(sch, bi, ci, v)
 
 
 class TestSerialization:
     def test_json_roundtrip(self):
-        sch = build_schottky(T, a, b, size=3, m0=5, seed=4)
+        sch = build_schottky(a, b, size=3, m0=5, seed=4)
         back = schottky_from_json(schottky_to_json(sch))
         assert back.m0 == sch.m0
         assert back.constants == sch.constants
         assert [s.product() for s in back.sequences] == sch.products()
-        assert verify_schottky(T, back).ok
+        assert verify_schottky(back).ok

@@ -159,7 +159,7 @@ class TestStatistics:
         assert not non_elementary(heavy_tail(kmax=512, rank=1), T)
 
     def test_calibrate_simple_rw(self):
-        calib = calibrate(simple_rw(), T, 200, 400, seed=1)
+        calib = calibrate(simple_rw(), 200, 400, seed=1)
         assert calib["lambda"] == pytest.approx(0.5, abs=0.05)
         assert calib["sigma2"] == pytest.approx(0.75, abs=0.2)
 
@@ -187,7 +187,7 @@ class TestDiscrepancy:
         assert rep.stats["worst_quadrupling_ratio"] <= 1.6
 
     def test_claim_stats_recorded(self):
-        sch = build_schottky(T, a, b, size=2, m0=5)
+        sch = build_schottky(a, b, size=2, m0=5)
         rep = run_discrepancy(
             simple_rw(), T, [100], 50, seed=6, sch=sch, claim_n=100, claim_trials=2
         )

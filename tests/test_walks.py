@@ -28,7 +28,7 @@ from test_verifier import reference_ensemble
 T = TreeModel()
 a = GroupWord.from_letters([1])
 b = GroupWord.from_letters([2])
-SCH = build_schottky(T, a, b, size=2, m0=5)
+SCH = build_schottky(a, b, size=2, m0=5)
 
 
 def w(text):
@@ -221,8 +221,8 @@ def reference_deviation(model, sch, check_incs, fwd_incs, horizon, mirrored=Fals
         if tuple(side_incs[i - m0 : i]) not in blocks:
             continue
         axis = Path(tuple(side[i - m0 : i + 1]))  # a block's axis is a geodesic
-        if all(is_aligned(model, [x, axis], d1).aligned for x in near):
-            witnesses.append((i, [is_aligned(model, [axis, x], d1).aligned for x in far]))
+        if all(is_aligned([x, axis], d1).aligned for x in near):
+            witnesses.append((i, [is_aligned([axis, x], d1).aligned for x in far]))
     for k in range(m0, horizon + 1):
         for i, aligned in witnesses:
             if i <= k and all(aligned[k:]):
@@ -233,7 +233,7 @@ def reference_deviation(model, sch, check_incs, fwd_incs, horizon, mirrored=Fals
 class TestDeviation:
     @pytest.mark.parametrize("rng_seed", range(12))
     def test_matches_reference_on_folding_walks(self, rng_seed):
-        sch = build_schottky(T, a, b, size=2, m0=10)
+        sch = build_schottky(a, b, size=2, m0=10)
         rng = np.random.default_rng(rng_seed)
 
         def incs(count):
@@ -253,27 +253,27 @@ class TestDeviation:
 
         chk, fwd = incs(60), incs(60)
         for mirrored in (False, True):
-            got = deviation(T, sch, chk, fwd, 40, mirrored=mirrored)
+            got = deviation(sch, chk, fwd, 40, mirrored=mirrored)
             assert (got.d, got.witness) == reference_deviation(T, sch, chk, fwd, 40, mirrored)
 
     def test_straight_block_walk_has_minimal_deviation(self):
         blk0, blk1 = list(SCH[0].steps), list(SCH[1].steps)
         fwd = blk0 + blk1 + blk0
         chk = blk1 + blk0 + blk1
-        d = deviation(T, SCH, chk, fwd, horizon=10)
+        d = deviation(SCH, chk, fwd, horizon=10)
         assert d == DeviationSample(d=SCH.m0, witness=SCH.m0, horizon=10, capped=False)
-        dm = deviation(T, SCH, chk, fwd, horizon=10, mirrored=True)
+        dm = deviation(SCH, chk, fwd, horizon=10, mirrored=True)
         assert dm.d == SCH.m0 and not dm.capped
 
     def test_capped_when_no_block_spelled(self):
         rng = np.random.default_rng(1)
         incs = simple_rw().sample(rng, 20)
-        d = deviation(T, SCH, incs, incs, horizon=10)
+        d = deviation(SCH, incs, incs, horizon=10)
         assert d.capped and d.d == 11 and d.witness is None
 
     def test_horizon_validation(self):
         with pytest.raises(ValueError):
-            deviation(T, SCH, [a] * 10, [a] * 10, horizon=SCH.m0 - 1)
+            deviation(SCH, [a] * 10, [a] * 10, horizon=SCH.m0 - 1)
 
 
 class TestDiscrepancyWitness:
@@ -284,7 +284,7 @@ class TestDiscrepancyWitness:
         inv = [s.inverse() for s in reversed(blk)]
         g = blk * 6 + inv * 6  # returns to the start: displacement 0, length 0
         aux = blk * 72
-        wit = discrepancy_bound_witness(T, sch, g, aux[:72], horizon=6)
+        wit = discrepancy_bound_witness(sch, g, aux[:72], horizon=6)
         assert wit.applicable
         assert wit.deviations == (5, 5, 5, 5)
         assert wit.lhs == 0
@@ -294,10 +294,10 @@ class TestDiscrepancyWitness:
         rng = np.random.default_rng(0)
         incs = simple_rw().sample(rng, 60)
         aux = simple_rw().sample(rng, 2 * (6 + 30))
-        wit = discrepancy_bound_witness(T, SCH, incs, aux, horizon=6)
+        wit = discrepancy_bound_witness(SCH, incs, aux, horizon=6)
         assert not wit.applicable
         assert wit.lhs is None and wit.rhs is None
 
     def test_short_aux_rejected(self):
         with pytest.raises(ValueError):
-            discrepancy_bound_witness(T, SCH, [a] * 20, [a] * 3, horizon=5)
+            discrepancy_bound_witness(SCH, [a] * 20, [a] * 3, horizon=5)
