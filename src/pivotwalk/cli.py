@@ -175,8 +175,8 @@ def cmd_census(args) -> int:
     verifier.require_tree(model)
     seed = _resolve_seed(args)
     n_max = args.n_max
-    if n_max <= 0:
-        raise ConfigurationError("n-max must be positive")
+    if n_max < 2:
+        raise ConfigurationError("n-max must be at least 2: the verdict fits a slope to the rows")
     if not math.isfinite(args.K):
         raise ConfigurationError("K must be finite")
     base = [GroupWord.generator(1, 1), GroupWord.generator(2, 1)]

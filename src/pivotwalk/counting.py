@@ -1,9 +1,9 @@
-"""Ball enumeration and k-tuple census in the free group.
+"""Ball enumeration, the ball census and the k-tuple census in the free group.
 
-Supports counting elements (and tuples of elements) of a given word-length
-ball that generate free subgroups of the expected rank, with an explicit
-work budget: when the ball is too large to enumerate exhaustively the
-census falls back to uniform sampling and flags the result as partial.
+The ball of a subgroup is walked level by level as rows of a
+`SyllableStack`, and the census reads each element's translation length off
+its row.  Past a work budget the walk stops before the level that would
+exceed it, and sampled products fill in the rest, flagged as partial.
 """
 
 from __future__ import annotations
@@ -15,109 +15,94 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .words import GroupWord, common_prefix_letters
+from .words import GroupWord, SyllableStack, common_prefix_letters, syllable_table
 
 
-@dataclass(frozen=True)
-class GeneratingSet:
-    """Finite symmetric generating set of a free-group subgroup."""
+def build_augmented_set(base: Sequence[GroupWord], sch_words: Sequence[GroupWord]) -> Tuple[GroupWord, ...]:
+    """Base generators together with the Schottky block words, each followed
+    by its inverse, without repeats or the identity: a symmetric
+    generating set."""
 
-    elements: Tuple[GroupWord, ...]
-
-    def __post_init__(self):
-        seen = set(self.elements)
-        if len(seen) != len(self.elements):
-            raise ValueError("duplicate generators")
-        if GroupWord.identity() in seen:
-            raise ValueError("identity is not a generator")
-
-    def symmetrized(self) -> "GeneratingSet":
-        out = list(self.elements)
-        seen = set(out)
-        for g in self.elements:
-            inv = g.inverse()
-            if inv not in seen:
-                out.append(inv)
-                seen.add(inv)
-        return GeneratingSet(tuple(out))
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
-def build_augmented_set(base: Sequence[GroupWord], sch_words: Sequence[GroupWord]) -> GeneratingSet:
-    """Base generators together with the Schottky block words (and all
-    inverses), deduplicated."""
-
-    out: List[GroupWord] = []
-    seen = set()
-    for g in list(base) + list(sch_words):
-        for h in (g, g.inverse()):
-            if h not in seen and not h.is_identity():
-                out.append(h)
-                seen.add(h)
-    return GeneratingSet(tuple(out))
+    return tuple(dict.fromkeys(h for g in [*base, *sch_words] for h in (g, g.inverse())
+                               if not h.is_identity()))
 
 
 @dataclass(frozen=True)
 class BallResult:
-    """Each element mapped to its BFS level (a sampled one to its factor
-    count), in BFS order; `radius` is the largest radius walked in full."""
+    """The ball's elements as stack rows in BFS order, each with its BFS
+    level (a sampled one with its factor count); `radius` is the largest
+    radius walked in full, `visited` the products formed."""
 
-    elements: Dict[GroupWord, int]
+    elements: SyllableStack
+    level: np.ndarray
     radius: int
     exhaustive: bool
     visited: int
 
 
+def _unseen(old: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """Indices, in order, of the keys in `new` that neither `old` nor an
+    earlier entry of `new` holds."""
+
+    start = len(old)
+    keys = np.concatenate((old, new))
+    del old, new  # free the caller's key arrays before the sort copies `keys`
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    # a stable sort puts the first occurrence of each key first among its equals
+    first = order[np.r_[True, ordered[1:] != ordered[:-1]]]
+    return np.sort(first[first >= start]) - start
+
+
 def enumerate_ball(
-    gens: GeneratingSet,
+    gens: Sequence[GroupWord],
     radius: int,
     budget: int = 10_000_000,
     rng=None,
     sample_size: int = 200_000,
 ) -> BallResult:
-    """Distinct subgroup elements reachable by <= radius generator factors.
+    """Distinct subgroup elements reachable by <= radius factors from the
+    symmetric closure of `gens`.
 
-    Breadth-first over products; `budget` caps the number of products
-    formed.  On budget exhaustion, falls back to sampling `sample_size`
-    random factor strings and returns the (partial) set found so far plus
-    the sampled elements, flagged non-exhaustive.
+    Breadth-first over products: a generator moves the word-metric level by
+    at most one, so a product formed from level r - 1 that is new to levels
+    r - 2 and r - 1 lies at level r.  `budget` caps the products formed: the
+    walk stops before a level that would pass it, then multiplies out
+    `sample_size` random factor strings of 1..radius factors and adds the
+    elements they find, flagged non-exhaustive.
     """
 
-    gens = gens.symmetrized()
-    ident = GroupWord.identity()
-    seen: Dict[GroupWord, int] = {ident: 0}
-    frontier: List[GroupWord] = [ident]
+    gens = build_augmented_set(gens, ())
+    k = len(gens)
+    # atom k, the identity, is padding: it idles a sampled string's spare steps
+    table = syllable_table(gens + (GroupWord.identity(),))
+    ball = SyllableStack.identities(table, 1, radius)
+    starts = [0, 1]  # level r fills rows starts[r]:starts[r + 1]
     visited = 0
-    exhausted = False
     for r in range(1, radius + 1):
-        nxt: List[GroupWord] = []
-        for x, g in itertools.product(frontier, gens.elements):
-            visited += 1
-            if visited > budget:
-                exhausted = True
-                break
-            y = x * g
-            if y not in seen:
-                seen[y] = r
-                nxt.append(y)
-        if exhausted:
+        frontier = np.arange(starts[r - 1], starts[r])
+        if visited + len(frontier) * k > budget:
             break
-        frontier = nxt
-
-    if exhausted:
+        visited += len(frontier) * k
+        products = ball.take(np.repeat(frontier, k))
+        products.push(np.tile(np.arange(k), len(frontier))[:, None])
+        new = _unseen(ball.take(slice(starts[max(r - 2, 0)], None)).keys(), products.keys())
+        ball = ball + products.take(new)
+        starts.append(len(ball))
+    radius_done = len(starts) - 2
+    level = np.repeat(np.arange(radius_done + 1), np.diff(starts))
+    exhaustive = radius_done == radius
+    if not exhaustive:
         rng = rng if rng is not None else np.random.default_rng(0)
-        k = len(gens.elements)
-        for _ in range(sample_size):
-            length = int(rng.integers(1, radius + 1))
-            x = ident
-            for _ in range(length):
-                x = x * gens.elements[int(rng.integers(0, k))]
-            if x not in seen:
-                seen[x] = length
-    completed = r - 1 if exhausted else radius
-    return BallResult(elements=seen, radius=completed, exhaustive=not exhausted, visited=visited)
+        length = rng.integers(1, radius + 1, size=sample_size)
+        atoms = rng.integers(0, k, size=(sample_size, radius))
+        atoms[np.arange(radius) >= length[:, None]] = k
+        sample = SyllableStack.identities(table, sample_size, radius)
+        sample.push(atoms)
+        new = _unseen(ball.keys(), sample.keys())
+        ball = ball + sample.take(new)
+        level = np.concatenate((level, length[new]))
+    return BallResult(elements=ball, level=level, radius=radius_done, exhaustive=exhaustive, visited=visited)
 
 
 def census_rows(ball: BallResult, n_max: int, K: float) -> List[Tuple[int, int, int, float, int]]:
@@ -125,8 +110,8 @@ def census_rows(ball: BallResult, n_max: int, K: float) -> List[Tuple[int, int, 
     walked to radius n_max: an element counts from its level on, and is bad
     at n if it is the identity or its translation length is at most K*n."""
 
-    level = np.fromiter(ball.elements.values(), dtype=np.int64)
-    tau = np.fromiter((w.translation_length() for w in ball.elements), dtype=np.int64)
+    level = ball.level
+    tau = np.abs(ball.elements.exps).sum(axis=1) - 2 * ball.elements.cyclic_cut()
     rows = []
     for n in range(1, n_max + 1):
         total = int(np.count_nonzero(level <= n))

@@ -69,9 +69,6 @@ class PivotConfig:
             out.append(out[-1] * self.block_isometry(k))
         return out
 
-    def total(self):
-        return self.prefixes()[-1]
-
     def frames(self, k: int, start) -> tuple:
         """Left frames of step k's blocks A, B, C, D when the step starts
         at `start` (W_{k-1} in ambient coordinates)."""
@@ -128,7 +125,12 @@ def _exit_ok(config: PivotConfig, j: int, tail) -> bool:
 def compute_pivotal_times(config: PivotConfig) -> PivotalTimes:
     """Stack construction of the pivotal times of a configuration."""
 
-    W = config.prefixes()
+    return _pivotal_times(config, config.prefixes())
+
+
+def _pivotal_times(config: PivotConfig, W: list) -> PivotalTimes:
+    """`compute_pivotal_times` given the prefixes W = config.prefixes()."""
+
     stack: List[int] = []
     # anchor point = anchor_rel applied to the basepoint, expressed in the
     # frame of the coming step's entry block; initially the basepoint seen
@@ -151,12 +153,11 @@ def compute_pivotal_times(config: PivotConfig) -> PivotalTimes:
     return PivotalTimes(tuple(stack))
 
 
-def extremal_axes(config: PivotConfig, times: Optional[PivotalTimes] = None) -> List[Path]:
-    """The four translated block axes of every pivotal step, in order."""
+def extremal_axes(config: PivotConfig, times: PivotalTimes, W: list) -> List[Path]:
+    """The four translated block axes of every pivotal step, in order,
+    given the prefixes W = config.prefixes()."""
 
-    times = times if times is not None else compute_pivotal_times(config)
     S = config.sch.sequences
-    W = config.prefixes()
     axes: List[Path] = []
     for k in times:
         for frame, idx in zip(config.frames(k, W[k - 1]), config.quads[k - 1]):
@@ -164,11 +165,11 @@ def extremal_axes(config: PivotConfig, times: Optional[PivotalTimes] = None) -> 
     return axes
 
 
-def pivotal_chain_report(config: PivotConfig, times: Optional[PivotalTimes] = None):
+def pivotal_chain_report(config: PivotConfig):
     """Alignment of (basepoint, pivotal axes..., endpoint) at width d1."""
 
-    times = times if times is not None else compute_pivotal_times(config)
-    items = [GroupWord.identity()] + extremal_axes(config, times) + [config.total()]
+    W = config.prefixes()
+    items = [GroupWord.identity()] + extremal_axes(config, _pivotal_times(config, W), W) + [W[-1]]
     # dropping interior axes from a d0-aligned chain degrades the pairwise
     # width by a bounded amount, so the subchain is checked at width d1
     return is_aligned(items, TREE_CONSTANTS.d1)

@@ -46,11 +46,7 @@ class TreeModel:
         return not g.is_identity()
 
     def generators(self) -> List[GroupWord]:
-        out = []
-        for i in range(1, self.rank + 1):
-            out.append(GroupWord.generator(i))
-            out.append(GroupWord.generator(i, -1))
-        return out
+        return [GroupWord.generator(i, sign) for i in range(1, self.rank + 1) for sign in (1, -1)]
 
     def ball(self, radius: int, center: Optional[GroupWord] = None) -> Iterator[GroupWord]:
         """All vertices within `radius` of the center (default basepoint)."""

@@ -21,6 +21,7 @@ from .counting import free_basis_margin
 from .schottky import SchottkySet, independent_contracting_pair
 from .svgplot import line_plot
 from .walks import StepMeasure, discrepancy_bound_witness, walk_product
+from .words import SyllableStack
 
 
 class ConfigurationError(ValueError):
@@ -82,79 +83,21 @@ class ExperimentReport:
 
 
 # ---------------------------------------------------------------------------
-# fast tree walk ensembles (vectorized syllable stacks)
+# fast tree walk ensembles
 
 
-def tree_walk_ensemble(
-    measure: StepMeasure, n: int, trials: int, rng
-) -> Tuple[np.ndarray, np.ndarray]:
+def tree_walk_ensemble(measure: StepMeasure, n: int, trials: int, rng) -> Tuple[np.ndarray, np.ndarray]:
     """(displacement, translation length) arrays for `trials` independent
-    n-step walks, exact word arithmetic throughout.
+    n-step walks, exact word arithmetic throughout: each step pushes its
+    sampled atoms onto a stack of the walks' reduced words."""
 
-    Each step feeds its atom's row of the syllable table, one column at a
-    time, through a vectorized stack of syllables, one update for all rows.
-    """
-
-    gen_a, exp_a = measure.table
-    idx = rng.choice(len(gen_a), size=(trials, n), p=measure.weights)
-    # the stack of row t sits in columns 1..ptr[t]; column 0 holds generator
-    # -1, which neither a syllable nor the padding (generator 0) matches
-    depth = n * gen_a.shape[1] + 1
-    G = np.zeros((trials, depth), dtype=np.int16)
-    G[:, 0] = -1
-    E = np.zeros((trials, depth), dtype=np.int64)
-    Gf, Ef = G.reshape(-1), E.reshape(-1)
-    base = np.arange(trials) * depth
-    top = base.copy()  # flat index of each row's top syllable
-    for step in idx.T:
-        for col_g, col_e in zip(gen_a.T, exp_a.T):
-            g = col_g[step]
-            e = col_e[step]
-            # a syllable on the top's generator merges into it, any other
-            # goes above it; a zero result (a cancellation, or padding) is
-            # written but not kept, so E stays zero above the top
-            push = Gf[top] != g
-            s = np.where(push, e, Ef[top] + e)
-            top += push
-            Gf[top] = g
-            Ef[top] = s
-            top -= s == 0
-    # a push needs a new top generator and a pop leaves no new adjacent
-    # pair, so each stack row is already a reduced word
-    cut = _cyclic_cut(G, E, top - base)
-    disp = np.abs(E, out=E).sum(axis=1)
+    idx = rng.choice(len(measure.weights), size=(trials, n), p=measure.weights)
+    stack = SyllableStack.identities(measure.table, trials, n)
+    stack.push(idx)
+    cut = stack.cyclic_cut()
+    # the stack's last use: absolute exponents in place, not in a stack-sized copy
+    disp = np.abs(stack.exps, out=stack.exps).sum(axis=1)
     return disp, disp - 2 * cut
-
-
-def _cyclic_cut(G: np.ndarray, E: np.ndarray, ptr: np.ndarray) -> np.ndarray:
-    """Letters that cyclic reduction cancels from each end of each stack
-    row, as `GroupWord.cyclic_reduce` strips them: while the first and last
-    syllables are inverse powers of one generator, the shorter wears off
-    both ends.  Only the rows still cancelling stay in the loop."""
-
-    cut = np.zeros(len(ptr), dtype=np.int64)
-    rows = np.arange(len(ptr))
-    lo = np.ones_like(ptr)
-    hi = ptr.copy()
-    # end exponents as worn so far; a fresh end is read from E
-    e_lo = E[rows, lo]
-    e_hi = E[rows, hi]
-    while True:
-        live = (lo < hi) & (G[rows, lo] == G[rows, hi]) & ((e_lo > 0) != (e_hi > 0))
-        rows, lo, hi, e_lo, e_hi = rows[live], lo[live], hi[live], e_lo[live], e_hi[live]
-        if not len(rows):
-            return cut
-        c = np.minimum(np.abs(e_lo), np.abs(e_hi))
-        cut[rows] += c
-        c *= np.sign(e_lo)
-        e_lo -= c
-        e_hi += c
-        gone_lo = e_lo == 0
-        gone_hi = e_hi == 0
-        lo += gone_lo
-        hi -= gone_hi
-        e_lo = np.where(gone_lo, E[rows, lo], e_lo)
-        e_hi = np.where(gone_hi, E[rows, hi], e_hi)
 
 
 def _trial_rng(seed: int, stream: int):
@@ -239,6 +182,14 @@ def _calibration(calibration: Optional[Dict], measure: StepMeasure, n: int, tria
     return calibration or calibrate(measure, n, min(trials, 2000), seed + 10_001)
 
 
+def _report(experiment: str, model, measure: StepMeasure, seed: int, n_grid: Sequence[int],
+            verdict: bool, **fields) -> ExperimentReport:
+    """The report of one run of `measure` on `model`."""
+
+    return ExperimentReport(experiment=experiment, model=model.kind, measure=measure.to_json(),
+                            seed=seed, n_grid=tuple(n_grid), verdict=verdict, **fields)
+
+
 def _decay_fit(n_grid: Sequence[int], freqs: List[float]) -> Tuple[float, float, bool]:
     """Log-slope, R^2 and monotone decrease of failure frequencies."""
 
@@ -282,24 +233,14 @@ def run_genericity(
             "mean_tau": float(tau.mean()),
             "mean_disp": float(disp.mean()),
         }
-        for t in range(trials):
-            samples.append((n, t, int(disp[t]), int(tau[t]), int(fail[t])))
+        samples += zip([n] * trials, range(trials), disp.tolist(), tau.tolist(), fail.astype(int).tolist())
     slope, r2, monotone = _decay_fit(n_grid, freqs)
     # decay either reaches zero or fits a negative log-slope
     verdict = monotone and (freqs[-1] == 0 or (slope < 0 and r2 >= 0.8))
-    return ExperimentReport(
-        experiment="genericity",
-        model=model.kind,
-        measure=measure.to_json(),
-        seed=seed,
-        n_grid=tuple(n_grid),
-        stats={"per_n": per_n, "log_slope": slope, "r2": r2,
-               "calibration": calib, "L": L},
-        thresholds={"r2_min": 0.8, "monotone": True},
-        verdict=verdict,
-        samples=samples,
-        sample_header=("n", "trial", "disp", "tau", "fail"),
-    )
+    return _report("genericity", model, measure, seed, n_grid, verdict,
+                   stats={"per_n": per_n, "log_slope": slope, "r2": r2, "calibration": calib, "L": L},
+                   thresholds={"r2_min": 0.8, "monotone": True},
+                   samples=samples, sample_header=("n", "trial", "disp", "tau", "fail"))
 
 
 def run_discrepancy(
@@ -333,8 +274,7 @@ def run_discrepancy(
         p95 = float(np.percentile(gap, 95))
         p95s.append(p95)
         per_n[str(n)] = {"p95": p95, "mean_gap": float(gap.mean())}
-        for t in range(trials):
-            samples.append((n, t, int(gap[t])))
+        samples += zip([n] * trials, range(trials), gap.tolist())
     worst_ratio = 0.0
     grid = list(n_grid)
     for i, n in enumerate(grid):
@@ -361,18 +301,10 @@ def run_discrepancy(
         claim_ok = violations == 0
         claim_stats = {"trials": claim_trials, "applicable": applicable, "violations": violations}
     verdict = worst_ratio <= 1.6 and claim_ok
-    return ExperimentReport(
-        experiment="discrepancy",
-        model=model.kind,
-        measure=measure.to_json(),
-        seed=seed,
-        n_grid=tuple(n_grid),
-        stats={"per_n": per_n, "worst_quadrupling_ratio": worst_ratio, "claim": claim_stats},
-        thresholds={"quadrupling_ratio_max": 1.6, "claim_violations": 0},
-        verdict=verdict,
-        samples=samples,
-        sample_header=("n", "trial", "gap"),
-    )
+    return _report("discrepancy", model, measure, seed, n_grid, verdict,
+                   stats={"per_n": per_n, "worst_quadrupling_ratio": worst_ratio, "claim": claim_stats},
+                   thresholds={"quadrupling_ratio_max": 1.6, "claim_violations": 0},
+                   samples=samples, sample_header=("n", "trial", "gap"))
 
 
 def run_clt(
@@ -390,11 +322,8 @@ def run_clt(
     calib = _calibration(calibration, measure, n, trials, seed)
     lam, sigma2 = calib["lambda"], calib["sigma2"]
     if sigma2 <= 1e-12:
-        return ExperimentReport(
-            experiment="clt", model=model.kind, measure=measure.to_json(), seed=seed,
-            n_grid=(n,), stats={"degenerate": True, "calibration": calib},
-            thresholds={}, verdict=True, samples=[], sample_header=(),
-        )
+        return _report("clt", model, measure, seed, (n,), True,
+                       stats={"degenerate": True, "calibration": calib}, thresholds={})
     [(_, disp, tau)] = _grid_ensembles(measure, (n,), trials, seed)
     scale = math.sqrt(sigma2 * n)
     z_disp = (disp - lam * n) / scale
@@ -406,22 +335,12 @@ def run_clt(
     ks_tau = float(sps.kstest(z_tau, "norm").statistic)
     ks_two = float(sps.ks_2samp(z_disp, z_tau).statistic)
     verdict = ks_disp <= 0.05 and ks_tau <= 0.05 and ks_two <= 0.03
-    samples = [(n, t, int(disp[t]), int(tau[t])) for t in range(trials)]
-    return ExperimentReport(
-        experiment="clt",
-        model=model.kind,
-        measure=measure.to_json(),
-        seed=seed,
-        n_grid=(n,),
-        stats={
-            "per_n": {str(n): {"ks_disp": ks_disp, "ks_tau": ks_tau, "ks_two_sample": ks_two}},
-            "calibration": calib,
-        },
-        thresholds={"ks_one_sample_max": 0.05, "ks_two_sample_max": 0.03},
-        verdict=verdict,
-        samples=samples,
-        sample_header=("n", "trial", "disp", "tau"),
-    )
+    samples = list(zip([n] * trials, range(trials), disp.tolist(), tau.tolist()))
+    return _report("clt", model, measure, seed, (n,), verdict,
+                   stats={"per_n": {str(n): {"ks_disp": ks_disp, "ks_tau": ks_tau, "ks_two_sample": ks_two}},
+                          "calibration": calib},
+                   thresholds={"ks_one_sample_max": 0.05, "ks_two_sample_max": 0.03},
+                   samples=samples, sample_header=("n", "trial", "disp", "tau"))
 
 
 def run_clt_converse(
@@ -452,8 +371,7 @@ def run_clt_converse(
         iqr = float(np.percentile(z, 75) - np.percentile(z, 25))
         iqrs.append(iqr)
         per_n[str(n)] = {"iqr": iqr, "median": med}
-        for t in range(trials):
-            samples.append((n, t, int(disp[t])))
+        samples += zip([n] * trials, range(trials), disp.tolist())
     ratios = [iqrs[i + 1] / max(iqrs[i], 1e-12) for i in range(len(iqrs) - 1)]
     # growth per doubling, averaged over the grid (endpoint geometric mean);
     # individual ratios are quantile estimates and too noisy to gate on
@@ -465,19 +383,10 @@ def run_clt_converse(
     else:
         verdict = growth >= 1.2
         thresholds = {"min_growth_per_doubling": 1.2}
-    return ExperimentReport(
-        experiment="clt_converse" + ("_contrast" if contrast else ""),
-        model=model.kind,
-        measure=measure.to_json(),
-        seed=seed,
-        n_grid=tuple(n_grid),
-        stats={"per_n": per_n, "doubling_ratios": ratios, "growth_per_doubling": growth,
-               "statistic": "disp"},
-        thresholds=thresholds,
-        verdict=verdict,
-        samples=samples,
-        sample_header=("n", "trial", "value"),
-    )
+    return _report("clt_converse" + ("_contrast" if contrast else ""), model, measure, seed, n_grid,
+                   verdict, stats={"per_n": per_n, "doubling_ratios": ratios,
+                                   "growth_per_doubling": growth, "statistic": "disp"},
+                   thresholds=thresholds, samples=samples, sample_header=("n", "trial", "value"))
 
 
 def run_free_subgroup(
@@ -516,15 +425,7 @@ def run_free_subgroup(
         per_n[str(n)] = {"failure_freq": freq, "k1": k1}
     slope, r2, monotone = _decay_fit(n_grid, freqs)
     verdict = monotone and (freqs[-1] == 0 or slope < 0) and freqs[-1] <= 0.05
-    return ExperimentReport(
-        experiment="free_subgroup",
-        model=model.kind,
-        measure=measure.to_json(),
-        seed=seed,
-        n_grid=tuple(n_grid),
-        stats={"per_n": per_n, "log_slope": slope, "r2": r2, "calibration": calib},
-        thresholds={"final_failure_max": 0.05, "monotone": True},
-        verdict=verdict,
-        samples=samples,
-        sample_header=("n", "trial", "margin", "fail"),
-    )
+    return _report("free_subgroup", model, measure, seed, n_grid, verdict,
+                   stats={"per_n": per_n, "log_slope": slope, "r2": r2, "calibration": calib},
+                   thresholds={"final_failure_max": 0.05, "monotone": True},
+                   samples=samples, sample_header=("n", "trial", "margin", "fail"))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import json
 import math
 import numbers
@@ -22,7 +21,7 @@ import numpy as np
 
 from .geometry import is_aligned
 from .schottky import SchottkySet
-from .words import GroupWord, word_from_str, word_to_str
+from .words import GroupWord, syllable_table, word_from_str, word_to_str
 
 
 class StepMeasure:
@@ -41,7 +40,7 @@ class StepMeasure:
         # `table` stands in for the words when `support` is None
         if support is not None:
             support = tuple(support)
-            table = _syllable_table(support)
+            table = syllable_table(support)
         self.table: Tuple[np.ndarray, np.ndarray] = table
         self._words: Dict[int, GroupWord] = dict(enumerate(support or ()))
         self.weights = np.array(weights, dtype=np.float64)
@@ -122,18 +121,6 @@ class StepMeasure:
             tuple(float(x) for x in data["weights"]),
             data.get("moment_profile", "bounded"),
         )
-
-
-def _syllable_table(support: Sequence[GroupWord]) -> Tuple[np.ndarray, np.ndarray]:
-    """Generator and exponent arrays of shape (atoms, S), S the most
-    syllables an atom has (at least 1), zero-padded on the right."""
-
-    width = max([1] + [len(s.syls) for s in support])
-    pad = ((0, 0),) * width
-    rows = (s.syls + pad[len(s.syls):] for s in support)
-    flat = itertools.chain.from_iterable(itertools.chain.from_iterable(rows))
-    table = np.fromiter(flat, dtype=np.int64, count=2 * width * len(support)).reshape(-1, width, 2)
-    return table[..., 0].astype(np.int16), np.ascontiguousarray(table[..., 1])
 
 
 def simple_rw(rank: int = 2) -> StepMeasure:

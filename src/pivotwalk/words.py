@@ -8,11 +8,17 @@ letter-level views are still available for the tree geometry.
 Generators are numbered 1..rank; a negative letter -g denotes the inverse of
 generator g.  The string form uses 'a', 'b', ... for generators and 'A', 'B',
 ... for their inverses.
+
+`SyllableStack` holds many reduced words as rows of integer arrays, for the
+walk ensemble and the ball census.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Tuple
+import itertools
+from typing import Iterable, Iterator, List, Sequence, Tuple
+
+import numpy as np
 
 Syllable = Tuple[int, int]
 
@@ -277,3 +283,123 @@ def random_reduced_word(rng, length: int, rank: int = 2) -> GroupWord:
         letters.append(letter)
         prev = letter
     return GroupWord.from_letters(letters)
+
+
+# ---------------------------------------------------------------------------
+# syllable stacks: many reduced words as rows of integer arrays
+
+
+def syllable_table(words: Sequence[GroupWord]) -> Tuple[np.ndarray, np.ndarray]:
+    """Generator and exponent arrays of shape (atoms, S), S the most
+    syllables a word has (at least 1), zero-padded on the right."""
+
+    width = max([1] + [len(w.syls) for w in words])
+    pad = ((0, 0),) * width
+    rows = (w.syls + pad[len(w.syls):] for w in words)
+    flat = itertools.chain.from_iterable(itertools.chain.from_iterable(rows))
+    table = np.fromiter(flat, dtype=np.int64, count=2 * width * len(words)).reshape(-1, width, 2)
+    return table[..., 0], np.ascontiguousarray(table[..., 1])
+
+
+class SyllableStack:
+    """Reduced words, one per row of a generator array `gens` and an
+    exponent array `exps`: row i holds its syllables in columns 1 to its
+    top, and exponent 0 above it.  Column 0 holds generator -1, which
+    neither a syllable nor the padding atom (generator 0) matches.  The
+    rows are multiplied on the right by atoms of a syllable table.
+    """
+
+    def __init__(self, table: Tuple[np.ndarray, np.ndarray], gens: np.ndarray, exps: np.ndarray):
+        self.table, self.gens, self.exps = table, gens, exps
+        # flat index of each row's top syllable, its last nonzero exponent
+        self.top = np.count_nonzero(exps, axis=1) + np.arange(len(gens)) * gens.shape[1]
+
+    @classmethod
+    def identities(cls, table: Tuple[np.ndarray, np.ndarray], rows: int, steps: int) -> "SyllableStack":
+        """`rows` identity words with room for `steps` atoms of `table`
+        each, in integer types that hold the table's rank and `steps` times
+        its largest exponent: a syllable of a product sums at most one
+        syllable of each factor, so no exponent wraps."""
+
+        gen_a, exp_a = table
+        largest = steps * int(max(exp_a.max(initial=0), -exp_a.min(initial=0)))
+        # the narrowest signed type holding -b - 1 holds -b..b
+        table = (gen_a.astype(np.min_scalar_type(-int(gen_a.max(initial=0)) - 1)),
+                 exp_a.astype(np.min_scalar_type(-largest - 1)))
+        gens = np.zeros((rows, steps * gen_a.shape[1] + 1), dtype=table[0].dtype)
+        gens[:, 0] = -1
+        return cls(table, gens, np.zeros(gens.shape, dtype=table[1].dtype))
+
+    def __len__(self) -> int:
+        return len(self.gens)
+
+    def take(self, idx) -> "SyllableStack":
+        """Rows idx of this stack, with the same table."""
+        return SyllableStack(self.table, self.gens[idx], self.exps[idx])
+
+    def __add__(self, other: "SyllableStack") -> "SyllableStack":
+        """This stack's rows, then those of `other`, a stack with the same
+        table and widths."""
+        return SyllableStack(self.table, np.concatenate((self.gens, other.gens)),
+                             np.concatenate((self.exps, other.exps)))
+
+    def push(self, atoms: np.ndarray) -> None:
+        """Multiply row i by the table atoms atoms[i, 0], atoms[i, 1], ...
+        in turn, one syllable column at a time, one update for all rows."""
+
+        Gf, Ef, top = self.gens.reshape(-1), self.exps.reshape(-1), self.top
+        columns = list(zip(*(t.T for t in self.table)))
+        for step in atoms.T:
+            for col_g, col_e in columns:
+                g = col_g[step]
+                e = col_e[step]
+                # a syllable on the top's generator merges into it, any other
+                # goes above it; a zero result (a cancellation, or padding) is
+                # written but not kept, so exponents stay zero above the top
+                above = Gf[top] != g
+                s = np.where(above, e, Ef[top] + e)
+                top += above
+                Gf[top] = g
+                Ef[top] = s
+                top -= s == 0
+        # a push needs a new top generator and a pop leaves no new adjacent
+        # pair, so each row stays a reduced word
+
+    def keys(self) -> np.ndarray:
+        """Each row's bytes as one item, equal exactly for equal words: the
+        generators that pops left above the tops are cleared first."""
+
+        self.gens[:, 1:][self.exps[:, 1:] == 0] = 0
+        raw = np.hstack((self.gens.view(np.uint8), self.exps.view(np.uint8)))
+        return raw.view(np.dtype((np.void, raw.shape[1])))[:, 0]
+
+    def cyclic_cut(self) -> np.ndarray:
+        """Letters that cyclic reduction cancels from each end of each row,
+        as `GroupWord.cyclic_reduce` strips them: while the first and last
+        syllables are inverse powers of one generator, the shorter wears
+        off both ends.  Only the rows still cancelling stay in the loop."""
+
+        G, E = self.gens, self.exps
+        hi = self.top - np.arange(len(self)) * G.shape[1]
+        cut = np.zeros(len(hi), dtype=np.int64)
+        rows = np.arange(len(hi))
+        lo = np.ones_like(hi)
+        # end exponents as worn so far; a fresh end is read from E
+        e_lo = E[rows, lo]
+        e_hi = E[rows, hi]
+        while True:
+            live = (lo < hi) & (G[rows, lo] == G[rows, hi]) & ((e_lo > 0) != (e_hi > 0))
+            rows, lo, hi, e_lo, e_hi = rows[live], lo[live], hi[live], e_lo[live], e_hi[live]
+            if not len(rows):
+                return cut
+            c = np.minimum(np.abs(e_lo), np.abs(e_hi))
+            cut[rows] += c
+            c *= np.sign(e_lo)
+            e_lo -= c
+            e_hi += c
+            gone_lo = e_lo == 0
+            gone_hi = e_hi == 0
+            lo += gone_lo
+            hi -= gone_hi
+            e_lo = np.where(gone_lo, E[rows, lo], e_lo)
+            e_hi = np.where(gone_hi, E[rows, hi], e_hi)

@@ -259,6 +259,7 @@ _SCHOTTKY_ARGVS = (["census", "--n-max", "2"],
     ["run", "--experiment", "clt-converse", "--measure", "heavy", "--n", "40", "--trials", "20"],
     ["pivot-trace", "--N0", "100", "--n", "0", "--trials", "20"],
     ["census", "--n-max", "0"],
+    ["census", "--n-max", "1"],
     ["run", "--experiment", "clt", "--n", "50", "--trials", "1"],
     ["run", "--experiment", "discrepancy", "--n", "20,80", "--trials", "20", "--claim-trials", "2"],
     ["census", "--n-max", "2", "--schottky", "no-constants.json"],

@@ -2,16 +2,18 @@
 
 Rank values are frozen from hand-worked foldings: <a, b> has rank 2,
 <a, a^3> folds to <a> (rank 1), and <a^2, a^3> also generates <a>.
+The ball and its census rows are checked against `reference_ball`, a
+breadth-first walk of `GroupWord` products that shares no code with the
+stack walk.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
-from pivotwalk import counting
 from pivotwalk.schottky import build_schottky
 from pivotwalk.words import GroupWord, word_from_str
 from pivotwalk.counting import (
-    GeneratingSet,
     build_augmented_set,
     census_rows,
     enumerate_ball,
@@ -29,47 +31,90 @@ def w(text):
     return word_from_str(text)
 
 
+def stack_words(stack):
+    """Each row of a syllable stack as a word."""
+    return [GroupWord(tuple((g, e) for g, e in zip(gens[1:], exps[1:]) if e))
+            for gens, exps in zip(stack.gens.tolist(), stack.exps.tolist())]
+
+
+def reference_ball(words, radius):
+    """Each element of the ball of radius `radius` in the word metric of
+    `words` and their inverses, mapped to its BFS level: one `GroupWord`
+    product per frontier element and generator."""
+
+    gens = {h for g in words for h in (g, g.inverse()) if not h.is_identity()}
+    seen = {GroupWord.identity(): 0}
+    frontier = [GroupWord.identity()]
+    for r in range(1, radius + 1):
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = x * g
+                if y not in seen:
+                    seen[y] = r
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
+def reference_census(words, n_max, K):
+    """The census verb's rows as it once computed them: a fresh ball walk per
+    radius, each element's translation length taken again for every row."""
+
+    rows = []
+    for n in range(1, n_max + 1):
+        ball = reference_ball(words, n)
+        bad = sum(1 for x in ball if x.is_identity() or x.translation_length() <= K * n)
+        rows.append((n, len(ball), bad, bad / len(ball), 1))
+    return rows
+
+
+def ball_levels(res):
+    """The stack walk's ball as {element: level}."""
+    words = stack_words(res.elements)
+    assert len(set(words)) == len(words)
+    return dict(zip(words, res.level.tolist()))
+
+
 class TestGeneratingSet:
     def test_rejects_duplicates_and_identity(self):
-        with pytest.raises(ValueError):
-            GeneratingSet((a, a))
-        with pytest.raises(ValueError):
-            GeneratingSet((a, GroupWord.identity()))
+        assert build_augmented_set([a, a, GroupWord.identity()], [a.inverse()]) == (a, a.inverse())
 
     def test_symmetrized(self):
-        s = GeneratingSet((a, b)).symmetrized()
-        assert set(s.elements) == {a, b, a.inverse(), b.inverse()}
+        s = build_augmented_set([a, b], [])
+        assert set(s) == {a, b, a.inverse(), b.inverse()}
         # already-symmetric sets are unchanged
-        assert len(s.symmetrized()) == 4
+        assert build_augmented_set(s, []) == s
 
     def test_augmented_set(self):
         s = build_augmented_set([a, b], [w("a b a")])
         assert len(s) == 6
-        assert w("A B A") in set(s.elements)
+        assert w("A B A") in s
 
 
 class TestBall:
     def test_free_group_ball_sizes(self):
         # |B(r)| = 1 + 4 + 4*3 + ... = 2*3^r - 1 in the rank-2 free group
-        gens = GeneratingSet((a, b))
         for r, size in ((1, 5), (2, 17), (3, 53), (4, 161)):
-            res = enumerate_ball(gens, r)
+            res = enumerate_ball((a, b), r)
             assert len(res.elements) == size
             assert res.exhaustive and res.radius == r
             # a free basis: the BFS level is the word length
-            assert all(level == len(x) for x, level in res.elements.items())
+            assert all(level == len(x) for x, level in ball_levels(res).items())
 
     def test_cyclic_subgroup_ball(self):
-        res = enumerate_ball(GeneratingSet((w("a^2"),)), 3)
-        assert set(res.elements) == {w("a^%d" % k) if k else GroupWord.identity()
-                                     for k in (-6, -4, -2, 0, 2, 4, 6)}
+        res = enumerate_ball((w("a^2"),), 3)
+        assert set(stack_words(res.elements)) == {w("a^%d" % k) if k else GroupWord.identity()
+                                                  for k in (-6, -4, -2, 0, 2, 4, 6)}
 
     def test_budget_fallback_is_partial(self):
-        res = enumerate_ball(GeneratingSet((a, b)), 4, budget=30,
-                             rng=np.random.default_rng(0), sample_size=500)
+        res = enumerate_ball((a, b), 4, budget=30, rng=np.random.default_rng(0), sample_size=500)
         assert not res.exhaustive
         assert res.radius == 2  # radius 3 needs 4 * 17 = 68 products
+        assert res.visited == 20
         assert 0 < len(res.elements) < 161 + 1
+        # sampled elements are true ball elements, at a level no lower than their length
+        assert all(len(x) <= level <= 4 for x, level in ball_levels(res).items())
 
 
 class TestRank:
@@ -95,9 +140,7 @@ class TestRank:
 
 class TestCensus:
     def test_exhaustive_pair_census_on_tiny_ball(self):
-        elements = [e for e in enumerate_ball(GeneratingSet((a, b)), 1).elements
-                    if not e.is_identity()]
-        res = ktuple_census(elements, 2)
+        res = ktuple_census([a, a.inverse(), b, b.inverse()], 2)
         assert res.exhaustive and not res.sampled
         assert res.total == 16
         # frozen by hand: unordered {x, y} free iff y not in {x, x^-1};
@@ -106,7 +149,9 @@ class TestCensus:
         assert res.fraction == pytest.approx(0.5)
 
     def test_sampled_census_past_budget(self):
-        elements = list(enumerate_ball(GeneratingSet((a, b)), 2).elements)
+        # the 17 elements of the radius-2 ball of the rank-2 free group
+        elements = [GroupWord.identity()] + [w(x) for x in
+                                             "a A b B aa ab aB AA Ab AB ba bA bb Ba BA BB".split()]
         res = ktuple_census(elements, 4, budget=1000, rng=np.random.default_rng(1))
         assert res.sampled and not res.exhaustive
         assert res.tuple_count_examined == 1000
@@ -118,26 +163,46 @@ class TestCensus:
         assert census_scale(2.0, 10000) == 10
 
 
-def reference_census(gens, n_max, K):
-    """The census verb's rows as it once computed them: a fresh ball walk per
-    radius, each element's translation length taken again for every row."""
-
-    rows = []
-    for n in range(1, n_max + 1):
-        ball = counting.enumerate_ball(gens, n)
-        bad = 0
-        for w in ball.elements:
-            if w.is_identity() or w.translation_length() <= K * n:
-                bad += 1
-        frac = bad / len(ball.elements)
-        rows.append((n, len(ball.elements), bad, frac, int(ball.exhaustive)))
-    return rows
-
-
 def census_gens(seed):
     """The generating set the census verb builds for a seed."""
     sch = build_schottky(a, b, size=4, m0=5, seed=seed)
     return build_augmented_set([a, b], sch.products())
+
+
+# reduced words of 1-4 syllables on a and b with exponents ±1..3, so that
+# generators merge and cancel at junctions (a^2 with A, a b with B A^2)
+_words = st.lists(st.tuples(st.integers(1, 2), st.sampled_from([-3, -2, -1, 1, 2, 3])),
+                  min_size=1, max_size=4).map(GroupWord.from_syllables)
+
+
+@seed(2022)
+@settings(max_examples=120, deadline=None, database=None)
+@given(st.lists(_words, min_size=1, max_size=4), st.integers(1, 3),
+       st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]))
+def test_ball_and_rows_match_reference_on_any_set(words, n_max, K):
+    ref_ball, ref_rows = reference_ball(words, n_max), reference_census(words, n_max, K)
+    ball = enumerate_ball(words, n_max)
+    assert ball_levels(ball) == ref_ball
+    assert census_rows(ball, n_max, K) == ref_rows
+    if not ball.visited:
+        return  # only the identity: no product to cut off
+    # a budget one product short of the last level: that level is sampled
+    partial = enumerate_ball(words, n_max, budget=ball.visited - 1, rng=np.random.default_rng(0),
+                             sample_size=50)
+    assert not partial.exhaustive and partial.radius == n_max - 1
+    # a sampled string of m factors reaches an element at level m or lower
+    assert all(ref_ball[x] <= level for x, level in ball_levels(partial).items())
+    rows = census_rows(partial, n_max, K)
+    assert rows[:-1] == ref_rows[:-1] and rows[-1][4] == 0
+
+
+def test_huge_exponent_does_not_wrap():
+    # a^40000 at radius 2 would wrap a 16-bit exponent
+    words = [w("a^20000"), b]
+    ball = enumerate_ball(words, 2)
+    assert ball_levels(ball) == reference_ball(words, 2)
+    assert w("a^40000") in set(stack_words(ball.elements))
+    assert census_rows(ball, 2, 15000.0) == reference_census(words, 2, 15000.0)
 
 
 class TestBallCensus:
@@ -146,17 +211,17 @@ class TestBallCensus:
     def test_one_walk_matches_walk_per_radius(self, seed, K):
         gens = census_gens(seed)
         ref = reference_census(gens, 4, K)
-        assert [r[4] for r in ref] == [1, 1, 1, 1]
         for n_max in range(1, 5):
             assert census_rows(enumerate_ball(gens, n_max), n_max, K) == ref[:n_max]
 
     def test_rows_past_the_budget_are_flagged(self):
         gens = census_gens(0)
         ref = reference_census(gens, 4, 0.5)
-        # 12 generators: radius 3 takes 12 * 137 products, radius 4 12 * 1393
+        # 12 generators: radius 3 takes 12 * (1 + 12 + 124) products in all,
+        # radius 4 another 12 * 1256
         ball = enumerate_ball(gens, 4, budget=5000, rng=np.random.default_rng(0),
                               sample_size=2000)
-        assert not ball.exhaustive and ball.radius == 3
+        assert not ball.exhaustive and ball.radius == 3 and ball.visited == 1644
         rows = census_rows(ball, 4, 0.5)
         assert rows[:3] == ref[:3]
         assert rows[3][4] == 0 and rows[3][1] < ref[3][1]

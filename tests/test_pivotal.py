@@ -175,7 +175,11 @@ class TestConfig:
         cfg = random_config(1, n=4)
         W = cfg.prefixes()
         assert len(W) == 5
-        assert cfg.total() == W[4]
+        # the last prefix is the whole product, the endpoint of the chain
+        total = cfg.w[0]
+        for k in range(1, 5):
+            total = total * cfg.block_isometry(k)
+        assert W[-1] == total
         assert W[0] == cfg.w[0]
 
     def test_prefix_recursion(self):
@@ -294,7 +298,7 @@ class TestChainAndPivot:
     def test_four_axes_per_pivotal_time(self):
         cfg = random_config(3)
         times = compute_pivotal_times(cfg)
-        assert len(extremal_axes(cfg, times)) == 4 * len(times)
+        assert len(extremal_axes(cfg, times, cfg.prefixes())) == 4 * len(times)
 
     def test_pivot_preserves_pivotal_times(self):
         hit = 0
