@@ -101,10 +101,8 @@ def cmd_schottky_find(args) -> int:
         raise ConfigurationError("size and block must be positive")
     model = model_by_name(args.model)
     verifier.require_tree(model)
-    g = GroupWord.generator(1, 1)
-    h = GroupWord.generator(2, 1)
     # build_schottky verifies the set and raises unless it passes
-    sch = schottky.build_schottky(g, h, size=size, m0=block, seed=seed)
+    sch = schottky.build_schottky(size=size, m0=block, seed=seed)
     payload = schottky.schottky_to_json(sch)
     with open(args.out, "w") as fh:
         fh.write(payload)
@@ -179,20 +177,25 @@ def cmd_census(args) -> int:
         raise ConfigurationError("n-max must be at least 2: the verdict fits a slope to the rows")
     if not math.isfinite(args.K):
         raise ConfigurationError("K must be finite")
-    base = [GroupWord.generator(1, 1), GroupWord.generator(2, 1)]
     if args.schottky:
         sch = _schottky_from_file(args.schottky, model)
     else:
-        sch = schottky.build_schottky(*base, size=4, m0=5, seed=seed)
-    gens = counting.build_augmented_set(base, sch.products())
+        sch = schottky.build_schottky(size=4, m0=5, seed=seed)
+    gens = counting.build_augmented_set([GroupWord.generator(1), GroupWord.generator(2)], sch.products())
     rows = counting.census_rows(counting.enumerate_ball(gens, n_max), n_max, args.K)
-    monotone = all(b[3] <= a[3] for a, b in zip(rows, rows[1:]))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("n", "total", "bad_count", "bad_fraction", "exhaustive"))
         writer.writerows(rows)
-    slope, r2 = verifier.log_slope_fit([r[0] for r in rows], [r[3] for r in rows])
-    print("census: wrote %s (monotone=%s slope=%.3f)" % (args.out, monotone, slope))
+    # a sampled row estimates its fraction, so only exhaustive rows are judged
+    exact = [r for r in rows if r[4]]
+    counted = "exhaustive=%d/%d" % (len(exact), len(rows))
+    if len(exact) < 2:
+        print("census: wrote %s (%s: too few exhaustive rows to fit a slope)" % (args.out, counted))
+        return EXIT_FAIL
+    monotone = all(b[3] <= a[3] for a, b in zip(exact, exact[1:]))
+    slope, r2 = verifier.log_slope_fit([r[0] for r in exact], [r[3] for r in exact])
+    print("census: wrote %s (monotone=%s slope=%.3f %s)" % (args.out, monotone, slope, counted))
     return EXIT_PASS if monotone and slope < 0 else EXIT_FAIL
 
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import numbers
 import operator
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
@@ -27,10 +29,6 @@ from .geometry import Path, is_aligned
 
 class BudgetExhausted(RuntimeError):
     """Raised when a search runs out of candidates or time budget."""
-
-
-class NonIndependentPair(ValueError):
-    """Raised when the two seed isometries share an axis."""
 
 
 @dataclass(frozen=True)
@@ -71,6 +69,7 @@ class SetConstants:
     d1: width a subsequence of a d0-aligned axis chain is tested at.
     e0: length unit of the blocks (`schottky_length_scale`).
     length_floor: every Schottky block must be longer than this many steps.
+    Each is a finite real number, and k0 a positive whole number.
     """
 
     k0: float
@@ -78,6 +77,13 @@ class SetConstants:
     d1: float
     e0: float
     length_floor: float
+
+    def __post_init__(self):
+        for name, value in asdict(self).items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ValueError("constant %s must be a finite real number, not %r" % (name, value))
+        if self.k0 < 1 or self.k0 != int(self.k0):
+            raise ValueError("k0 must be a positive integer, not %r" % (self.k0,))
 
 
 def schottky_length_scale(m0: int, k0: float) -> float:
@@ -258,81 +264,63 @@ def independent_contracting_pair(model, g, h) -> bool:
     return abs(commutator.trace()) != 2
 
 
-def build_schottky(
-    g,
-    h,
-    size: int,
-    m0: int,
-    k0: Optional[float] = None,
-    seed: int = 0,
-    budget: int = 200000,
-) -> SchottkySet:
-    """Search for a tree Schottky set of `size` blocks of length `m0`.
+# the letters a, b, A, B that blocks are spelled in; index i and i + 2
+# (mod 4) are inverse letters
+_LETTERS = np.array([1, 2, -1, -2])
 
-    Candidate blocks are step sequences over {g, h} and their inverses.
-    Blocks are accepted greedily when their leading/trailing letter patterns
-    stay disjoint from the ones already used, then the whole set is verified.
+
+def _candidate_rows(m0: int, rng):
+    """Batches of candidate rows of letter indices: every row in order while
+    there are at most 4096, then random blocks of 256 rows, which give the
+    same values as drawing one step at a time."""
+
+    if 4 ** m0 <= 4096:
+        yield np.arange(4 ** m0)[:, None] // 4 ** np.arange(m0 - 1, -1, -1) % 4
+    while True:
+        yield rng.integers(0, 4, size=(256, m0))
+
+
+def build_schottky(size: int, m0: int, k0: Optional[float] = None, seed: int = 0, budget: int = 200000) -> SchottkySet:
+    """Search for a tree Schottky set of `size` blocks of `m0` letters.
+
+    Candidate blocks are rows of the letters a, b, A, B; a row in which a
+    letter follows its inverse is skipped, so every axis is a tree geodesic
+    of length m0 >= 10*e0.  Blocks are accepted greedily when their leading
+    and trailing k0-letter heads stay disjoint from the ones already used,
+    then the whole set is verified.
     """
 
     if size <= 0:
         raise ValueError("size must be positive")
-    if not independent_contracting_pair(TreeModel(), g, h):
-        raise NonIndependentPair("seed isometries must be independent and contracting")
-
     k0 = k0 if k0 is not None else TREE_CONSTANTS.k0
     if m0 <= TREE_CONSTANTS.length_floor:
         raise ValueError("block length %d too short (floor %s)" % (m0, TREE_CONSTANTS.length_floor))
-
-    pool = [g, h, g.inverse(), h.inverse()]
-    rng = np.random.default_rng(seed)
-
     set_consts = replace(TREE_CONSTANTS, k0=k0, e0=schottky_length_scale(m0, k0))
 
     k0i = int(k0)
-    floor = 10 * set_consts.e0
-    syllables = [s.syls for s in pool]
-    lengths = [len(s) for s in pool]
     chosen: List[SchottkySequence] = []
-    used_prefixes: Set[tuple] = set()
+    used_heads: Set[tuple] = set()
     tried = 0
-    # systematic enumeration first (covers small pools), then random search;
-    # rows of draws give the same values as drawing one step at a time
-    def candidates():
-        if len(pool) ** m0 <= 4096:
-            yield from itertools.product(range(len(pool)), repeat=m0)
-        while True:
-            yield from rng.integers(0, len(pool), size=(256, m0)).tolist()
-
-    for row in candidates():
-        tried += 1
-        if tried > budget:
-            raise BudgetExhausted(
-                "no Schottky set of size %d found after %d candidates" % (size, tried)
-            )
-        word = GroupWord.from_syllables(itertools.chain.from_iterable(syllables[i] for i in row))
-        # the axis is a tree geodesic iff no letter cancels (the length
-        # identity `SchottkySet` checks), and then len(word) is the
-        # displacement
-        n = len(word)
-        if n != sum(lengths[i] for i in row) or n < floor:
-            continue
-        fwd = tuple(word.prefix(k0i).letters())
-        bwd = tuple(word.inverse().prefix(k0i).letters())
-        if fwd == bwd or fwd in used_prefixes or bwd in used_prefixes:
-            continue
-        chosen.append(SchottkySequence(tuple(pool[i] for i in row)))
-        used_prefixes.add(fwd)
-        used_prefixes.add(bwd)
-        if len(chosen) == size:
-            break
-    if len(chosen) < size:
-        raise BudgetExhausted("candidate space exhausted at %d of %d blocks" % (len(chosen), size))
-
-    sch = SchottkySet(tuple(chosen), m0, set_consts)
-    report = verify_schottky(sch)
-    if not report.ok:
-        raise BudgetExhausted("constructed set failed verification: %s" % report.failures())
-    return sch
+    for rows in _candidate_rows(m0, np.random.default_rng(seed)):
+        if tried >= budget:
+            raise BudgetExhausted("no Schottky set of size %d found after %d candidates" % (size, tried + 1))
+        rows = rows[: budget - tried]
+        tried += len(rows)
+        # the axis is a tree geodesic iff no letter is followed by its inverse
+        geodesic = ((rows[:, 1:] - rows[:, :-1]) % 4 != 2).all(axis=1)
+        for letters in _LETTERS[rows[geodesic]].tolist():
+            fwd = tuple(letters[:k0i])
+            bwd = tuple(-x for x in letters[::-1][:k0i])
+            if fwd == bwd or fwd in used_heads or bwd in used_heads:
+                continue
+            chosen.append(SchottkySequence(tuple(GroupWord.from_letters([x]) for x in letters)))
+            used_heads.update((fwd, bwd))
+            if len(chosen) == size:
+                sch = SchottkySet(tuple(chosen), m0, set_consts)
+                report = verify_schottky(sch)
+                if not report.ok:
+                    raise BudgetExhausted("constructed set failed verification: %s" % report.failures())
+                return sch
 
 
 def tree_schottky_set(size: int, seed: int = 0) -> SchottkySet:
@@ -341,7 +329,7 @@ def tree_schottky_set(size: int, seed: int = 0) -> SchottkySet:
     A block occupies two letter-prefix classes (forward and backward), so a
     prefix length k0 supports at most 4 * 3^(k0-1) / 2 blocks; we take the
     smallest k0 with room to spare and the shortest block length compatible
-    with a positive step scale.
+    with a positive step scale, then search blocks over a, b, A, B.
     """
 
     if size <= 0:
@@ -350,9 +338,7 @@ def tree_schottky_set(size: int, seed: int = 0) -> SchottkySet:
     while 4 * 3 ** (k0 - 1) < 2 * size:
         k0 += 1
     m0 = max(int(TREE_CONSTANTS.length_floor) + 1, 2 * k0 - 1)
-    g = GroupWord.from_letters([1])
-    h = GroupWord.from_letters([2])
-    return build_schottky(g, h, size=size, m0=m0, k0=float(k0), seed=seed)
+    return build_schottky(size=size, m0=m0, k0=float(k0), seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from pivotwalk.words import (
-    GroupWord,
     random_reduced_word,
     tree_distance,
     tree_geodesic,
@@ -50,8 +49,6 @@ from pivotwalk.verifier import (
 from pivotwalk.cli import main as cli_main, EXIT_PASS
 
 T = TreeModel()
-A = GroupWord.from_letters([1])
-B = GroupWord.from_letters([2])
 CAL = {"lambda": 0.5, "sigma2": 0.75, "n": 0, "trials": 0}
 
 
@@ -89,7 +86,7 @@ def test_02_block_set_properties():
     rng = np.random.default_rng(202)
     ok = True
     for size in (2, 4):
-        sch = build_schottky(A, B, size=size, m0=5, seed=0)
+        sch = build_schottky(size=size, m0=5, seed=0)
         rep = verify_schottky(sch)  # exhaustive probe at radius m0 + 5
         ok &= rep.ok and rep.probe_radius == sch.m0 + 5
         floor = size * size - 2 * size
@@ -106,7 +103,7 @@ def test_03_product_injectivity_and_progress():
     rng = np.random.default_rng(303)
     ok = True
     for size in (2, 4):
-        sch = build_schottky(A, B, size=size, m0=5, seed=0)
+        sch = build_schottky(size=size, m0=5, seed=0)
         fwd = phi_image(sch)  # raises on any collision
         back = phi_image(inverse_set(sch))
         ok &= len(fwd) == size ** 4 and len(back) == size ** 4
@@ -128,7 +125,7 @@ def test_03_product_injectivity_and_progress():
 
 
 def test_04_pivotal_machinery():
-    sch = build_schottky(A, B, size=4, m0=5, seed=0)
+    sch = build_schottky(size=4, m0=5, seed=0)
     k0 = int(sch.constants.k0)
     n = 5
     ok = True

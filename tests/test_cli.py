@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from pivotwalk import counting
 from pivotwalk.cli import main, EXIT_PASS, EXIT_CONFIG, EXIT_FAIL
 from pivotwalk.schottky import schottky_from_json, schottky_to_json, tree_schottky_set
 from pivotwalk.walks import heavy_tail
@@ -185,6 +186,20 @@ class TestCensus:
         assert rows[0] == "n,total,bad_count,bad_fraction,exhaustive"
         assert len(rows) == 4
 
+    # 1,644 products walk the ball to radius 3, 12 only to radius 1; the
+    # rows past it come from sampled factor strings
+    @pytest.mark.parametrize("budget, exhaustive, code", [(1644, 3, EXIT_PASS), (12, 1, EXIT_FAIL)])
+    def test_verdict_reads_exhaustive_rows_only(self, monkeypatch, tmp_path, capsys, budget, exhaustive, code):
+        ball = counting.enumerate_ball
+        monkeypatch.setattr(counting, "enumerate_ball", lambda gens, radius: ball(gens, radius, budget=budget))
+        assert run_cli(monkeypatch, tmp_path, "census", "--n-max", "5", "--seed", "0",
+                       "--out", "census.csv") == code
+        rows = (tmp_path / "census.csv").read_text().strip().splitlines()[1:]
+        assert [r.rsplit(",", 1)[1] for r in rows] == ["1"] * exhaustive + ["0"] * (5 - exhaustive)
+        out = capsys.readouterr().out
+        assert "exhaustive=%d/5" % exhaustive in out
+        assert ("too few exhaustive rows" in out) == (code == EXIT_FAIL)
+
 
 class TestReport:
     def test_svg_from_samples(self, monkeypatch, tmp_path):
@@ -215,6 +230,23 @@ def _with_blocks(sequences):
     return json.dumps(dict(_SET2, sequences=sequences))
 
 
+def _with_constants(**constants):
+    return json.dumps(dict(_SET2, constants=dict(_SET2["constants"], **constants)))
+
+
+# constants that are not finite real numbers, or a k0 that is not a positive
+# whole number
+_BAD_CONSTANTS = {
+    "k0-text.json": _with_constants(k0="2"),
+    "e0-text.json": _with_constants(e0="0.5"),
+    "floor-text.json": _with_constants(length_floor="4"),
+    "d0-bool.json": _with_constants(d0=True),
+    "e0-nan.json": _with_constants(e0=float("nan")),
+    "k0-negative.json": _with_constants(k0=-1),
+    "k0-fraction.json": _with_constants(k0=2.5),
+}
+
+
 _INPUT_FILES = {
     "no-constants.json": '{"m0": 5}',
     "list.json": "[1, 2]",
@@ -241,6 +273,7 @@ _INPUT_FILES = {
     "no-blocks.json": _with_blocks([]),
     # one block of no steps
     "zero.json": json.dumps(dict(_SET2, m0=0, sequences=[[]])),
+    **_BAD_CONSTANTS,
 }
 
 _SCHOTTKY_ARGVS = (["census", "--n-max", "2"],
@@ -289,7 +322,7 @@ _SCHOTTKY_ARGVS = (["census", "--n-max", "2"],
     ["run", "--experiment", "discrepancy", "--n", "20,80", "--trials", "20", "--claim-trials", "2",
      "--claim-n", "40", "--schottky", "m0-short.json"],
     *[argv + ["--schottky", name]
-      for name in ("dup-block.json", "cancel-block.json", "no-blocks.json")
+      for name in ("dup-block.json", "cancel-block.json", "no-blocks.json", *_BAD_CONSTANTS)
       for argv in _SCHOTTKY_ARGVS],
 ])
 def test_bad_input_is_refused_cleanly(monkeypatch, tmp_path, capsys, argv):

@@ -165,7 +165,7 @@ class TestCensus:
 
 def census_gens(seed):
     """The generating set the census verb builds for a seed."""
-    sch = build_schottky(a, b, size=4, m0=5, seed=seed)
+    sch = build_schottky(size=4, m0=5, seed=seed)
     return build_augmented_set([a, b], sch.products())
 
 

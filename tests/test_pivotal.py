@@ -35,7 +35,7 @@ from pivotwalk.pivotal import (
 
 a = GroupWord.from_letters([1])
 b = GroupWord.from_letters([2])
-SCH = build_schottky(a, b, size=4, m0=5)
+SCH = build_schottky(size=4, m0=5)
 K0 = int(SCH.constants.k0)
 
 

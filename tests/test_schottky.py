@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from pivotwalk.geometry import Path
 from pivotwalk.words import GroupWord, common_prefix_letters, random_reduced_word, word_from_str
@@ -15,7 +15,6 @@ from pivotwalk.schottky import (
     SchottkySequence,
     SchottkySet,
     SetConstants,
-    NonIndependentPair,
     BudgetExhausted,
     independent_contracting_pair,
     verify_schottky,
@@ -57,7 +56,7 @@ class TestSequence:
 
 class TestBuild:
     def test_small_set_verifies(self):
-        sch = build_schottky(a, b, size=2, m0=5, seed=0)
+        sch = build_schottky(size=2, m0=5, seed=0)
         assert len(sch) == 2
         assert all(len(seq) == 5 for seq in sch.sequences)
         rep = verify_schottky(sch)
@@ -66,19 +65,13 @@ class TestBuild:
         assert rep.properties["contracting_axes"].mode == "exact-geodesic"
 
     def test_step_scale_value(self):
-        sch = build_schottky(a, b, size=2, m0=5)
+        sch = build_schottky(size=2, m0=5)
         # min(m0/10, (m0 - 2(k0-1))/5) with k0=2
         assert sch.constants.e0 == pytest.approx(0.5)
 
-    def test_dependent_seed_pair_rejected(self):
-        with pytest.raises(NonIndependentPair):
-            build_schottky(a, a ** 2, size=2, m0=5)
-        with pytest.raises(NonIndependentPair):
-            build_schottky(a, o, size=2, m0=5)
-
     def test_short_blocks_rejected(self):
         with pytest.raises(ValueError):
-            build_schottky(a, b, size=2, m0=4)  # at the floor, not above
+            build_schottky(size=2, m0=4)  # at the floor, not above
 
     def test_sized_builder_scales_prefix_width(self):
         sch2 = tree_schottky_set(2)
@@ -123,12 +116,13 @@ def walked_geodesic(model, steps):
     return walked == model.distance(pts[0], pts[-1])
 
 
-def reference_search(model, g, h, size, m0, k0, seed=0, budget=200000):
+def reference_search(size, m0, k0, seed=0, budget=200000):
     """The tree candidate search with every step spelled out: one scalar
-    draw per step, then the walked axis, the displacement and the prefix
-    rule.  `build_schottky` must choose the same blocks."""
+    draw per step from the letters a, b, A, B, then the walked axis, the
+    displacement and the prefix rule.  `build_schottky` must choose the same
+    blocks."""
 
-    pool = [g, h, g.inverse(), h.inverse()]
+    pool = [a, b, a.inverse(), b.inverse()]
     rng = np.random.default_rng(seed)
     floor = 10 * schottky_length_scale(m0, k0)
     k0i = int(k0)
@@ -149,9 +143,9 @@ def reference_search(model, g, h, size, m0, k0, seed=0, budget=200000):
             )
         seq = SchottkySequence(tuple(steps))
         word = seq.product()
-        if not walked_geodesic(model, steps):
+        if not walked_geodesic(T, steps):
             continue
-        if model.distance(model.basepoint, model.apply(word, model.basepoint)) < floor:
+        if T.distance(T.basepoint, T.apply(word, T.basepoint)) < floor:
             continue
         fwd = tuple(word.prefix(k0i).letters())
         bwd = tuple(word.inverse().prefix(k0i).letters())
@@ -163,33 +157,55 @@ def reference_search(model, g, h, size, m0, k0, seed=0, budget=200000):
             return chosen
 
 
+def search_outcome(search):
+    """The blocks a search chooses, or the message it gives up with."""
+    try:
+        return list(search())
+    except BudgetExhausted as exc:
+        return str(exc)
+
+
 class TestSearchMatchesReference:
-    @pytest.mark.parametrize(
-        "g, h, m0, size, seed",
-        [
-            ("a", "b", 5, 2, 0),
-            ("a", "b", 5, 4, 0),
-            ("a b", "b b A", 6, 2, 2),  # steps of several letters cancel
-            ("a", "b a b", 5, 3, 2),
-        ],
-    )
-    def test_chosen_blocks(self, g, h, m0, size, seed):
+    # the ids name the pool a, b (with inverses), then m0, size and seed
+    @pytest.mark.parametrize("m0, size, seed", [(5, 2, 0), (5, 4, 0)], ids=["a-b-5-2-0", "a-b-5-4-0"])
+    def test_chosen_blocks(self, m0, size, seed):
         k0 = TREE_CONSTANTS.k0
-        sch = build_schottky(w(g), w(h), size=size, m0=m0, seed=seed)
-        assert list(sch.sequences) == reference_search(T, w(g), w(h), size, m0, k0, seed)
+        sch = build_schottky(size=size, m0=m0, seed=seed)
+        assert list(sch.sequences) == reference_search(size, m0, k0, seed)
 
     def test_sized_set(self):
         sch = tree_schottky_set(100, seed=1)
-        ref = reference_search(T, a, b, 100, sch.m0, sch.constants.k0, seed=1)
+        ref = reference_search(100, sch.m0, sch.constants.k0, seed=1)
         assert list(sch.sequences) == ref
 
     def test_budget_message(self):
         k0 = TREE_CONSTANTS.k0
         with pytest.raises(BudgetExhausted) as ref:
-            reference_search(T, a, b, 8, 5, k0, seed=0, budget=2000)
+            reference_search(8, 5, k0, seed=0, budget=2000)
         with pytest.raises(BudgetExhausted) as got:
-            build_schottky(a, b, size=8, m0=5, seed=0, budget=2000)
+            build_schottky(size=8, m0=5, seed=0, budget=2000)
         assert str(got.value) == str(ref.value)
+
+
+# m0 5-6 enumerates its 4^m0 rows before drawing, m0 7-9 draws from the
+# start, 256 rows at a time
+@seed(2023)
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    st.integers(5, 9),
+    st.integers(1, 3),
+    st.integers(1, 10),
+    st.integers(0, 2 ** 16),
+    st.integers(0, 1500),
+)
+@example(m0=6, k0=3, size=18, rng_seed=0, budget=2500)  # gives up inside the enumeration
+@example(m0=6, k0=3, size=18, rng_seed=0, budget=4300)  # ... and inside the first draws
+@example(m0=7, k0=2, size=6, rng_seed=3, budget=612)  # gives up inside the third batch
+@example(m0=7, k0=2, size=6, rng_seed=3, budget=700)  # done at row 613, in that batch
+@example(m0=8, k0=3, size=10, rng_seed=5, budget=5000)  # done at row 155 of the first
+def test_search_matches_reference(m0, k0, size, rng_seed, budget):
+    got = search_outcome(lambda: build_schottky(size, m0, k0, seed=rng_seed, budget=budget).sequences)
+    assert got == search_outcome(lambda: reference_search(size, m0, k0, seed=rng_seed, budget=budget))
 
 
 _pools = st.lists(
@@ -280,7 +296,7 @@ class TestPlaneIndependence:
 
 class TestAxes:
     def test_axis_endpoints_and_geodesy(self):
-        sch = build_schottky(a, b, size=2, m0=5)
+        sch = build_schottky(size=2, m0=5)
         seq = sch[0]
         axis = seq.axis
         assert axis.start == o
@@ -290,7 +306,7 @@ class TestAxes:
         assert T.distance(axis.start, axis.end) == 5
 
     def test_axis_respects_frame(self):
-        sch = build_schottky(a, b, size=2, m0=5)
+        sch = build_schottky(size=2, m0=5)
         axis = sch[1].axis.translate(w("b a"))
         assert axis.start == w("b a")
         assert axis.end == w("b a") * sch[1].product()
@@ -300,7 +316,7 @@ class TestAxes:
 
 class TestProducts:
     def setup_method(self):
-        self.sch = build_schottky(a, b, size=2, m0=5)
+        self.sch = build_schottky(size=2, m0=5)
 
     def test_four_block_map_is_injective(self):
         img = phi_image(self.sch)
@@ -327,7 +343,7 @@ class TestProducts:
 
 class TestConcat:
     def setup_method(self):
-        self.sch = build_schottky(a, b, size=4, m0=5)
+        self.sch = build_schottky(size=4, m0=5)
 
     def test_chain_progress_floor(self):
         rng = np.random.default_rng(11)
@@ -361,7 +377,7 @@ class TestConcat:
 
 class TestTilde:
     def test_admissible_middle_count(self):
-        sch = build_schottky(a, b, size=4, m0=5)
+        sch = build_schottky(size=4, m0=5)
         n = len(sch)
         rng = np.random.default_rng(2)
         for _ in range(20):
@@ -374,7 +390,7 @@ class TestTilde:
 
 class TestSerialization:
     def test_json_roundtrip(self):
-        sch = build_schottky(a, b, size=3, m0=5, seed=4)
+        sch = build_schottky(size=3, m0=5, seed=4)
         back = schottky_from_json(schottky_to_json(sch))
         assert back.m0 == sch.m0
         assert back.constants == sch.constants

@@ -187,7 +187,7 @@ class TestDiscrepancy:
         assert rep.stats["worst_quadrupling_ratio"] <= 1.6
 
     def test_claim_stats_recorded(self):
-        sch = build_schottky(a, b, size=2, m0=5)
+        sch = build_schottky(size=2, m0=5)
         rep = run_discrepancy(
             simple_rw(), T, [100], 50, seed=6, sch=sch, claim_n=100, claim_trials=2
         )

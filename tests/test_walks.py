@@ -28,7 +28,7 @@ from test_verifier import reference_ensemble
 T = TreeModel()
 a = GroupWord.from_letters([1])
 b = GroupWord.from_letters([2])
-SCH = build_schottky(a, b, size=2, m0=5)
+SCH = build_schottky(size=2, m0=5)
 
 
 def w(text):
@@ -233,7 +233,7 @@ def reference_deviation(model, sch, check_incs, fwd_incs, horizon, mirrored=Fals
 class TestDeviation:
     @pytest.mark.parametrize("rng_seed", range(12))
     def test_matches_reference_on_folding_walks(self, rng_seed):
-        sch = build_schottky(a, b, size=2, m0=10)
+        sch = build_schottky(size=2, m0=10)
         rng = np.random.default_rng(rng_seed)
 
         def incs(count):
