@@ -71,7 +71,9 @@ def _from_file(path: str, parse):
         text = fh.read()
     try:
         return parse(text)
-    except (KeyError, TypeError, ValueError) as exc:  # a missing, mistyped or out-of-range entry
+    # a missing, mistyped or out-of-range entry; OverflowError is an
+    # exponent beyond the 64 bits of a syllable table
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError("malformed input file %s (%s: %s)" % (path, type(exc).__name__, exc))
 
 
@@ -219,7 +221,7 @@ def cmd_report(args) -> int:
     ns = sorted(by_n)
     means = [float(np.mean(by_n[n])) for n in ns]
     out = args.out or (os.path.splitext(args.csv)[0] + ".svg")
-    svgplot.line_plot([("mean", [float(n) for n in ns], means)],
+    svgplot.line_plot("mean", [float(n) for n in ns], means,
                       title="samples", xlabel="n", ylabel="mean", path=out)
     print("report: wrote %s" % out)
     return EXIT_PASS

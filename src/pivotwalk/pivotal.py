@@ -205,8 +205,8 @@ def simulate_pivot_counts(
     n: int,
     trials: int,
     seed: int,
-    w: Optional[Sequence[GroupWord]] = None,
-    v: Optional[Sequence[GroupWord]] = None,
+    w: Sequence[GroupWord],
+    v: Sequence[GroupWord],
 ) -> np.ndarray:
     """Monte-Carlo sample of #pivotal times for uniform block choices.
 
@@ -221,12 +221,9 @@ def simulate_pivot_counts(
     always the t-th `rng.integers(0, N, size=(n, 4))` draw.
     """
 
-    ident = GroupWord.identity()
     N = len(sch)
     k0 = int(sch.constants.k0)
     words = sch.products()
-    w = list(w) if w is not None else [ident] * (n + 1)
-    v = list(v) if v is not None else [ident] * n
     if len(w) != n + 1 or len(v) != n:
         raise ValueError("need n+1 spacers and n connectors")
     inv_words = [word.inverse() for word in words]
@@ -275,7 +272,7 @@ def simulate_pivot_counts(
                 anchor = None
                 continue
             # suffix = block(j+1) ... block(k), so tail(j) = w_j * suffix
-            suffix, j = ident, k
+            suffix, j = GroupWord.identity(), k
             while True:
                 top = stack[-1] if stack else 0
                 while j > top:

@@ -177,17 +177,17 @@ def _tree_prefix_owners(words, k0: int) -> Dict[tuple, int]:
     return owners
 
 
-def verify_schottky(sch: SchottkySet, probe_radius: Optional[int] = None) -> VerifyReport:
+def verify_schottky(sch: SchottkySet) -> VerifyReport:
     """Check the five defining properties of a tree Schottky set.
 
     Every axis is a tree geodesic, so the general-position property is
-    exhausted over the ball of radius min(`probe_radius`, k0), which decides
-    it for the whole probe ball.
+    exhausted over the ball of radius min(m0 + 5, k0), which decides it for
+    the whole probe ball of radius m0 + 5.
     """
 
     consts = sch.constants
     k0 = consts.k0
-    probe_radius = probe_radius if probe_radius is not None else sch.m0 + 5
+    probe_radius = sch.m0 + 5
     props: Dict[str, PropertyReport] = {}
 
     # (1) blocks are long enough for the alignment machinery
@@ -248,20 +248,6 @@ def verify_schottky(sch: SchottkySet, probe_radius: Optional[int] = None) -> Ver
 
 # ---------------------------------------------------------------------------
 # construction
-
-
-def independent_contracting_pair(model, g, h) -> bool:
-    if model.kind == "tree":
-        # centralisers in a free group are cyclic, so two non-identity
-        # elements fix a common end iff they commute
-        return not (g.is_identity() or h.is_identity()) and g * h != h * g
-    # a plane isometry is hyperbolic iff |tr| > 2; two hyperbolics share a
-    # fixed point at infinity iff their commutator is parabolic or trivial,
-    # i.e. has |tr| = 2 (Beardon 1983, section 4.3)
-    if abs(g.trace()) <= 2 or abs(h.trace()) <= 2:
-        return False
-    commutator = g * h * g.inverse() * h.inverse()
-    return abs(commutator.trace()) != 2
 
 
 # the letters a, b, A, B that blocks are spelled in; index i and i + 2
@@ -455,6 +441,10 @@ def schottky_to_json(sch: SchottkySet) -> str:
 def schottky_from_json(text: str) -> SchottkySet:
     payload = json.loads(text)
     consts = SetConstants(**payload["constants"])
+    for step in itertools.chain.from_iterable(payload["sequences"]):
+        # a letter is a signed generator index; a bool or float is not one
+        if not all(type(x) is int and x for x in step):
+            raise ValueError("block letters must be nonzero integers, not %r" % (step,))
     seqs = tuple(
         SchottkySequence(tuple(GroupWord.from_letters(step) for step in seq))
         for seq in payload["sequences"]

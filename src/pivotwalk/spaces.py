@@ -2,14 +2,15 @@
 
 Two concrete models: the Cayley tree of a free group (exact integer
 geometry) and the hyperbolic upper half-plane acted on by exact 2x2
-matrices of determinant 1 (the Sanov generators).
+matrices of determinant 1 (the Sanov generators).  Each model decides
+exactly which isometries are contracting and which pairs are independent,
+the step-law hypothesis the experiments check.
 """
 
 from __future__ import annotations
 
-import math
 from numbers import Rational
-from typing import Iterator, List, Optional
+from typing import Iterator, List
 
 from .words import GroupWord, tree_distance
 
@@ -27,31 +28,27 @@ class TreeModel:
         if rank < 2:
             raise ValueError("free group rank must be at least 2")
         self.rank = rank
-        self.basepoint = GroupWord.identity()
 
     def distance(self, p: GroupWord, q: GroupWord) -> int:
         return tree_distance(p, q)
-
-    def apply(self, g: GroupWord, p: GroupWord) -> GroupWord:
-        return g * p
-
-    def identity(self) -> GroupWord:
-        return GroupWord.identity()
-
-    def translation_length(self, g: GroupWord) -> int:
-        return g.translation_length()
 
     def is_contracting_isometry(self, g: GroupWord) -> bool:
         # every nontrivial free-group element acts loxodromically on its tree
         return not g.is_identity()
 
+    def independent(self, g: GroupWord, h: GroupWord) -> bool:
+        """Whether g and h are contracting with no common fixed end."""
+        # centralisers in a free group are cyclic, so two non-identity
+        # elements fix a common end iff they commute
+        return not (g.is_identity() or h.is_identity()) and g * h != h * g
+
     def generators(self) -> List[GroupWord]:
         return [GroupWord.generator(i, sign) for i in range(1, self.rank + 1) for sign in (1, -1)]
 
-    def ball(self, radius: int, center: Optional[GroupWord] = None) -> Iterator[GroupWord]:
-        """All vertices within `radius` of the center (default basepoint)."""
-        center = center if center is not None else self.basepoint
+    def ball(self, radius: int) -> Iterator[GroupWord]:
+        """All vertices within `radius` of the basepoint, depth first."""
         steps = [(g, g.syls[0][0] * (1 if g.syls[0][1] > 0 else -1)) for g in self.generators()]
+        center = GroupWord.identity()
         yield center
         stack = [(center, 0, 0)]
         while stack:
@@ -112,14 +109,6 @@ class MatrixIsometry:
     def trace(self):
         return self.a + self.d
 
-    def apply(self, z: complex) -> complex:
-        # (az + b)(c conj(z) + d) has imaginary part (ad - bc) Im z = Im z, so
-        # the image's height is not a float difference of huge products
-        x, y = z.real, z.imag
-        den = (self.c * x + self.d) ** 2 + (self.c * y) ** 2
-        re = self.a * self.c * (x * x + y * y) + (self.a * self.d + self.b * self.c) * x + self.b * self.d
-        return complex(re / den, y / den)
-
     def is_identity(self) -> bool:
         return (self.a, self.b, self.c, self.d) == (1, 0, 0, 1)
 
@@ -138,34 +127,26 @@ class PlaneModel:
     kind = "plane"
 
     def __init__(self):
-        self.basepoint = 1j
         # Sanov pair: generates a free group of rank 2 (Sanov 1947)
         self.gen_a = MatrixIsometry(1, 2, 0, 1)
         self.gen_b = MatrixIsometry(1, 0, 2, 1)
 
-    def distance(self, p: complex, q: complex) -> float:
-        dx2 = abs(p - q) ** 2
-        arg = 1.0 + dx2 / (2.0 * p.imag * q.imag)
-        return math.acosh(max(arg, 1.0))
-
-    def apply(self, g: MatrixIsometry, p: complex) -> complex:
-        return g.apply(p)
-
-    def identity(self) -> MatrixIsometry:
-        return MatrixIsometry(1, 0, 0, 1)
-
-    def translation_length(self, g: MatrixIsometry) -> float:
-        t = abs(g.trace())
-        if t <= 2:
-            return 0.0
-        return 2.0 * math.acosh(t / 2)
-
     def is_contracting_isometry(self, g: MatrixIsometry) -> bool:
-        return self.translation_length(g) > 0.0
+        # hyperbolic, with an axis it translates along, iff |tr| > 2
+        return abs(g.trace()) > 2
+
+    def independent(self, g: MatrixIsometry, h: MatrixIsometry) -> bool:
+        """Whether g and h are hyperbolic with no common fixed point."""
+        if not (self.is_contracting_isometry(g) and self.is_contracting_isometry(h)):
+            return False
+        # two hyperbolics share a fixed point at infinity iff their
+        # commutator is parabolic or trivial, i.e. has |tr| = 2 (Beardon
+        # 1983, section 4.3)
+        return abs((g * h * g.inverse() * h.inverse()).trace()) != 2
 
     def matrix_for_word(self, word: GroupWord) -> MatrixIsometry:
         gens = {1: self.gen_a, 2: self.gen_b}
-        out = self.identity()
+        out = MatrixIsometry(1, 0, 0, 1)
         for gen, exp in word.syls:
             out = out * gens[gen] ** exp
         return out

@@ -6,7 +6,10 @@ written in input order.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
+
+
+_SERIES = "#1f6fb2"  # the colour of the plotted series
 
 
 def _fmt(x: float) -> str:
@@ -29,12 +32,9 @@ class SvgCanvas:
 
         return to_px
 
-    def polyline(self, pts: Sequence[Tuple[float, float]], color: str = "#1f6fb2", width: float = 1.5):
+    def polyline(self, pts: Sequence[Tuple[float, float]]):
         joined = " ".join("%s,%s" % (_fmt(x), _fmt(y)) for x, y in pts)
-        self._parts.append(
-            '<polyline fill="none" stroke="%s" stroke-width="%s" points="%s"/>'
-            % (color, _fmt(width), joined)
-        )
+        self._parts.append('<polyline fill="none" stroke="%s" stroke-width="1.5" points="%s"/>' % (_SERIES, joined))
 
     def text(self, x: float, y: float, s: str, size: int = 12, anchor: str = "start"):
         self._parts.append(
@@ -60,22 +60,13 @@ def _escape(s: str) -> str:
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def line_plot(
-    series: Sequence[Tuple[str, Sequence[float], Sequence[float]]],
-    title: str,
-    xlabel: str = "",
-    ylabel: str = "",
-    path: Optional[str] = None,
-) -> str:
-    """Multi-series line plot; series = [(label, xs, ys), ...]."""
+def line_plot(label: str, xs: Sequence[float], ys: Sequence[float], title: str, xlabel: str, ylabel: str,
+              path: str) -> None:
+    """Write a line plot of one labelled series of at least one point to `path`."""
 
     canvas = SvgCanvas()
-    xs_all = [x for _, xs, _ in series for x in xs]
-    ys_all = [y for _, _, ys in series for y in ys]
-    if not xs_all:
-        xs_all, ys_all = [0.0, 1.0], [0.0, 1.0]
-    xlim = (min(xs_all), max(xs_all))
-    ylim = (min(ys_all), max(ys_all))
+    xlim = (min(xs), max(xs))
+    ylim = (min(ys), max(ys))
     if xlim[0] == xlim[1]:
         xlim = (xlim[0] - 0.5, xlim[1] + 0.5)
     if ylim[0] == ylim[1]:
@@ -91,15 +82,9 @@ def line_plot(
     canvas.text(w - m, h - m + 16, _fmt(xlim[1]), size=10, anchor="end")
     canvas.text(m - 4, h - m, _fmt(ylim[0]), size=10, anchor="end")
     canvas.text(m - 4, m, _fmt(ylim[1]), size=10, anchor="end")
-    palette = ["#1f6fb2", "#c1392b", "#2a8f5c", "#8e5bb5", "#b2731f"]
-    for i, (label, xs, ys) in enumerate(series):
-        color = palette[i % len(palette)]
-        canvas.polyline([to_px(x, y) for x, y in zip(xs, ys)], color=color)
-        canvas.text(w - m - 4, m + 14 * (i + 1), label, size=10, anchor="end")
-        canvas.line(w - m - 80, m + 14 * (i + 1) - 4, w - m - 64, m + 14 * (i + 1) - 4, color=color, width=2.0)
-    out = canvas.render()
-    if path:
-        with open(path, "w") as fh:
-            fh.write(out)
-    return out
+    canvas.polyline([to_px(x, y) for x, y in zip(xs, ys)])
+    canvas.text(w - m - 4, m + 14, label, size=10, anchor="end")
+    canvas.line(w - m - 80, m + 10, w - m - 64, m + 10, color=_SERIES, width=2.0)
+    with open(path, "w") as fh:
+        fh.write(canvas.render())
 

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .counting import free_basis_margin
-from .schottky import SchottkySet, independent_contracting_pair
+from .schottky import SchottkySet
 from .svgplot import line_plot
 from .walks import StepMeasure, discrepancy_bound_witness, walk_product
 from .words import SyllableStack
@@ -78,7 +78,7 @@ class ExperimentReport:
             return
         ns = sorted(int(n) for n in per_n)
         ys = [per_n[str(n)][key] for n in ns]
-        line_plot([(key, [float(n) for n in ns], [float(y) for y in ys])],
+        line_plot(key, [float(n) for n in ns], [float(y) for y in ys],
                   title=self.experiment, xlabel="n", ylabel=key, path=path)
 
 
@@ -163,7 +163,7 @@ def non_elementary(measure: StepMeasure, model) -> bool:
     atoms = map(measure.atom, range(len(measure.weights)))
     first = next((g for g in atoms if model.is_contracting_isometry(g)), None)
     # `any` goes on from the atom after `first`
-    return any(independent_contracting_pair(model, first, g) for g in atoms)
+    return any(model.independent(first, g) for g in atoms)
 
 
 def calibrate(measure: StepMeasure, n: int, trials: int, seed: int) -> Dict[str, float]:

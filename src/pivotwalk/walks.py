@@ -258,7 +258,7 @@ def discrepancy_bound_witness(
     sch: SchottkySet,
     increments: Sequence[GroupWord],
     aux: Sequence[GroupWord],
-    horizon: Optional[int] = None,
+    horizon: int,
 ) -> DiscrepancyWitness:
     """Both sides of the displacement-vs-translation-length gap bound.
 
@@ -271,7 +271,6 @@ def discrepancy_bound_witness(
 
     n = len(increments)
     half = n // 2
-    horizon = horizon if horizon is not None else half
     horizon = min(horizon, half)
     need = horizon + (n - half)
     if len(aux) < 2 * need:

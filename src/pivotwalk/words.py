@@ -323,6 +323,8 @@ class SyllableStack:
 
         gen_a, exp_a = table
         largest = steps * int(max(exp_a.max(initial=0), -exp_a.min(initial=0)))
+        if largest >= 2 ** 63:
+            raise ValueError("a product of %d steps has exponents beyond 64 bits" % steps)
         # the narrowest signed type holding -b - 1 holds -b..b
         table = (gen_a.astype(np.min_scalar_type(-int(gen_a.max(initial=0)) - 1)),
                  exp_a.astype(np.min_scalar_type(-largest - 1)))

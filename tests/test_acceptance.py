@@ -5,12 +5,9 @@ asserts.  Tolerances and budgets are stated inline; statistical verdicts
 use fixed seeds so the suite is deterministic.
 """
 
-import json
-import math
 import time
 
 import numpy as np
-import pytest
 
 from pivotwalk.words import (
     random_reduced_word,

@@ -5,8 +5,10 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import example, given, seed, settings, strategies as st
 
 from pivotwalk import counting
 from pivotwalk.cli import main, EXIT_PASS, EXIT_CONFIG, EXIT_FAIL
@@ -230,6 +232,12 @@ def _with_blocks(sequences):
     return json.dumps(dict(_SET2, sequences=sequences))
 
 
+def _with_letter(letter):
+    """The two-block set with the first step of block 0 spelled `letter`."""
+    first, second = _SET2["sequences"]
+    return _with_blocks([[[letter], *first[1:]], second])
+
+
 def _with_constants(**constants):
     return json.dumps(dict(_SET2, constants=dict(_SET2["constants"], **constants)))
 
@@ -273,6 +281,11 @@ _INPUT_FILES = {
     "no-blocks.json": _with_blocks([]),
     # one block of no steps
     "zero.json": json.dumps(dict(_SET2, m0=0, sequences=[[]])),
+    # a letter is a nonzero whole number, not a float or a bool
+    "letter-float.json": _with_letter(1.5),
+    "letter-true.json": _with_letter(True),
+    # an exponent beyond 64 bits
+    "exp-int64.json": '{"support": ["a^99999999999999999999", "A"], "weights": [0.5, 0.5]}',
     **_BAD_CONSTANTS,
 }
 
@@ -324,6 +337,8 @@ _SCHOTTKY_ARGVS = (["census", "--n-max", "2"],
     *[argv + ["--schottky", name]
       for name in ("dup-block.json", "cancel-block.json", "no-blocks.json", *_BAD_CONSTANTS)
       for argv in _SCHOTTKY_ARGVS],
+    *[argv + ["--schottky", name] for name in ("letter-float.json", "letter-true.json") for argv in _SCHOTTKY_ARGVS],
+    ["run", "--experiment", "genericity", "--n", "20,40", "--trials", "20", "--measure", "exp-int64.json"],
 ])
 def test_bad_input_is_refused_cleanly(monkeypatch, tmp_path, capsys, argv):
     for name, text in _INPUT_FILES.items():
@@ -348,3 +363,113 @@ class TestUsage:
     def test_help_exits_clean(self, monkeypatch, tmp_path, capsys):
         assert run_cli(monkeypatch, tmp_path, "--help") == EXIT_PASS
         assert "pivotwalk" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# fuzz: argv drawn from small pools of verbs, flags and values, with input
+# files that are valid or have one field replaced, exits 0, 1 or 2 and never
+# raises.  Each verb gets its size flags, all tiny, so no default size runs.
+
+# each pool lists valid values first, so that most draws reach the verb
+_FUZZ_VALUES_OF = {
+    "--size": ["2", "1", "0"],
+    "--block": ["5", "6", "3"],
+    "--n": ["8,16", "2", "8", "20", "0", "x"],
+    "--trials": ["3", "5", "1", "0"],
+    "--claim-n": ["12", "6", "0"],
+    "--claim-trials": ["1", "0", "-1"],
+    "--N0": ["5", "6", "4"],
+    "--n-max": ["2", "3", "1"],
+    "--experiment": ["genericity", "discrepancy", "clt", "clt-converse", "free-subgroup", "nope"],
+    "--model": ["tree2", "tree3", "plane", "tree1", "cube"],
+    "--measure": ["measure.json", "simple", "heavy", "nope"],
+    "--seed": ["0", "7", "1", "-1", "x"],
+    "--L": ["0.25", "nan", "-1"],
+    "--K": ["0.5", "inf", "-2"],
+    "--schottky": ["schottky.json", "missing.json"],
+    "--config": ["config.json", "missing.json"],
+    "--contrast": [None],
+    "--svg": [None],
+    "--out": ["plot.svg"],
+    "--bogus": [None],
+}
+# per verb, the flags always given (every size whose default is not tiny)
+# and the flags drawn from
+_FUZZ_VERBS = {
+    "schottky-find": (["--size", "--block"], ["--model", "--seed", "--config", "--bogus"]),
+    "run": (["--experiment", "--n", "--trials"],
+            ["--measure", "--schottky", "--claim-n", "--claim-trials", "--model", "--seed", "--L",
+             "--contrast", "--svg", "--config", "--N0", "--bogus"]),
+    "pivot-trace": (["--N0", "--n", "--trials"], ["--seed", "--config", "--model", "--bogus"]),
+    "census": (["--n-max"], ["--schottky", "--K", "--model", "--seed", "--config", "--n", "--bogus"]),
+    "report": ([], ["--out", "--bogus"]),
+    "nope": ([], ["--bogus"]),
+}
+_FUZZ_VALUES = ["x", "a^99999999999999999999", "b^4611686018427387904", None, [1], {}, True, 1.5,
+                -1, 0, 2 ** 63, 10 ** 20, 1e300, float("nan")]
+# a heavy-tail descriptor builds all its weights before the digest is
+# checked, so kmax and rank stay small
+_FUZZ_SMALL = ["x", None, [1], True, 1.5, -1, 0, 3]
+
+
+@st.composite
+def _fuzz_argv(draw):
+    # run has five experiments, so it is drawn as often as the other verbs together
+    verb = draw(st.sampled_from(["run"] * 5 + sorted(_FUZZ_VERBS)))
+    given_flags, drawn_flags = _FUZZ_VERBS[verb]
+    argv = [verb]
+    if verb == "report":
+        argv.append(draw(st.sampled_from(["samples.csv", "missing.csv", "measure.json"])))
+    for flag in given_flags + draw(st.lists(st.sampled_from(drawn_flags), max_size=4, unique=True)):
+        value = draw(st.sampled_from(_FUZZ_VALUES_OF[flag]))
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+def _slots(doc):
+    """(container, key) of every value in a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield doc, key
+        yield from _slots(value)
+
+
+@st.composite
+def _fuzz_json(draw, text):
+    """`text` as it is, or with one value replaced by a wrong type or an
+    out-of-range number."""
+    doc = json.loads(text)
+    if draw(st.booleans()):
+        container, key = draw(st.sampled_from(list(_slots(doc))))
+        container[key] = draw(st.sampled_from(_FUZZ_SMALL if key in ("kmax", "rank") else _FUZZ_VALUES))
+    return json.dumps(doc)
+
+
+_FUZZ_FILES = st.fixed_dictionaries({
+    "measure.json": st.sampled_from(['{"support": ["a", "A", "b", "B"], "weights": [0.25, 0.25, 0.25, 0.25]}',
+                                     heavy_tail(kmax=16).to_json()]).flatmap(_fuzz_json),
+    "schottky.json": _fuzz_json(schottky_to_json(tree_schottky_set(2))),
+    "config.json": _fuzz_json('{"seed": 3, "model": "tree2", "svg": true}'),
+    "samples.csv": st.sampled_from(["n,trial,fail\n8,0,1\n8,1,0\n16,0,0\n", "n,trial,fail\n8,0,x\n", ""]),
+})
+
+
+@seed(2026)
+@settings(max_examples=200, deadline=None, database=None)
+@given(_fuzz_argv(), _FUZZ_FILES)
+# exponents past 64 bits: in a word, and in a product of 8 steps
+@example(["run", "--experiment", "genericity", "--n", "8", "--trials", "3", "--measure", "measure.json"],
+         {"measure.json": _INPUT_FILES["exp-int64.json"]})
+@example(["run", "--experiment", "clt", "--n", "8", "--trials", "3", "--measure", "measure.json"],
+         {"measure.json": '{"support": ["b^4611686018427387904", "A"], "weights": [0.5, 0.5]}'})
+def test_cli_fuzz_exits_cleanly(argv, files):
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, text in files.items():
+                with open(name, "w") as fh:
+                    fh.write(text)
+            assert main(argv) in (EXIT_PASS, EXIT_CONFIG, EXIT_FAIL)
+        finally:
+            os.chdir(cwd)

@@ -300,7 +300,7 @@ class TestAlignment:
         assert ext[0] == chain[-1]
         g = w("b a")
         reversal = [list(reversed(p)) for p in reversed(chain)]
-        translation = [[T.apply(g, x) for x in p] for p in chain]
+        translation = [[g * x for x in p] for p in chain]
         for variant in (chain, reversal, translation, chain + ext[1:]):
             assert is_aligned(variant, 2).aligned
 

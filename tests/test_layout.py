@@ -40,10 +40,7 @@ ALLOWED = {
 # methods reached by no caller today, kept on purpose
 ALLOWED_METHODS = {
     "PlaneModel.matrix_for_word": "the exact Sanov map the plane ensemble will walk with",
-    # tree-only code reads words, not a model; the plane keeps the interface
-    "PlaneModel.apply": "the plane action a plane ensemble will report displacements with",
-    "PlaneModel.distance": "the plane metric a plane ensemble will report displacements with",
-    "TreeModel.distance": "the tree side of the model interface; perfbench's tracer wraps it by name",
+    "TreeModel.distance": "the tree side of the model metric; perfbench's tracer wraps it by name",
 }
 
 
@@ -128,3 +125,15 @@ def test_every_parameter_is_read():
             unread += ["%s:%s(%s)" % (path.name, getattr(fn, "name", "lambda"), p)
                        for p in params if p not in read and p not in ("self", "cls")]
     assert not unread, "parameters in src/pivotwalk that are never read: " + ", ".join(unread)
+
+
+def test_every_test_import_is_used():
+    # an import that no test reads suggests a check that is not there
+    unused = []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {(alias.asname or alias.name).split(".")[0] for stmt in tree.body
+                    if isinstance(stmt, (ast.Import, ast.ImportFrom)) for alias in stmt.names}
+        read = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        unused += ["%s:%s" % (path.name, name) for name in sorted(imported - read)]
+    assert not unused, "imported in tests/ but never used: " + ", ".join(unused)

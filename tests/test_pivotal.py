@@ -236,7 +236,7 @@ class TestPivotalTimes:
 
     def test_simulation_validates_spacer_lengths(self):
         with pytest.raises(ValueError):
-            simulate_pivot_counts(SCH, 3, 1, 0, w=[GroupWord.identity()] * 3)
+            simulate_pivot_counts(SCH, 3, 1, 0, w=[GroupWord.identity()] * 3, v=[GroupWord.identity()] * 3)
 
 
 # reduced spacers and connectors of 0 to 2*k0 letters: anchors shorter than

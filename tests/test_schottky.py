@@ -16,7 +16,6 @@ from pivotwalk.schottky import (
     SchottkySet,
     SetConstants,
     BudgetExhausted,
-    independent_contracting_pair,
     verify_schottky,
     build_schottky,
     tree_schottky_set,
@@ -108,10 +107,9 @@ class TestBuild:
 def walked_geodesic(model, steps):
     """Whether the orbit o, s1 o, s1 s2 o, ... is a tree geodesic: its
     segments add up to the distance between its ends."""
-    pts, acc = [model.basepoint], model.identity()
+    pts = [o]
     for s in steps:
-        acc = acc * s
-        pts.append(model.apply(acc, model.basepoint))
+        pts.append(pts[-1] * s)
     walked = sum(model.distance(p, q) for p, q in zip(pts, pts[1:]))
     return walked == model.distance(pts[0], pts[-1])
 
@@ -145,7 +143,7 @@ def reference_search(size, m0, k0, seed=0, budget=200000):
         word = seq.product()
         if not walked_geodesic(T, steps):
             continue
-        if T.distance(T.basepoint, T.apply(word, T.basepoint)) < floor:
+        if T.distance(o, word) < floor:
             continue
         fwd = tuple(word.prefix(k0i).letters())
         bwd = tuple(word.inverse().prefix(k0i).letters())
@@ -258,22 +256,25 @@ class TestGeneralPositionTable:
     def test_matches_brute_force(self, blocks, k0, ok):
         seqs = tuple(SchottkySequence(tuple(w(c) for c in t.split())) for t in blocks)
         sch = SchottkySet(seqs, 5, SetConstants(k0=k0, d0=4, d1=6, e0=0.5, length_floor=4))
-        rep = verify_schottky(sch, probe_radius=7).properties["general_position"]
+        rep = verify_schottky(sch).properties["general_position"]
+        # the probe ball has radius m0 + 5 = 10; a first witness has k0 <= 7
+        # letters, and the depth-first ball yields it before any extension,
+        # so the radius-7 ball has the same first witness
         ref_ok, ref_witness, _ = brute_general_position(sch, 7)
         assert (rep.ok, ref_ok) == (ok, ok)
         assert rep.witness == ref_witness
         assert rep.mode == "ball-exhaustive"
-        # the k0-ball decides the radius-7 ball; only it is scanned
-        _, _, scanned = brute_general_position(sch, min(7, k0))
-        assert rep.detail == "scanned %d points, radius %d" % (scanned, min(7, k0))
+        # the k0-ball decides the probe ball; only it is scanned
+        _, _, scanned = brute_general_position(sch, k0)
+        assert rep.detail == "scanned %d points, radius %d" % (scanned, k0)
 
 
 def test_tree_independence_is_non_commutation():
     # a conjugate of a that does not commute with it has another axis
-    assert independent_contracting_pair(T, a, word_from_str("B a b"))
-    assert not independent_contracting_pair(T, a, word_from_str("a a"))
-    assert not independent_contracting_pair(T, word_from_str("a b"), word_from_str("a b a b"))
-    assert not independent_contracting_pair(T, a, GroupWord.identity())
+    assert T.independent(a, word_from_str("B a b"))
+    assert not T.independent(a, word_from_str("a a"))
+    assert not T.independent(word_from_str("a b"), word_from_str("a b a b"))
+    assert not T.independent(a, GroupWord.identity())
 
 
 class TestPlaneIndependence:
@@ -283,15 +284,15 @@ class TestPlaneIndependence:
         # common fixed point, so the entries are fractions
         g = MatrixIsometry(2, 0, 0, Fraction(1, 2))
         h = MatrixIsometry(2, 1, 0, Fraction(1, 2))
-        assert not independent_contracting_pair(PlaneModel(), g, h)
+        assert not PlaneModel().independent(g, h)
 
     def test_sanov_pair(self):
         P = PlaneModel()
         # the Sanov generators are parabolic, so not contracting; their
         # products a b and b a are hyperbolic with distinct axes
-        assert not independent_contracting_pair(P, P.gen_a, P.gen_b)
-        assert independent_contracting_pair(P, P.gen_a * P.gen_b, P.gen_b * P.gen_a)
-        assert not independent_contracting_pair(P, P.gen_a * P.gen_b, (P.gen_a * P.gen_b) ** 2)
+        assert not P.independent(P.gen_a, P.gen_b)
+        assert P.independent(P.gen_a * P.gen_b, P.gen_b * P.gen_a)
+        assert not P.independent(P.gen_a * P.gen_b, (P.gen_a * P.gen_b) ** 2)
 
 
 class TestAxes:

@@ -20,7 +20,6 @@ from pivotwalk.schottky import build_schottky
 from pivotwalk.walks import StepMeasure, simple_rw, heavy_tail, walk_product
 from pivotwalk.verifier import (
     ConfigurationError,
-    ExperimentReport,
     tree_walk_ensemble,
     _trial_rng,
     log_slope_fit,

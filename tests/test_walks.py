@@ -1,7 +1,6 @@
 """Step measures, walk sampling and deviation witnesses."""
 
 import json
-import math
 from typing import List
 
 import numpy as np
@@ -206,15 +205,15 @@ class TestSampling:
         assert one == two
 
 
-def reference_deviation(model, sch, check_incs, fwd_incs, horizon, mirrored=False):
+def reference_deviation(sch, check_incs, fwd_incs, horizon, mirrored=False):
     """(d, witness) straight from the definition: the least k, then the
     least witness i <= k, whose block axis separates every near-side point
     from every far-side point at or past k."""
 
     m0, d1 = sch.m0, sch.constants.d1
     blocks = {tuple(seq.steps) for seq in sch.sequences}
-    fwd = [model.apply(x, model.basepoint) for x in partial_products(fwd_incs[:horizon])]
-    chk = [model.apply(x, model.basepoint) for x in partial_products(check_incs[:horizon])]
+    fwd = partial_products(fwd_incs[:horizon])
+    chk = partial_products(check_incs[:horizon])
     side_incs, side, near, far = (check_incs, chk, fwd, chk) if mirrored else (fwd_incs, fwd, chk, fwd)
     witnesses = []  # (i, whether each far point is aligned past the axis)
     for i in range(m0, horizon + 1):
@@ -254,7 +253,7 @@ class TestDeviation:
         chk, fwd = incs(60), incs(60)
         for mirrored in (False, True):
             got = deviation(sch, chk, fwd, 40, mirrored=mirrored)
-            assert (got.d, got.witness) == reference_deviation(T, sch, chk, fwd, 40, mirrored)
+            assert (got.d, got.witness) == reference_deviation(sch, chk, fwd, 40, mirrored)
 
     def test_straight_block_walk_has_minimal_deviation(self):
         blk0, blk1 = list(SCH[0].steps), list(SCH[1].steps)
