@@ -36,14 +36,16 @@ _MEASURES = {
 
 def _resolve_seed(args) -> int:
     if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("PIVOTWALK_SEED")
-    if env is not None:
+        name, seed = "--seed", args.seed
+    else:
+        name = "PIVOTWALK_SEED"
         try:
-            return int(env)
+            seed = int(os.environ.get(name, "0"))
         except ValueError:
             raise ConfigurationError("PIVOTWALK_SEED must be an integer")
-    return 0
+    if seed < 0:
+        raise ConfigurationError("%s must be a non-negative integer, not %d" % (name, seed))
+    return seed
 
 
 def _config_tokens(path: str) -> List[str]:
@@ -116,7 +118,10 @@ def cmd_schottky_find(args) -> int:
 def _grid(value: Optional[str], default: List[int]) -> List[int]:
     if value is None:
         return default
-    return [int(x) for x in value.split(",")]
+    try:
+        return [int(x) for x in value.split(",")]
+    except ValueError:
+        raise ConfigurationError("--n must be whole numbers separated by commas, not %r" % value)
 
 
 def cmd_run(args) -> int:

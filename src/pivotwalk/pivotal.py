@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .geometry import Path, is_aligned
-from .schottky import TREE_CONSTANTS, SchottkySet, in_tilde
+from .schottky import D1, SchottkySet, in_tilde
 from .words import GroupWord, common_prefix_letters
 
 
@@ -98,10 +98,9 @@ def _step_conditions(config: PivotConfig, k: int, anchor_rel) -> bool:
     the frame of the step's entry block."""
 
     S = config.sch
-    k0 = S.constants.k0
     a, b, c, _ = config.quads[k - 1]
     # entry block vs current anchor (frame: start of the entry block)
-    if not is_aligned([anchor_rel, S.sequences[a].axis], k0).aligned:
+    if not is_aligned([anchor_rel, S.sequences[a].axis], S.k0).aligned:
         return False
     # admissible middle pair around the connector
     if not in_tilde(S, b, c, config.v[k - 1]):
@@ -119,7 +118,7 @@ def _exit_ok(config: PivotConfig, j: int, tail) -> bool:
 
     S = config.sch
     exit_block = S.sequences[config.quads[j - 1][3]]
-    return is_aligned([exit_block.axis, exit_block.product() * tail], S.constants.k0).aligned
+    return is_aligned([exit_block.axis, exit_block.product() * tail], S.k0).aligned
 
 
 def compute_pivotal_times(config: PivotConfig) -> PivotalTimes:
@@ -172,7 +171,7 @@ def pivotal_chain_report(config: PivotConfig):
     items = [GroupWord.identity()] + extremal_axes(config, _pivotal_times(config, W), W) + [W[-1]]
     # dropping interior axes from a d0-aligned chain degrades the pairwise
     # width by a bounded amount, so the subchain is checked at width d1
-    return is_aligned(items, TREE_CONSTANTS.d1)
+    return is_aligned(items, D1)
 
 
 def pivot(config: PivotConfig, i: int, beta: int, gamma: int, v) -> PivotConfig:
@@ -222,7 +221,7 @@ def simulate_pivot_counts(
     """
 
     N = len(sch)
-    k0 = int(sch.constants.k0)
+    k0 = sch.k0
     words = sch.products()
     if len(w) != n + 1 or len(v) != n:
         raise ValueError("need n+1 spacers and n connectors")
@@ -393,9 +392,8 @@ def sample_jump_dominated_counts(
     if len(sch) != n0:
         raise ValueError("set size %d != n0 %d" % (len(sch), n0))
     rng = np.random.default_rng([seed, 7])
-    k0 = int(sch.constants.k0)
-    w = [random_reduced_word(rng, k0) for _ in range(n + 1)]
-    v = [random_reduced_word(rng, k0) for _ in range(n)]
+    w = [random_reduced_word(rng, sch.k0) for _ in range(n + 1)]
+    v = [random_reduced_word(rng, sch.k0) for _ in range(n)]
     return simulate_pivot_counts(sch, n, trials, seed, w=w, v=v)
 
 

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import numbers
 import operator
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -60,64 +59,49 @@ class SchottkySequence:
         return SchottkySequence(tuple(s.inverse() for s in reversed(self.steps)))
 
 
-@dataclass(frozen=True)
-class SetConstants:
-    """Alignment constants of a Schottky set.
-
-    k0: width used by the basic alignment / Schottky predicates.
-    d0: pair-alignment width guaranteed for endpoint-aligned contracting axes.
-    d1: width a subsequence of a d0-aligned axis chain is tested at.
-    e0: length unit of the blocks (`schottky_length_scale`).
-    length_floor: every Schottky block must be longer than this many steps.
-    Each is a finite real number, and k0 a positive whole number.
-    """
-
-    k0: float
-    d0: float
-    d1: float
-    e0: float
-    length_floor: float
-
-    def __post_init__(self):
-        for name, value in asdict(self).items():
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-                raise ValueError("constant %s must be a finite real number, not %r" % (name, value))
-        if self.k0 < 1 or self.k0 != int(self.k0):
-            raise ValueError("k0 must be a positive integer, not %r" % (self.k0,))
-
-
-def schottky_length_scale(m0: int, k0: float) -> float:
-    """Length unit e0 stored with a Schottky set of block length m0.
-
-    Chosen so that a block of m0 steps is at least 10*e0 long and so that a
-    chain of k blocks whose junctions overlap by less than k0 still moves
-    the basepoint by at least 5*e0*k.
-    """
-
-    return min(m0 / 10.0, (m0 - 2.0 * (k0 - 1.0)) / 5.0)
-
-
-# the constants of a tree set of 5-step blocks (the shortest above the
-# floor) at k0 = 2; `build_schottky` sets k0 and e0 for the blocks it builds
-TREE_CONSTANTS = SetConstants(k0=2, d0=4, d1=6, e0=schottky_length_scale(5, 2), length_floor=4)
+# the alignment constants of every tree set: D0 is the pair-alignment width of
+# endpoint-aligned contracting axes, D1 the width a subchain of a D0-aligned
+# axis chain is tested at, and every block has more than LENGTH_FLOOR steps
+D0 = 4
+D1 = 6
+LENGTH_FLOOR = 4
 
 
 @dataclass(frozen=True)
 class SchottkySet:
+    """Blocks of one step count m0, and the prefix width k0 of the
+    alignment predicates; every other constant derives from these."""
+
     sequences: Tuple[SchottkySequence, ...]
-    m0: int
-    constants: SetConstants
+    k0: int
 
     def __post_init__(self):
+        k0 = self.k0
+        if isinstance(k0, bool) or not isinstance(k0, numbers.Real) or not k0 >= 1 or k0 % 1:
+            raise ValueError("k0 must be a positive whole number, not %r" % (k0,))
+        object.__setattr__(self, "k0", int(k0))
         if not self.sequences:
             raise ValueError("a Schottky set needs at least one block")
         for i, seq in enumerate(self.sequences):
             if not seq.steps:
                 raise ValueError("block %d has no steps" % i)
+            if len(seq) != self.m0:
+                raise ValueError("block %d has %d steps, block 0 has %d" % (i, len(seq), self.m0))
             # the axis o, s1 o, s1 s2 o, ... has segments of length len(s_i),
             # so it is a tree geodesic iff no letter cancels
             if len(seq.product()) != sum(len(s) for s in seq.steps):
                 raise ValueError("the steps of block %d cancel, so its axis is not a geodesic" % i)
+
+    @property
+    def m0(self) -> int:
+        """The step count of every block."""
+        return len(self.sequences[0])
+
+    @property
+    def e0(self) -> float:
+        """Length unit: a block is at least 10*e0 long, and a chain of k blocks
+        whose junctions overlap by less than k0 moves at least 5*e0*k."""
+        return min(self.m0 / 10.0, (self.m0 - 2.0 * (self.k0 - 1)) / 5.0)
 
     def __len__(self) -> int:
         return len(self.sequences)
@@ -185,16 +169,15 @@ def verify_schottky(sch: SchottkySet) -> VerifyReport:
     the whole probe ball of radius m0 + 5.
     """
 
-    consts = sch.constants
-    k0 = consts.k0
+    k0 = sch.k0
     probe_radius = sch.m0 + 5
     props: Dict[str, PropertyReport] = {}
 
     # (1) blocks are long enough for the alignment machinery
     props["length_floor"] = PropertyReport(
-        ok=sch.m0 > consts.length_floor,
+        ok=sch.m0 > LENGTH_FLOOR,
         mode="exact",
-        detail="m0=%d floor=%s" % (sch.m0, consts.length_floor),
+        detail="m0=%d floor=%s" % (sch.m0, LENGTH_FLOOR),
     )
 
     # (2) every axis is a contracting quasigeodesic: `SchottkySet` refuses a
@@ -202,30 +185,29 @@ def verify_schottky(sch: SchottkySet) -> VerifyReport:
     # geodesics are contracting for any width >= 1
     props["contracting_axes"] = PropertyReport(ok=True, mode="exact-geodesic")
 
-    # (3) blocks move the basepoint far
-    floor3 = 10.0 * consts.e0
+    # (3) blocks move the basepoint far, in a positive length unit
+    floor3 = 10.0 * sch.e0
     products = sch.products()
     dists = [len(p) for p in products]
     props["length"] = PropertyReport(
-        ok=all(d >= floor3 for d in dists),
+        ok=sch.e0 > 0 and all(d >= floor3 for d in dists),
         mode="exact",
         detail="min displacement %s >= %s" % (min(dists), floor3),
     )
 
     # (4) from any point, at most one block is badly aligned
-    k0i = int(k0)
-    owners = _tree_prefix_owners(products, k0i)
+    owners = _tree_prefix_owners(products, k0)
     # the predicate at x depends only on x's first k0 letters, and a key
     # owned twice is itself a point of length k0 that the depth-first
     # ball yields before any extension of it: the k0-ball decides the
     # whole probe ball, with the same witness; the ball is that of the tree
     # the blocks' generators span
-    scan_radius = min(probe_radius, k0i)
+    scan_radius = min(probe_radius, k0)
     ok4, witness4, scanned = True, None, 0
     for x in TreeModel(max(2, sch.rank)).ball(scan_radius):
         scanned += 1
-        key = tuple(itertools.islice(x.letters(), k0i))
-        if len(key) == k0i and owners.get(key, 0) > 1:
+        key = tuple(itertools.islice(x.letters(), k0))
+        if len(key) == k0 and owners.get(key, 0) > 1:
             ok4, witness4 = False, (x,)
             break
     props["general_position"] = PropertyReport(
@@ -266,7 +248,18 @@ def _candidate_rows(m0: int, rng):
         yield rng.integers(0, 4, size=(256, m0))
 
 
-def build_schottky(size: int, m0: int, k0: Optional[float] = None, seed: int = 0, budget: int = 200000) -> SchottkySet:
+def _search_shape(size: int) -> Tuple[int, int]:
+    """k0 and the shortest block length for `size` blocks: each block takes
+    two of the 4 * 3^(k0-1) k0-letter prefix classes, and a block is longer
+    than the floor and than 2*(k0-1) steps, so that e0 is positive."""
+
+    k0 = 2
+    while 4 * 3 ** (k0 - 1) < 2 * size:
+        k0 += 1
+    return k0, max(LENGTH_FLOOR + 1, 2 * k0 - 1)
+
+
+def build_schottky(size: int, m0: int, seed: int = 0, budget: int = 200000) -> SchottkySet:
     """Search for a tree Schottky set of `size` blocks of `m0` letters.
 
     Candidate blocks are rows of the letters a, b, A, B; a row in which a
@@ -278,31 +271,30 @@ def build_schottky(size: int, m0: int, k0: Optional[float] = None, seed: int = 0
 
     if size <= 0:
         raise ValueError("size must be positive")
-    k0 = k0 if k0 is not None else TREE_CONSTANTS.k0
-    if m0 <= TREE_CONSTANTS.length_floor:
-        raise ValueError("block length %d too short (floor %s)" % (m0, TREE_CONSTANTS.length_floor))
-    set_consts = replace(TREE_CONSTANTS, k0=k0, e0=schottky_length_scale(m0, k0))
+    k0, shortest = _search_shape(size)
+    if m0 < shortest:
+        raise ValueError("block length %d too short for %d blocks: k0 = %d needs at least %d steps"
+                         % (m0, size, k0, shortest))
 
-    k0i = int(k0)
     chosen: List[SchottkySequence] = []
     used_heads: Set[tuple] = set()
     tried = 0
     for rows in _candidate_rows(m0, np.random.default_rng(seed)):
         if tried >= budget:
-            raise BudgetExhausted("no Schottky set of size %d found after %d candidates" % (size, tried + 1))
+            raise BudgetExhausted("no Schottky set of size %d found after %d candidates" % (size, tried))
         rows = rows[: budget - tried]
         tried += len(rows)
         # the axis is a tree geodesic iff no letter is followed by its inverse
         geodesic = ((rows[:, 1:] - rows[:, :-1]) % 4 != 2).all(axis=1)
         for letters in _LETTERS[rows[geodesic]].tolist():
-            fwd = tuple(letters[:k0i])
-            bwd = tuple(-x for x in letters[::-1][:k0i])
+            fwd = tuple(letters[:k0])
+            bwd = tuple(-x for x in letters[::-1][:k0])
             if fwd == bwd or fwd in used_heads or bwd in used_heads:
                 continue
             chosen.append(SchottkySequence(tuple(GroupWord.from_letters([x]) for x in letters)))
             used_heads.update((fwd, bwd))
             if len(chosen) == size:
-                sch = SchottkySet(tuple(chosen), m0, set_consts)
+                sch = SchottkySet(tuple(chosen), k0)
                 report = verify_schottky(sch)
                 if not report.ok:
                     raise BudgetExhausted("constructed set failed verification: %s" % report.failures())
@@ -310,21 +302,10 @@ def build_schottky(size: int, m0: int, k0: Optional[float] = None, seed: int = 0
 
 
 def tree_schottky_set(size: int, seed: int = 0) -> SchottkySet:
-    """Build a tree Schottky set of a requested size, picking k0 and m0.
+    """Build a tree Schottky set of `size` blocks of the shortest length
+    `build_schottky` allows for that size."""
 
-    A block occupies two letter-prefix classes (forward and backward), so a
-    prefix length k0 supports at most 4 * 3^(k0-1) / 2 blocks; we take the
-    smallest k0 with room to spare and the shortest block length compatible
-    with a positive step scale, then search blocks over a, b, A, B.
-    """
-
-    if size <= 0:
-        raise ValueError("size must be positive")
-    k0 = 2
-    while 4 * 3 ** (k0 - 1) < 2 * size:
-        k0 += 1
-    m0 = max(int(TREE_CONSTANTS.length_floor) + 1, 2 * k0 - 1)
-    return build_schottky(size=size, m0=m0, k0=float(k0), seed=seed)
+    return build_schottky(size, _search_shape(size)[1], seed)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +313,7 @@ def tree_schottky_set(size: int, seed: int = 0) -> SchottkySet:
 
 
 def inverse_set(sch: SchottkySet) -> SchottkySet:
-    return SchottkySet(tuple(s.inverse() for s in sch.sequences), sch.m0, sch.constants)
+    return SchottkySet(tuple(s.inverse() for s in sch.sequences), sch.k0)
 
 
 @dataclass(frozen=True)
@@ -341,7 +322,6 @@ class PhiImage:
 
     elements: tuple
     index: Dict
-    arity: int = 4
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -392,8 +372,8 @@ def concat_check(sch: SchottkySet, indices: Sequence[int], signs: Sequence[int])
         word = word * seq.product()
     displacement = len(word)
     k = len(indices)
-    floor = 5.0 * sch.constants.e0 * k
-    rep = is_aligned(axes, sch.constants.d0)
+    floor = 5.0 * sch.e0 * k
+    rep = is_aligned(axes, D0)
     return {
         "aligned": rep.aligned,
         "displacement": displacement,
@@ -405,7 +385,7 @@ def concat_check(sch: SchottkySet, indices: Sequence[int], signs: Sequence[int])
 
 def in_tilde(sch: SchottkySet, beta: int, gamma: int, v) -> bool:
     """Membership in the admissible middle set for a connector v."""
-    k0 = sch.constants.k0
+    k0 = sch.k0
     bseq, gseq = sch.sequences[beta], sch.sequences[gamma]
     endpoint = bseq.product() * v * gseq.product()
     if not is_aligned([bseq.axis, endpoint], k0).aligned:
@@ -427,10 +407,16 @@ def tilde_pairs(sch: SchottkySet, v) -> List[Tuple[int, int]]:
 # serialization (tree sets)
 
 
+def _file_constants(sch: SchottkySet) -> dict:
+    """The constants a set's file lists: k0, and the values it gives."""
+
+    return {"d0": D0, "d1": D1, "e0": sch.e0, "k0": sch.k0, "length_floor": LENGTH_FLOOR}
+
+
 def schottky_to_json(sch: SchottkySet) -> str:
     payload = {
         "m0": sch.m0,
-        "constants": asdict(sch.constants),
+        "constants": _file_constants(sch),
         "sequences": [
             [list(step.letters()) for step in seq.steps] for seq in sch.sequences
         ],
@@ -439,8 +425,10 @@ def schottky_to_json(sch: SchottkySet) -> str:
 
 
 def schottky_from_json(text: str) -> SchottkySet:
+    """Read a set from its blocks and k0; every other constant in the file
+    must equal the value those give, so no file sets its own thresholds."""
+
     payload = json.loads(text)
-    consts = SetConstants(**payload["constants"])
     for step in itertools.chain.from_iterable(payload["sequences"]):
         # a letter is a signed generator index; a bool or float is not one
         if not all(type(x) is int and x for x in step):
@@ -449,6 +437,10 @@ def schottky_from_json(text: str) -> SchottkySet:
         SchottkySequence(tuple(GroupWord.from_letters(step) for step in seq))
         for seq in payload["sequences"]
     )
-    if any(len(seq) != payload["m0"] for seq in seqs):
-        raise ValueError("every block must have m0 = %s steps" % payload["m0"])
-    return SchottkySet(seqs, payload["m0"], consts)
+    sch = SchottkySet(seqs, payload["constants"]["k0"])
+    stated = dict(payload["constants"], m0=payload["m0"])
+    for key, value in dict(_file_constants(sch), m0=sch.m0).items():
+        if type(stated[key]) is bool or stated[key] != value:
+            raise ValueError("%s is %r, but blocks of %d steps at k0 = %d give %r"
+                             % (key, stated[key], sch.m0, sch.k0, value))
+    return sch

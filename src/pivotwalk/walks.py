@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .geometry import is_aligned
-from .schottky import SchottkySet
+from .schottky import D1, SchottkySet
 from .words import GroupWord, syllable_table, word_from_str, word_to_str
 
 
@@ -198,7 +198,7 @@ def deviation(
     """Minimal k with a witness index i, m0 <= i <= k, such that the i-th
     forward window spells a Schottky block and the window's axis separates
     every backward point from every forward point at or past k (tested up
-    to `horizon`, d1-width alignment).
+    to `horizon`, D1-width alignment).
 
     `mirrored` runs the same definition on the backward side: the block is
     spelled by the backward increments and the axis must shield every
@@ -206,7 +206,6 @@ def deviation(
     """
 
     m0 = sch.m0
-    d1 = sch.constants.d1
     if horizon < m0:
         raise ValueError("horizon below block length")
     blocks = {tuple(seq.steps): seq for seq in sch.sequences}
@@ -228,12 +227,12 @@ def deviation(
         # near side: every point of the opposite ray projects near the start
         near_pts = fwd_pts if mirrored else chk_pts
         far_pts = chk_pts if mirrored else fwd_pts
-        if not all(is_aligned([pt, axis], d1).aligned for pt in near_pts):
+        if not all(is_aligned([pt, axis], D1).aligned for pt in near_pts):
             continue
         # far side: find the least k >= i from which alignment never breaks
         k_min = i
         for k in range(horizon, i - 1, -1):
-            if not is_aligned([axis, far_pts[k]], d1).aligned:
+            if not is_aligned([axis, far_pts[k]], D1).aligned:
                 k_min = k + 1
                 break
         if k_min > horizon:

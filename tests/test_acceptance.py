@@ -113,7 +113,7 @@ def test_03_product_injectivity_and_progress():
                 if idx[i] == idx[i + 1] and sgn[i] * sgn[i + 1] == -1:
                     sgn[i + 1] = sgn[i]
             out = concat_check(sch, idx, sgn)
-            ok &= out["aligned"] and out["displacement"] >= 5.0 * sch.constants.e0 * k
+            ok &= out["aligned"] and out["displacement"] >= 5.0 * sch.e0 * k
         if not ok:
             break
     elapsed = time.perf_counter() - t0
@@ -123,7 +123,7 @@ def test_03_product_injectivity_and_progress():
 
 def test_04_pivotal_machinery():
     sch = build_schottky(size=4, m0=5, seed=0)
-    k0 = int(sch.constants.k0)
+    k0 = sch.k0
     n = 5
     ok = True
 

@@ -37,6 +37,19 @@ class TestSchottkyFind:
                        "--size", "0", "--block", "5")
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("size, k0", [(7, 3), (18, 3)])
+    def test_sizes_past_six_widen_k0(self, monkeypatch, tmp_path, size, k0):
+        code = run_cli(monkeypatch, tmp_path, "schottky-find",
+                       "--size", str(size), "--block", "5", "--out", "s.json")
+        assert code == EXIT_PASS
+        sch = schottky_from_json((tmp_path / "s.json").read_text())
+        assert (len(sch), sch.m0, sch.k0) == (size, 5, k0)
+
+    def test_block_too_short_for_size(self, monkeypatch, tmp_path, capsys):
+        code = run_cli(monkeypatch, tmp_path, "schottky-find", "--size", "54", "--block", "5")
+        assert code == EXIT_CONFIG
+        assert "at least 7 steps" in capsys.readouterr().err
+
 
 class TestRun:
     def test_genericity_pass(self, monkeypatch, tmp_path):
@@ -242,8 +255,8 @@ def _with_constants(**constants):
     return json.dumps(dict(_SET2, constants=dict(_SET2["constants"], **constants)))
 
 
-# constants that are not finite real numbers, or a k0 that is not a positive
-# whole number
+# constants other than the ones the blocks and k0 give, or a k0 that is not
+# a positive whole number
 _BAD_CONSTANTS = {
     "k0-text.json": _with_constants(k0="2"),
     "e0-text.json": _with_constants(e0="0.5"),
@@ -287,6 +300,10 @@ _INPUT_FILES = {
     # an exponent beyond 64 bits
     "exp-int64.json": '{"support": ["a^99999999999999999999", "A"], "weights": [0.5, 0.5]}',
     **_BAD_CONSTANTS,
+    # two one-letter blocks whose file loosens the floor and the length unit
+    "one-letter.json": json.dumps({"m0": 1, "sequences": [[[1]], [[2]]], "constants": {
+        "k0": 1, "d0": 4, "d1": 6, "e0": 0, "length_floor": 0}}),
+    "d1-only.json": _with_constants(d1=7),
 }
 
 _SCHOTTKY_ARGVS = (["census", "--n-max", "2"],
@@ -339,10 +356,18 @@ _SCHOTTKY_ARGVS = (["census", "--n-max", "2"],
       for argv in _SCHOTTKY_ARGVS],
     *[argv + ["--schottky", name] for name in ("letter-float.json", "letter-true.json") for argv in _SCHOTTKY_ARGVS],
     ["run", "--experiment", "genericity", "--n", "20,40", "--trials", "20", "--measure", "exp-int64.json"],
+    *[argv + ["--schottky", name] for name in ("one-letter.json", "d1-only.json") for argv in _SCHOTTKY_ARGVS],
+    ["run", "--experiment", "genericity", "--n", "x", "--trials", "20"],
+    ["schottky-find", "--size", "1", "--block", "6", "--seed", "-1"],
+    ["PIVOTWALK_SEED=-3", "pivot-trace", "--N0", "100", "--n", "5", "--trials", "20"],
 ])
 def test_bad_input_is_refused_cleanly(monkeypatch, tmp_path, capsys, argv):
     for name, text in _INPUT_FILES.items():
         (tmp_path / name).write_text(text)
+    # leading NAME=value words set the environment, as in a shell
+    while "=" in argv[0]:
+        monkeypatch.setenv(*argv[0].split("=", 1))
+        argv = argv[1:]
     assert run_cli(monkeypatch, tmp_path, *argv) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("configuration error:")
 

@@ -21,8 +21,10 @@ from pivotwalk.words import (
 )
 from pivotwalk.spaces import TreeModel
 from pivotwalk.schottky import (
-    TREE_CONSTANTS,
-    schottky_length_scale,
+    D0,
+    D1,
+    SchottkySequence,
+    SchottkySet,
     schottky_to_json,
     tree_schottky_set,
 )
@@ -213,8 +215,8 @@ def test_equidistant_samples_both_project():
 
 
 @pytest.mark.parametrize("size, sch_seed, digest", [
-    (400, 1, "eec10543dbd16cdd609def7b763b1d38c32d6a9491ae6aa35b36f3db0ec5d05d"),
-    (18, 0, "171cc875b0197f4b48569959d58a55317246983c02f24fef87a89a5cc1fa8e8d"),
+    (400, 1, "75020cc67204d7351775ef957f711af9aea60799643daa036074eaaa7dc0a4c8"),
+    (18, 0, "520ece45d4664f29cfc8580b7164d96afc552928d950bb8d3d2dc13a629a7a21"),
 ])
 def test_benchmark_schottky_sets_unchanged(size, sch_seed, digest):
     # building a set verifies it, and verification runs the alignment predicate
@@ -288,8 +290,8 @@ class TestAlignment:
 
     def test_semi_aligned_uses_wider_threshold(self):
         chain = [tree_geodesic(o, w("a^5")), tree_geodesic(w("a"), w("a b^7"))]
-        assert not is_aligned(chain, width=TREE_CONSTANTS.d0).aligned
-        assert is_aligned(chain, width=TREE_CONSTANTS.d1).aligned
+        assert not is_aligned(chain, width=D0).aligned
+        assert is_aligned(chain, width=D1).aligned
 
     def test_closure_under_reversal_translation_concatenation(self):
         chain = [tree_geodesic(o, w("a^3")), tree_geodesic(w("a^3"), w("a^3 b^3"))]
@@ -307,7 +309,12 @@ class TestAlignment:
 
 class TestConstants:
     def test_length_scale_hand_values(self):
-        assert schottky_length_scale(9, 2) == pytest.approx(0.9)
-        assert schottky_length_scale(5, 2) == pytest.approx(0.5)
+        def e0(m0, k0):
+            return SchottkySet((SchottkySequence((w("a"),) * m0),), k0).e0
+
+        assert e0(9, 2) == pytest.approx(0.9)
+        assert e0(5, 2) == pytest.approx(0.5)
+        assert e0(4, 2) == pytest.approx(0.4)
         # second branch active when blocks are short relative to the width
-        assert schottky_length_scale(4, 2) == pytest.approx(0.4)
+        assert e0(7, 3) == pytest.approx(0.6)
+        assert e0(4, 3) == pytest.approx(0.0)

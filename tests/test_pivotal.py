@@ -36,7 +36,7 @@ from pivotwalk.pivotal import (
 a = GroupWord.from_letters([1])
 b = GroupWord.from_letters([2])
 SCH = build_schottky(size=4, m0=5)
-K0 = int(SCH.constants.k0)
+K0 = SCH.k0
 
 
 # The per-step simulation that simulate_pivot_counts replaced: every step
@@ -64,7 +64,7 @@ def reference_simulate(
 
     ident = GroupWord.identity()
     N = len(sch)
-    k0 = int(sch.constants.k0)
+    k0 = sch.k0
     words = sch.products()
     w = list(w) if w is not None else [ident] * (n + 1)
     v = list(v) if v is not None else [ident] * n
@@ -256,7 +256,7 @@ class TestFastSimulation:
     ])
     def test_sampled_counts_match_reference(self, n0, n, trials, seeds):
         sch = tree_set(n0)
-        k0 = int(sch.constants.k0)
+        k0 = sch.k0
         for s in seeds:
             # the spacers sample_jump_dominated_counts draws
             rng = np.random.default_rng([s, 7])

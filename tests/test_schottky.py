@@ -11,10 +11,8 @@ from pivotwalk.geometry import Path
 from pivotwalk.words import GroupWord, common_prefix_letters, random_reduced_word, word_from_str
 from pivotwalk.spaces import MatrixIsometry, PlaneModel, TreeModel
 from pivotwalk.schottky import (
-    TREE_CONSTANTS,
     SchottkySequence,
     SchottkySet,
-    SetConstants,
     BudgetExhausted,
     verify_schottky,
     build_schottky,
@@ -24,7 +22,6 @@ from pivotwalk.schottky import (
     concat_check,
     in_tilde,
     tilde_pairs,
-    schottky_length_scale,
     schottky_to_json,
     schottky_from_json,
 )
@@ -66,19 +63,34 @@ class TestBuild:
     def test_step_scale_value(self):
         sch = build_schottky(size=2, m0=5)
         # min(m0/10, (m0 - 2(k0-1))/5) with k0=2
-        assert sch.constants.e0 == pytest.approx(0.5)
+        assert sch.k0 == 2 and sch.e0 == pytest.approx(0.5)
 
     def test_short_blocks_rejected(self):
         with pytest.raises(ValueError):
             build_schottky(size=2, m0=4)  # at the floor, not above
+        # 54 blocks need k0 = 4, so blocks of 2*4 - 1 = 7 steps or more
+        with pytest.raises(ValueError, match="at least 7 steps"):
+            build_schottky(size=54, m0=5)
 
     def test_sized_builder_scales_prefix_width(self):
         sch2 = tree_schottky_set(2)
-        assert len(sch2) == 2 and sch2.constants.k0 == 2 and sch2.m0 == 5
+        assert len(sch2) == 2 and sch2.k0 == 2 and sch2.m0 == 5
         sch100 = tree_schottky_set(100)
         # 4*3^(k0-1) >= 200 first at k0 = 5; m0 = 2*5 - 1
-        assert len(sch100) == 100 and sch100.constants.k0 == 5 and sch100.m0 == 9
+        assert len(sch100) == 100 and sch100.k0 == 5 and sch100.m0 == 9
         assert verify_schottky(sch100).ok
+
+    @pytest.mark.parametrize("size", [2, 18, 100])
+    def test_builder_picks_the_sized_prefix_width(self, size):
+        sch = tree_schottky_set(size, seed=3)
+        assert build_schottky(size, sch.m0, seed=3) == sch
+
+    def test_k0_is_a_positive_whole_number(self):
+        seqs = (SchottkySequence((a,) * 5),)
+        assert type(SchottkySet(seqs, 3.0).k0) is int
+        for bad in (0, -1, 2.5, True, "2", float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="k0"):
+                SchottkySet(seqs, bad)
 
     def test_broken_set_detected(self):
         # two blocks sharing a leading letter pattern: general position fails
@@ -87,21 +99,27 @@ class TestBuild:
                 SchottkySequence((a,) * 5),
                 SchottkySequence((a, a, b, a, b)),
             ),
-            m0=5,
-            constants=SetConstants(k0=2, d0=4, d1=6, e0=0.5, length_floor=4),
+            k0=2,
         )
         rep = verify_schottky(bad)
         assert not rep.ok
         assert "general_position" in rep.failures()
 
     def test_cancelling_or_empty_family_refused(self):
-        consts = SetConstants(k0=2, d0=4, d1=6, e0=0.5, length_floor=4)
         with pytest.raises(ValueError, match="cancel"):
-            SchottkySet((SchottkySequence((a, a.inverse(), a, b, b)),), 5, consts)
+            SchottkySet((SchottkySequence((a, a.inverse(), a, b, b)),), 2)
         with pytest.raises(ValueError, match="block"):
-            SchottkySet((), 5, consts)
+            SchottkySet((), 2)
         with pytest.raises(ValueError, match="block 1 has no steps"):
-            SchottkySet((SchottkySequence((a,) * 5), SchottkySequence(())), 5, consts)
+            SchottkySet((SchottkySequence((a,) * 5), SchottkySequence(())), 2)
+        with pytest.raises(ValueError, match="block 1 has 6 steps, block 0 has 5"):
+            SchottkySet((SchottkySequence((a,) * 5), SchottkySequence((b,) * 6)), 2)
+
+    def test_nonpositive_length_unit_fails_length(self):
+        # at k0 = 3, blocks of 4 steps give e0 = min(0.4, 0) = 0
+        sch = SchottkySet((SchottkySequence((a, a, b, b)), SchottkySequence((b, a, a, b))), 3)
+        assert sch.e0 == 0
+        assert "length" in verify_schottky(sch).failures()
 
 
 def walked_geodesic(model, steps):
@@ -114,16 +132,17 @@ def walked_geodesic(model, steps):
     return walked == model.distance(pts[0], pts[-1])
 
 
-def reference_search(size, m0, k0, seed=0, budget=200000):
-    """The tree candidate search with every step spelled out: one scalar
-    draw per step from the letters a, b, A, B, then the walked axis, the
-    displacement and the prefix rule.  `build_schottky` must choose the same
-    blocks."""
+def reference_search(size, m0, seed=0, budget=200000):
+    """The tree candidate search with every step spelled out: the prefix
+    width k0 counted up from 2 until the 4 * 3^(k0-1) prefix classes hold
+    two per block, one scalar draw per step from the letters a, b, A, B,
+    then the walked axis, the displacement and the prefix rule.
+    `build_schottky` must choose the same blocks."""
 
     pool = [a, b, a.inverse(), b.inverse()]
     rng = np.random.default_rng(seed)
-    floor = 10 * schottky_length_scale(m0, k0)
-    k0i = int(k0)
+    k0 = next(k for k in itertools.count(2) if 4 * 3 ** (k - 1) >= 2 * size)
+    floor = 10 * min(m0 / 10, (m0 - 2 * (k0 - 1)) / 5)
 
     def candidates():
         if len(pool) ** m0 <= 4096:
@@ -134,19 +153,19 @@ def reference_search(size, m0, k0, seed=0, budget=200000):
 
     chosen, used, tried = [], set(), 0
     for steps in candidates():
-        tried += 1
-        if tried > budget:
+        if tried == budget:
             raise BudgetExhausted(
                 "no Schottky set of size %d found after %d candidates" % (size, tried)
             )
+        tried += 1
         seq = SchottkySequence(tuple(steps))
         word = seq.product()
         if not walked_geodesic(T, steps):
             continue
         if T.distance(o, word) < floor:
             continue
-        fwd = tuple(word.prefix(k0i).letters())
-        bwd = tuple(word.inverse().prefix(k0i).letters())
+        fwd = tuple(word.prefix(k0).letters())
+        bwd = tuple(word.inverse().prefix(k0).letters())
         if fwd == bwd or fwd in used or bwd in used:
             continue
         chosen.append(seq)
@@ -167,43 +186,44 @@ class TestSearchMatchesReference:
     # the ids name the pool a, b (with inverses), then m0, size and seed
     @pytest.mark.parametrize("m0, size, seed", [(5, 2, 0), (5, 4, 0)], ids=["a-b-5-2-0", "a-b-5-4-0"])
     def test_chosen_blocks(self, m0, size, seed):
-        k0 = TREE_CONSTANTS.k0
         sch = build_schottky(size=size, m0=m0, seed=seed)
-        assert list(sch.sequences) == reference_search(size, m0, k0, seed)
+        assert list(sch.sequences) == reference_search(size, m0, seed)
 
     def test_sized_set(self):
         sch = tree_schottky_set(100, seed=1)
-        ref = reference_search(100, sch.m0, sch.constants.k0, seed=1)
+        ref = reference_search(100, sch.m0, seed=1)
         assert list(sch.sequences) == ref
 
     def test_budget_message(self):
-        k0 = TREE_CONSTANTS.k0
-        with pytest.raises(BudgetExhausted) as ref:
-            reference_search(8, 5, k0, seed=0, budget=2000)
-        with pytest.raises(BudgetExhausted) as got:
-            build_schottky(size=8, m0=5, seed=0, budget=2000)
-        assert str(got.value) == str(ref.value)
+        # the message counts the candidates tried, the whole budget; at
+        # k0 = 3 the 8 blocks take more than 200 rows
+        for budget in (200, 0):
+            with pytest.raises(BudgetExhausted) as ref:
+                reference_search(8, 5, seed=0, budget=budget)
+            with pytest.raises(BudgetExhausted) as got:
+                build_schottky(size=8, m0=5, seed=0, budget=budget)
+            assert str(got.value) == str(ref.value) == (
+                "no Schottky set of size 8 found after %d candidates" % budget)
 
 
 # m0 5-6 enumerates its 4^m0 rows before drawing, m0 7-9 draws from the
-# start, 256 rows at a time
+# start, 256 rows at a time; sizes 1-6 search at k0 = 2, sizes 7-18 at k0 = 3
 @seed(2023)
 @settings(max_examples=40, deadline=None, database=None)
 @given(
     st.integers(5, 9),
-    st.integers(1, 3),
-    st.integers(1, 10),
+    st.integers(1, 18),
     st.integers(0, 2 ** 16),
     st.integers(0, 1500),
 )
-@example(m0=6, k0=3, size=18, rng_seed=0, budget=2500)  # gives up inside the enumeration
-@example(m0=6, k0=3, size=18, rng_seed=0, budget=4300)  # ... and inside the first draws
-@example(m0=7, k0=2, size=6, rng_seed=3, budget=612)  # gives up inside the third batch
-@example(m0=7, k0=2, size=6, rng_seed=3, budget=700)  # done at row 613, in that batch
-@example(m0=8, k0=3, size=10, rng_seed=5, budget=5000)  # done at row 155 of the first
-def test_search_matches_reference(m0, k0, size, rng_seed, budget):
-    got = search_outcome(lambda: build_schottky(size, m0, k0, seed=rng_seed, budget=budget).sequences)
-    assert got == search_outcome(lambda: reference_search(size, m0, k0, seed=rng_seed, budget=budget))
+@example(m0=6, size=18, rng_seed=0, budget=2500)  # gives up inside the enumeration
+@example(m0=6, size=18, rng_seed=0, budget=4300)  # ... and inside the first draws
+@example(m0=7, size=6, rng_seed=3, budget=612)  # gives up inside the third batch
+@example(m0=7, size=6, rng_seed=3, budget=700)  # done at row 613, in that batch
+@example(m0=8, size=10, rng_seed=5, budget=5000)  # done at row 155 of the first
+def test_search_matches_reference(m0, size, rng_seed, budget):
+    got = search_outcome(lambda: build_schottky(size, m0, seed=rng_seed, budget=budget).sequences)
+    assert got == search_outcome(lambda: reference_search(size, m0, seed=rng_seed, budget=budget))
 
 
 _pools = st.lists(
@@ -227,7 +247,7 @@ def test_length_identity_is_walked_geodesy(pool, picks):
 def brute_general_position(sch, radius):
     """(ok, witness, scanned) of property (4), counting blocks per point of
     the ball of the tree the set's generators span."""
-    k0 = int(sch.constants.k0)
+    k0 = sch.k0
     prefixes = [(p.prefix(k0), p.inverse().prefix(k0)) for p in sch.products()]
     scanned = 0
     for x in TreeModel(max(2, sch.rank)).ball(radius):
@@ -248,14 +268,14 @@ class TestGeneralPositionTable:
         [
             (["a a a a a", "a a b a b"], 2, False),  # both start with a a
             (["a b a B A"], 2, True),  # forward and backward prefix are both a b
-            (["a a a a a", "a a a a a b"], 6, True),  # a^5 is shorter than k0
+            (["a a a a a", "a a a a b"], 6, True),  # both are shorter than k0
             (["a b a b a", "b a b a b", "A B a b a"], 2, False),  # A B twice
             (["a c a c a", "a c A c a"], 2, False),  # a c twice, on the rank-3 tree
         ],
     )
     def test_matches_brute_force(self, blocks, k0, ok):
         seqs = tuple(SchottkySequence(tuple(w(c) for c in t.split())) for t in blocks)
-        sch = SchottkySet(seqs, 5, SetConstants(k0=k0, d0=4, d1=6, e0=0.5, length_floor=4))
+        sch = SchottkySet(seqs, k0)
         rep = verify_schottky(sch).properties["general_position"]
         # the probe ball has radius m0 + 5 = 10; a first witness has k0 <= 7
         # letters, and the depth-first ball yields it before any extension,
@@ -358,7 +378,7 @@ class TestConcat:
             out = concat_check(self.sch, idx, sgn)
             assert out["aligned"]
             assert out["meets_floor"]
-            assert out["displacement"] >= 5.0 * self.sch.constants.e0 * k
+            assert out["displacement"] >= 5.0 * self.sch.e0 * k
 
     def test_inverse_pair_pattern_rejected(self):
         with pytest.raises(ValueError):
@@ -393,7 +413,6 @@ class TestSerialization:
     def test_json_roundtrip(self):
         sch = build_schottky(size=3, m0=5, seed=4)
         back = schottky_from_json(schottky_to_json(sch))
-        assert back.m0 == sch.m0
-        assert back.constants == sch.constants
+        assert (back.m0, back.k0, back.e0) == (sch.m0, sch.k0, sch.e0)
         assert [s.product() for s in back.sequences] == sch.products()
         assert verify_schottky(back).ok

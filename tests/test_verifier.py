@@ -8,6 +8,7 @@ the word enumeration it replaced in the free-subgroup runner.
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -203,6 +204,14 @@ class TestClt:
         assert stats["ks_disp"] <= 0.05
         assert stats["ks_tau"] <= 0.05
         assert stats["ks_two_sample"] <= 0.03
+
+    def test_tiny_run_warns_nothing(self):
+        # scipy cannot compute the exact two-sample p-value here and warns;
+        # the run reads only the statistic
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = run_clt(simple_rw(), T, 20, 5, seed=0)
+        assert 0 <= rep.stats["per_n"]["20"]["ks_two_sample"] <= 1
 
     def test_degenerate_measure_short_circuits(self):
         rep = run_clt(StepMeasure((a,), (1.0,)), T, 100, 100, seed=0,

@@ -10,7 +10,7 @@ from pivotwalk.geometry import Path, is_aligned
 from pivotwalk.verifier import non_elementary, tree_walk_ensemble
 from pivotwalk.words import GroupWord, word_from_str, word_to_str
 from pivotwalk.spaces import TreeModel
-from pivotwalk.schottky import SchottkySet, build_schottky
+from pivotwalk.schottky import D1, SchottkySet, build_schottky
 from pivotwalk.walks import (
     StepMeasure,
     simple_rw,
@@ -210,7 +210,7 @@ def reference_deviation(sch, check_incs, fwd_incs, horizon, mirrored=False):
     least witness i <= k, whose block axis separates every near-side point
     from every far-side point at or past k."""
 
-    m0, d1 = sch.m0, sch.constants.d1
+    m0, d1 = sch.m0, D1
     blocks = {tuple(seq.steps) for seq in sch.sequences}
     fwd = partial_products(fwd_incs[:horizon])
     chk = partial_products(check_incs[:horizon])
@@ -278,7 +278,7 @@ class TestDeviation:
 class TestDiscrepancyWitness:
     def test_doubling_back_walk_has_zero_gap(self):
         # inverse-closed block fixture so both half-splits spell blocks
-        sch = SchottkySet((SCH[0], SCH[0].inverse()), SCH.m0, SCH.constants)
+        sch = SchottkySet((SCH[0], SCH[0].inverse()), SCH.k0)
         blk = list(sch[0].steps)
         inv = [s.inverse() for s in reversed(blk)]
         g = blk * 6 + inv * 6  # returns to the start: displacement 0, length 0
