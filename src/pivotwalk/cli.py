@@ -105,8 +105,12 @@ def cmd_schottky_find(args) -> int:
         raise ConfigurationError("size and block must be positive")
     model = model_by_name(args.model)
     verifier.require_tree(model)
-    # build_schottky verifies the set and raises unless it passes
-    sch = schottky.build_schottky(size=size, m0=block, seed=seed)
+    # build_schottky verifies the set and raises unless it passes; its
+    # ValueError is a block length too short for the size
+    try:
+        sch = schottky.build_schottky(size=size, m0=block, seed=seed)
+    except ValueError as exc:
+        raise ConfigurationError(str(exc)) from exc
     payload = schottky.schottky_to_json(sch)
     with open(args.out, "w") as fh:
         fh.write(payload)

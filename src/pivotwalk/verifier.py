@@ -87,17 +87,27 @@ class ExperimentReport:
 # fast tree walk ensembles
 
 
+# the ensemble walks its trials in blocks of at most this many rows * steps
+# (about 300 rows at n = 4000): a block's uniforms and atom indices take 16
+# bytes a cell, and 0.6 or 2.4 million cells a block were slower
+ENSEMBLE_BLOCK_CELLS = 1_200_000
+
+
 def tree_walk_ensemble(measure: StepMeasure, n: int, trials: int, rng) -> Tuple[np.ndarray, np.ndarray]:
     """(displacement, translation length) arrays for `trials` independent
     n-step walks, exact word arithmetic throughout: each step pushes its
-    sampled atoms onto a stack of the walks' reduced words."""
+    sampled atoms onto a stack of the walks' reduced words.  The trials go
+    in blocks of near-equal rows; `rng.random` fills in C order and goes on
+    where it stopped, so the blocks draw what one (trials, n) draw would."""
 
-    idx = rng.choice(len(measure.weights), size=(trials, n), p=measure.weights)
-    stack = SyllableStack.identities(measure.table, trials, n)
-    stack.push(idx)
-    cut = stack.cyclic_cut()
-    # the stack's last use: absolute exponents in place, not in a stack-sized copy
-    disp = np.abs(stack.exps, out=stack.exps).sum(axis=1)
+    disp = np.empty(trials, dtype=np.int64)
+    cut = np.empty(trials, dtype=np.int64)
+    for rows in np.array_split(np.arange(trials), -(-trials * n // ENSEMBLE_BLOCK_CELLS) or 1):
+        stack = SyllableStack.identities(measure.table, len(rows), n)
+        stack.push(measure.draw(rng, (len(rows), n)))
+        cut[rows] = stack.cyclic_cut()
+        # the stack's last use: absolute exponents in place, not in a stack-sized copy
+        disp[rows] = np.abs(stack.exps, out=stack.exps).sum(axis=1)
     return disp, disp - 2 * cut
 
 

@@ -350,17 +350,18 @@ class SyllableStack:
         in turn, one syllable column at a time, one update for all rows."""
 
         Gf, Ef, top = self.gens.reshape(-1), self.exps.reshape(-1), self.top
-        columns = list(zip(*(t.T for t in self.table)))
-        for step in atoms.T:
-            for col_g, col_e in columns:
-                g = col_g[step]
-                e = col_e[step]
+        steps = atoms.T
+        # each table column's generators and exponents for every step at once
+        columns = [(col_g[steps], col_e[steps]) for col_g, col_e in zip(*(t.T for t in self.table))]
+        for i in range(len(steps)):
+            for G, E in columns:
+                g = G[i]
                 # a syllable on the top's generator merges into it, any other
-                # goes above it; a zero result (a cancellation, or padding) is
-                # written but not kept, so exponents stay zero above the top
-                above = Gf[top] != g
-                s = np.where(above, e, Ef[top] + e)
-                top += above
+                # goes above it, where the exponent is 0; a zero result (a
+                # cancellation, or padding) is written but not kept, so
+                # exponents stay zero above the top
+                top += Gf[top] != g
+                s = Ef[top] + E[i]
                 Gf[top] = g
                 Ef[top] = s
                 top -= s == 0

@@ -48,7 +48,8 @@ class TestSchottkyFind:
     def test_block_too_short_for_size(self, monkeypatch, tmp_path, capsys):
         code = run_cli(monkeypatch, tmp_path, "schottky-find", "--size", "54", "--block", "5")
         assert code == EXIT_CONFIG
-        assert "at least 7 steps" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "at least 7 steps" in err
 
 
 class TestRun:
@@ -360,6 +361,9 @@ _SCHOTTKY_ARGVS = (["census", "--n-max", "2"],
     ["run", "--experiment", "genericity", "--n", "x", "--trials", "20"],
     ["schottky-find", "--size", "1", "--block", "6", "--seed", "-1"],
     ["PIVOTWALK_SEED=-3", "pivot-trace", "--N0", "100", "--n", "5", "--trials", "20"],
+    # block lengths below the search's shortest for the size
+    ["schottky-find", "--size", "54", "--block", "5"],
+    ["schottky-find", "--size", "2", "--block", "4"],
 ])
 def test_bad_input_is_refused_cleanly(monkeypatch, tmp_path, capsys, argv):
     for name, text in _INPUT_FILES.items():

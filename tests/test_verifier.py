@@ -8,6 +8,7 @@ the word enumeration it replaced in the free-subgroup runner.
 
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from pivotwalk.counting import free_basis_margin, tuple_is_free
 from pivotwalk.words import GroupWord, word_from_str
 from pivotwalk.spaces import PlaneModel, TreeModel
 from pivotwalk.schottky import build_schottky
+from pivotwalk import verifier
 from pivotwalk.walks import StepMeasure, simple_rw, heavy_tail, walk_product
 from pivotwalk.verifier import (
     ConfigurationError,
@@ -41,14 +43,15 @@ CAL = {"lambda": 0.5, "sigma2": 0.75, "n": 0, "trials": 0}
 
 def reference_ensemble(measure, n: int, trials: int, rng):
     """(displacement, translation length) of `trials` walks, each the
-    product of its n sampled step words."""
+    product of its n step words, drawn by `rng.choice` itself: one draw of
+    n atoms per trial takes the uniforms one (trials, n) draw takes."""
 
     disp = np.empty(trials, dtype=np.int64)
     tau = np.empty(trials, dtype=np.int64)
     for t in range(trials):
         acc = GroupWord.identity()
-        for s in measure.sample(rng, n):
-            acc = acc * s
+        for i in rng.choice(len(measure.weights), size=n, p=measure.weights).tolist():
+            acc = acc * measure.atom(i)
         disp[t] = len(acc)
         tau[t] = acc.translation_length()
     return disp, tau
@@ -132,6 +135,26 @@ class TestEnsembles:
         slow = reference_ensemble(mu, 20, 30, np.random.default_rng(4))
         assert np.array_equal(fast[0], slow[0])
         assert np.array_equal(fast[1], slow[1])
+
+    @pytest.mark.parametrize("measure", [simple_rw(), heavy_tail(kmax=16)], ids=["simple", "heavy16"])
+    def test_blocks_match_slow(self, monkeypatch, measure):
+        # blocks of at most 100 rows of 25 steps: 2 * 100 + 7 trials go in
+        # three blocks, so the draw continues across two block edges
+        monkeypatch.setattr(verifier, "ENSEMBLE_BLOCK_CELLS", 100 * 25)
+        fast = tree_walk_ensemble(measure, 25, 2 * 100 + 7, np.random.default_rng(6))
+        slow = reference_ensemble(measure, 25, 2 * 100 + 7, np.random.default_rng(6))
+        assert np.array_equal(fast[0], slow[0]) and np.array_equal(fast[1], slow[1])
+
+    def test_memory_stays_within_a_block(self):
+        # one (1800, 4000) draw held 57.6 MB of uniforms and as many of
+        # atom indices, and the whole ensemble peaked at 116 MB
+        tracemalloc.start()
+        try:
+            tree_walk_ensemble(simple_rw(), 4000, 1800, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
     def test_tau_at_most_displacement(self):
         disp, tau = tree_walk_ensemble(simple_rw(), 50, 200, np.random.default_rng(5))

@@ -5,6 +5,7 @@ from typing import List
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from pivotwalk.geometry import Path, is_aligned
 from pivotwalk.verifier import non_elementary, tree_walk_ensemble
@@ -12,6 +13,7 @@ from pivotwalk.words import GroupWord, word_from_str, word_to_str
 from pivotwalk.spaces import TreeModel
 from pivotwalk.schottky import D1, SchottkySet, build_schottky
 from pivotwalk.walks import (
+    DRAW_HEAD,
     StepMeasure,
     simple_rw,
     heavy_tail,
@@ -90,6 +92,68 @@ def reference_heavy_tail(eta: float = 1.1, kmax: int = 65536, rank: int = 2) -> 
                 weights.append(raw[k - 1] / z)
     weights[-1] += 1.0 - sum(weights)  # pin rounding onto the lightest atom
     return StepMeasure(tuple(support), tuple(weights), "heavy_tail")
+
+
+def _draw_matches_choice(mu, shape, rng_seed):
+    got_rng, want_rng = np.random.default_rng(rng_seed), np.random.default_rng(rng_seed)
+    got = mu.draw(got_rng, shape)
+    want = want_rng.choice(len(mu.weights), size=shape, p=mu.weights)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    # the same uniforms were taken
+    assert got_rng.random() == want_rng.random()
+
+
+@st.composite
+def _integer_laws(draw):
+    """Laws on 1 to 2 * DRAW_HEAD + 5 atoms, so supports shorter and longer
+    than the comparison head, with any weight possibly zero."""
+
+    weights = draw(st.lists(st.integers(0, 5), min_size=1, max_size=2 * DRAW_HEAD + 5).filter(any))
+    atoms = [GroupWord.generator(1, k + 1) for k in range(len(weights))]
+    return StepMeasure(atoms, [x / sum(weights) for x in weights])
+
+
+@seed(2022)
+@settings(max_examples=300, deadline=None, database=None)
+@given(_integer_laws(),
+       st.one_of(st.integers(0, 60), st.tuples(st.integers(0, 9), st.integers(0, 9))),
+       st.integers(0, 2 ** 32 - 1))
+def test_draw_is_rng_choice(mu, shape, rng_seed):
+    _draw_matches_choice(mu, shape, rng_seed)
+
+
+@pytest.mark.parametrize("make", [simple_rw, heavy_tail], ids=["simple", "heavy"])
+@pytest.mark.parametrize("shape", [1000, (40, 300)], ids=["1d", "2d"])
+def test_draw_is_rng_choice_on_the_runners_laws(make, shape):
+    mu = make()
+    for rng_seed in range(3):
+        _draw_matches_choice(mu, shape, rng_seed)
+
+
+def _generator_at(u):
+    """A generator whose first uniform is exactly u, a multiple of 2^-53:
+    an SFC64 state (a, 0, 0, 0) first yields a, and `random` returns its top
+    53 bits over 2^53."""
+
+    bits = np.random.SFC64()
+    state = bits.state
+    state["state"]["state"] = np.array([int(u * 2 ** 53) << 11, 0, 0, 0], dtype=np.uint64)
+    bits.state = state
+    return np.random.Generator(bits)
+
+
+@pytest.mark.parametrize("weights", [
+    [0.0, 0.25, 0.0, 0.25, 0.5],
+    [0.0, 0.0, 1.0],
+    [1 / 64] * 24 + [0.0] * 3 + [1 / 64] * 40,
+], ids=["short", "leading-zeros", "past-head"])
+def test_draw_breaks_ties_as_rng_choice(weights):
+    # a uniform equal to a cdf entry counts that entry, one just below does not
+    mu = StepMeasure([GroupWord.generator(1, k + 1) for k in range(len(weights))], weights)
+    cdf = np.cumsum(weights)
+    for u in sorted({0.0, *cdf[:-1].tolist(), *(cdf[cdf > 0] - 2 ** -53).tolist()}):
+        got, want = mu.draw(_generator_at(u), 1), _generator_at(u).choice(len(weights), size=1, p=mu.weights)
+        assert got.tolist() == want.tolist(), u
 
 
 @pytest.fixture(scope="module", params=[(1, 2), (16, 2), (65536, 2), (5, 3)],
