@@ -15,7 +15,7 @@ from .schottky import (
     schottky_to_json,
 )
 from .pivotal import PivotConfig, compute_pivotal_times, pivot
-from .walks import StepMeasure, simple_rw, heavy_tail, sample_path
+from .walks import StepMeasure, simple_rw, heavy_tail
 from .verifier import ExperimentReport, calibrate
 
 __version__ = "0.1.0"
@@ -44,7 +44,6 @@ __all__ = [
     "StepMeasure",
     "simple_rw",
     "heavy_tail",
-    "sample_path",
     "ExperimentReport",
     "calibrate",
     "__version__",

@@ -132,6 +132,13 @@ def cmd_run(args) -> int:
     experiment = args.experiment
     if not experiment:
         raise ConfigurationError("run requires --experiment")
+    # a flag that one experiment reads is refused by every other, not ignored
+    for flag, value, owner in (("--L", args.L, "genericity"), ("--contrast", args.contrast, "clt-converse"),
+                               ("--schottky", args.schottky, "discrepancy"),
+                               ("--claim-n", args.claim_n, "discrepancy"),
+                               ("--claim-trials", args.claim_trials, "discrepancy")):
+        if value is not None and experiment != owner:
+            raise ConfigurationError("%s applies only to --experiment %s, not %s" % (flag, owner, experiment))
     model = model_by_name(args.model)
     measure = _measure_from_spec(args.measure)
     seed = _resolve_seed(args)
@@ -140,13 +147,14 @@ def cmd_run(args) -> int:
 
     if experiment == "genericity":
         n_grid = _grid(args.n, [50, 100, 200, 400])
-        report = verifier.run_genericity(measure, model, n_grid, trials, args.L, seed)
+        L = 0.25 if args.L is None else args.L
+        report = verifier.run_genericity(measure, model, n_grid, trials, L, seed)
     elif experiment == "discrepancy":
         n_grid = _grid(args.n, [1000, 4000])
         sch = _schottky_from_file(args.schottky, model) if args.schottky else None
         report = verifier.run_discrepancy(
             measure, model, n_grid, trials, seed, sch=sch,
-            claim_n=args.claim_n, claim_trials=args.claim_trials,
+            claim_n=args.claim_n, claim_trials=args.claim_trials or 0,
         )
     elif experiment == "clt":
         n_grid = _grid(args.n, [2000])
@@ -155,7 +163,7 @@ def cmd_run(args) -> int:
         report = verifier.run_clt(measure, model, n_grid[0], trials, seed)
     elif experiment == "clt-converse":
         n_grid = _grid(args.n, [500, 1000, 2000, 4000])
-        report = verifier.run_clt_converse(measure, model, n_grid, trials, seed, contrast=args.contrast)
+        report = verifier.run_clt_converse(measure, model, n_grid, trials, seed, contrast=bool(args.contrast))
     elif experiment == "free-subgroup":
         n_grid = _grid(args.n, [50, 100])
         report = verifier.run_free_subgroup(measure, model, n_grid, trials, seed)
@@ -192,7 +200,7 @@ def cmd_census(args) -> int:
         sch = _schottky_from_file(args.schottky, model)
     else:
         sch = schottky.build_schottky(size=4, m0=5, seed=seed)
-    gens = counting.build_augmented_set([GroupWord.generator(1), GroupWord.generator(2)], sch.products())
+    gens = [GroupWord.generator(1), GroupWord.generator(2), *sch.products()]
     rows = counting.census_rows(counting.enumerate_ball(gens, n_max), n_max, args.K)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -257,11 +265,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int)
-    p.add_argument("--L", type=float, default=0.25)
-    p.add_argument("--contrast", action="store_true")
+    # the experiment-specific flags default to None, so that a given one is
+    # seen even when it holds the default
+    p.add_argument("--L", type=float)
+    p.add_argument("--contrast", action="store_true", default=None)
     p.add_argument("--schottky")
     p.add_argument("--claim-n", type=int)
-    p.add_argument("--claim-trials", type=int, default=0)
+    p.add_argument("--claim-trials", type=int)
     p.add_argument("--svg", action="store_true")
     p.add_argument("--out")
     p.add_argument("--config")

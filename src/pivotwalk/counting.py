@@ -18,13 +18,11 @@ import numpy as np
 from .words import GroupWord, SyllableStack, common_prefix_letters, syllable_table
 
 
-def build_augmented_set(base: Sequence[GroupWord], sch_words: Sequence[GroupWord]) -> Tuple[GroupWord, ...]:
-    """Base generators together with the Schottky block words, each followed
-    by its inverse, without repeats or the identity: a symmetric
-    generating set."""
+def build_augmented_set(gens: Sequence[GroupWord]) -> Tuple[GroupWord, ...]:
+    """The generators, each followed by its inverse, without repeats or the
+    identity: a symmetric generating set."""
 
-    return tuple(dict.fromkeys(h for g in [*base, *sch_words] for h in (g, g.inverse())
-                               if not h.is_identity()))
+    return tuple(dict.fromkeys(h for g in gens for h in (g, g.inverse()) if not h.is_identity()))
 
 
 @dataclass(frozen=True)
@@ -72,7 +70,7 @@ def enumerate_ball(
     elements they find, flagged non-exhaustive.
     """
 
-    gens = build_augmented_set(gens, ())
+    gens = build_augmented_set(gens)
     k = len(gens)
     # atom k, the identity, is padding: it idles a sampled string's spare steps
     table = syllable_table(gens + (GroupWord.identity(),))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from .words import tree_distance
 
@@ -74,14 +74,6 @@ class ProjectionResult:
     distance: float
 
 
-@dataclass(frozen=True)
-class AlignmentReport:
-    aligned: bool
-    threshold: float
-    worst_diameter: float
-    failing_index: Optional[int] = None
-
-
 def project(x, target: PathLike) -> ProjectionResult:
     """Nearest-point projection of x to a path (a set of points)."""
     path = as_path(target)
@@ -112,7 +104,7 @@ def _nearest(offsets: List[int], t: int) -> Tuple[int, int, int]:
     return bisect_left(offsets, t - gap), bisect_right(offsets, t + gap), gap
 
 
-def is_aligned(items: Sequence[PathLike], width: float) -> AlignmentReport:
+def is_aligned(items: Sequence[PathLike], width: float) -> bool:
     """Alignment of a chain of paths/points at the given width.
 
     Consecutive paths must project onto each other near the adjacent
@@ -123,25 +115,19 @@ def is_aligned(items: Sequence[PathLike], width: float) -> AlignmentReport:
     """
 
     paths = [as_path(it) for it in items]
-    worst = 0.0
-    for i in range(len(paths) - 1):
-        left, right = paths[i], paths[i + 1]
-        local = max(_junction_spread(left, right, True),
-                    _junction_spread(right, left, False))
-        if local > worst:
-            worst = local
-        if local >= width:
-            return AlignmentReport(False, width, local, failing_index=i)
-    return AlignmentReport(True, width, worst)
+    for left, right in zip(paths, paths[1:]):
+        if max(_junction_spread(left, right, True), _junction_spread(right, left, False)) >= width:
+            return False
+    return True
 
 
-def _junction_spread(target: Path, source: Path, at_end: bool) -> float:
+def _junction_spread(target: Path, source: Path, at_end: bool) -> int:
     """Diameter of the projection of `source` to `target` together with the
     target's end (`at_end`) or start."""
 
     offsets = target.tree_offsets
     if not offsets[-1]:
-        return 0.0  # a one-point target is the whole projection
+        return 0  # a one-point target is the whole projection
     # every sample lies on the target's geodesic, so the diameter is the
     # offset of the union's sample farthest from the chosen end; feet move
     # monotonically along a geodesic source, so its extreme feet come from
@@ -150,9 +136,6 @@ def _junction_spread(target: Path, source: Path, at_end: bool) -> float:
     feet = [_foot(target, offsets, x)[0] for x in ends]
     if at_end:
         lo, _, _ = _nearest(offsets, min(feet))
-        spread = offsets[-1] - offsets[lo]
-    else:
-        _, hi, _ = _nearest(offsets, max(feet))
-        spread = offsets[hi - 1]
-    # a diameter reads 0.0 when every distance is 0
-    return max(0.0, spread)
+        return offsets[-1] - offsets[lo]
+    _, hi, _ = _nearest(offsets, max(feet))
+    return offsets[hi - 1]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -33,50 +33,36 @@ from .words import GroupWord, common_prefix_letters
 
 @dataclass(frozen=True)
 class PivotConfig:
-    """Schottky set, per-step block indices (a, b, c, d) and connectors."""
+    """Schottky set, per-step block indices (a, b, c, d) and connectors,
+    multiplied out once when the configuration is made."""
 
     sch: SchottkySet
     quads: Tuple[Tuple[int, int, int, int], ...]
     w: Tuple  # n+1 isometries
     v: Tuple  # n isometries
+    # W_0, ..., W_n: W_k is the product through step k, w_k included
+    prefixes: Tuple = field(init=False, compare=False, repr=False)
+    # index k - 1 holds the left frames of step k's blocks A, B, C, D
+    frames: Tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = len(self.quads)
         if len(self.w) != n + 1 or len(self.v) != n:
             raise ValueError("need n quads, n connectors and n+1 spacers")
+        S = self.sch.sequences
+        prefixes, frames = [self.w[0]], []
+        for (a, b, c, d), v, w in zip(self.quads, self.v, self.w[1:]):
+            frame_b = prefixes[-1] * S[a].product()
+            frame_c = frame_b * S[b].product() * v
+            frame_d = frame_c * S[c].product()
+            frames.append((prefixes[-1], frame_b, frame_c, frame_d))
+            prefixes.append(frame_d * S[d].product() * w)
+        object.__setattr__(self, "prefixes", tuple(prefixes))
+        object.__setattr__(self, "frames", tuple(frames))
 
     @property
     def n(self) -> int:
         return len(self.quads)
-
-    def block_isometry(self, k: int):
-        """Product contributed by step k (1-based), including w_k."""
-        a, b, c, d = self.quads[k - 1]
-        S = self.sch.sequences
-        return (
-            S[a].product()
-            * S[b].product()
-            * self.v[k - 1]
-            * S[c].product()
-            * S[d].product()
-            * self.w[k]
-        )
-
-    def prefixes(self) -> list:
-        """[W_0, ..., W_n]: W_k is the product through step k, w_k included."""
-        out = [self.w[0]]
-        for k in range(1, self.n + 1):
-            out.append(out[-1] * self.block_isometry(k))
-        return out
-
-    def frames(self, k: int, start) -> tuple:
-        """Left frames of step k's blocks A, B, C, D when the step starts
-        at `start` (W_{k-1} in ambient coordinates)."""
-        a, b, c, _ = self.quads[k - 1]
-        S = self.sch.sequences
-        frame_b = start * S[a].product()
-        frame_c = frame_b * S[b].product() * self.v[k - 1]
-        return start, frame_b, frame_c, frame_c * S[c].product()
 
 
 @dataclass(frozen=True)
@@ -100,7 +86,7 @@ def _step_conditions(config: PivotConfig, k: int, anchor_rel) -> bool:
     S = config.sch
     a, b, c, _ = config.quads[k - 1]
     # entry block vs current anchor (frame: start of the entry block)
-    if not is_aligned([anchor_rel, S.sequences[a].axis], S.k0).aligned:
+    if not is_aligned([anchor_rel, S.sequences[a].axis], S.k0):
         return False
     # admissible middle pair around the connector
     if not in_tilde(S, b, c, config.v[k - 1]):
@@ -118,18 +104,13 @@ def _exit_ok(config: PivotConfig, j: int, tail) -> bool:
 
     S = config.sch
     exit_block = S.sequences[config.quads[j - 1][3]]
-    return is_aligned([exit_block.axis, exit_block.product() * tail], S.k0).aligned
+    return is_aligned([exit_block.axis, exit_block.product() * tail], S.k0)
 
 
 def compute_pivotal_times(config: PivotConfig) -> PivotalTimes:
     """Stack construction of the pivotal times of a configuration."""
 
-    return _pivotal_times(config, config.prefixes())
-
-
-def _pivotal_times(config: PivotConfig, W: list) -> PivotalTimes:
-    """`compute_pivotal_times` given the prefixes W = config.prefixes()."""
-
+    W = config.prefixes
     stack: List[int] = []
     # anchor point = anchor_rel applied to the basepoint, expressed in the
     # frame of the coming step's entry block; initially the basepoint seen
@@ -152,23 +133,18 @@ def _pivotal_times(config: PivotConfig, W: list) -> PivotalTimes:
     return PivotalTimes(tuple(stack))
 
 
-def extremal_axes(config: PivotConfig, times: PivotalTimes, W: list) -> List[Path]:
-    """The four translated block axes of every pivotal step, in order,
-    given the prefixes W = config.prefixes()."""
+def extremal_axes(config: PivotConfig, times: PivotalTimes) -> List[Path]:
+    """The four translated block axes of every pivotal step, in order."""
 
     S = config.sch.sequences
-    axes: List[Path] = []
-    for k in times:
-        for frame, idx in zip(config.frames(k, W[k - 1]), config.quads[k - 1]):
-            axes.append(S[idx].axis.translate(frame))
-    return axes
+    return [S[idx].axis.translate(frame)
+            for k in times for frame, idx in zip(config.frames[k - 1], config.quads[k - 1])]
 
 
-def pivotal_chain_report(config: PivotConfig):
-    """Alignment of (basepoint, pivotal axes..., endpoint) at width d1."""
+def pivotal_chain_report(config: PivotConfig) -> bool:
+    """Is (basepoint, pivotal axes..., endpoint) aligned at width D1?"""
 
-    W = config.prefixes()
-    items = [GroupWord.identity()] + extremal_axes(config, _pivotal_times(config, W), W) + [W[-1]]
+    items = [GroupWord.identity(), *extremal_axes(config, compute_pivotal_times(config)), config.prefixes[-1]]
     # dropping interior axes from a d0-aligned chain degrades the pairwise
     # width by a bounded amount, so the subchain is checked at width d1
     return is_aligned(items, D1)

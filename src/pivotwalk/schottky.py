@@ -220,7 +220,7 @@ def verify_schottky(sch: SchottkySet) -> VerifyReport:
     # (5) a block does not fold back on its own translate
     ok5, witness5 = True, None
     for seq in sch.sequences:
-        if not is_aligned([seq.axis, seq.axis.translate(seq.product())], k0).aligned:
+        if not is_aligned([seq.axis, seq.axis.translate(seq.product())], k0):
             ok5, witness5 = False, (seq,)
             break
     props["self_alignment"] = PropertyReport(ok=ok5, mode="exact", witness=witness5)
@@ -373,9 +373,8 @@ def concat_check(sch: SchottkySet, indices: Sequence[int], signs: Sequence[int])
     displacement = len(word)
     k = len(indices)
     floor = 5.0 * sch.e0 * k
-    rep = is_aligned(axes, D0)
     return {
-        "aligned": rep.aligned,
+        "aligned": is_aligned(axes, D0),
         "displacement": displacement,
         "floor": floor,
         "meets_floor": displacement >= floor and displacement > 0,
@@ -388,9 +387,9 @@ def in_tilde(sch: SchottkySet, beta: int, gamma: int, v) -> bool:
     k0 = sch.k0
     bseq, gseq = sch.sequences[beta], sch.sequences[gamma]
     endpoint = bseq.product() * v * gseq.product()
-    if not is_aligned([bseq.axis, endpoint], k0).aligned:
+    if not is_aligned([bseq.axis, endpoint], k0):
         return False
-    return is_aligned([v.inverse(), gseq.axis], k0).aligned
+    return is_aligned([v.inverse(), gseq.axis], k0)
 
 
 def tilde_pairs(sch: SchottkySet, v) -> List[Tuple[int, int]]:

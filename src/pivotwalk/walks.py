@@ -196,12 +196,6 @@ def walk_product(increments: Sequence[GroupWord]) -> GroupWord:
     return functools.reduce(operator.mul, increments, GroupWord.identity())
 
 
-def sample_path(measure: StepMeasure, n: int, rng) -> List[GroupWord]:
-    """Partial products W_0 = id, W_1, ..., W_n."""
-
-    return partial_products(measure.sample(rng, n))
-
-
 # ---------------------------------------------------------------------------
 # deviation variable
 
@@ -216,49 +210,41 @@ class DeviationSample:
 
 def deviation(
     sch: SchottkySet,
-    check_incs: Sequence[GroupWord],
+    back_incs: Sequence[GroupWord],
     fwd_incs: Sequence[GroupWord],
     horizon: int,
-    mirrored: bool = False,
 ) -> DeviationSample:
     """Minimal k with a witness index i, m0 <= i <= k, such that the i-th
     forward window spells a Schottky block and the window's axis separates
     every backward point from every forward point at or past k (tested up
-    to `horizon`, D1-width alignment).
-
-    `mirrored` runs the same definition on the backward side: the block is
-    spelled by the backward increments and the axis must shield every
-    forward point from backward points at or past k.
+    to `horizon`, D1-width alignment).  The backward side's variable is
+    this one with the two sides swapped.
     """
 
     m0 = sch.m0
     if horizon < m0:
         raise ValueError("horizon below block length")
     blocks = {tuple(seq.steps): seq for seq in sch.sequences}
-    side_incs = check_incs if mirrored else fwd_incs
     fwd_pts = partial_products(fwd_incs[:horizon])
-    chk_pts = partial_products(check_incs[:horizon])
-    pts = chk_pts if mirrored else fwd_pts
+    back_pts = partial_products(back_incs[:horizon])
 
     best: Optional[Tuple[int, int]] = None  # (k, witness i)
     for i in range(m0, horizon + 1):
         if best is not None and best[0] <= i:
             break  # a later witness i gives k >= i >= best k, and loses the tie on i
-        block = blocks.get(tuple(side_incs[i - m0 : i]))
+        block = blocks.get(tuple(fwd_incs[i - m0 : i]))
         if block is None:
             continue
-        # the window's points pts[i - m0 .. i] are the block's axis, moved
-        # to the window's start
-        axis = block.axis.translate(pts[i - m0])
-        # near side: every point of the opposite ray projects near the start
-        near_pts = fwd_pts if mirrored else chk_pts
-        far_pts = chk_pts if mirrored else fwd_pts
-        if not all(is_aligned([pt, axis], D1).aligned for pt in near_pts):
+        # the window's points fwd_pts[i - m0 .. i] are the block's axis,
+        # moved to the window's start
+        axis = block.axis.translate(fwd_pts[i - m0])
+        # every backward point projects near the start
+        if not all(is_aligned([pt, axis], D1) for pt in back_pts):
             continue
-        # far side: find the least k >= i from which alignment never breaks
+        # forward: find the least k >= i from which alignment never breaks
         k_min = i
         for k in range(horizon, i - 1, -1):
-            if not is_aligned([axis, far_pts[k]], D1).aligned:
+            if not is_aligned([axis, fwd_pts[k]], D1):
                 k_min = k + 1
                 break
         if k_min > horizon:
@@ -310,9 +296,9 @@ def discrepancy_bound_witness(
     chk1 = [w.inverse() for w in reversed(g[:half])] + aux_neg
 
     d0 = deviation(sch, chk0, fwd0, horizon)
-    dc0 = deviation(sch, chk0, fwd0, horizon, mirrored=True)
+    dc0 = deviation(sch, fwd0, chk0, horizon)
     d1v = deviation(sch, chk1, fwd1, horizon)
-    dc1 = deviation(sch, chk1, fwd1, horizon, mirrored=True)
+    dc1 = deviation(sch, fwd1, chk1, horizon)
     devs = (d0.d, dc0.d, d1v.d, dc1.d)
     if max(devs) >= n / 10:
         return DiscrepancyWitness(False, None, None, devs)

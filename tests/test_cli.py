@@ -364,6 +364,9 @@ _SCHOTTKY_ARGVS = (["census", "--n-max", "2"],
     # block lengths below the search's shortest for the size
     ["schottky-find", "--size", "54", "--block", "5"],
     ["schottky-find", "--size", "2", "--block", "4"],
+    # a flag that only another experiment reads
+    ["run", "--experiment", "clt", "--schottky", "nonexistent.json", "--L", "7", "--claim-trials", "3"],
+    ["run", "--experiment", "discrepancy", "--n", "20,80", "--trials", "20", "--contrast", "--L", "5"],
 ])
 def test_bad_input_is_refused_cleanly(monkeypatch, tmp_path, capsys, argv):
     for name, text in _INPUT_FILES.items():
@@ -374,6 +377,21 @@ def test_bad_input_is_refused_cleanly(monkeypatch, tmp_path, capsys, argv):
         argv = argv[1:]
     assert run_cli(monkeypatch, tmp_path, *argv) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("configuration error:")
+
+
+# each experiment-specific flag given to an experiment that does not read
+# it, at its default value where it has one
+@pytest.mark.parametrize("experiment, flag", [
+    ("clt-converse", ["--L", "0.25"]),
+    ("genericity", ["--contrast"]),
+    ("free-subgroup", ["--schottky", "block5.json"]),
+    ("clt", ["--claim-n", "40"]),
+    ("genericity", ["--claim-trials", "0"]),
+])
+def test_stray_flag_is_refused_by_name(monkeypatch, tmp_path, capsys, experiment, flag):
+    argv = ["run", "--experiment", experiment, "--n", "20,40", "--trials", "20", *flag]
+    assert run_cli(monkeypatch, tmp_path, *argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error: %s applies only to --experiment " % flag[0])
 
 
 @pytest.mark.parametrize("argv", _SCHOTTKY_ARGVS)

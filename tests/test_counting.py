@@ -78,16 +78,16 @@ def ball_levels(res):
 
 class TestGeneratingSet:
     def test_rejects_duplicates_and_identity(self):
-        assert build_augmented_set([a, a, GroupWord.identity()], [a.inverse()]) == (a, a.inverse())
+        assert build_augmented_set([a, a, GroupWord.identity(), a.inverse()]) == (a, a.inverse())
 
     def test_symmetrized(self):
-        s = build_augmented_set([a, b], [])
+        s = build_augmented_set([a, b])
         assert set(s) == {a, b, a.inverse(), b.inverse()}
         # already-symmetric sets are unchanged
-        assert build_augmented_set(s, []) == s
+        assert build_augmented_set(s) == s
 
     def test_augmented_set(self):
-        s = build_augmented_set([a, b], [w("a b a")])
+        s = build_augmented_set([a, b, w("a b a")])
         assert len(s) == 6
         assert w("A B A") in s
 
@@ -166,7 +166,7 @@ class TestCensus:
 def census_gens(seed):
     """The generating set the census verb builds for a seed."""
     sch = build_schottky(size=4, m0=5, seed=seed)
-    return build_augmented_set([a, b], sch.products())
+    return build_augmented_set([a, b, *sch.products()])
 
 
 # reduced words of 1-4 syllables on a and b with exponents ±1..3, so that

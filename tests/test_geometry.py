@@ -29,7 +29,6 @@ from pivotwalk.schottky import (
     tree_schottky_set,
 )
 from pivotwalk.geometry import (
-    AlignmentReport,
     Path,
     ProjectionResult,
     as_path,
@@ -88,19 +87,15 @@ def reference_project_path(model, target, source):
 def reference_is_aligned(model, items, width):
     """`is_aligned` by projecting every sample of each path at a junction."""
     paths = [as_path(it) for it in items]
-    worst = 0.0
     for i in range(len(paths) - 1):
         left, right = paths[i], paths[i + 1]
         fwd = reference_project_path(model, left, right)
         d1 = diameter(model, fwd.points + (left.end,))
         back = reference_project_path(model, right, left)
         d2 = diameter(model, back.points + (right.start,))
-        local = max(d1, d2)
-        if local > worst:
-            worst = local
-        if local >= width:
-            return AlignmentReport(False, width, local, failing_index=i)
-    return AlignmentReport(True, width, worst)
+        if max(d1, d2) >= width:
+            return False
+    return True
 
 
 # tree samples for the closed form against the scan: every path lies near
@@ -186,13 +181,9 @@ def test_path_accepts_exactly_geodesic_samples(points):
 @_closed_form
 @given(_chains(), st.sampled_from([0, 1, 2, 3, 4, 6, 2.5]))
 def test_alignment_report_matches_scan(chain, width):
-    rep = is_aligned(chain, width)
-    want = reference_is_aligned(T, chain, width)
-    assert rep.aligned == want.aligned
-    assert rep.failing_index == want.failing_index
-    assert rep.worst_diameter == want.worst_diameter
-    assert type(rep.worst_diameter) is type(want.worst_diameter)
-    assert rep == want
+    got = is_aligned(chain, width)
+    assert type(got) is bool
+    assert got == reference_is_aligned(T, chain, width)
 
 
 def test_backtracking_source_is_refused():
@@ -268,30 +259,27 @@ class TestProjection:
 class TestAlignment:
     def test_chained_geodesics_align(self):
         chain = [tree_geodesic(o, w("a^2")), tree_geodesic(w("a^2"), w("a^2 b^2"))]
-        rep = is_aligned(chain, width=1)
-        assert rep.aligned and rep.worst_diameter == 0
+        assert is_aligned(chain, width=1)  # every junction spread is 0
 
     def test_backtracking_chain_fails(self):
         chain = [tree_geodesic(o, w("a^2")), tree_geodesic(w("a^2"), o)]
-        rep = is_aligned(chain, width=2)
-        assert not rep.aligned
-        assert rep.failing_index == 0
-        assert rep.worst_diameter == 2  # full overlap; strict inequality bites
+        # full overlap, a spread of 2: strict inequality bites at width 2
+        assert not is_aligned(chain, width=2)
+        assert is_aligned(chain, width=3)
 
     def test_strict_inequality_at_width(self):
         # junction overlap of exactly 2 is rejected at width 2, passes at 3
         chain = [tree_geodesic(o, w("a^3")), tree_geodesic(w("a"), w("a b^3"))]
-        assert not is_aligned(chain, width=2).aligned
-        assert is_aligned(chain, width=3).aligned
+        assert not is_aligned(chain, width=2)
+        assert is_aligned(chain, width=3)
 
     def test_points_as_degenerate_paths(self):
-        rep = is_aligned([o, w("a^4")], width=1)
-        assert rep.aligned  # two points always align
+        assert is_aligned([o, w("a^4")], width=1)  # two points always align
 
     def test_semi_aligned_uses_wider_threshold(self):
         chain = [tree_geodesic(o, w("a^5")), tree_geodesic(w("a"), w("a b^7"))]
-        assert not is_aligned(chain, width=D0).aligned
-        assert is_aligned(chain, width=D1).aligned
+        assert not is_aligned(chain, width=D0)
+        assert is_aligned(chain, width=D1)
 
     def test_closure_under_reversal_translation_concatenation(self):
         chain = [tree_geodesic(o, w("a^3")), tree_geodesic(w("a^3"), w("a^3 b^3"))]
@@ -304,7 +292,7 @@ class TestAlignment:
         reversal = [list(reversed(p)) for p in reversed(chain)]
         translation = [[g * x for x in p] for p in chain]
         for variant in (chain, reversal, translation, chain + ext[1:]):
-            assert is_aligned(variant, 2).aligned
+            assert is_aligned(variant, 2)
 
 
 class TestConstants:

@@ -154,6 +154,15 @@ def tree_set(n0):
     return tree_schottky_set(n0, seed=1)
 
 
+def block_word(i):
+    """Block i of SCH multiplied out from its steps, without the block's
+    own product."""
+    word = GroupWord.identity()
+    for step in SCH[i].steps:
+        word = word * step
+    return word
+
+
 def random_config(seed, n=6):
     rng = np.random.default_rng([seed, 7])
     w = tuple(random_reduced_word(rng, K0) for _ in range(n + 1))
@@ -173,23 +182,27 @@ class TestConfig:
 
     def test_total_is_last_prefix(self):
         cfg = random_config(1, n=4)
-        W = cfg.prefixes()
-        assert len(W) == 5
+        W = cfg.prefixes
+        assert len(W) == 5 and len(cfg.frames) == 4
         # the last prefix is the whole product, the endpoint of the chain
         total = cfg.w[0]
-        for k in range(1, 5):
-            total = total * cfg.block_isometry(k)
+        for quad, v, w in zip(cfg.quads, cfg.v, cfg.w[1:]):
+            A, B, C, D = map(block_word, quad)
+            total = total * A * B * v * C * D * w
         assert W[-1] == total
         assert W[0] == cfg.w[0]
 
     def test_prefix_recursion(self):
         cfg = random_config(2, n=4)
-        W = cfg.prefixes()
+        W = cfg.prefixes
         for k in range(1, 5):
-            assert W[k] == W[k - 1] * cfg.block_isometry(k)
+            A, B, C, D = map(block_word, cfg.quads[k - 1])
+            frame_b = W[k - 1] * A
+            frame_c = frame_b * B * cfg.v[k - 1]
+            frame_d = frame_c * C
+            assert cfg.frames[k - 1] == (W[k - 1], frame_b, frame_c, frame_d)
             # the exit block's frame, then D_k w_k, ends the step
-            d = cfg.quads[k - 1][3]
-            assert cfg.frames(k, W[k - 1])[3] * SCH[d].product() * cfg.w[k] == W[k]
+            assert frame_d * D * cfg.w[k] == W[k]
 
 
 class TestPivotalTimes:
@@ -293,15 +306,15 @@ class TestChainAndPivot:
     def test_chain_is_aligned(self):
         for s in range(15):
             cfg = random_config(s)
-            assert pivotal_chain_report(cfg).aligned
+            assert pivotal_chain_report(cfg)
 
     def test_four_axes_per_pivotal_time(self):
         cfg = random_config(3)
         times = compute_pivotal_times(cfg)
-        assert len(extremal_axes(cfg, times, cfg.prefixes())) == 4 * len(times)
+        assert len(extremal_axes(cfg, times)) == 4 * len(times)
 
     def test_pivot_preserves_pivotal_times(self):
-        hit = 0
+        hit = moved = 0
         for s in range(10):
             cfg = random_config(s)
             times = compute_pivotal_times(cfg)
@@ -310,8 +323,12 @@ class TestChainAndPivot:
                 for pair in tilde_pairs(SCH, vv)[:4]:
                     cfg2 = pivot(cfg, i, pair[0], pair[1], vv)
                     assert compute_pivotal_times(cfg2).indices == times.indices
+                    # the pivoted configuration is multiplied out afresh
+                    fresh = PivotConfig(SCH, cfg2.quads, cfg2.w, cfg2.v)
+                    assert (cfg2.prefixes, cfg2.frames) == (fresh.prefixes, fresh.frames)
+                    moved += cfg2.prefixes != cfg.prefixes
                     hit += 1
-        assert hit > 50
+        assert hit > 50 and moved > 0
 
     def test_pivot_rejects_non_pivotal_time(self):
         cfg = random_config(4)

@@ -18,7 +18,6 @@ from pivotwalk.walks import (
     simple_rw,
     heavy_tail,
     partial_products,
-    sample_path,
     deviation,
     DeviationSample,
     discrepancy_bound_witness,
@@ -247,7 +246,7 @@ class TestHeavyTailParameters:
 class TestSampling:
     def test_path_shape_and_consistency(self):
         rng = np.random.default_rng(0)
-        path = sample_path(simple_rw(), 40, rng)
+        path = partial_products(simple_rw().sample(rng, 40))
         assert len(path) == 41
         assert path[0].is_identity()
         for prev, cur in zip(path, path[1:]):
@@ -284,8 +283,8 @@ def reference_deviation(sch, check_incs, fwd_incs, horizon, mirrored=False):
         if tuple(side_incs[i - m0 : i]) not in blocks:
             continue
         axis = Path(tuple(side[i - m0 : i + 1]))  # a block's axis is a geodesic
-        if all(is_aligned([x, axis], d1).aligned for x in near):
-            witnesses.append((i, [is_aligned([axis, x], d1).aligned for x in far]))
+        if all(is_aligned([x, axis], d1) for x in near):
+            witnesses.append((i, [is_aligned([axis, x], d1) for x in far]))
     for k in range(m0, horizon + 1):
         for i, aligned in witnesses:
             if i <= k and all(aligned[k:]):
@@ -315,8 +314,8 @@ class TestDeviation:
             return out
 
         chk, fwd = incs(60), incs(60)
-        for mirrored in (False, True):
-            got = deviation(sch, chk, fwd, 40, mirrored=mirrored)
+        # the backward side is the forward variable with the sides swapped
+        for got, mirrored in ((deviation(sch, chk, fwd, 40), False), (deviation(sch, fwd, chk, 40), True)):
             assert (got.d, got.witness) == reference_deviation(sch, chk, fwd, 40, mirrored)
 
     def test_straight_block_walk_has_minimal_deviation(self):
@@ -325,7 +324,7 @@ class TestDeviation:
         chk = blk1 + blk0 + blk1
         d = deviation(SCH, chk, fwd, horizon=10)
         assert d == DeviationSample(d=SCH.m0, witness=SCH.m0, horizon=10, capped=False)
-        dm = deviation(SCH, chk, fwd, horizon=10, mirrored=True)
+        dm = deviation(SCH, fwd, chk, horizon=10)
         assert dm.d == SCH.m0 and not dm.capped
 
     def test_capped_when_no_block_spelled(self):
