@@ -90,7 +90,7 @@ def _measure_from_spec(spec: str) -> walks.StepMeasure:
 def _schottky_from_file(path: str, model) -> schottky.SchottkySet:
     sch = _from_file(path, schottky.schottky_from_json)
     verifier.require_tree(model, sch)
-    failures = schottky.verify_schottky(sch).failures()
+    failures = schottky.verify_schottky(sch)
     if failures:
         raise ConfigurationError("Schottky set %s fails verification: %s" % (path, ", ".join(failures)))
     return sch

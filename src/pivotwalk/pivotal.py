@@ -65,20 +65,6 @@ class PivotConfig:
         return len(self.quads)
 
 
-@dataclass(frozen=True)
-class PivotalTimes:
-    indices: Tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __contains__(self, k: int) -> bool:
-        return k in self.indices
-
-    def __iter__(self):
-        return iter(self.indices)
-
-
 def _step_conditions(config: PivotConfig, k: int, anchor_rel) -> bool:
     """Local admissibility of step k; `anchor_rel` is the anchor point in
     the frame of the step's entry block."""
@@ -107,8 +93,9 @@ def _exit_ok(config: PivotConfig, j: int, tail) -> bool:
     return is_aligned([exit_block.axis, exit_block.product() * tail], S.k0)
 
 
-def compute_pivotal_times(config: PivotConfig) -> PivotalTimes:
-    """Stack construction of the pivotal times of a configuration."""
+def compute_pivotal_times(config: PivotConfig) -> Tuple[int, ...]:
+    """Stack construction of the pivotal times of a configuration, in
+    increasing order."""
 
     W = config.prefixes
     stack: List[int] = []
@@ -130,10 +117,10 @@ def compute_pivotal_times(config: PivotConfig) -> PivotalTimes:
                 stack.pop()
             # the anchor returns to the last kept step's end, or to w_0
             anchor_rel = tail(stack[-1] if stack else 0).inverse()
-    return PivotalTimes(tuple(stack))
+    return tuple(stack)
 
 
-def extremal_axes(config: PivotConfig, times: PivotalTimes) -> List[Path]:
+def extremal_axes(config: PivotConfig, times: Sequence[int]) -> List[Path]:
     """The four translated block axes of every pivotal step, in order."""
 
     S = config.sch.sequences

@@ -17,7 +17,7 @@ import numbers
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -109,9 +109,6 @@ class SchottkySet:
     def products(self) -> List:
         return [s.product() for s in self.sequences]
 
-    def __getitem__(self, i: int) -> SchottkySequence:
-        return self.sequences[i]
-
     @property
     def rank(self) -> int:
         """Largest generator index a block uses (tree sets)."""
@@ -121,24 +118,6 @@ class SchottkySet:
 
 # ---------------------------------------------------------------------------
 # verification
-
-
-@dataclass
-class PropertyReport:
-    ok: bool
-    mode: str
-    detail: str = ""
-    witness: Optional[tuple] = None
-
-
-@dataclass
-class VerifyReport:
-    ok: bool
-    properties: Dict[str, PropertyReport]
-    probe_radius: int
-
-    def failures(self) -> List[str]:
-        return [k for k, v in self.properties.items() if not v.ok]
 
 
 def _tree_prefix_owners(words, k0: int) -> Dict[tuple, int]:
@@ -161,71 +140,43 @@ def _tree_prefix_owners(words, k0: int) -> Dict[tuple, int]:
     return owners
 
 
-def verify_schottky(sch: SchottkySet) -> VerifyReport:
-    """Check the five defining properties of a tree Schottky set.
+def verify_schottky(sch: SchottkySet) -> List[str]:
+    """The names of the defining properties of a tree Schottky set that
+    `sch` fails; an empty list means it verified.
 
-    Every axis is a tree geodesic, so the general-position property is
-    exhausted over the ball of radius min(m0 + 5, k0), which decides it for
-    the whole probe ball of radius m0 + 5.
+    Property (2), that every axis is a contracting quasigeodesic, always
+    holds: `SchottkySet` refuses a block whose steps cancel, so every axis
+    is a tree geodesic, and tree geodesics are contracting for any width
+    >= 1.  The general-position property is exhausted over the ball of
+    radius min(m0 + 5, k0), which decides it for the whole probe ball of
+    radius m0 + 5.
     """
 
     k0 = sch.k0
-    probe_radius = sch.m0 + 5
-    props: Dict[str, PropertyReport] = {}
-
-    # (1) blocks are long enough for the alignment machinery
-    props["length_floor"] = PropertyReport(
-        ok=sch.m0 > LENGTH_FLOOR,
-        mode="exact",
-        detail="m0=%d floor=%s" % (sch.m0, LENGTH_FLOOR),
-    )
-
-    # (2) every axis is a contracting quasigeodesic: `SchottkySet` refuses a
-    # block whose steps cancel, so every axis is a tree geodesic, and tree
-    # geodesics are contracting for any width >= 1
-    props["contracting_axes"] = PropertyReport(ok=True, mode="exact-geodesic")
-
-    # (3) blocks move the basepoint far, in a positive length unit
-    floor3 = 10.0 * sch.e0
     products = sch.products()
-    dists = [len(p) for p in products]
-    props["length"] = PropertyReport(
-        ok=sch.e0 > 0 and all(d >= floor3 for d in dists),
-        mode="exact",
-        detail="min displacement %s >= %s" % (min(dists), floor3),
-    )
-
-    # (4) from any point, at most one block is badly aligned
     owners = _tree_prefix_owners(products, k0)
-    # the predicate at x depends only on x's first k0 letters, and a key
-    # owned twice is itself a point of length k0 that the depth-first
-    # ball yields before any extension of it: the k0-ball decides the
-    # whole probe ball, with the same witness; the ball is that of the tree
-    # the blocks' generators span
-    scan_radius = min(probe_radius, k0)
-    ok4, witness4, scanned = True, None, 0
-    for x in TreeModel(max(2, sch.rank)).ball(scan_radius):
-        scanned += 1
+
+    def owned_twice(x) -> bool:
         key = tuple(itertools.islice(x.letters(), k0))
-        if len(key) == k0 and owners.get(key, 0) > 1:
-            ok4, witness4 = False, (x,)
-            break
-    props["general_position"] = PropertyReport(
-        ok=ok4,
-        mode="ball-exhaustive",
-        detail="scanned %d points, radius %d" % (scanned, scan_radius),
-        witness=witness4,
-    )
+        return len(key) == k0 and owners.get(key, 0) > 1
 
-    # (5) a block does not fold back on its own translate
-    ok5, witness5 = True, None
-    for seq in sch.sequences:
-        if not is_aligned([seq.axis, seq.axis.translate(seq.product())], k0):
-            ok5, witness5 = False, (seq,)
-            break
-    props["self_alignment"] = PropertyReport(ok=ok5, mode="exact", witness=witness5)
-
-    return VerifyReport(ok=all(p.ok for p in props.values()), properties=props, probe_radius=probe_radius)
+    checks = {
+        # (1) blocks are long enough for the alignment machinery
+        "length_floor": sch.m0 > LENGTH_FLOOR,
+        # (3) blocks move the basepoint far, in a positive length unit
+        "length": sch.e0 > 0 and all(len(p) >= 10.0 * sch.e0 for p in products),
+        # (4) from any point, at most one block is badly aligned.  The
+        # predicate at x depends only on x's first k0 letters, and a key
+        # owned twice is itself a point of length k0 that the depth-first
+        # ball yields before any extension of it: the k0-ball decides the
+        # whole probe ball; the ball is that of the tree the blocks'
+        # generators span, and the scan stops at the first head owned twice
+        "general_position": not any(map(owned_twice, TreeModel(max(2, sch.rank)).ball(min(sch.m0 + 5, k0)))),
+        # (5) a block does not fold back on its own translate
+        "self_alignment": all(is_aligned([seq.axis, seq.axis.translate(seq.product())], k0)
+                              for seq in sch.sequences),
+    }
+    return [name for name, ok in checks.items() if not ok]
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +246,9 @@ def build_schottky(size: int, m0: int, seed: int = 0, budget: int = 200000) -> S
             used_heads.update((fwd, bwd))
             if len(chosen) == size:
                 sch = SchottkySet(tuple(chosen), k0)
-                report = verify_schottky(sch)
-                if not report.ok:
-                    raise BudgetExhausted("constructed set failed verification: %s" % report.failures())
+                failures = verify_schottky(sch)
+                if failures:
+                    raise BudgetExhausted("constructed set failed verification: %s" % failures)
                 return sch
 
 
@@ -316,38 +267,28 @@ def inverse_set(sch: SchottkySet) -> SchottkySet:
     return SchottkySet(tuple(s.inverse() for s in sch.sequences), sch.k0)
 
 
-@dataclass(frozen=True)
-class PhiImage:
-    """Products of four blocks, with the inverse map back to index tuples."""
+def phi_image(sch: SchottkySet, budget: int = 2_000_000) -> Tuple:
+    """The products of four blocks, in the order of their index tuples
+    (i, j, k, l); raises ValueError if two tuples give one product."""
 
-    elements: tuple
-    index: Dict
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __contains__(self, w) -> bool:
-        return w in self.index
-
-
-def phi_image(sch: SchottkySet, budget: int = 2_000_000) -> PhiImage:
     n = len(sch)
     if n ** 4 > budget:
         raise BudgetExhausted("phi image of size %d^4 exceeds budget" % n)
     products = sch.products()
     elements = []
-    index: Dict = {}
+    seen: Set = set()
     for combo in itertools.product(range(n), repeat=4):
         w = products[combo[0]] * products[combo[1]] * products[combo[2]] * products[combo[3]]
-        if w in index:
+        if w in seen:
             raise ValueError("product map is not injective at %s" % (combo,))
-        index[w] = combo
+        seen.add(w)
         elements.append(w)
-    return PhiImage(tuple(elements), index)
+    return tuple(elements)
 
 
-def concat_check(sch: SchottkySet, indices: Sequence[int], signs: Sequence[int]) -> dict:
-    """Alignment and progress of a chain of (possibly inverted) blocks.
+def concat_check(sch: SchottkySet, indices: Sequence[int], signs: Sequence[int]) -> Tuple[bool, int]:
+    """Whether the axes of a chain of (possibly inverted) blocks are
+    D0-aligned, and how far the chain's product moves the basepoint.
 
     Rejects patterns with an adjacent block/inverse-block pair, which is the
     one configuration the chain lemma excludes.
@@ -370,16 +311,7 @@ def concat_check(sch: SchottkySet, indices: Sequence[int], signs: Sequence[int])
     for seq in seqs:
         axes.append(seq.axis.translate(word))
         word = word * seq.product()
-    displacement = len(word)
-    k = len(indices)
-    floor = 5.0 * sch.e0 * k
-    return {
-        "aligned": is_aligned(axes, D0),
-        "displacement": displacement,
-        "floor": floor,
-        "meets_floor": displacement >= floor and displacement > 0,
-        "product": word,
-    }
+    return is_aligned(axes, D0), len(word)
 
 
 def in_tilde(sch: SchottkySet, beta: int, gamma: int, v) -> bool:

@@ -133,6 +133,8 @@ def _check_grid(model, measure: StepMeasure, n_grid: Sequence[int], trials: int)
     require_tree(model, measure)
     if not n_grid or min(n_grid) <= 0 or trials <= 0:
         raise ConfigurationError("need a non-empty n grid, every n and the trial count positive")
+    if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
+        raise ConfigurationError("the n grid must be strictly increasing, not %s" % ",".join(map(str, n_grid)))
 
 
 def _grid_ensembles(measure: StepMeasure, n_grid: Sequence[int], trials: int, seed: int):
@@ -291,7 +293,7 @@ def run_discrepancy(
     for i, n in enumerate(grid):
         if 4 * n in grid:
             j = grid.index(4 * n)
-            ratio = p95s[j] / max(p95s[i], 1e-9) if p95s[i] > 0 else (0.0 if p95s[j] == 0 else math.inf)
+            ratio = p95s[j] / p95s[i] if p95s[i] > 0 else (0.0 if p95s[j] == 0 else math.inf)
             worst_ratio = max(worst_ratio, ratio)
 
     claim_stats = None
@@ -307,7 +309,7 @@ def run_discrepancy(
             wit = discrepancy_bound_witness(sch, incs, aux, horizon=horizon)
             if wit.applicable:
                 applicable += 1
-                if wit.lhs > wit.rhs + 1e-9:
+                if wit.lhs > wit.rhs:
                     violations += 1
         claim_ok = violations == 0
         claim_stats = {"trials": claim_trials, "applicable": applicable, "violations": violations}

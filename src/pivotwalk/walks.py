@@ -200,25 +200,18 @@ def walk_product(increments: Sequence[GroupWord]) -> GroupWord:
 # deviation variable
 
 
-@dataclass(frozen=True)
-class DeviationSample:
-    d: int  # horizon + 1 when capped
-    witness: Optional[int]
-    horizon: int
-    capped: bool
-
-
 def deviation(
     sch: SchottkySet,
     back_incs: Sequence[GroupWord],
     fwd_incs: Sequence[GroupWord],
     horizon: int,
-) -> DeviationSample:
+) -> int:
     """Minimal k with a witness index i, m0 <= i <= k, such that the i-th
     forward window spells a Schottky block and the window's axis separates
     every backward point from every forward point at or past k (tested up
-    to `horizon`, D1-width alignment).  The backward side's variable is
-    this one with the two sides swapped.
+    to `horizon`, D1-width alignment); horizon + 1 when no window is a
+    witness.  The backward side's variable is this one with the two sides
+    swapped.
     """
 
     m0 = sch.m0
@@ -228,10 +221,10 @@ def deviation(
     fwd_pts = partial_products(fwd_incs[:horizon])
     back_pts = partial_products(back_incs[:horizon])
 
-    best: Optional[Tuple[int, int]] = None  # (k, witness i)
+    best = horizon + 1  # the least k found so far
     for i in range(m0, horizon + 1):
-        if best is not None and best[0] <= i:
-            break  # a later witness i gives k >= i >= best k, and loses the tie on i
+        if best <= i:
+            break  # a later witness i gives k >= i >= best
         block = blocks.get(tuple(fwd_incs[i - m0 : i]))
         if block is None:
             continue
@@ -247,22 +240,15 @@ def deviation(
             if not is_aligned([axis, fwd_pts[k]], D1):
                 k_min = k + 1
                 break
-        if k_min > horizon:
-            continue
-        cand = (max(k_min, i), i)
-        if best is None or cand < best:
-            best = cand
-    if best is None:
-        return DeviationSample(d=horizon + 1, witness=None, horizon=horizon, capped=True)
-    return DeviationSample(d=best[0], witness=best[1], horizon=horizon, capped=False)
+        best = min(best, k_min)
+    return best
 
 
 @dataclass(frozen=True)
 class DiscrepancyWitness:
     applicable: bool
-    lhs: Optional[float]
-    rhs: Optional[float]
-    deviations: Tuple[int, int, int, int]
+    lhs: Optional[int]
+    rhs: Optional[int]
 
 
 def discrepancy_bound_witness(
@@ -299,14 +285,13 @@ def discrepancy_bound_witness(
     dc0 = deviation(sch, fwd0, chk0, horizon)
     d1v = deviation(sch, chk1, fwd1, horizon)
     dc1 = deviation(sch, fwd1, chk1, horizon)
-    devs = (d0.d, dc0.d, d1v.d, dc1.d)
-    if max(devs) >= n / 10:
-        return DiscrepancyWitness(False, None, None, devs)
+    if max(d0, dc0, d1v, dc1) >= n / 10:
+        return DiscrepancyWitness(False, None, None)
 
     total = walk_product(g)
     lhs = len(total) - total.translation_length()
     # the reaches: displacements at the deviation times
-    reach_f = len(walk_product(fwd0[: d0.d]))
-    reach_b = len(walk_product(chk0[: dc0.d]))
-    rhs = 2.0 * min(reach_f, reach_b)
-    return DiscrepancyWitness(True, lhs, rhs, devs)
+    reach_f = len(walk_product(fwd0[:d0]))
+    reach_b = len(walk_product(chk0[:dc0]))
+    rhs = 2 * min(reach_f, reach_b)
+    return DiscrepancyWitness(True, lhs, rhs)

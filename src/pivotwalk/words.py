@@ -135,21 +135,6 @@ class GroupWord:
     def inverse(self) -> "GroupWord":
         return GroupWord(tuple((gen, -exp) for gen, exp in reversed(self.syls)))
 
-    def __pow__(self, n: int) -> "GroupWord":
-        if n == 0:
-            return _IDENTITY
-        base = self if n > 0 else self.inverse()
-        result = _IDENTITY
-        n = abs(n)
-        # square and multiply: one product per bit of n
-        while True:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if not n:
-                return result
-            base = base * base
-
     # -- reduction ------------------------------------------------------
 
     def cyclic_reduce(self) -> "GroupWord":

@@ -367,6 +367,10 @@ _SCHOTTKY_ARGVS = (["census", "--n-max", "2"],
     # a flag that only another experiment reads
     ["run", "--experiment", "clt", "--schottky", "nonexistent.json", "--L", "7", "--claim-trials", "3"],
     ["run", "--experiment", "discrepancy", "--n", "20,80", "--trials", "20", "--contrast", "--L", "5"],
+    # an n grid that is not strictly increasing
+    ["run", "--experiment", "genericity", "--n", "400,200,100,50", "--trials", "2000", "--seed", "3"],
+    ["run", "--experiment", "genericity", "--n", "100,100", "--trials", "2000", "--seed", "3"],
+    ["run", "--experiment", "clt-converse", "--measure", "heavy", "--n", "4000,1000,500,2000"],
 ])
 def test_bad_input_is_refused_cleanly(monkeypatch, tmp_path, capsys, argv):
     for name, text in _INPUT_FILES.items():

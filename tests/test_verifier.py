@@ -111,8 +111,8 @@ def test_ensemble_tau_matches_reference_on_conjugates(mu, n, trials, rng_seed):
 @pytest.mark.parametrize("atoms", [
     (GroupWord.identity(),),
     (a, a.inverse()),
-    (a, a ** 2),
-    (a ** 3, a ** -2),
+    (a, GroupWord.generator(1, 2)),
+    (GroupWord.generator(1, 3), GroupWord.generator(1, -2)),
     (word_from_str("a b A"), word_from_str("a B A")),
 ], ids=["identity", "a_A", "a_a2", "a3_A2", "conjugates"])
 def test_ensemble_identity_and_one_syllable_rows(atoms):
