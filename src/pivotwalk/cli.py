@@ -103,8 +103,6 @@ def cmd_schottky_find(args) -> int:
         raise ConfigurationError("schottky-find requires --size and --block")
     if size <= 0 or block <= 0:
         raise ConfigurationError("size and block must be positive")
-    model = model_by_name(args.model)
-    verifier.require_tree(model)
     # build_schottky verifies the set and raises unless it passes; its
     # ValueError is a block length too short for the size
     try:
@@ -201,7 +199,7 @@ def cmd_census(args) -> int:
     else:
         sch = schottky.build_schottky(size=4, m0=5, seed=seed)
     gens = [GroupWord.generator(1), GroupWord.generator(2), *sch.products()]
-    rows = counting.census_rows(counting.enumerate_ball(gens, n_max), n_max, args.K)
+    rows = counting.census_rows(counting.enumerate_ball(gens, n_max, seed), n_max, args.K)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("n", "total", "bad_count", "bad_fraction", "exhaustive"))
@@ -250,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     # no abbreviated flags: a config key must name its flag in full
 
     p = sub.add_parser("schottky-find", allow_abbrev=False)
-    p.add_argument("--model", default="tree2")
     p.add_argument("--size", type=int)
     p.add_argument("--block", type=int)
     p.add_argument("--seed", type=int)

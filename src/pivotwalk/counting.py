@@ -9,7 +9,6 @@ exceed it, and sampled products fill in the rest, flagged as partial.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -34,7 +33,6 @@ class BallResult:
     elements: SyllableStack
     level: np.ndarray
     radius: int
-    exhaustive: bool
     visited: int
 
 
@@ -52,22 +50,22 @@ def _unseen(old: np.ndarray, new: np.ndarray) -> np.ndarray:
     return np.sort(first[first >= start]) - start
 
 
-def enumerate_ball(
-    gens: Sequence[GroupWord],
-    radius: int,
-    budget: int = 10_000_000,
-    rng=None,
-    sample_size: int = 200_000,
-) -> BallResult:
+# the most products the ball walk forms, and the factor strings it samples
+# when the next level would pass that
+BALL_BUDGET = 10_000_000
+BALL_SAMPLES = 200_000
+
+
+def enumerate_ball(gens: Sequence[GroupWord], radius: int, seed: int) -> BallResult:
     """Distinct subgroup elements reachable by <= radius factors from the
     symmetric closure of `gens`.
 
     Breadth-first over products: a generator moves the word-metric level by
     at most one, so a product formed from level r - 1 that is new to levels
-    r - 2 and r - 1 lies at level r.  `budget` caps the products formed: the
-    walk stops before a level that would pass it, then multiplies out
-    `sample_size` random factor strings of 1..radius factors and adds the
-    elements they find, flagged non-exhaustive.
+    r - 2 and r - 1 lies at level r.  BALL_BUDGET caps the products formed:
+    the walk stops before a level that would pass it, then multiplies out
+    BALL_SAMPLES factor strings of 1..radius factors, drawn from `seed`, and
+    adds the elements they find; the result's `radius` then falls short.
     """
 
     gens = build_augmented_set(gens)
@@ -79,7 +77,7 @@ def enumerate_ball(
     visited = 0
     for r in range(1, radius + 1):
         frontier = np.arange(starts[r - 1], starts[r])
-        if visited + len(frontier) * k > budget:
+        if visited + len(frontier) * k > BALL_BUDGET:
             break
         visited += len(frontier) * k
         products = ball.take(np.repeat(frontier, k))
@@ -89,18 +87,17 @@ def enumerate_ball(
         starts.append(len(ball))
     radius_done = len(starts) - 2
     level = np.repeat(np.arange(radius_done + 1), np.diff(starts))
-    exhaustive = radius_done == radius
-    if not exhaustive:
-        rng = rng if rng is not None else np.random.default_rng(0)
-        length = rng.integers(1, radius + 1, size=sample_size)
-        atoms = rng.integers(0, k, size=(sample_size, radius))
+    if radius_done < radius:
+        rng = np.random.default_rng(seed)
+        length = rng.integers(1, radius + 1, size=BALL_SAMPLES)
+        atoms = rng.integers(0, k, size=(BALL_SAMPLES, radius))
         atoms[np.arange(radius) >= length[:, None]] = k
-        sample = SyllableStack.identities(table, sample_size, radius)
+        sample = SyllableStack.identities(table, BALL_SAMPLES, radius)
         sample.push(atoms)
         new = _unseen(ball.keys(), sample.keys())
         ball = ball + sample.take(new)
         level = np.concatenate((level, length[new]))
-    return BallResult(elements=ball, level=level, radius=radius_done, exhaustive=exhaustive, visited=visited)
+    return BallResult(elements=ball, level=level, radius=radius_done, visited=visited)
 
 
 def census_rows(ball: BallResult, n_max: int, K: float) -> List[Tuple[int, int, int, float, int]]:
@@ -254,12 +251,3 @@ def ktuple_census(
         if tuple_is_free(tup):
             free += 1
     return CensusResult(total, free, free / samples, False, True, samples)
-
-
-def census_scale(lam: float, set_size: int, lam0: float = 16.0) -> int:
-    """Tuple-size threshold N0 = max(floor((lam * set_size / 2)^(1/4)),
-    ceil(lam0^(1/4)))."""
-
-    a = int((lam * set_size / 2) ** 0.25)
-    b = int(math.ceil(lam0 ** 0.25))
-    return max(a, b, 1)

@@ -201,18 +201,20 @@ def simulate_pivot_counts(
 
     fwd = np.array([key_id(x, -2) for x in words])
     bwd = np.array([key_id(x, -2) for x in inv_words])
-    # the entry block a fails against the anchor u when fwd[a] == id(u); a
+    # the entry block a fails against the anchor u when fwd[a] == id(u), and
+    # entry[k] is the id of w_k^-1, the anchor after a kept step k; a
     # middle pair (b, c) fails when v_k word_c cancels k0 letters into
     # word_b or v_k^-1 shares k0 letters with word_c; the exit block d fails
     # when word_d^-1 shares k0 letters with w_k
-    entry = np.array([key_id(x.inverse(), -1) for x in w[:-1]])
+    entry = np.array([key_id(x.inverse(), -1) for x in w])
     v_word = np.array([[key_id(vk * x, -1) for x in words] for vk in v]).reshape(n, N)
     v_inv = np.array([key_id(vk.inverse(), -1) for vk in v])
     bad_exit = bwd == np.array([key_id(x, -1) for x in w[1:]]).reshape(n, 1)
     pos = np.arange(n)
 
-    def finish(quads: list, loose: list, fails: list, first: int) -> int:
-        """Exact stack from 0-based step `first`, the trial's first failure."""
+    def finish(quads: list, loose: list, first: int) -> int:
+        """Exact stack from 0-based step `first`, the trial's first failure;
+        the anchor is held as the id of its k0-letter prefix."""
 
         blocks: Dict[int, GroupWord] = {}
 
@@ -223,15 +225,11 @@ def simulate_pivot_counts(
             return blocks[i]
 
         stack = list(range(1, first + 1))
-        anchor = None  # None while the anchor is w_{k-1}^-1: read `fails`
+        anchor = entry[first]
         for k in range(first + 1, n + 1):
-            if anchor is None:
-                ok = not fails[k - 1]
-            else:
-                ok = not loose[k - 1] and fwd[quads[k - 1][0]] != key_id(anchor, -1)
-            if ok:
+            if not loose[k - 1] and fwd[quads[k - 1][0]] != anchor:
                 stack.append(k)
-                anchor = None
+                anchor = entry[k]
                 continue
             # suffix = block(j+1) ... block(k), so tail(j) = w_j * suffix
             suffix, j = GroupWord.identity(), k
@@ -245,7 +243,7 @@ def simulate_pivot_counts(
                     break
                 stack.pop()
             # the anchor returns to the last kept step's end, or to w_0
-            anchor = tail.inverse()
+            anchor = key_id(tail.inverse(), -1)
         return len(stack)
 
     rng = np.random.default_rng(seed)
@@ -258,11 +256,11 @@ def simulate_pivot_counts(
         A, B, C, D = (draws[:, :, i] for i in range(4))
         # middle or exit fails: the step fails whatever the anchor
         loose = (bwd[B] == v_word[pos, C]) | (fwd[C] == v_inv) | bad_exit[pos, D]
-        fails = loose | (fwd[A] == entry)
+        fails = loose | (fwd[A] == entry[:-1])
         first = np.hstack([fails, np.ones((m, 1), dtype=bool)]).argmax(axis=1)
         counts[lo:lo + m] = first
         for t in np.flatnonzero(first < n):
-            counts[lo + t] = finish(draws[t].tolist(), loose[t].tolist(), fails[t].tolist(), int(first[t]))
+            counts[lo + t] = finish(draws[t].tolist(), loose[t].tolist(), int(first[t]))
     return counts
 
 
@@ -270,16 +268,22 @@ def simulate_pivot_counts(
 # reference jump law for the pivot count
 
 
-def jump_law_pmf(n0: int, floor: int = -60) -> Dict[int, float]:
+# the jump law's support is cut below -JUMP_DEPTH, its rest mass put on one
+# atom, and the verdicts allow Z Monte-Carlo standard errors
+JUMP_DEPTH = 60
+Z = 3.0
+
+
+def jump_law_pmf(n0: int) -> Dict[int, float]:
     """One-step law the pivot count dominates: +1 with probability (n0-4)/n0,
     -m with probability ((n0-4)/n0) * (4/n0)^m."""
 
     q = (n0 - 4) / n0
     r = 4 / n0
     pmf = {1: q}
-    for m in range(1, -floor + 1):
+    for m in range(1, JUMP_DEPTH + 1):
         pmf[-m] = q * r ** m
-    pmf[floor - 1] = max(0.0, 1.0 - sum(pmf.values()))
+    pmf[-JUMP_DEPTH - 1] = max(0.0, 1.0 - sum(pmf.values()))
     return pmf
 
 
@@ -303,14 +307,14 @@ def jump_walk_cdf(n0: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
     return values, np.cumsum(dist)
 
 
-def dominates_jump_walk(counts: np.ndarray, n0: int, n: int, z: float = 3.0) -> bool:
+def dominates_jump_walk(counts: np.ndarray, n0: int, n: int) -> bool:
     """Empirical CDF of pivot counts must sit below the jump-walk CDF
-    (stochastic domination), up to z Monte-Carlo standard errors."""
+    (stochastic domination), up to Z Monte-Carlo standard errors."""
 
     values, cdf = jump_walk_cdf(n0, n)
     trials = len(counts)
     emp = np.searchsorted(np.sort(counts), values, "right") / trials
-    slack = z * np.sqrt(np.maximum(cdf * (1 - cdf), 1e-12) / trials)
+    slack = Z * np.sqrt(np.maximum(cdf * (1 - cdf), 1e-12) / trials)
     return not np.any(emp > cdf + slack)
 
 
@@ -320,8 +324,8 @@ def half_count_tail_bound(n0: int, n: int) -> float:
     return (3.0 * (4.0 / n0) ** 0.25) ** n
 
 
-def half_count_tail_ok(counts: np.ndarray, n0: int, n: int, z: float = 3.0) -> bool:
-    """Empirical frequency of {count <= n/2} within z standard errors of the
+def half_count_tail_ok(counts: np.ndarray, n0: int, n: int) -> bool:
+    """Empirical frequency of {count <= n/2} within Z standard errors of the
     theoretical tail bound (vacuous when the bound exceeds 1)."""
 
     bound = half_count_tail_bound(n0, n)
@@ -329,7 +333,7 @@ def half_count_tail_ok(counts: np.ndarray, n0: int, n: int, z: float = 3.0) -> b
         return True
     trials = len(counts)
     freq = float(np.mean(counts <= n / 2))
-    slack = z * math.sqrt(max(bound * (1.0 - bound), 1e-12) / trials)
+    slack = Z * math.sqrt(max(bound * (1.0 - bound), 1e-12) / trials)
     return freq <= bound + slack
 
 

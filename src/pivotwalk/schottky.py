@@ -210,7 +210,11 @@ def _search_shape(size: int) -> Tuple[int, int]:
     return k0, max(LENGTH_FLOOR + 1, 2 * k0 - 1)
 
 
-def build_schottky(size: int, m0: int, seed: int = 0, budget: int = 200000) -> SchottkySet:
+# the candidate rows a search tries before it gives up
+SEARCH_BUDGET = 200_000
+
+
+def build_schottky(size: int, m0: int, seed: int = 0) -> SchottkySet:
     """Search for a tree Schottky set of `size` blocks of `m0` letters.
 
     Candidate blocks are rows of the letters a, b, A, B; a row in which a
@@ -231,9 +235,9 @@ def build_schottky(size: int, m0: int, seed: int = 0, budget: int = 200000) -> S
     used_heads: Set[tuple] = set()
     tried = 0
     for rows in _candidate_rows(m0, np.random.default_rng(seed)):
-        if tried >= budget:
+        if tried >= SEARCH_BUDGET:
             raise BudgetExhausted("no Schottky set of size %d found after %d candidates" % (size, tried))
-        rows = rows[: budget - tried]
+        rows = rows[: SEARCH_BUDGET - tried]
         tried += len(rows)
         # the axis is a tree geodesic iff no letter is followed by its inverse
         geodesic = ((rows[:, 1:] - rows[:, :-1]) % 4 != 2).all(axis=1)
@@ -267,12 +271,16 @@ def inverse_set(sch: SchottkySet) -> SchottkySet:
     return SchottkySet(tuple(s.inverse() for s in sch.sequences), sch.k0)
 
 
-def phi_image(sch: SchottkySet, budget: int = 2_000_000) -> Tuple:
+# the most fourfold products `phi_image` forms
+PHI_BUDGET = 2_000_000
+
+
+def phi_image(sch: SchottkySet) -> Tuple:
     """The products of four blocks, in the order of their index tuples
     (i, j, k, l); raises ValueError if two tuples give one product."""
 
     n = len(sch)
-    if n ** 4 > budget:
+    if n ** 4 > PHI_BUDGET:
         raise BudgetExhausted("phi image of size %d^4 exceeds budget" % n)
     products = sch.products()
     elements = []

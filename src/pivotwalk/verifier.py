@@ -53,7 +53,8 @@ class ExperimentReport:
             "thresholds": self.thresholds,
             "verdict": bool(self.verdict),
         }
-        return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+        # NaN and Infinity are not JSON: a runner writes an unbounded value as null
+        return json.dumps(payload, sort_keys=True, indent=1, allow_nan=False) + "\n"
 
     def write(self, outdir: str, svg: bool = False) -> None:
         import os
@@ -267,10 +268,16 @@ def run_discrepancy(
     claim_trials: int = 0,
 ) -> ExperimentReport:
     """Gap d(o, Z_n o) - tau(Z_n): 95th percentile must grow at most
-    logarithmically (quadrupling n multiplies it by <= 1.6); optionally
-    checks the per-trial two-sided reach bound on non-capped trials."""
+    logarithmically (quadrupling n multiplies it by <= 1.6, over every n and
+    4n of the grid); optionally checks the per-trial two-sided reach bound
+    on non-capped trials."""
 
     _check_grid(model, measure, n_grid, trials)
+    grid = list(n_grid)
+    pairs = [(i, grid.index(4 * n)) for i, n in enumerate(grid) if 4 * n in grid]
+    if not pairs:
+        raise ConfigurationError("the quadrupling ratio needs some n and 4n in the grid, not %s"
+                                 % ",".join(map(str, grid)))
     if claim_trials < 0 or (claim_n is not None and claim_n <= 0):
         raise ConfigurationError("claim_trials must be non-negative and claim_n positive")
     if claim_trials > 0 and (sch is None or claim_n is None):
@@ -288,13 +295,8 @@ def run_discrepancy(
         p95s.append(p95)
         per_n[str(n)] = {"p95": p95, "mean_gap": float(gap.mean())}
         samples += zip([n] * trials, range(trials), gap.tolist())
-    worst_ratio = 0.0
-    grid = list(n_grid)
-    for i, n in enumerate(grid):
-        if 4 * n in grid:
-            j = grid.index(4 * n)
-            ratio = p95s[j] / p95s[i] if p95s[i] > 0 else (0.0 if p95s[j] == 0 else math.inf)
-            worst_ratio = max(worst_ratio, ratio)
+    worst_ratio = max(p95s[j] / p95s[i] if p95s[i] > 0 else (0.0 if p95s[j] == 0 else math.inf)
+                      for i, j in pairs)
 
     claim_stats = None
     claim_ok = True
@@ -315,7 +317,9 @@ def run_discrepancy(
         claim_stats = {"trials": claim_trials, "applicable": applicable, "violations": violations}
     verdict = worst_ratio <= 1.6 and claim_ok
     return _report("discrepancy", model, measure, seed, n_grid, verdict,
-                   stats={"per_n": per_n, "worst_quadrupling_ratio": worst_ratio, "claim": claim_stats},
+                   stats={"per_n": per_n, "claim": claim_stats,
+                          # p95 0 at n and positive at 4n: unbounded, written as null
+                          "worst_quadrupling_ratio": worst_ratio if worst_ratio < math.inf else None},
                    thresholds={"quadrupling_ratio_max": 1.6, "claim_violations": 0},
                    samples=samples, sample_header=("n", "trial", "gap"))
 

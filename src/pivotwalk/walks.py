@@ -149,13 +149,9 @@ class StepMeasure:
         )
 
 
-def simple_rw(rank: int = 2) -> StepMeasure:
-    gens: List[GroupWord] = []
-    for g in range(1, rank + 1):
-        gens.append(GroupWord.generator(g, 1))
-        gens.append(GroupWord.generator(g, -1))
-    p = 1.0 / len(gens)
-    return StepMeasure(tuple(gens), tuple(p for _ in gens))
+def simple_rw() -> StepMeasure:
+    """The simple random walk on the rank-2 free group: a, A, b, B at 1/4 each."""
+    return StepMeasure(tuple(GroupWord.generator(g, e) for g in (1, 2) for e in (1, -1)), (0.25,) * 4)
 
 
 def heavy_tail(eta: float = 1.1, kmax: int = 65536, rank: int = 2) -> StepMeasure:

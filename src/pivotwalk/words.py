@@ -255,15 +255,14 @@ def word_from_str(text: str) -> GroupWord:
     return GroupWord.from_syllables(pairs)
 
 
-def random_reduced_word(rng, length: int, rank: int = 2) -> GroupWord:
-    """Uniform reduced word with exactly `length` letters."""
+def random_reduced_word(rng, length: int) -> GroupWord:
+    """Uniform reduced word in a and b with exactly `length` letters."""
     if length <= 0:
         return GroupWord.identity()
     letters = []
-    alphabet = [g for i in range(1, rank + 1) for g in (i, -i)]
     prev = 0
     for _ in range(length):
-        choices = [l for l in alphabet if l != -prev]
+        choices = [l for l in (1, -1, 2, -2) if l != -prev]
         letter = choices[int(rng.integers(0, len(choices)))]
         letters.append(letter)
         prev = letter

@@ -12,7 +12,7 @@ from hypothesis import example, given, seed, settings, strategies as st
 
 from pivotwalk import counting
 from pivotwalk.cli import main, EXIT_PASS, EXIT_CONFIG, EXIT_FAIL
-from pivotwalk.schottky import schottky_from_json, schottky_to_json, tree_schottky_set
+from pivotwalk.schottky import build_schottky, schottky_from_json, schottky_to_json, tree_schottky_set
 from pivotwalk.walks import heavy_tail
 
 
@@ -50,6 +50,12 @@ class TestSchottkyFind:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and "at least 7 steps" in err
+
+    def test_takes_no_model(self, monkeypatch, tmp_path, capsys):
+        # the verb builds rank-2 tree sets only, whatever a --model would say
+        code = run_cli(monkeypatch, tmp_path, "schottky-find", "--model", "tree2", "--size", "2", "--block", "5")
+        assert code == EXIT_CONFIG
+        assert "unrecognized arguments: --model" in capsys.readouterr().err
 
 
 class TestRun:
@@ -102,6 +108,18 @@ class TestRun:
         assert run_cli(monkeypatch, tmp_path, *argv, "--measure", "m.json", "--out", "h2") == EXIT_PASS
         for name in ("report.json", "samples.csv"):
             assert (tmp_path / "h1" / name).read_bytes() == (tmp_path / "h2" / name).read_bytes()
+
+    def test_unbounded_quadrupling_ratio_is_null(self, monkeypatch, tmp_path):
+        # the gap's p95 is 0 at n = 1 and positive at n = 4
+        code = run_cli(monkeypatch, tmp_path, "run", "--experiment", "discrepancy", "--n", "1,4",
+                       "--trials", "200", "--out", "d")
+        assert code == EXIT_FAIL
+
+        def refuse(name):
+            raise ValueError("%s is not JSON" % name)
+
+        report = json.loads((tmp_path / "d" / "report.json").read_text(), parse_constant=refuse)
+        assert report["stats"]["worst_quadrupling_ratio"] is None and report["verdict"] is False
 
     def test_rank3_measure_runs_on_rank3_tree(self, monkeypatch, tmp_path):
         (tmp_path / "m.json").write_text(
@@ -206,8 +224,7 @@ class TestCensus:
     # rows past it come from sampled factor strings
     @pytest.mark.parametrize("budget, exhaustive, code", [(1644, 3, EXIT_PASS), (12, 1, EXIT_FAIL)])
     def test_verdict_reads_exhaustive_rows_only(self, monkeypatch, tmp_path, capsys, budget, exhaustive, code):
-        ball = counting.enumerate_ball
-        monkeypatch.setattr(counting, "enumerate_ball", lambda gens, radius: ball(gens, radius, budget=budget))
+        monkeypatch.setattr(counting, "BALL_BUDGET", budget)
         assert run_cli(monkeypatch, tmp_path, "census", "--n-max", "5", "--seed", "0",
                        "--out", "census.csv") == code
         rows = (tmp_path / "census.csv").read_text().strip().splitlines()[1:]
@@ -215,6 +232,22 @@ class TestCensus:
         out = capsys.readouterr().out
         assert "exhaustive=%d/5" % exhaustive in out
         assert ("too few exhaustive rows" in out) == (code == EXIT_FAIL)
+
+    def test_seed_draws_the_sampled_rows(self, monkeypatch, tmp_path):
+        # one set for both seeds, so only the sampled radius-4 row can differ
+        (tmp_path / "s.json").write_text(schottky_to_json(build_schottky(size=4, m0=5, seed=0)))
+        monkeypatch.setattr(counting, "BALL_BUDGET", 1644)
+        monkeypatch.setattr(counting, "BALL_SAMPLES", 2000)
+        rows = {}
+        for seed in (0, 1):
+            out = "census%d.csv" % seed
+            run_cli(monkeypatch, tmp_path, "census", "--n-max", "4", "--seed", str(seed), "--schottky", "s.json",
+                    "--out", out)
+            rows[seed] = (tmp_path / out).read_text().splitlines()[1:]
+        # seed 0 draws what the sampled fallback drew before it read the seed
+        assert rows[0] == ["1,13,1,0.07692307692307693,1", "2,137,5,0.0364963503649635,1",
+                           "3,1393,41,0.029432878679109833,1", "4,1771,59,0.033314511575381144,0"]
+        assert rows[1][:3] == rows[0][:3] and rows[1][3] != rows[0][3]
 
 
 class TestReport:
@@ -314,7 +347,6 @@ _SCHOTTKY_ARGVS = (["census", "--n-max", "2"],
 @pytest.mark.parametrize("argv", [
     *[argv + ["--model", "plane", "--trials", "20", "--seed", "1"] for argv in _PLANE_RUNS],
     ["census", "--model", "plane", "--n-max", "2"],
-    ["schottky-find", "--model", "plane", "--size", "2", "--block", "5"],
     ["run", "--experiment", "genericity", "--n", "20,40", "--trials", "0"],
     ["run", "--experiment", "discrepancy", "--n", "20,80", "--trials", "0"],
     ["run", "--experiment", "free-subgroup", "--n", "10,20", "--trials", "0"],
@@ -345,7 +377,7 @@ _SCHOTTKY_ARGVS = (["census", "--n-max", "2"],
                    "bad-digest.json")],
     ["run", "--experiment", "genericity", "--n", "20,40", "--trials", "20", "--measure", "rank1.json"],
     # claim walks of 6 steps split into halves of 3, shorter than a block
-    ["run", "--experiment", "discrepancy", "--n", "100", "--trials", "10", "--claim-trials", "1",
+    ["run", "--experiment", "discrepancy", "--n", "100,400", "--trials", "10", "--claim-trials", "1",
      "--claim-n", "6", "--schottky", "block5.json"],
     ["census", "--n-max", "2", "--schottky", "gen-c.json"],
     ["run", "--experiment", "discrepancy", "--n", "20,80", "--trials", "20", "--schottky", "gen-c.json"],
@@ -371,6 +403,9 @@ _SCHOTTKY_ARGVS = (["census", "--n-max", "2"],
     ["run", "--experiment", "genericity", "--n", "400,200,100,50", "--trials", "2000", "--seed", "3"],
     ["run", "--experiment", "genericity", "--n", "100,100", "--trials", "2000", "--seed", "3"],
     ["run", "--experiment", "clt-converse", "--measure", "heavy", "--n", "4000,1000,500,2000"],
+    # a discrepancy grid with no n and 4n: the quadrupling ratio has nothing to compare
+    ["run", "--experiment", "discrepancy", "--n", "100,200", "--trials", "200"],
+    ["run", "--experiment", "discrepancy", "--n", "100", "--trials", "200"],
 ])
 def test_bad_input_is_refused_cleanly(monkeypatch, tmp_path, capsys, argv):
     for name, text in _INPUT_FILES.items():
@@ -447,7 +482,7 @@ _FUZZ_VALUES_OF = {
 # per verb, the flags always given (every size whose default is not tiny)
 # and the flags drawn from
 _FUZZ_VERBS = {
-    "schottky-find": (["--size", "--block"], ["--model", "--seed", "--config", "--bogus"]),
+    "schottky-find": (["--size", "--block"], ["--seed", "--config", "--bogus"]),
     "run": (["--experiment", "--n", "--trials"],
             ["--measure", "--schottky", "--claim-n", "--claim-trials", "--model", "--seed", "--L",
              "--contrast", "--svg", "--config", "--N0", "--bogus"]),

@@ -7,10 +7,13 @@ breadth-first walk of `GroupWord` products that shares no code with the
 stack walk.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from pivotwalk import counting
 from pivotwalk.schottky import build_schottky
 from pivotwalk.words import GroupWord, word_from_str
 from pivotwalk.counting import (
@@ -20,7 +23,6 @@ from pivotwalk.counting import (
     subgroup_rank,
     tuple_is_free,
     ktuple_census,
-    census_scale,
 )
 
 a = GroupWord.from_letters([1])
@@ -96,20 +98,21 @@ class TestBall:
     def test_free_group_ball_sizes(self):
         # |B(r)| = 1 + 4 + 4*3 + ... = 2*3^r - 1 in the rank-2 free group
         for r, size in ((1, 5), (2, 17), (3, 53), (4, 161)):
-            res = enumerate_ball((a, b), r)
+            res = enumerate_ball((a, b), r, 0)
             assert len(res.elements) == size
-            assert res.exhaustive and res.radius == r
+            assert res.radius == r
             # a free basis: the BFS level is the word length
             assert all(level == len(x) for x, level in ball_levels(res).items())
 
     def test_cyclic_subgroup_ball(self):
-        res = enumerate_ball((w("a^2"),), 3)
+        res = enumerate_ball((w("a^2"),), 3, 0)
         assert set(stack_words(res.elements)) == {w("a^%d" % k) if k else GroupWord.identity()
                                                   for k in (-6, -4, -2, 0, 2, 4, 6)}
 
-    def test_budget_fallback_is_partial(self):
-        res = enumerate_ball((a, b), 4, budget=30, rng=np.random.default_rng(0), sample_size=500)
-        assert not res.exhaustive
+    def test_budget_fallback_is_partial(self, monkeypatch):
+        monkeypatch.setattr(counting, "BALL_BUDGET", 30)
+        monkeypatch.setattr(counting, "BALL_SAMPLES", 500)
+        res = enumerate_ball((a, b), 4, 0)
         assert res.radius == 2  # radius 3 needs 4 * 17 = 68 products
         assert res.visited == 20
         assert 0 < len(res.elements) < 161 + 1
@@ -157,11 +160,6 @@ class TestCensus:
         assert res.tuple_count_examined == 1000
         assert 0 <= res.fraction <= 1
 
-    def test_census_scale(self):
-        assert census_scale(16.0, 2) == 2
-        assert census_scale(0.001, 2) == 2  # floor from lam0
-        assert census_scale(2.0, 10000) == 10
-
 
 def census_gens(seed):
     """The generating set the census verb builds for a seed."""
@@ -181,15 +179,17 @@ _words = st.lists(st.tuples(st.integers(1, 2), st.sampled_from([-3, -2, -1, 1, 2
        st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]))
 def test_ball_and_rows_match_reference_on_any_set(words, n_max, K):
     ref_ball, ref_rows = reference_ball(words, n_max), reference_census(words, n_max, K)
-    ball = enumerate_ball(words, n_max)
+    ball = enumerate_ball(words, n_max, 0)
     assert ball_levels(ball) == ref_ball
     assert census_rows(ball, n_max, K) == ref_rows
     if not ball.visited:
         return  # only the identity: no product to cut off
     # a budget one product short of the last level: that level is sampled
-    partial = enumerate_ball(words, n_max, budget=ball.visited - 1, rng=np.random.default_rng(0),
-                             sample_size=50)
-    assert not partial.exhaustive and partial.radius == n_max - 1
+    # (hypothesis refuses function-scoped fixtures, so no monkeypatch)
+    with mock.patch.object(counting, "BALL_BUDGET", ball.visited - 1), \
+            mock.patch.object(counting, "BALL_SAMPLES", 50):
+        partial = enumerate_ball(words, n_max, 0)
+    assert partial.radius == n_max - 1
     # a sampled string of m factors reaches an element at level m or lower
     assert all(ref_ball[x] <= level for x, level in ball_levels(partial).items())
     rows = census_rows(partial, n_max, K)
@@ -199,7 +199,7 @@ def test_ball_and_rows_match_reference_on_any_set(words, n_max, K):
 def test_huge_exponent_does_not_wrap():
     # a^40000 at radius 2 would wrap a 16-bit exponent
     words = [w("a^20000"), b]
-    ball = enumerate_ball(words, 2)
+    ball = enumerate_ball(words, 2, 0)
     assert ball_levels(ball) == reference_ball(words, 2)
     assert w("a^40000") in set(stack_words(ball.elements))
     assert census_rows(ball, 2, 15000.0) == reference_census(words, 2, 15000.0)
@@ -212,16 +212,17 @@ class TestBallCensus:
         gens = census_gens(seed)
         ref = reference_census(gens, 4, K)
         for n_max in range(1, 5):
-            assert census_rows(enumerate_ball(gens, n_max), n_max, K) == ref[:n_max]
+            assert census_rows(enumerate_ball(gens, n_max, seed), n_max, K) == ref[:n_max]
 
-    def test_rows_past_the_budget_are_flagged(self):
+    def test_rows_past_the_budget_are_flagged(self, monkeypatch):
         gens = census_gens(0)
         ref = reference_census(gens, 4, 0.5)
         # 12 generators: radius 3 takes 12 * (1 + 12 + 124) products in all,
         # radius 4 another 12 * 1256
-        ball = enumerate_ball(gens, 4, budget=5000, rng=np.random.default_rng(0),
-                              sample_size=2000)
-        assert not ball.exhaustive and ball.radius == 3 and ball.visited == 1644
+        monkeypatch.setattr(counting, "BALL_BUDGET", 5000)
+        monkeypatch.setattr(counting, "BALL_SAMPLES", 2000)
+        ball = enumerate_ball(gens, 4, 0)
+        assert ball.radius == 3 and ball.visited == 1644
         rows = census_rows(ball, 4, 0.5)
         assert rows[:3] == ref[:3]
         assert rows[3][4] == 0 and rows[3][1] < ref[3][1]

@@ -374,7 +374,7 @@ class TestJumpLaw:
         assert dominates_jump_walk(np.full(trials, n), n0, n)
         assert not dominates_jump_walk(np.zeros(trials, dtype=int), n0, n)
 
-    def test_domination_matches_per_value_loop(self):
+    def test_domination_matches_per_value_loop(self, monkeypatch):
         def per_value(counts, n0, n, z):
             # the loop dominates_jump_walk replaced: one mean per support value
             values, cdf = jump_walk_cdf(n0, n)
@@ -393,8 +393,9 @@ class TestJumpLaw:
         arrays += [n + 1 - rng.geometric(p, size) for p in (0.5, 0.8, 0.95) for size in (5, 60, 400)]
         seen = set()
         for z in (0.0, 1.0, 3.0):
+            monkeypatch.setattr(pivotal, "Z", z)
             for counts in arrays:
-                verdict = dominates_jump_walk(counts, n0, n, z)
+                verdict = dominates_jump_walk(counts, n0, n)
                 assert verdict == per_value(counts, n0, n, z)
                 seen.add(verdict)
         assert seen == {True, False}

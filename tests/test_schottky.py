@@ -2,11 +2,13 @@
 
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
+from pivotwalk import schottky
 from pivotwalk.geometry import Path
 from pivotwalk.words import GroupWord, common_prefix_letters, random_reduced_word, word_from_str
 from pivotwalk.spaces import MatrixIsometry, PlaneModel, TreeModel
@@ -189,14 +191,15 @@ class TestSearchMatchesReference:
         ref = reference_search(100, sch.m0, seed=1)
         assert list(sch.sequences) == ref
 
-    def test_budget_message(self):
+    def test_budget_message(self, monkeypatch):
         # the message counts the candidates tried, the whole budget; at
         # k0 = 3 the 8 blocks take more than 200 rows
         for budget in (200, 0):
+            monkeypatch.setattr(schottky, "SEARCH_BUDGET", budget)
             with pytest.raises(BudgetExhausted) as ref:
                 reference_search(8, 5, seed=0, budget=budget)
             with pytest.raises(BudgetExhausted) as got:
-                build_schottky(size=8, m0=5, seed=0, budget=budget)
+                build_schottky(size=8, m0=5, seed=0)
             assert str(got.value) == str(ref.value) == (
                 "no Schottky set of size 8 found after %d candidates" % budget)
 
@@ -217,7 +220,9 @@ class TestSearchMatchesReference:
 @example(m0=7, size=6, rng_seed=3, budget=700)  # done at row 613, in that batch
 @example(m0=8, size=10, rng_seed=5, budget=5000)  # done at row 155 of the first
 def test_search_matches_reference(m0, size, rng_seed, budget):
-    got = search_outcome(lambda: build_schottky(size, m0, seed=rng_seed, budget=budget).sequences)
+    # hypothesis refuses function-scoped fixtures, so no monkeypatch
+    with mock.patch.object(schottky, "SEARCH_BUDGET", budget):
+        got = search_outcome(lambda: build_schottky(size, m0, seed=rng_seed).sequences)
     assert got == search_outcome(lambda: reference_search(size, m0, seed=rng_seed, budget=budget))
 
 
@@ -337,9 +342,10 @@ class TestProducts:
         back = phi_image(inverse_set(self.sch))
         assert not (set(fwd) & set(back))
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
+        monkeypatch.setattr(schottky, "PHI_BUDGET", 10)
         with pytest.raises(BudgetExhausted):
-            phi_image(self.sch, budget=10)
+            phi_image(self.sch)
 
     def test_inverse_set_products(self):
         ps = self.sch.products()

@@ -212,7 +212,7 @@ class TestDiscrepancy:
     def test_claim_stats_recorded(self):
         sch = build_schottky(size=2, m0=5)
         rep = run_discrepancy(
-            simple_rw(), T, [100], 50, seed=6, sch=sch, claim_n=100, claim_trials=2
+            simple_rw(), T, [100, 400], 50, seed=6, sch=sch, claim_n=100, claim_trials=2
         )
         claim = rep.stats["claim"]
         assert claim["trials"] == 2
