@@ -230,7 +230,12 @@ def cmd_report(args) -> int:
         for row in reader:
             if len(row) < 2:
                 continue
-            by_n[int(row[0])].append(float(row[-1]))
+            value = float(row[-1])
+            # nan, inf and overflowing text would be drawn as nan coordinates
+            if not math.isfinite(value):
+                raise ConfigurationError("%s line %d: sample %r is not a finite number"
+                                         % (args.csv, reader.line_num, row[-1]))
+            by_n[int(row[0])].append(value)
     if not by_n:
         raise ConfigurationError("no samples in %s" % args.csv)
     ns = sorted(by_n)

@@ -21,8 +21,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, replace
-from itertools import islice
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain, islice, repeat
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -162,6 +162,51 @@ def pivot(config: PivotConfig, i: int, beta: int, gamma: int, v) -> PivotConfig:
 _CHUNK = 4096
 
 
+def _letter_rows(words: Sequence[GroupWord], width: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The first `width` letters of each word as a row, padded with 0 (no
+    letter), and each word's letter count."""
+
+    padded = (islice(chain(word.letters(), repeat(0)), width) for word in words)
+    rows = np.fromiter(chain.from_iterable(padded), dtype=np.int64, count=len(words) * width)
+    return rows.reshape(len(words), width), np.array([len(word) for word in words], dtype=np.int64)
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row's bytes as one item, equal exactly for equal rows."""
+
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize)))[:, 0]
+
+
+def _product_heads(v: Sequence[GroupWord], words: Sequence[GroupWord],
+                   k0: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """For each connector u in `v`, in turn: the first k0 letters of every
+    reduced product u x, x in `words`, as rows, and the products' letter
+    counts.  The row of a product shorter than k0 ends in letters that are
+    not its own; its count tells it apart.
+
+    With c the letters by which u^-1 and x agree from the left, u x reduces
+    to u's first |u| - c letters, then x from letter c on.
+    """
+
+    # c <= min(|u|, |x|), so rows this wide hold every letter a prefix takes
+    width = k0 + min(max(map(len, v), default=0), max(map(len, words)))
+    rows, lengths = _letter_rows(words, width)
+    prefixes, _ = _letter_rows(v, k0)
+    backs, _ = _letter_rows([u.inverse() for u in v], width)
+    j = np.arange(k0)
+    # the last column agrees nowhere, so it ends every run of agreement;
+    # padding agrees only with padding, past the end of both words
+    agree = np.zeros((len(words), width + 1), dtype=bool)
+    for u, prefix, back in zip(v, prefixes, backs):
+        np.equal(rows, back, out=agree[:, :width])
+        c = np.minimum(agree.argmin(axis=1), lengths)
+        keep = len(u) - c
+        # letter j < keep is u's; letter j >= keep is x's letter j - keep + c
+        at = np.clip(j + (c - keep)[:, None], 0, width - 1)
+        yield np.where(j < keep[:, None], prefix, np.take_along_axis(rows, at, axis=1)), keep + lengths - c
+
+
 def simulate_pivot_counts(
     sch: SchottkySet,
     n: int,
@@ -175,6 +220,8 @@ def simulate_pivot_counts(
     Tree-only fast path; spacers w (length n+1) and connectors v (length n)
     are fixed words.  Uses the same step/backtrack conditions as
     compute_pivotal_times, specialized to k0-letter prefix comparisons.
+    The prefix tables are read off letter rows: no connector-block product
+    is multiplied out.
 
     While every earlier step was kept the anchor is w_{k-1}^-1, so whether
     step k fails is a table lookup on its draws, and a trial's count up to
@@ -191,25 +238,38 @@ def simulate_pivot_counts(
     inv_words = [word.inverse() for word in words]
 
     # two words share k0 leading letters iff both have k0-letter prefixes
-    # with equal ids; words shorter than k0 get a sentinel id, -2 for blocks
-    # and -1 for the words they are compared with, so they match nothing
-    ids: Dict[tuple, int] = {}
+    # with equal ids.  Every comparison sets a block's word or its inverse
+    # against another word, so a prefix's id is its place among the blocks'
+    # prefixes; a block shorter than k0 gets the sentinel -2, and another
+    # word -1 when it is shorter than k0 or no block starts as it does, so
+    # the sentinels match nothing
+    rows, lengths = _letter_rows(words + inv_words, k0)
+    # sorted and deduplicated by hand: np.unique imports numpy.ma, a
+    # megabyte of resident memory
+    table = np.sort(_row_keys(rows[lengths >= k0]))
+    table = table[np.append(True, table[1:] != table[:-1])]
+    block_id = {tuple(row): i for i, row in enumerate(table.view(np.int64).reshape(-1, k0).tolist())}
 
-    def key_id(word: GroupWord, short: int) -> int:
-        key = tuple(islice(word.letters(), k0))
-        return ids.setdefault(key, len(ids)) if len(key) == k0 else short
+    def ids(heads: np.ndarray, word_lengths: np.ndarray, short: int) -> np.ndarray:
+        keys = _row_keys(heads)
+        if not len(table):
+            return np.full(len(keys), short)
+        at = np.searchsorted(table, keys).clip(max=len(table) - 1)
+        return np.where((word_lengths >= k0) & (table[at] == keys), at, short)
 
-    fwd = np.array([key_id(x, -2) for x in words])
-    bwd = np.array([key_id(x, -2) for x in inv_words])
+    fwd, bwd = np.split(ids(rows, lengths, -2), 2)
     # the entry block a fails against the anchor u when fwd[a] == id(u), and
     # entry[k] is the id of w_k^-1, the anchor after a kept step k; a
     # middle pair (b, c) fails when v_k word_c cancels k0 letters into
     # word_b or v_k^-1 shares k0 letters with word_c; the exit block d fails
     # when word_d^-1 shares k0 letters with w_k
-    entry = np.array([key_id(x.inverse(), -1) for x in w])
-    v_word = np.array([[key_id(vk * x, -1) for x in words] for vk in v]).reshape(n, N)
-    v_inv = np.array([key_id(vk.inverse(), -1) for vk in v])
-    bad_exit = bwd == np.array([key_id(x, -1) for x in w[1:]]).reshape(n, 1)
+    others, other_lengths = _letter_rows([x.inverse() for x in w] + [vk.inverse() for vk in v] + list(w[1:]), k0)
+    entry, v_inv, exit_ids = np.split(ids(others, other_lengths, -1), [n + 1, 2 * n + 1])
+    # one pass over the blocks per connector, never an (n, N, k0) array
+    v_word = np.empty((n, N), dtype=np.int64)
+    for k, (heads, product_lengths) in enumerate(_product_heads(v, words, k0)):
+        v_word[k] = ids(heads, product_lengths, -1)
+    bad_exit = bwd == exit_ids.reshape(n, 1)
     pos = np.arange(n)
 
     def finish(quads: list, loose: list, first: int) -> int:
@@ -242,8 +302,9 @@ def simulate_pivot_counts(
                 if not stack or common_prefix_letters(inv_words[quads[top - 1][3]], tail) < k0:
                     break
                 stack.pop()
-            # the anchor returns to the last kept step's end, or to w_0
-            anchor = key_id(tail.inverse(), -1)
+            # the anchor returns to the last kept step's end, or to w_0; a
+            # key shorter than k0 is no block's prefix
+            anchor = block_id.get(tuple(islice(tail.inverse().letters(), k0)), -1)
         return len(stack)
 
     rng = np.random.default_rng(seed)

@@ -207,15 +207,6 @@ def tree_geodesic(u: GroupWord, v: GroupWord) -> List[GroupWord]:
     return [tree_path_point(u, v, t) for t in range(tree_distance(u, v) + 1)]
 
 
-def tree_projection_to_segment(x: GroupWord, u: GroupWord, v: GroupWord) -> GroupWord:
-    """Nearest point to x on the tree geodesic [u, v] (unique)."""
-    du = tree_distance(x, u)
-    dv = tree_distance(x, v)
-    duv = tree_distance(u, v)
-    t = (du + duv - dv) // 2
-    return tree_path_point(u, v, t)
-
-
 _LETTER_BASE = ord("a")
 
 

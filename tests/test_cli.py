@@ -1,6 +1,7 @@
 """Command-line front end: verbs, exit codes, config/seed precedence,
 artifact determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -205,6 +206,15 @@ class TestPivotTrace:
         assert rows[0] == "trial,n0,n,seed,pivot_count"
         assert len(rows) == 51
 
+    def test_pivot_trace_counts_unchanged(self, monkeypatch, tmp_path):
+        # the bytes the simulator wrote when it multiplied out every
+        # connector-block product; its prefix tables must not move a count
+        code = run_cli(monkeypatch, tmp_path, "pivot-trace", "--N0", "400", "--n", "20",
+                       "--trials", "2000", "--seed", "0", "--out", "c.csv")
+        assert code == EXIT_PASS
+        assert hashlib.sha256((tmp_path / "c.csv").read_bytes()).hexdigest() == \
+            "058139b0c8ae0e6158da6af9c951869efcda2dd9ddeb581bb39837cb333dba67"
+
     def test_small_n0_rejected(self, monkeypatch, tmp_path):
         code = run_cli(monkeypatch, tmp_path, "pivot-trace", "--N0", "4",
                        "--n", "5", "--trials", "10")
@@ -315,6 +325,10 @@ _INPUT_FILES = {
     "bad-digest.json": '{"eta": 1.1, "kmax": 16, "rank": 2, "weights_sha256": "00"}',
     "empty.csv": "",
     "header-only.csv": "n,trial,fail\n",
+    # samples that parse as floats but are no finite number
+    "nan.csv": "n,value\n1,nan\n2,inf\n",
+    "inf.csv": "n,value\n1,0.5\n2,-inf\n",
+    "overflow.csv": "n,value\n1,1e400\n",
     "rank1.json": heavy_tail(kmax=65536, rank=1).to_json(),  # 131,072 powers of a: elementary
     "block5.json": schottky_to_json(tree_schottky_set(2)),  # well formed; blocks of 5 steps
     # generator c (letter 3) in a block, beyond the rank-2 tree
@@ -406,6 +420,10 @@ _SCHOTTKY_ARGVS = (["census", "--n-max", "2"],
     # a discrepancy grid with no n and 4n: the quadrupling ratio has nothing to compare
     ["run", "--experiment", "discrepancy", "--n", "100,200", "--trials", "200"],
     ["run", "--experiment", "discrepancy", "--n", "100", "--trials", "200"],
+    # a sample that is no finite number would be plotted at nan
+    ["report", "nan.csv", "--out", "r.svg"],
+    ["report", "inf.csv"],
+    ["report", "overflow.csv"],
 ])
 def test_bad_input_is_refused_cleanly(monkeypatch, tmp_path, capsys, argv):
     for name, text in _INPUT_FILES.items():

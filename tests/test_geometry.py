@@ -1,9 +1,9 @@
 """Paths, projections and alignment predicates on the tree.
 
 Tree values are exact, so most expectations are hand-computed integers;
-the independent oracles for projections are the word-level segment
-projection from the words module and `reference_project`, the scan over
-every sample that the closed form on tree geodesics replaced.
+the independent oracles for projections are `tree_projection_to_segment`,
+the segment projection in word arithmetic, and `reference_project`, the
+scan over every sample that the closed form on tree geodesics replaced.
 """
 
 import hashlib
@@ -14,8 +14,9 @@ from hypothesis import given, seed, settings, strategies as st
 
 from pivotwalk.words import (
     GroupWord,
+    tree_distance,
     tree_geodesic,
-    tree_projection_to_segment,
+    tree_path_point,
     random_reduced_word,
     word_from_str,
 )
@@ -42,6 +43,23 @@ o = GroupWord.identity()
 
 def w(text):
     return word_from_str(text)
+
+
+def tree_projection_to_segment(x, u, v):
+    """Nearest point to x on the tree geodesic [u, v] (unique), from the
+    three pairwise distances: the foot is (d(x,u) + d(u,v) - d(x,v)) / 2
+    along the segment."""
+    t = (tree_distance(x, u) + tree_distance(u, v) - tree_distance(x, v)) // 2
+    return tree_path_point(u, v, t)
+
+
+def test_projection_to_segment():
+    # segment [o, abab]; the point baa projects to o, aab projects to a
+    seg_end = w("abab")
+    assert tree_projection_to_segment(w("baa"), o, seg_end) == o
+    assert tree_projection_to_segment(w("aab"), o, seg_end) == w("a")
+    # point on the segment projects to itself
+    assert tree_projection_to_segment(w("ab"), o, seg_end) == w("ab")
 
 
 def reference_project(model, target, x):

@@ -32,7 +32,6 @@ SRC = sorted((ROOT / "src" / "pivotwalk").glob("*.py"))
 
 # reached by no caller today, kept on purpose
 ALLOWED = {
-    "tree_projection_to_segment": "word-level oracle for geometry.project, whose closed form needs only the foot's offset",
     "ktuple_census": "the census-tuples rows decide whether it stays",
 }
 

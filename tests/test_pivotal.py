@@ -7,6 +7,7 @@ trial by trial below.
 
 import functools
 import math
+from itertools import islice
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from pivotwalk import pivotal
 from pivotwalk.words import GroupWord, common_prefix_letters, random_reduced_word, word_from_str
-from pivotwalk.schottky import SchottkySet, build_schottky, tree_schottky_set, tilde_pairs
+from pivotwalk.schottky import SchottkySequence, SchottkySet, build_schottky, tree_schottky_set, tilde_pairs
 from pivotwalk.pivotal import (
     PivotConfig,
     compute_pivotal_times,
@@ -294,6 +295,92 @@ class TestFastSimulation:
         for t in range(trials):
             quads = tuple(tuple(int(x) for x in row) for row in rng.integers(0, len(SCH), size=(n, 4)))
             assert len(compute_pivotal_times(PivotConfig(SCH, quads, w, v))) == counts[t]
+
+
+def product_key(u: GroupWord, x: GroupWord, k0: int) -> tuple:
+    """The per-pair route the connector table replaced: u x multiplied out,
+    then its first k0 letters read off."""
+    return tuple(islice((u * x).letters(), k0))
+
+
+def check_product_heads(sch: SchottkySet, connectors: Sequence[GroupWord]) -> None:
+    """The connector table's letter rows equal the multiplied-out products'
+    prefixes, and its counts their lengths."""
+    k0 = sch.k0
+    words = sch.products()
+    tables = list(pivotal._product_heads(connectors, words, k0))
+    assert len(tables) == len(connectors)
+    for u, (heads, counts) in zip(connectors, tables):
+        for x, head, count in zip(words, heads.tolist(), counts.tolist()):
+            assert count == len(u * x)
+            if count >= k0:
+                assert tuple(head) == product_key(u, x, k0)
+
+
+def _reduced_words(min_size, max_size):
+    """Reduced words over a, b with min_size to max_size letters."""
+    def spell(choices):
+        letters = []
+        for i in choices:
+            options = [l for l in (1, -1, 2, -2) if not letters or l != -letters[-1]]
+            letters.append(options[i % len(options)])
+        return GroupWord.from_letters(letters)
+    return st.lists(st.integers(0, 3), min_size=min_size, max_size=max_size).map(spell)
+
+
+class TestConnectorTable:
+    @pytest.mark.parametrize("make_set", [lambda: SCH, lambda: tree_set(400)], ids=["k0-2", "k0-6"])
+    @seed(2022)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(data=st.data())
+    def test_heads_match_multiplied_out_products(self, make_set, data):
+        sch = make_set()
+        k0 = sch.k0
+        words = sch.products()
+        longest = max(map(len, words))
+        drawn = data.draw(st.lists(_reduced_words(0, 2 * k0), min_size=1, max_size=3))
+        # a connector longer than every block, and ones that cancel part or
+        # all of a block, so that the product keeps few of its letters
+        x = words[data.draw(st.integers(0, len(words) - 1))]
+        cut = data.draw(st.integers(0, len(x)))
+        cancelling = [x.prefix(cut).inverse(), data.draw(_reduced_words(0, k0)) * x.inverse()]
+        longer = data.draw(_reduced_words(longest + 1, longest + 2 * k0))
+        connectors = [GroupWord.identity(), longer, *cancelling, *drawn]
+        # alone, each connector gets the narrowest block rows it allows
+        check_product_heads(sch, connectors)
+        for u in connectors:
+            check_product_heads(sch, [u])
+
+    # Prefixes that a letter code of base 5 (digit = letter + 2) in one
+    # int64 would confuse.  With generator 3, "B c" reads as 0*5 + 5, the
+    # code of "A B" (1*5 + 0).  At k0 = 28, 5^28 > 2^63 and the code wraps:
+    # the second case's alias and block 0's 28-letter prefix differ by
+    # exactly 2^64.
+    @pytest.mark.parametrize("k0, block, other, alias", [
+        pytest.param(2, "A B a a", "b b a b", "B c", id="generator-3"),
+        pytest.param(28, "aBAbaBBaBabAbbAABABBABBBaBBB B^5",
+                     "b a^3 b a B a b A B A b A B A b a b a b a B A b A^2 b a^2 b a b",
+                     "BaBBBaBBBBaBBBABBaBaaaaaBBAb", id="k0-28"),
+    ])
+    def test_codes_that_would_collide_stay_apart(self, k0, block, other, alias):
+        # the set is `block`, `other` and block^-1, so `block`'s prefix is a
+        # forward and a backward block prefix; an entry anchor or a
+        # connector product that starts with `alias` must match neither,
+        # as the per-pair route finds, and one that starts with the prefix
+        # must match both
+        words = [word_from_str(block), word_from_str(other)]
+        words.append(words[0].inverse())
+        sch = SchottkySet(tuple(SchottkySequence((x,)) for x in words), k0)
+        alias, twin = word_from_str(alias), words[0].prefix(k0)
+        assert len(alias) == k0 and alias != twin
+        connectors = [alias * words[1].inverse(), twin * words[1].inverse(), alias * words[0].inverse(),
+                      GroupWord.identity(), alias.inverse()]
+        check_product_heads(sch, connectors)
+        n = len(connectors)
+        w = [alias.inverse(), GroupWord.identity(), alias.inverse(), twin.inverse(), alias.inverse(), alias]
+        counts = simulate_pivot_counts(sch, n, 300, 3, w=w, v=connectors)
+        assert (counts < n).any()
+        assert np.array_equal(counts, reference_simulate(sch, n, 300, 3, w=w, v=connectors))
 
 
 class TestChainAndPivot:

@@ -15,7 +15,6 @@ from pivotwalk.words import (
     common_prefix_letters,
     random_reduced_word,
     tree_distance,
-    tree_projection_to_segment,
     word_from_str,
     word_to_str,
 )
@@ -109,16 +108,6 @@ def test_tree_distance_is_metric_and_invariant():
             assert tree_distance(g * x, g * y) == tree_distance(x, y)
             for z in pts:
                 assert tree_distance(x, z) <= tree_distance(x, y) + tree_distance(y, z)
-
-
-def test_projection_to_segment():
-    # segment [o, abab]; the point baa projects to o, aab projects to a
-    o = GroupWord.identity()
-    seg_end = W("abab")
-    assert tree_projection_to_segment(W("baa"), o, seg_end) == o
-    assert tree_projection_to_segment(W("aab"), o, seg_end) == W("a")
-    # point on the segment projects to itself
-    assert tree_projection_to_segment(W("ab"), o, seg_end) == W("ab")
 
 
 def test_word_str_roundtrip():
