@@ -157,9 +157,10 @@ def pivot(config: PivotConfig, i: int, beta: int, gamma: int, v) -> PivotConfig:
 # fast tree simulation of the pivot-count distribution
 
 
-# trials per pass of the vectorised check: bounds the draw array, whatever
-# the trial count
-_CHUNK = 4096
+# steps (trial x position cells) per pass of the vectorised check: bounds
+# the draw arrays whatever n and the trial count; 2000 trials of 50 steps
+# take one pass
+_PASS_CELLS = 1 << 17
 
 
 def _letter_rows(words: Sequence[GroupWord], width: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -226,8 +227,11 @@ def simulate_pivot_counts(
     While every earlier step was kept the anchor is w_{k-1}^-1, so whether
     step k fails is a table lookup on its draws, and a trial's count up to
     its first failed step is that step's index.  Only trials with a failure
-    run the per-trial stack, from that step onward.  Trial t's blocks are
-    always the t-th `rng.integers(0, N, size=(n, 4))` draw.
+    run the per-trial stack, from that step onward.  One draw per pass
+    yields trial t's blocks exactly as the t-th call
+    `rng.integers(0, N, size=(n, 4))` would: PCG64 keeps a spare 32-bit
+    half in its state, so call boundaries do not move the values, and
+    tests/test_pivotal.py pins this.
     """
 
     N = len(sch)
@@ -309,11 +313,12 @@ def simulate_pivot_counts(
 
     rng = np.random.default_rng(seed)
     counts = np.empty(trials, dtype=np.int64)
-    for lo in range(0, trials, _CHUNK):
-        m = min(_CHUNK, trials - lo)
-        # one call per trial, so the values do not rest on how numpy carries
-        # spare 32-bit halves from one call to the next
-        draws = np.stack([rng.integers(0, N, size=(n, 4)) for _ in range(m)])
+    per_pass = max(1, _PASS_CELLS // n)
+    for lo in range(0, trials, per_pass):
+        m = min(per_pass, trials - lo)
+        # row t equals the per-trial call's draw; int64, as there, since
+        # another dtype takes different bits
+        draws = rng.integers(0, N, size=(m, n, 4))
         A, B, C, D = (draws[:, :, i] for i in range(4))
         # middle or exit fails: the step fails whatever the anchor
         loose = (bwd[B] == v_word[pos, C]) | (fwd[C] == v_inv) | bad_exit[pos, D]
@@ -352,20 +357,13 @@ def jump_walk_cdf(n0: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
     """Exact CDF of the n-fold sum of the jump law (support truncated)."""
 
     pmf = jump_law_pmf(n0)
-    lo = min(pmf) * n
-    offset = -lo
-    dist = np.zeros(int(n - lo + 1))
-    dist[offset] = 1.0
+    lo = min(pmf)
+    # the one-step law on lo, ..., 1; 0 is no atom
+    kernel = np.array([pmf.get(j, 0.0) for j in range(lo, 2)])
+    dist = np.ones(1)
     for _ in range(n):
-        new = np.zeros_like(dist)
-        for j, p in pmf.items():
-            if j >= 0:
-                new[j:] += dist[: len(dist) - j] * p
-            else:
-                new[:j] += dist[-j:] * p
-        dist = new
-    values = np.arange(lo, n + 1)
-    return values, np.cumsum(dist)
+        dist = np.convolve(dist, kernel)
+    return np.arange(lo * n, n + 1), np.cumsum(dist)
 
 
 def dominates_jump_walk(counts: np.ndarray, n0: int, n: int) -> bool:

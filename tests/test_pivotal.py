@@ -149,6 +149,27 @@ def reference_simulate(
     return counts
 
 
+def reference_jump_walk_cdf(n0: int, n: int):
+    """The slice loop jump_walk_cdf replaced: n passes, each adding every
+    atom's shifted copy of the running law."""
+
+    pmf = jump_law_pmf(n0)
+    lo = min(pmf) * n
+    offset = -lo
+    dist = np.zeros(int(n - lo + 1))
+    dist[offset] = 1.0
+    for _ in range(n):
+        new = np.zeros_like(dist)
+        for j, p in pmf.items():
+            if j >= 0:
+                new[j:] += dist[: len(dist) - j] * p
+            else:
+                new[:j] += dist[-j:] * p
+        dist = new
+    values = np.arange(lo, n + 1)
+    return values, np.cumsum(dist)
+
+
 @functools.lru_cache(maxsize=None)
 def tree_set(n0):
     return tree_schottky_set(n0, seed=1)
@@ -278,8 +299,21 @@ class TestFastSimulation:
         cfg = random_config(3)
         whole = simulate_pivot_counts(SCH, cfg.n, 30, 3, w=cfg.w, v=cfg.v)
         assert (whole < cfg.n).any()
-        monkeypatch.setattr(pivotal, "_CHUNK", 7)
-        assert np.array_equal(simulate_pivot_counts(SCH, cfg.n, 30, 3, w=cfg.w, v=cfg.v), whole)
+        # 7 trials per pass, then (fewer cells than steps) one
+        for cells in (7 * cfg.n, 1):
+            monkeypatch.setattr(pivotal, "_PASS_CELLS", cells)
+            assert np.array_equal(simulate_pivot_counts(SCH, cfg.n, 30, 3, w=cfg.w, v=cfg.v), whole)
+
+    @pytest.mark.parametrize("N", [7, 400, 2 ** 31 + 1, 2 ** 32 - 1])
+    def test_one_draw_equals_per_trial_draws(self, N):
+        # the sampler draws a pass at once; trial t must still get the t-th
+        # per-trial call's blocks.  Near 2^31 about half of all 32-bit halves
+        # are rejected and redrawn, which moves every later half
+        m, n = 9, 13
+        for s in range(4):
+            rng = np.random.default_rng(s)
+            per_trial = np.stack([rng.integers(0, N, size=(n, 4)) for _ in range(m)])
+            assert np.array_equal(np.random.default_rng(s).integers(0, N, size=(m, n, 4)), per_trial)
 
     @seed(2022)
     @settings(max_examples=100, deadline=None, database=None)
@@ -455,6 +489,25 @@ class TestJumpLaw:
         at = {int(x): c for x, c in zip(values, cdf)}
         assert at[1] == pytest.approx(1.0)
         assert 1.0 - at[0] == pytest.approx(pmf[1])
+
+    @pytest.mark.parametrize("n0", [5, 8, 20, 100, 400, 1000])
+    def test_cdf_matches_slice_loop(self, n0):
+        for n in (1, 2, 5, 20, 50, 100):
+            values, cdf = jump_walk_cdf(n0, n)
+            ref_values, ref_cdf = reference_jump_walk_cdf(n0, n)
+            assert np.array_equal(values, ref_values)
+            np.testing.assert_allclose(cdf, ref_cdf, rtol=0, atol=1e-12)
+
+    def test_verdicts_match_slice_loop(self, monkeypatch):
+        # acceptance 04's samples, then the pivot benchmark's seeds 1-10
+        samples = [(n0, n, 10_000, 1) for n0 in (100, 400) for n in (10, 20, 50)]
+        samples += [(400, 50, 2000, s) for s in range(1, 11)]
+        for n0, n, trials, s in samples:
+            counts = sample_jump_dominated_counts(n0, n, trials, s, sch=tree_set(n0))
+            verdict = dominates_jump_walk(counts, n0, n)
+            with monkeypatch.context() as patch:
+                patch.setattr(pivotal, "jump_walk_cdf", reference_jump_walk_cdf)
+                assert dominates_jump_walk(counts, n0, n) == verdict
 
     def test_domination_decidable_on_synthetic_counts(self):
         n0, n, trials = 100, 20, 2000
