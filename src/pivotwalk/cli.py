@@ -79,6 +79,13 @@ def _from_file(path: str, parse):
         raise ConfigurationError("malformed input file %s (%s: %s)" % (path, type(exc).__name__, exc))
 
 
+def _model(name: str):
+    try:
+        return model_by_name(name)
+    except ValueError as exc:  # an unknown name, tree3 among them
+        raise ConfigurationError(str(exc)) from exc
+
+
 def _measure_from_spec(spec: str) -> walks.StepMeasure:
     if spec in _MEASURES:
         return _MEASURES[spec]()
@@ -87,9 +94,8 @@ def _measure_from_spec(spec: str) -> walks.StepMeasure:
     raise ConfigurationError("unknown measure %r" % spec)
 
 
-def _schottky_from_file(path: str, model) -> schottky.SchottkySet:
+def _schottky_from_file(path: str) -> schottky.SchottkySet:
     sch = _from_file(path, schottky.schottky_from_json)
-    verifier.require_tree(model, sch)
     failures = schottky.verify_schottky(sch)
     if failures:
         raise ConfigurationError("Schottky set %s fails verification: %s" % (path, ", ".join(failures)))
@@ -137,7 +143,7 @@ def cmd_run(args) -> int:
                                ("--claim-trials", args.claim_trials, "discrepancy")):
         if value is not None and experiment != owner:
             raise ConfigurationError("%s applies only to --experiment %s, not %s" % (flag, owner, experiment))
-    model = model_by_name(args.model)
+    model = _model(args.model)
     measure = _measure_from_spec(args.measure)
     seed = _resolve_seed(args)
     trials = args.trials
@@ -149,7 +155,7 @@ def cmd_run(args) -> int:
         report = verifier.run_genericity(measure, model, n_grid, trials, L, seed)
     elif experiment == "discrepancy":
         n_grid = _grid(args.n, [1000, 4000])
-        sch = _schottky_from_file(args.schottky, model) if args.schottky else None
+        sch = _schottky_from_file(args.schottky) if args.schottky else None
         report = verifier.run_discrepancy(
             measure, model, n_grid, trials, seed, sch=sch,
             claim_n=args.claim_n, claim_trials=args.claim_trials or 0,
@@ -186,7 +192,7 @@ def cmd_pivot_trace(args) -> int:
 
 
 def cmd_census(args) -> int:
-    model = model_by_name(args.model)
+    model = _model(args.model)
     verifier.require_tree(model)
     seed = _resolve_seed(args)
     n_max = args.n_max
@@ -195,7 +201,7 @@ def cmd_census(args) -> int:
     if not math.isfinite(args.K):
         raise ConfigurationError("K must be finite")
     if args.schottky:
-        sch = _schottky_from_file(args.schottky, model)
+        sch = _schottky_from_file(args.schottky)
     else:
         sch = schottky.build_schottky(size=4, m0=5, seed=seed)
     gens = [GroupWord.generator(1), GroupWord.generator(2), *sch.products()]

@@ -109,12 +109,6 @@ class SchottkySet:
     def products(self) -> List:
         return [s.product() for s in self.sequences]
 
-    @property
-    def rank(self) -> int:
-        """Largest generator index a block uses (tree sets)."""
-
-        return max((gen for seq in self.sequences for step in seq.steps for gen, _ in step.syls), default=0)
-
 
 # ---------------------------------------------------------------------------
 # verification
@@ -169,9 +163,8 @@ def verify_schottky(sch: SchottkySet) -> List[str]:
         # predicate at x depends only on x's first k0 letters, and a key
         # owned twice is itself a point of length k0 that the depth-first
         # ball yields before any extension of it: the k0-ball decides the
-        # whole probe ball; the ball is that of the tree the blocks'
-        # generators span, and the scan stops at the first head owned twice
-        "general_position": not any(map(owned_twice, TreeModel(max(2, sch.rank)).ball(min(sch.m0 + 5, k0)))),
+        # whole probe ball; the scan stops at the first head owned twice
+        "general_position": not any(map(owned_twice, TreeModel().ball(min(sch.m0 + 5, k0)))),
         # (5) a block does not fold back on its own translate
         "self_alignment": all(is_aligned([seq.axis, seq.axis.translate(seq.product())], k0)
                               for seq in sch.sequences),
@@ -370,8 +363,8 @@ def schottky_from_json(text: str) -> SchottkySet:
     payload = json.loads(text)
     for step in itertools.chain.from_iterable(payload["sequences"]):
         # a letter is a signed generator index; a bool or float is not one
-        if not all(type(x) is int and x for x in step):
-            raise ValueError("block letters must be nonzero integers, not %r" % (step,))
+        if not all(type(x) is int and x in (1, 2, -1, -2) for x in step):
+            raise ValueError("block letters must be 1, 2, -1 or -2, for a, b, A, B, not %r" % (step,))
     seqs = tuple(
         SchottkySequence(tuple(GroupWord.from_letters(step) for step in seq))
         for seq in payload["sequences"]

@@ -10,24 +10,19 @@ the step-law hypothesis the experiments check.
 from __future__ import annotations
 
 from numbers import Rational
-from typing import Iterator, List
+from typing import Iterator
 
 from .words import GroupWord, tree_distance
 
 
 class TreeModel:
-    """Cayley tree of the free group of the given rank.
+    """Cayley tree of the free group F2 on a and b, the 4-regular tree.
 
     Points and isometries are both reduced words; the basepoint is the
     identity vertex.  All distances are exact integers.
     """
 
     kind = "tree"
-
-    def __init__(self, rank: int = 2):
-        if rank < 2:
-            raise ValueError("free group rank must be at least 2")
-        self.rank = rank
 
     def distance(self, p: GroupWord, q: GroupWord) -> int:
         return tree_distance(p, q)
@@ -42,12 +37,10 @@ class TreeModel:
         # elements fix a common end iff they commute
         return not (g.is_identity() or h.is_identity()) and g * h != h * g
 
-    def generators(self) -> List[GroupWord]:
-        return [GroupWord.generator(i, sign) for i in range(1, self.rank + 1) for sign in (1, -1)]
-
     def ball(self, radius: int) -> Iterator[GroupWord]:
         """All vertices within `radius` of the basepoint, depth first."""
-        steps = [(g, g.syls[0][0] * (1 if g.syls[0][1] > 0 else -1)) for g in self.generators()]
+        # the letters a, A, b, B, each with its signed index
+        steps = [(GroupWord.generator(g, e), g * e) for g in (1, 2) for e in (1, -1)]
         center = GroupWord.identity()
         yield center
         stack = [(center, 0, 0)]
@@ -154,9 +147,7 @@ class PlaneModel:
 
 def model_by_name(name: str):
     if name in ("tree", "tree2"):
-        return TreeModel(2)
-    if name.startswith("tree"):
-        return TreeModel(int(name[4:]))
+        return TreeModel()
     if name == "plane":
         return PlaneModel()
-    raise ValueError("unknown model %r" % name)
+    raise ValueError("unknown model %r: the models are tree (or tree2), on a and b, and plane" % name)

@@ -116,22 +116,16 @@ def _trial_rng(seed: int, stream: int):
     return np.random.default_rng([seed, stream])
 
 
-def require_tree(model, *inputs) -> None:
+def require_tree(model) -> None:
     """The experiments compute exact word statistics on the tree only:
-    refuse any other model, or an input (a step measure or a Schottky set)
-    with a generator beyond the tree's rank, rather than label statistics of
-    another group with its name."""
+    refuse any other model rather than label tree statistics with its name."""
 
     if model.kind != "tree":
         raise ConfigurationError("experiments run on the tree, not the %s model" % model.kind)
-    for item in inputs:
-        if item.rank > model.rank:
-            raise ConfigurationError("the %s uses generator %d, beyond the rank-%d tree"
-                                     % (type(item).__name__, item.rank, model.rank))
 
 
-def _check_grid(model, measure: StepMeasure, n_grid: Sequence[int], trials: int) -> None:
-    require_tree(model, measure)
+def _check_grid(model, n_grid: Sequence[int], trials: int) -> None:
+    require_tree(model)
     if not n_grid or min(n_grid) <= 0 or trials <= 0:
         raise ConfigurationError("need a non-empty n grid, every n and the trial count positive")
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
@@ -227,7 +221,7 @@ def run_genericity(
     """Frequency of {trivial or translation length < L*n} along the grid:
     must be non-increasing with a negative log-slope (or identically 0)."""
 
-    _check_grid(model, measure, n_grid, trials)
+    _check_grid(model, n_grid, trials)
     if not non_elementary(measure, model):
         raise ConfigurationError("measure is elementary")
     calib = _calibration(calibration, measure, max(n_grid), trials, seed)
@@ -272,7 +266,7 @@ def run_discrepancy(
     4n of the grid); optionally checks the per-trial two-sided reach bound
     on non-capped trials."""
 
-    _check_grid(model, measure, n_grid, trials)
+    _check_grid(model, n_grid, trials)
     grid = list(n_grid)
     pairs = [(i, grid.index(4 * n)) for i, n in enumerate(grid) if 4 * n in grid]
     if not pairs:
@@ -335,7 +329,7 @@ def run_clt(
     """Standardized displacement and translation length against the normal
     law, and against each other."""
 
-    _check_grid(model, measure, (n,), trials)
+    _check_grid(model, (n,), trials)
     calib = _calibration(calibration, measure, n, trials, seed)
     lam, sigma2 = calib["lambda"], calib["sigma2"]
     if sigma2 <= 1e-12:
@@ -375,7 +369,7 @@ def run_clt_converse(
     steps: the IQR must grow by >= 20% per doubling.  With `contrast` set,
     a finite-variance measure must instead stabilize within 5%."""
 
-    _check_grid(model, measure, n_grid, trials)
+    _check_grid(model, n_grid, trials)
     if n_grid[0] == n_grid[-1]:
         raise ConfigurationError("the growth per doubling needs a grid whose first and last n differ")
     if not contrast and measure.moment_profile != "heavy_tail":
@@ -423,7 +417,7 @@ def run_free_subgroup(
     reduced word of every length m in the pair moves the basepoint by at
     least m * k1."""
 
-    _check_grid(model, measure, n_grid, trials)
+    _check_grid(model, n_grid, trials)
     calib = _calibration(calibration, measure, max(n_grid), trials, seed)
     per_n: Dict[str, Dict] = {}
     samples: List[Tuple] = []

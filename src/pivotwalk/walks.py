@@ -81,12 +81,6 @@ class StepMeasure:
     def weights_sha256(self) -> str:
         return hashlib.sha256(self.weights.tobytes()).hexdigest()
 
-    @property
-    def rank(self) -> int:
-        """Largest generator index an atom uses."""
-
-        return int(self.table[0].max(initial=0))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, StepMeasure):
             return NotImplemented
@@ -137,7 +131,10 @@ class StepMeasure:
 
         data = json.loads(text)
         if "eta" in data:
-            mu = heavy_tail(data["eta"], data["kmax"], data["rank"])
+            # a descriptor written before the alphabet was fixed at a, b holds "rank": 2
+            if data.get("rank", 2) != 2:
+                raise ValueError("rank is %r, but a heavy tail is on a, b, A, B: rank 2" % (data["rank"],))
+            mu = heavy_tail(data["eta"], data["kmax"])
             if data["weights_sha256"] != mu.weights_sha256:
                 raise ValueError("weights_sha256 does not match the weights of heavy_tail(%s)"
                                  % ", ".join("%s=%r" % kv for kv in sorted(mu.params.items())))
@@ -154,28 +151,27 @@ def simple_rw() -> StepMeasure:
     return StepMeasure(tuple(GroupWord.generator(g, e) for g in (1, 2) for e in (1, -1)), (0.25,) * 4)
 
 
-def heavy_tail(eta: float = 1.1, kmax: int = 65536, rank: int = 2) -> StepMeasure:
-    """Power-tail measure on generator powers: the weight of a ±k-th power
+def heavy_tail(eta: float = 1.1, kmax: int = 65536) -> StepMeasure:
+    """Power-tail measure on powers of a and b: the weight of a ±k-th power
     decays like k^-(1+eta), so eta in (1, 2) gives finite mean displacement
     with infinite variance (truncated at kmax; truncation is disclosed by
     the callers' reports).
 
-    Atom i is generator (i // 2) % rank + 1 to the power ±(i // (2 rank) + 1),
-    positive for even i: k-major, then generator, then sign.
+    Atoms run a^k, A^k, b^k, B^k for k = 1, ..., kmax: atom i is generator
+    (i // 2) % 2 + 1 to the power ±(i // 4 + 1), positive for even i.
     """
 
     if not (math.isfinite(eta) and eta > 0):
         raise ValueError("eta must be positive and finite, got %r" % (eta,))
-    for name, value in (("kmax", kmax), ("rank", rank)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-            raise ValueError("%s must be a positive integer, got %r" % (name, value))
+    if isinstance(kmax, bool) or not isinstance(kmax, numbers.Integral) or kmax < 1:
+        raise ValueError("kmax must be a positive integer, got %r" % (kmax,))
     raw = [(k + 1) ** -(1.0 + eta) for k in range(kmax)]
-    z = sum(raw) * 2 * rank
-    weights = np.repeat(np.array(raw) / z, 2 * rank)
+    z = sum(raw) * 4
+    weights = np.repeat(np.array(raw) / z, 4)
     weights[-1] += 1.0 - sum(weights.tolist())  # pin rounding onto the lightest atom
-    gens = np.tile(np.repeat(np.arange(1, rank + 1, dtype=np.int16), 2), kmax)
-    exps = np.repeat(np.arange(1, kmax + 1), 2 * rank) * np.tile([1, -1], rank * kmax)
-    params = {"eta": float(eta), "kmax": int(kmax), "rank": int(rank)}
+    gens = np.tile(np.array([1, 1, 2, 2], dtype=np.int16), kmax)
+    exps = np.repeat(np.arange(1, kmax + 1), 4) * np.tile([1, -1], 2 * kmax)
+    params = {"eta": float(eta), "kmax": int(kmax)}
     return StepMeasure(None, weights, "heavy_tail", table=(gens[:, None], exps[:, None]), params=params)
 
 

@@ -5,9 +5,10 @@ nonzero exponents and distinct adjacent generators.  This makes huge powers
 (a^100000 from heavy-tailed step laws) as cheap as single letters, while
 letter-level views are still available for the tree geometry.
 
-Generators are numbered 1..rank; a negative letter -g denotes the inverse of
-generator g.  The string form uses 'a', 'b', ... for generators and 'A', 'B',
-... for their inverses.
+Generators are numbered 1, 2, ...; a negative letter -g denotes the inverse
+of generator g, and the string form writes 'a', 'b', ... and 'A', 'B', ....
+The kernel takes any generator index, while the program's inputs are words
+in a and b: `word_from_str` reads a, b, A, B only.
 
 `SyllableStack` holds many reduced words as rows of integer arrays, for the
 walk ensemble and the ball census.
@@ -226,7 +227,7 @@ def word_to_str(word: GroupWord) -> str:
 
 
 def word_from_str(text: str) -> GroupWord:
-    """Parse words like 'a b A', 'a^3 B^2' or compact 'abA'."""
+    """Parse words in a, b, A, B like 'a b A', 'a^3 B^2' or compact 'abA'."""
     pairs: List[Syllable] = []
     for token in text.replace("^", " ^").split():
         if token.startswith("^"):
@@ -237,12 +238,9 @@ def word_from_str(text: str) -> GroupWord:
             pairs.append((gen, exp * power))
             continue
         for ch in token:
-            if ch.islower():
-                pairs.append((ord(ch) - _LETTER_BASE + 1, 1))
-            elif ch.isupper():
-                pairs.append((ord(ch.lower()) - _LETTER_BASE + 1, -1))
-            else:
-                raise ValueError("bad character %r in word %r" % (ch, text))
+            if ch not in "abAB":
+                raise ValueError("bad character %r in word %r: the letters are a, b, A, B" % (ch, text))
+            pairs.append((ord(ch.lower()) - _LETTER_BASE + 1, 1 if ch.islower() else -1))
     return GroupWord.from_syllables(pairs)
 
 
@@ -292,9 +290,9 @@ class SyllableStack:
     @classmethod
     def identities(cls, table: Tuple[np.ndarray, np.ndarray], rows: int, steps: int) -> "SyllableStack":
         """`rows` identity words with room for `steps` atoms of `table`
-        each, in integer types that hold the table's rank and `steps` times
-        its largest exponent: a syllable of a product sums at most one
-        syllable of each factor, so no exponent wraps."""
+        each, in integer types that hold the table's largest generator and
+        `steps` times its largest exponent: a syllable of a product sums at
+        most one syllable of each factor, so no exponent wraps."""
 
         gen_a, exp_a = table
         largest = steps * int(max(exp_a.max(initial=0), -exp_a.min(initial=0)))

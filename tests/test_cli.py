@@ -122,12 +122,19 @@ class TestRun:
         report = json.loads((tmp_path / "d" / "report.json").read_text(), parse_constant=refuse)
         assert report["stats"]["worst_quadrupling_ratio"] is None and report["verdict"] is False
 
-    def test_rank3_measure_runs_on_rank3_tree(self, monkeypatch, tmp_path):
+    def test_letters_past_b_are_refused(self, monkeypatch, tmp_path, capsys):
+        # a measure on c and a Schottky set with letter 3 are refused at
+        # load, by a message that names the alphabet
         (tmp_path / "m.json").write_text(
             '{"support": ["a", "A", "c", "C"], "weights": [0.25, 0.25, 0.25, 0.25]}')
-        code = run_cli(monkeypatch, tmp_path, "run", "--experiment", "genericity", "--model", "tree3",
-                       "--measure", "m.json", "--n", "40,80", "--trials", "100", "--seed", "1")
-        assert code == EXIT_PASS
+        (tmp_path / "gen-c.json").write_text(_INPUT_FILES["gen-c.json"])
+        run = ["run", "--n", "40,160", "--trials", "100"]
+        for argv in ([*run, "--experiment", "genericity", "--measure", "m.json"],
+                     [*run, "--experiment", "discrepancy", "--schottky", "gen-c.json"],
+                     ["census", "--n-max", "2", "--schottky", "gen-c.json"]):
+            assert run_cli(monkeypatch, tmp_path, *argv) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error: malformed input file") and "a, b, A, B" in err
 
 
 def test_import_leaves_scipy_stats_unloaded():
@@ -329,9 +336,11 @@ _INPUT_FILES = {
     "nan.csv": "n,value\n1,nan\n2,inf\n",
     "inf.csv": "n,value\n1,0.5\n2,-inf\n",
     "overflow.csv": "n,value\n1,1e400\n",
-    "rank1.json": heavy_tail(kmax=65536, rank=1).to_json(),  # 131,072 powers of a: elementary
+    # 131,072 powers of a, given by their atoms: elementary
+    "rank1.json": json.dumps({"support": ["%s^%d" % (x, k) for k in range(1, 65537) for x in "aA"],
+                              "weights": [2.0 ** -17] * 2 ** 17}),
     "block5.json": schottky_to_json(tree_schottky_set(2)),  # well formed; blocks of 5 steps
-    # generator c (letter 3) in a block, beyond the rank-2 tree
+    # letter 3, which is no letter of a, b, A, B, in a block
     "gen-c.json": schottky_to_json(tree_schottky_set(2)).replace("[2]", "[3]"),
     # m0 of 3 with blocks of 5 steps
     "m0-short.json": schottky_to_json(tree_schottky_set(2)).replace('"m0": 5', '"m0": 3'),
@@ -424,10 +433,14 @@ _SCHOTTKY_ARGVS = (["census", "--n-max", "2"],
     ["report", "nan.csv", "--out", "r.svg"],
     ["report", "inf.csv"],
     ["report", "overflow.csv"],
+    # the tree is F2 on a and b: another rank is an unknown model
+    ["census", "--model", "tree3", "--n-max", "2"],
+    ["census", "--model", "tree7", "--n-max", "2"],
+    ["run", "--experiment", "genericity", "--model", "tree3", "--n", "20,40", "--trials", "20"],
 ])
 def test_bad_input_is_refused_cleanly(monkeypatch, tmp_path, capsys, argv):
-    for name, text in _INPUT_FILES.items():
-        (tmp_path / name).write_text(text)
+    for name in set(argv) & set(_INPUT_FILES):
+        (tmp_path / name).write_text(_INPUT_FILES[name])
     # leading NAME=value words set the environment, as in a shell
     while "=" in argv[0]:
         monkeypatch.setenv(*argv[0].split("=", 1))
@@ -512,7 +525,7 @@ _FUZZ_VERBS = {
 _FUZZ_VALUES = ["x", "a^99999999999999999999", "b^4611686018427387904", None, [1], {}, True, 1.5,
                 -1, 0, 2 ** 63, 10 ** 20, 1e300, float("nan")]
 # a heavy-tail descriptor builds all its weights before the digest is
-# checked, so kmax and rank stay small
+# checked, so kmax stays small
 _FUZZ_SMALL = ["x", None, [1], True, 1.5, -1, 0, 3]
 
 
@@ -545,7 +558,7 @@ def _fuzz_json(draw, text):
     doc = json.loads(text)
     if draw(st.booleans()):
         container, key = draw(st.sampled_from(list(_slots(doc))))
-        container[key] = draw(st.sampled_from(_FUZZ_SMALL if key in ("kmax", "rank") else _FUZZ_VALUES))
+        container[key] = draw(st.sampled_from(_FUZZ_SMALL if key == "kmax" else _FUZZ_VALUES))
     return json.dumps(doc)
 
 

@@ -168,7 +168,9 @@ def test_matrix_for_word_long_words(length):
 
 
 def test_model_by_name():
-    assert model_by_name("tree2").kind == "tree"
+    assert model_by_name("tree").kind == model_by_name("tree2").kind == "tree"
     assert model_by_name("plane").kind == "plane"
-    with pytest.raises(ValueError):
-        model_by_name("cube")
+    # the tree is F2's alone: another rank names no model
+    for name in ("cube", "tree1", "tree3", "tree7"):
+        with pytest.raises(ValueError, match="unknown model"):
+            model_by_name(name)

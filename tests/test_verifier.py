@@ -10,6 +10,8 @@ import json
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
+from typing import Dict, Tuple
 
 import numpy as np
 import pytest
@@ -162,6 +164,77 @@ class TestEnsembles:
         assert np.all(disp >= 0)
 
 
+def exact_simple_walk_law(n: int, one=1.0) -> Dict[Tuple[int, int], float]:
+    """P(d = l, tau = t) after n steps of the simple walk, in the number
+    type of `one` (a Fraction gives the law exactly).
+
+    d = |Z_n| is the chain that steps up with probability 3/4 and down with
+    1/4, and always up from 0.  Given d = l the word is uniform on the
+    sphere, so its cyclic reduction cancels at least k letters at each end,
+    1 <= k < l/2, with probability (3^(1-k) - (2 + (-1)^l) 3^(k-l)) / 4, and
+    tau = l - 2 * cut.  (The equal form (3^(l-2k+1) - 2 - (-1)^l) / (4 3^(l-k))
+    overflows floats at n = 1000.)"""
+
+    disp = [one]
+    for _ in range(n):
+        step = [0 * one] * (len(disp) + 1)
+        step[1] = disp[0]
+        for l in range(1, len(disp)):
+            step[l + 1] += disp[l] * 3 / 4
+            step[l - 1] += disp[l] / 4
+        disp = step
+    three = 3 * one
+    law = {}
+    for l, p in enumerate(disp):
+        # P(cut >= k) for k = 0, 1, ..., and 0 once k >= l/2
+        tail = [one, *((three ** (1 - k) - (2 + (-1) ** l) * three ** (k - l)) / 4
+                       for k in range(1, (l + 1) // 2)), 0 * one]
+        for k in range(len(tail) - 1):
+            law[(l, l - 2 * k)] = p * (tail[k] - tail[k + 1])
+    return law
+
+
+def _ks_distance(samples: np.ndarray, law: Dict[int, float]) -> float:
+    """Largest gap between the empirical and the exact cdf of an integer law."""
+
+    pmf = np.zeros(max(max(law), int(samples.max())) + 1)
+    for value, p in law.items():
+        pmf[value] += p
+    emp = np.bincount(samples, minlength=len(pmf)) / len(samples)
+    return float(np.abs(np.cumsum(emp - pmf)).max())
+
+
+class TestExactSimpleWalkLaw:
+    def test_law_counts_every_walk_of_8_steps(self):
+        # the walks' end words with their multiplicities, step by step:
+        # all 4^8 walks, ending in at most 13,121 distinct words
+        ends, steps = {GroupWord.identity(): 1}, simple_rw().support
+        for _ in range(8):
+            nxt: Dict[GroupWord, int] = {}
+            for word, count in ends.items():
+                for s in steps:
+                    nxt[word * s] = nxt.get(word * s, 0) + count
+            ends = nxt
+        counted: Dict[Tuple[int, int], Fraction] = {}
+        for word, count in ends.items():
+            key = (len(word), word.translation_length())
+            counted[key] = counted.get(key, 0) + Fraction(count, 4 ** 8)
+        law = exact_simple_walk_law(8, Fraction(1))
+        assert sum(law.values()) == 1
+        assert {k: p for k, p in law.items() if p} == counted
+
+    @pytest.mark.parametrize("n, trials", [(400, 20_000), (1000, 10_000)])
+    def test_ensemble_draws_the_law(self, n, trials):
+        law = exact_simple_walk_law(n)
+        disp, tau = tree_walk_ensemble(simple_rw(), n, trials, np.random.default_rng([5, 0]))
+        for samples, index in ((disp, 0), (tau, 1)):
+            marginal: Dict[int, float] = {}
+            for key, p in law.items():
+                marginal[key[index]] = marginal.get(key[index], 0.0) + p
+            # the 5% critical value of the Kolmogorov-Smirnov distance
+            assert _ks_distance(samples, marginal) < 1.36 / math.sqrt(trials)
+
+
 class TestStatistics:
     def test_log_slope_on_exact_decay(self):
         ns = [10, 20, 40, 80]
@@ -179,7 +252,9 @@ class TestStatistics:
         assert not non_elementary(StepMeasure((a, a.inverse()), (0.5, 0.5)), T)
         # conjugate atoms that do not commute have distinct axes
         assert non_elementary(StepMeasure((a, word_from_str("B a b")), (0.5, 0.5)), T)
-        assert not non_elementary(heavy_tail(kmax=512, rank=1), T)
+        # a^±1, ..., a^±512 all commute with a
+        powers = tuple(GroupWord.generator(1, s * k) for k in range(1, 513) for s in (1, -1))
+        assert not non_elementary(StepMeasure(powers, (1 / 1024,) * 1024), T)
 
     def test_calibrate_simple_rw(self):
         calib = calibrate(simple_rw(), 200, 400, seed=1)
