@@ -21,14 +21,14 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, replace
-from itertools import chain, islice, repeat
+from itertools import islice
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .geometry import Path, is_aligned
-from .schottky import D1, SchottkySet, in_tilde
-from .words import GroupWord, common_prefix_letters
+from .schottky import D1, SchottkySet, head_ids, in_tilde
+from .words import GroupWord, letter_rows
 
 
 @dataclass(frozen=True)
@@ -163,22 +163,6 @@ def pivot(config: PivotConfig, i: int, beta: int, gamma: int, v) -> PivotConfig:
 _PASS_CELLS = 1 << 17
 
 
-def _letter_rows(words: Sequence[GroupWord], width: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The first `width` letters of each word as a row, padded with 0 (no
-    letter), and each word's letter count."""
-
-    padded = (islice(chain(word.letters(), repeat(0)), width) for word in words)
-    rows = np.fromiter(chain.from_iterable(padded), dtype=np.int64, count=len(words) * width)
-    return rows.reshape(len(words), width), np.array([len(word) for word in words], dtype=np.int64)
-
-
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """Each row's bytes as one item, equal exactly for equal rows."""
-
-    rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize)))[:, 0]
-
-
 def _product_heads(v: Sequence[GroupWord], words: Sequence[GroupWord],
                    k0: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """For each connector u in `v`, in turn: the first k0 letters of every
@@ -192,9 +176,9 @@ def _product_heads(v: Sequence[GroupWord], words: Sequence[GroupWord],
 
     # c <= min(|u|, |x|), so rows this wide hold every letter a prefix takes
     width = k0 + min(max(map(len, v), default=0), max(map(len, words)))
-    rows, lengths = _letter_rows(words, width)
-    prefixes, _ = _letter_rows(v, k0)
-    backs, _ = _letter_rows([u.inverse() for u in v], width)
+    rows, lengths = letter_rows(words, width)
+    prefixes, _ = letter_rows(v, k0)
+    backs, _ = letter_rows([u.inverse() for u in v], width)
     j = np.arange(k0)
     # the last column agrees nowhere, so it ends every run of agreement;
     # padding agrees only with padding, past the end of both words
@@ -220,9 +204,9 @@ def simulate_pivot_counts(
 
     Tree-only fast path; spacers w (length n+1) and connectors v (length n)
     are fixed words.  Uses the same step/backtrack conditions as
-    compute_pivotal_times, specialized to k0-letter prefix comparisons.
-    The prefix tables are read off letter rows: no connector-block product
-    is multiplied out.
+    compute_pivotal_times, specialized to lookups in the set's table of
+    k0-letter heads (`SchottkySet.heads`).  Connector products' heads are
+    read off letter rows: no connector-block product is multiplied out.
 
     While every earlier step was kept the anchor is w_{k-1}^-1, so whether
     step k fails is a table lookup on its draws, and a trial's count up to
@@ -239,46 +223,32 @@ def simulate_pivot_counts(
     words = sch.products()
     if len(w) != n + 1 or len(v) != n:
         raise ValueError("need n+1 spacers and n connectors")
-    inv_words = [word.inverse() for word in words]
 
-    # two words share k0 leading letters iff both have k0-letter prefixes
-    # with equal ids.  Every comparison sets a block's word or its inverse
-    # against another word, so a prefix's id is its place among the blocks'
-    # prefixes; a block shorter than k0 gets the sentinel -2, and another
-    # word -1 when it is shorter than k0 or no block starts as it does, so
-    # the sentinels match nothing
-    rows, lengths = _letter_rows(words + inv_words, k0)
-    # sorted and deduplicated by hand: np.unique imports numpy.ma, a
-    # megabyte of resident memory
-    table = np.sort(_row_keys(rows[lengths >= k0]))
-    table = table[np.append(True, table[1:] != table[:-1])]
+    # every comparison sets a block's head against another word's, so an id
+    # is a place in the head table; -2 (a block shorter than k0) and -1 (a
+    # word shorter than k0, or with no block's head) match no id
+    table, fwd, bwd = sch.heads
     block_id = {tuple(row): i for i, row in enumerate(table.view(np.int64).reshape(-1, k0).tolist())}
-
-    def ids(heads: np.ndarray, word_lengths: np.ndarray, short: int) -> np.ndarray:
-        keys = _row_keys(heads)
-        if not len(table):
-            return np.full(len(keys), short)
-        at = np.searchsorted(table, keys).clip(max=len(table) - 1)
-        return np.where((word_lengths >= k0) & (table[at] == keys), at, short)
-
-    fwd, bwd = np.split(ids(rows, lengths, -2), 2)
     # the entry block a fails against the anchor u when fwd[a] == id(u), and
     # entry[k] is the id of w_k^-1, the anchor after a kept step k; a
     # middle pair (b, c) fails when v_k word_c cancels k0 letters into
     # word_b or v_k^-1 shares k0 letters with word_c; the exit block d fails
     # when word_d^-1 shares k0 letters with w_k
-    others, other_lengths = _letter_rows([x.inverse() for x in w] + [vk.inverse() for vk in v] + list(w[1:]), k0)
-    entry, v_inv, exit_ids = np.split(ids(others, other_lengths, -1), [n + 1, 2 * n + 1])
+    others, other_lengths = letter_rows([x.inverse() for x in w] + [vk.inverse() for vk in v] + list(w[1:]), k0)
+    entry, v_inv, exit_ids = np.split(head_ids(table, others, other_lengths, k0, -1), [n + 1, 2 * n + 1])
     # one pass over the blocks per connector, never an (n, N, k0) array
     v_word = np.empty((n, N), dtype=np.int64)
     for k, (heads, product_lengths) in enumerate(_product_heads(v, words, k0)):
-        v_word[k] = ids(heads, product_lengths, -1)
+        v_word[k] = head_ids(table, heads, product_lengths, k0, -1)
     bad_exit = bwd == exit_ids.reshape(n, 1)
     pos = np.arange(n)
 
+    def head_id(word: GroupWord) -> int:
+        return block_id.get(tuple(islice(word.letters(), k0)), -1)
+
     def finish(quads: list, loose: list, first: int) -> int:
         """Exact stack from 0-based step `first`, the trial's first failure;
-        the anchor is held as the id of its k0-letter prefix."""
+        the anchor is held as the id of its k0-letter head."""
 
         blocks: Dict[int, GroupWord] = {}
 
@@ -303,12 +273,12 @@ def simulate_pivot_counts(
                     suffix = block(j) * suffix
                     j -= 1
                 tail = w[top] * suffix
-                if not stack or common_prefix_letters(inv_words[quads[top - 1][3]], tail) < k0:
+                # the exit block fails iff the tail starts with its backward head
+                if not stack or head_id(tail) != bwd[quads[top - 1][3]]:
                     break
                 stack.pop()
-            # the anchor returns to the last kept step's end, or to w_0; a
-            # key shorter than k0 is no block's prefix
-            anchor = block_id.get(tuple(islice(tail.inverse().letters(), k0)), -1)
+            # the anchor returns to the last kept step's end, or to w_0
+            anchor = head_id(tail.inverse())
         return len(stack)
 
     rng = np.random.default_rng(seed)

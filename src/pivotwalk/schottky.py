@@ -17,12 +17,11 @@ import numbers
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
 import numpy as np
 
-from .words import GroupWord
-from .spaces import TreeModel
+from .words import GroupWord, letter_rows, row_keys
 from .geometry import Path, is_aligned
 
 
@@ -109,29 +108,39 @@ class SchottkySet:
     def products(self) -> List:
         return [s.product() for s in self.sequences]
 
+    @cached_property
+    def heads(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(table, fwd, bwd): the sorted, distinct k0-letter heads of the
+        block products and their inverses, as `row_keys`, and the places in
+        `table` of block i's heads, fwd[i] and bwd[i], or -2 for a block
+        shorter than k0.  A point x is badly aligned with the axis [o, w o]
+        iff x shares k0 letters with w or with w^-1: iff x starts with one
+        of the block's heads."""
+
+        words = self.products()
+        rows, lengths = letter_rows(words + [word.inverse() for word in words], self.k0)
+        # sorted and deduplicated by hand: np.unique imports numpy.ma, a
+        # megabyte of resident memory
+        table = np.sort(row_keys(rows[lengths >= self.k0]))
+        table = np.concatenate((table[:1], table[1:][table[1:] != table[:-1]]))
+        fwd, bwd = np.split(head_ids(table, rows, lengths, self.k0, -2), 2)
+        return table, fwd, bwd
+
+
+def head_ids(table: np.ndarray, rows: np.ndarray, lengths: np.ndarray, k0: int, short: int) -> np.ndarray:
+    """The place in a head `table` of each row of k0 letters, or `short`
+    where the row's word (of `lengths` letters) is shorter than k0 or its
+    head is not in the table."""
+
+    keys = row_keys(rows)
+    if not len(table):
+        return np.full(len(keys), short)
+    at = np.searchsorted(table, keys).clip(max=len(table) - 1)
+    return np.where((lengths >= k0) & (table[at] == keys), at, short)
+
 
 # ---------------------------------------------------------------------------
 # verification
-
-
-def _tree_prefix_owners(words, k0: int) -> Dict[tuple, int]:
-    """Number of blocks owning each k0-letter prefix class (tree fast predicate).
-
-    For a geodesic block axis [o, w o], the point x is badly aligned with
-    the block iff x shares k0 letters with w, or cancels k0 letters when
-    appended to w; both depend only on the first k0 letters of x.  A block
-    owns its forward and backward prefix, once if they coincide; a block
-    shorter than k0 owns none.
-    """
-
-    owners: Dict[tuple, int] = {}
-    for w in words:
-        if len(w) < k0:
-            continue
-        keys = {tuple(itertools.islice(u.letters(), k0)) for u in (w, w.inverse())}
-        for key in keys:
-            owners[key] = owners.get(key, 0) + 1
-    return owners
 
 
 def verify_schottky(sch: SchottkySet) -> List[str]:
@@ -141,30 +150,25 @@ def verify_schottky(sch: SchottkySet) -> List[str]:
     Property (2), that every axis is a contracting quasigeodesic, always
     holds: `SchottkySet` refuses a block whose steps cancel, so every axis
     is a tree geodesic, and tree geodesics are contracting for any width
-    >= 1.  The general-position property is exhausted over the ball of
-    radius min(m0 + 5, k0), which decides it for the whole probe ball of
-    radius m0 + 5.
+    >= 1.  General position is read off the set's head table
+    (`SchottkySet.heads`): a point is badly aligned with a block iff its
+    first k0 letters are one of the block's heads, so at most one block is
+    badly aligned from every point iff no head belongs to two blocks.
     """
 
     k0 = sch.k0
     products = sch.products()
-    owners = _tree_prefix_owners(products, k0)
-
-    def owned_twice(x) -> bool:
-        key = tuple(itertools.islice(x.letters(), k0))
-        return len(key) == k0 and owners.get(key, 0) > 1
-
+    _, fwd, bwd = sch.heads
+    # a block owns its two heads, once if they coincide; a block shorter
+    # than k0 owns none
+    owned = [head for f, b in zip(fwd.tolist(), bwd.tolist()) if f >= 0 for head in {f, b}]
     checks = {
         # (1) blocks are long enough for the alignment machinery
         "length_floor": sch.m0 > LENGTH_FLOOR,
         # (3) blocks move the basepoint far, in a positive length unit
         "length": sch.e0 > 0 and all(len(p) >= 10.0 * sch.e0 for p in products),
-        # (4) from any point, at most one block is badly aligned.  The
-        # predicate at x depends only on x's first k0 letters, and a key
-        # owned twice is itself a point of length k0 that the depth-first
-        # ball yields before any extension of it: the k0-ball decides the
-        # whole probe ball; the scan stops at the first head owned twice
-        "general_position": not any(map(owned_twice, TreeModel().ball(min(sch.m0 + 5, k0)))),
+        # (4) from any point, at most one block is badly aligned
+        "general_position": len(set(owned)) == len(owned),
         # (5) a block does not fold back on its own translate
         "self_alignment": all(is_aligned([seq.axis, seq.axis.translate(seq.product())], k0)
                               for seq in sch.sequences),

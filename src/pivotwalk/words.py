@@ -11,7 +11,8 @@ The kernel takes any generator index, while the program's inputs are words
 in a and b: `word_from_str` reads a, b, A, B only.
 
 `SyllableStack` holds many reduced words as rows of integer arrays, for the
-walk ensemble and the ball census.
+walk ensemble and the ball census, `letter_rows` their leading letters,
+and `row_keys` makes either kind of row one comparable item.
 """
 
 from __future__ import annotations
@@ -259,7 +260,24 @@ def random_reduced_word(rng, length: int) -> GroupWord:
 
 
 # ---------------------------------------------------------------------------
-# syllable stacks: many reduced words as rows of integer arrays
+# many reduced words as rows of integer arrays: letter rows and syllable stacks
+
+
+def letter_rows(words: Sequence[GroupWord], width: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The first `width` letters of each word as a row, padded with 0 (no
+    letter), and each word's letter count."""
+
+    padded = (itertools.islice(itertools.chain(word.letters(), itertools.repeat(0)), width)
+              for word in words)
+    rows = np.fromiter(itertools.chain.from_iterable(padded), dtype=np.int64, count=len(words) * width)
+    return rows.reshape(len(words), width), np.array([len(word) for word in words], dtype=np.int64)
+
+
+def row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row's bytes as one item, equal exactly for equal rows."""
+
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize)))[:, 0]
 
 
 def syllable_table(words: Sequence[GroupWord]) -> Tuple[np.ndarray, np.ndarray]:
@@ -346,8 +364,7 @@ class SyllableStack:
         generators that pops left above the tops are cleared first."""
 
         self.gens[:, 1:][self.exps[:, 1:] == 0] = 0
-        raw = np.hstack((self.gens.view(np.uint8), self.exps.view(np.uint8)))
-        return raw.view(np.dtype((np.void, raw.shape[1])))[:, 0]
+        return row_keys(np.hstack((self.gens.view(np.uint8), self.exps.view(np.uint8))))
 
     def cyclic_cut(self) -> np.ndarray:
         """Letters that cyclic reduction cancels from each end of each row,

@@ -205,6 +205,34 @@ def test_huge_exponent_does_not_wrap():
     assert census_rows(ball, 2, 15000.0) == reference_census(words, 2, 15000.0)
 
 
+def cut_at_least(length: int, k: int) -> int:
+    """Reduced words of `length` >= 1 letters over a, b whose cyclic
+    reduction wears at least k letters off each end: choose the k outer
+    letters, then a middle of length - 2k letters that keeps the word
+    reduced."""
+    if k <= 0:
+        return 4 * 3 ** (length - 1)
+    if 2 * k >= length:
+        return 0  # a reduced word is never u u^-1
+    return 3 ** (length - k) - (2 + (-1) ** length) * 3 ** (k - 1)
+
+
+@pytest.mark.parametrize("K", [0.25, 0.5, 1.0])
+def test_census_of_the_free_basis_has_a_closed_form(K):
+    # on <a, b> the ball is the whole tree ball, so every row is a count
+    # of reduced words by length and cyclic cut, in exact integers
+    rows = census_rows(enumerate_ball([a, b], 8, 0), 8, K)
+    assert [row[0] for row in rows] == list(range(1, 9))
+    for n, total, bad, fraction, exhaustive in rows:
+        # tau = length - 2 cut <= K n iff cut >= (length - floor(K n)) / 2
+        tau_max = int(K * n)
+        assert total == 1 + sum(4 * 3 ** (length - 1) for length in range(1, n + 1))
+        assert bad == 1 + sum(cut_at_least(length, (length - tau_max + 1) // 2) for length in range(1, n + 1))
+        assert (fraction, exhaustive) == (bad / total, 1)
+    if K == 0.5:
+        assert rows[-1][1:3] == (13121, 1441)
+
+
 class TestBallCensus:
     @pytest.mark.parametrize("seed", [0, 3])
     @pytest.mark.parametrize("K", [0.5, 0.0, -1.0, 2.0])

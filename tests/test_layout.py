@@ -39,6 +39,7 @@ ALLOWED = {
 ALLOWED_METHODS = {
     "PlaneModel.matrix_for_word": "the exact Sanov map the plane ensemble will walk with",
     "TreeModel.distance": "the tree side of the model metric; perfbench's tracer wraps it by name",
+    "TreeModel.ball": "the tree's ball, walked by tests; perfbench's tracer wraps it by name",
 }
 
 

@@ -304,6 +304,18 @@ class TestFastSimulation:
             monkeypatch.setattr(pivotal, "_PASS_CELLS", cells)
             assert np.array_equal(simulate_pivot_counts(SCH, cfg.n, 30, 3, w=cfg.w, v=cfg.v), whole)
 
+    def test_set_with_no_heads_keeps_every_step(self):
+        # both blocks are shorter than k0, so the head table has no rows and
+        # no step fails; the set fails verification, so only Python callers
+        # reach it
+        sch = SchottkySet(tuple(SchottkySequence(tuple(word_from_str(c) for c in t.split()))
+                                for t in ("a a a a a", "a a a a b")), 6)
+        n, ident = 3, GroupWord.identity()
+        w, v = [ident] * (n + 1), [ident] * n
+        counts = simulate_pivot_counts(sch, n, 20, 0, w=w, v=v)
+        assert np.array_equal(counts, reference_simulate(sch, n, 20, 0, w=w, v=v))
+        assert (counts == n).all()
+
     @pytest.mark.parametrize("N", [7, 400, 2 ** 31 + 1, 2 ** 32 - 1])
     def test_one_draw_equals_per_trial_draws(self, N):
         # the sampler draws a pass at once; trial t must still get the t-th

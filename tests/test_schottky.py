@@ -278,6 +278,52 @@ class TestGeneralPositionTable:
         assert ("general_position" not in verify_schottky(sch), ref_ok) == (ok, ok)
 
 
+def letter_blocks(*blocks):
+    """Blocks of one letter per step, from lists of signed generator indices."""
+    return tuple(SchottkySequence(tuple(GroupWord.from_letters([x]) for x in letters)) for letters in blocks)
+
+
+def test_heads_past_a_and_b_decide_general_position():
+    # both blocks start with a c; a point starting with a c is badly aligned
+    # with both, though no scan of the ball of a and b meets it
+    sch = SchottkySet(letter_blocks([1, 3, 1, 3, 1], [1, 3, -1, 3, 1]), 2)
+    assert verify_schottky(sch) == ["general_position"]
+
+
+def _reduced_letters(size):
+    """Reduced spellings over a, b of `size` letters: each choice picks one
+    of the letters that do not cancel the one before."""
+    def spell(choices):
+        letters = []
+        for i in choices:
+            options = [l for l in (1, -1, 2, -2) if not letters or l != -letters[-1]]
+            letters.append(options[i % len(options)])
+        return letters
+    return st.lists(st.integers(0, 3), min_size=size, max_size=size).map(spell)
+
+
+_letter_sets = st.integers(3, 8).flatmap(lambda m0: st.lists(_reduced_letters(m0), min_size=2, max_size=5))
+
+
+@seed(2022)
+@settings(max_examples=300, deadline=None, database=None)
+@given(_letter_sets, st.integers(2, 4))
+def test_head_table_matches_brute_force(blocks, k0):
+    sch = SchottkySet(letter_blocks(*blocks), k0)
+    # a witness point has k0 letters, so the k0-ball holds one if any does
+    assert ("general_position" not in verify_schottky(sch)) == brute_general_position(sch, k0)
+    table, fwd, bwd = sch.heads
+    products = sch.products()
+    heads = [p.prefix(k0) for p in products] + [p.inverse().prefix(k0) for p in products]
+    ids = fwd.tolist() + bwd.tolist()
+    assert len(table) == len({h for h in heads if len(h) == k0})
+    for (x, i), (y, j) in itertools.product(zip(heads, ids), repeat=2):
+        if len(x) < k0:
+            assert i == -2
+        elif len(y) == k0:
+            assert (i == j) == (x == y)
+
+
 def test_tree_independence_is_non_commutation():
     # a conjugate of a that does not commute with it has another axis
     assert T.independent(a, word_from_str("B a b"))
