@@ -22,11 +22,20 @@ import numpy as np
 from . import counting, pivotal, schottky, svgplot, verifier, walks
 from .spaces import model_by_name
 from .verifier import ConfigurationError
-from .words import GroupWord
+from .words import GroupWord, product_exponent_bound
 
 EXIT_PASS = 0
 EXIT_CONFIG = 1
 EXIT_FAIL = 2
+
+# each experiment's --n when none is given
+_DEFAULT_GRIDS = {
+    "genericity": [50, 100, 200, 400],
+    "discrepancy": [1000, 4000],
+    "clt": [2000],
+    "clt-converse": [500, 1000, 2000, 4000],
+    "free-subgroup": [50, 100],
+}
 
 _MEASURES = {
     "simple": lambda: walks.simple_rw(),
@@ -143,36 +152,37 @@ def cmd_run(args) -> int:
                                ("--claim-trials", args.claim_trials, "discrepancy")):
         if value is not None and experiment != owner:
             raise ConfigurationError("%s applies only to --experiment %s, not %s" % (flag, owner, experiment))
+    if experiment not in _DEFAULT_GRIDS:
+        raise ConfigurationError("unknown experiment %r" % experiment)
+    n_grid = _grid(args.n, _DEFAULT_GRIDS[experiment])
     model = _model(args.model)
     measure = _measure_from_spec(args.measure)
+    # every walk of a run is at most max(n_grid) steps long; refuse the
+    # measure here rather than from the first stack too narrow for it
+    if product_exponent_bound(measure.table, max(n_grid)) >= 2 ** 63:
+        raise ConfigurationError("--measure %s: a product of %d steps (the largest --n) has exponents beyond 64 bits"
+                                 % (args.measure, max(n_grid)))
     seed = _resolve_seed(args)
     trials = args.trials
     outdir = args.out or "out-%s" % experiment
 
     if experiment == "genericity":
-        n_grid = _grid(args.n, [50, 100, 200, 400])
         L = 0.25 if args.L is None else args.L
         report = verifier.run_genericity(measure, model, n_grid, trials, L, seed)
     elif experiment == "discrepancy":
-        n_grid = _grid(args.n, [1000, 4000])
         sch = _schottky_from_file(args.schottky) if args.schottky else None
         report = verifier.run_discrepancy(
             measure, model, n_grid, trials, seed, sch=sch,
             claim_n=args.claim_n, claim_trials=args.claim_trials or 0,
         )
     elif experiment == "clt":
-        n_grid = _grid(args.n, [2000])
         if len(n_grid) != 1:
             raise ConfigurationError("clt takes a single --n value")
         report = verifier.run_clt(measure, model, n_grid[0], trials, seed)
     elif experiment == "clt-converse":
-        n_grid = _grid(args.n, [500, 1000, 2000, 4000])
         report = verifier.run_clt_converse(measure, model, n_grid, trials, seed, contrast=bool(args.contrast))
-    elif experiment == "free-subgroup":
-        n_grid = _grid(args.n, [50, 100])
-        report = verifier.run_free_subgroup(measure, model, n_grid, trials, seed)
     else:
-        raise ConfigurationError("unknown experiment %r" % experiment)
+        report = verifier.run_free_subgroup(measure, model, n_grid, trials, seed)
     report.write(outdir, svg=args.svg)
     print("run[%s]: verdict=%s -> %s" % (experiment, "pass" if report.verdict else "fail", outdir))
     return EXIT_PASS if report.verdict else EXIT_FAIL

@@ -89,8 +89,13 @@ class ExperimentReport:
 
 
 # the ensemble walks its trials in blocks of at most this many rows * steps
-# (about 300 rows at n = 4000): a block's uniforms and atom indices take 16
-# bytes a cell, and 0.6 or 2.4 million cells a block were slower
+# (about 300 rows at n = 4000).  A block holds its int64 atom indices, its
+# stack and `push`'s step columns, a traced peak of 19 bytes a cell on the
+# heavy tail (int32 exponents) and 14 on the simple walk (int16); `draw`
+# takes the uniforms in chunks, so no block holds them all.  perfbench
+# medians (seeds 40-42, 2 cores) at 0.6, 1.2 and 2.4 million cells: heavy
+# wall_s 0.412, 0.352, 0.384 s, peak_rss_mb 61.8, 72.5, 92.8; gap wall_s
+# 0.722, 0.583, 0.672 s, peak_rss_mb 48.6, 60.4, 72.2
 ENSEMBLE_BLOCK_CELLS = 1_200_000
 
 

@@ -23,10 +23,14 @@ from .geometry import is_aligned
 from .schottky import D1, SchottkySet
 from .words import GroupWord, syllable_table, word_from_str, word_to_str
 
-# `StepMeasure.draw` counts the cdf's first DRAW_HEAD entries by comparisons
-# and binary-searches only the uniforms past them: on the default heavy tail
-# 11% of draws pass 16 entries, and 8 or 32 were no faster
-DRAW_HEAD = 16
+# `StepMeasure.draw` turns this many uniforms at a time into atom indices,
+# so that its temporaries stay in cache: one chunk a call raised the
+# ensemble's peak memory by 3 to 4.5 MB and slowed the simple walk by 5%,
+# and 2^14 or 2^15 were no faster.  Each chunk goes on with the
+# generator's stream where the last one stopped
+DRAW_CHUNK = 2 ** 16
+# the guide table has at most 2^16 buckets, 512 KiB of indices
+GUIDE_BITS = 16
 
 
 class StepMeasure:
@@ -91,27 +95,46 @@ class StepMeasure:
 
     __hash__ = None
 
+    @functools.cached_property
+    def _guide(self) -> Tuple[np.ndarray, np.ndarray, bool]:
+        """The normalised cdf that `rng.choice` searches, a guide table of
+        M = 2^b buckets (Chen and Asau 1974; Devroye 1986, III.2.4), and
+        whether any bucket is marked.  M is at least four buckets an atom,
+        up to 2^GUIDE_BITS.  Bucket j holds the index that every uniform in
+        [j/M, (j+1)/M) maps to, or -1 (marked) when a cdf entry lies
+        strictly inside that interval and the uniform must be searched for."""
+
+        cdf = self.weights.cumsum()
+        cdf /= cdf[-1]
+        buckets = 1 << min(GUIDE_BITS, (len(cdf) - 1).bit_length() + 2)
+        edges = np.arange(buckets + 1) / buckets
+        lo = cdf.searchsorted(edges[:-1], side="right")
+        # "left" at the upper edge: an entry equal to (j+1)/M belongs to
+        # the next bucket, so equal weights mark no bucket
+        guide = np.where(lo == cdf.searchsorted(edges[1:], side="left"), lo, -1)
+        return cdf, guide, bool((guide < 0).any())
+
     def draw(self, rng, shape) -> np.ndarray:
         """Atom indices of the given shape, exactly those that
         `rng.choice(len(weights), size=shape, p=weights)` returns, from the
         same uniforms, so the generator is left in the same state.  numpy
         maps each uniform u to the count of normalised cdf entries <= u;
-        here the first DRAW_HEAD entries are counted by comparisons, and
-        only a uniform past them is searched for in the whole cdf."""
+        here u's guide bucket (u * M, exact as M is a power of two) gives
+        that count, and only a uniform in a marked bucket is searched for
+        in the cdf.  The uniforms are drawn DRAW_CHUNK at a time in C order."""
 
-        cdf = self.weights.cumsum()
-        cdf /= cdf[-1]
-        u = rng.random(shape)
-        # the last entry is 1.0, above every uniform
-        head = min(DRAW_HEAD, len(cdf) - 1)
-        count = np.zeros(u.shape, dtype=np.uint8)
-        for c in cdf[:head].tolist():
-            count += u >= c
-        idx = count.astype(np.int64)
-        if head < len(cdf) - 1:
-            far = count == head
-            idx[far] = cdf.searchsorted(u[far], side="right")
-        return idx
+        cdf, guide, marked = self._guide
+        out = np.empty(shape, dtype=np.int64)
+        flat = out.reshape(-1)
+        for start in range(0, flat.size, DRAW_CHUNK):
+            u = rng.random(min(DRAW_CHUNK, flat.size - start))
+            idx = flat[start:start + len(u)]
+            # the bucket as int32: casting to int64 took four times as long
+            np.take(guide, (u * len(guide)).astype(np.int32), out=idx)
+            if marked:
+                far = np.flatnonzero(idx < 0)
+                idx[far] = cdf.searchsorted(u[far], side="right")
+        return out
 
     def sample(self, rng, size: int) -> List[GroupWord]:
         return [self.atom(i) for i in self.draw(rng, size).tolist()]

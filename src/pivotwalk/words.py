@@ -292,6 +292,15 @@ def syllable_table(words: Sequence[GroupWord]) -> Tuple[np.ndarray, np.ndarray]:
     return table[..., 0], np.ascontiguousarray(table[..., 1])
 
 
+def product_exponent_bound(table: Tuple[np.ndarray, np.ndarray], steps: int) -> int:
+    """The largest absolute exponent a product of `steps` atoms of `table`
+    can hold: a syllable of a product sums at most one syllable of each
+    factor."""
+
+    exp_a = table[1]
+    return steps * int(max(exp_a.max(initial=0), -exp_a.min(initial=0)))
+
+
 class SyllableStack:
     """Reduced words, one per row of a generator array `gens` and an
     exponent array `exps`: row i holds its syllables in columns 1 to its
@@ -309,11 +318,10 @@ class SyllableStack:
     def identities(cls, table: Tuple[np.ndarray, np.ndarray], rows: int, steps: int) -> "SyllableStack":
         """`rows` identity words with room for `steps` atoms of `table`
         each, in integer types that hold the table's largest generator and
-        `steps` times its largest exponent: a syllable of a product sums at
-        most one syllable of each factor, so no exponent wraps."""
+        `product_exponent_bound`, so no exponent wraps."""
 
         gen_a, exp_a = table
-        largest = steps * int(max(exp_a.max(initial=0), -exp_a.min(initial=0)))
+        largest = product_exponent_bound(table, steps)
         if largest >= 2 ** 63:
             raise ValueError("a product of %d steps has exponents beyond 64 bits" % steps)
         # the narrowest signed type holding -b - 1 holds -b..b

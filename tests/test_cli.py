@@ -356,6 +356,8 @@ _INPUT_FILES = {
     "letter-true.json": _with_letter(True),
     # an exponent beyond 64 bits
     "exp-int64.json": '{"support": ["a^99999999999999999999", "A"], "weights": [0.5, 0.5]}',
+    # an exponent within 64 bits whose products of 2 steps are not
+    "product-int64.json": '{"support": ["a^4611686018427387904", "A"], "weights": [0.5, 0.5]}',
     **_BAD_CONSTANTS,
     # two one-letter blocks whose file loosens the floor and the length unit
     "one-letter.json": json.dumps({"m0": 1, "sequences": [[[1]], [[2]]], "constants": {
@@ -437,6 +439,7 @@ _SCHOTTKY_ARGVS = (["census", "--n-max", "2"],
     ["census", "--model", "tree3", "--n-max", "2"],
     ["census", "--model", "tree7", "--n-max", "2"],
     ["run", "--experiment", "genericity", "--model", "tree3", "--n", "20,40", "--trials", "20"],
+    ["run", "--experiment", "genericity", "--n", "50,100", "--measure", "product-int64.json"],
 ])
 def test_bad_input_is_refused_cleanly(monkeypatch, tmp_path, capsys, argv):
     for name in set(argv) & set(_INPUT_FILES):
@@ -447,6 +450,17 @@ def test_bad_input_is_refused_cleanly(monkeypatch, tmp_path, capsys, argv):
         argv = argv[1:]
     assert run_cli(monkeypatch, tmp_path, *argv) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("configuration error:")
+
+
+@pytest.mark.parametrize("experiment", ["genericity", "discrepancy", "clt", "clt-converse", "free-subgroup"])
+def test_measure_too_wide_for_the_grid_is_refused_by_name(monkeypatch, tmp_path, capsys, experiment):
+    # refused before any walk: no output directory is made
+    (tmp_path / "m.json").write_text(_INPUT_FILES["product-int64.json"])
+    argv = ["run", "--experiment", experiment, "--n", "100", "--trials", "20", "--measure", "m.json", "--out", "o"]
+    assert run_cli(monkeypatch, tmp_path, *argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == ("configuration error: --measure m.json: a product of 100 steps (the largest"
+                                       " --n) has exponents beyond 64 bits\n")
+    assert not (tmp_path / "o").exists()
 
 
 # each experiment-specific flag given to an experiment that does not read

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from pivotwalk import walks
 from pivotwalk.geometry import Path, is_aligned
 from pivotwalk.verifier import non_elementary, tree_walk_ensemble
 from pivotwalk.words import GroupWord, word_from_str, word_to_str
 from pivotwalk.spaces import TreeModel
 from pivotwalk.schottky import D1, SchottkySet, build_schottky
 from pivotwalk.walks import (
-    DRAW_HEAD,
+    GUIDE_BITS,
     StepMeasure,
     simple_rw,
     heavy_tail,
@@ -105,14 +106,18 @@ def _draw_matches_choice(mu, shape, rng_seed):
     assert got_rng.random() == want_rng.random()
 
 
+def _law(weights):
+    """A law on the powers a, a^2, ... with these weights."""
+    return StepMeasure([GroupWord.generator(1, k + 1) for k in range(len(weights))], weights)
+
+
 @st.composite
 def _integer_laws(draw):
-    """Laws on 1 to 2 * DRAW_HEAD + 5 atoms, so supports shorter and longer
-    than the comparison head, with any weight possibly zero."""
+    """Laws on 1 to 2 * GUIDE_BITS + 5 atoms, so guide tables of 4 to 256
+    buckets, with any weight possibly zero."""
 
-    weights = draw(st.lists(st.integers(0, 5), min_size=1, max_size=2 * DRAW_HEAD + 5).filter(any))
-    atoms = [GroupWord.generator(1, k + 1) for k in range(len(weights))]
-    return StepMeasure(atoms, [x / sum(weights) for x in weights])
+    weights = draw(st.lists(st.integers(0, 5), min_size=1, max_size=2 * GUIDE_BITS + 5).filter(any))
+    return _law([x / sum(weights) for x in weights])
 
 
 @seed(2022)
@@ -148,14 +153,71 @@ def _generator_at(u):
     [0.0, 0.25, 0.0, 0.25, 0.5],
     [0.0, 0.0, 1.0],
     [1 / 64] * 24 + [0.0] * 3 + [1 / 64] * 40,
-], ids=["short", "leading-zeros", "past-head"])
+    # 3/64 lies inside the first of 16 guide buckets, so it is searched for
+    [3 / 64, 0.0, 5 / 64, 7 / 8],
+], ids=["short", "leading-zeros", "past-head", "marked"])
 def test_draw_breaks_ties_as_rng_choice(weights):
     # a uniform equal to a cdf entry counts that entry, one just below does not
-    mu = StepMeasure([GroupWord.generator(1, k + 1) for k in range(len(weights))], weights)
+    mu = _law(weights)
     cdf = np.cumsum(weights)
     for u in sorted({0.0, *cdf[:-1].tolist(), *(cdf[cdf > 0] - 2 ** -53).tolist()}):
         got, want = mu.draw(_generator_at(u), 1), _generator_at(u).choice(len(weights), size=1, p=mu.weights)
         assert got.tolist() == want.tolist(), u
+
+
+@pytest.mark.parametrize("weights", [
+    [0.1, 0.0, 0.3, 0.05, 0.55],
+    # cdf entries 1/4, 3/8, 3/8 and 1, on bucket edges
+    [0.25, 0.125, 0.0, 0.625],
+    [0.25] * 4,
+    [1 / 3] * 3,
+], ids=["uneven", "on-edges", "simple", "thirds"])
+def test_draw_at_every_bucket_edge(weights):
+    # a uniform at a bucket's lower edge and one just below it
+    mu = _law(weights)
+    buckets = len(mu._guide[1])
+    assert buckets == 4 << (len(weights) - 1).bit_length()
+    edges = np.arange(buckets + 1) / buckets
+    for u in sorted({*edges[:-1].tolist(), *(edges[1:] - 2 ** -53).tolist()}):
+        got, want = mu.draw(_generator_at(u), 1), _generator_at(u).choice(len(weights), size=1, p=mu.weights)
+        assert got.tolist() == want.tolist(), u
+
+
+def test_equal_weights_mark_no_bucket():
+    # a cdf entry on a bucket's upper edge belongs to the next bucket
+    for mu in (simple_rw(), _law([0.5, 0.5]), _law([0.125] * 8)):
+        assert not mu._guide[2] and (mu._guide[1] >= 0).all()
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("bits", [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64],
+                         ids=lambda bits: bits.__name__)
+def test_draw_in_chunks(monkeypatch, chunk, bits):
+    # each chunk goes on with the stream where the last one stopped
+    monkeypatch.setattr(walks, "DRAW_CHUNK", chunk)
+    laws = [simple_rw(), heavy_tail(kmax=16), _law([0.1, 0.0, 0.3, 0.05, 0.55])]
+    for mu in laws:
+        for shape in (chunk, 3 * chunk + 2, (4, 5), (2, 3, 7)):
+            got_rng, want_rng = np.random.Generator(bits(5)), np.random.Generator(bits(5))
+            got = mu.draw(got_rng, shape)
+            want = want_rng.choice(len(mu.weights), size=shape, p=mu.weights)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert got_rng.bit_generator.random_raw(3).tolist() == want_rng.bit_generator.random_raw(3).tolist()
+
+
+def test_draw_with_more_atoms_than_buckets():
+    # 100,000 atoms with runs of zero weights and clusters of tiny ones, so
+    # that a table of 2^GUIDE_BITS buckets marks most of its buckets
+    rng = np.random.default_rng(7)
+    weights = rng.random(100_000)
+    starts = rng.integers(0, 99_000, 40)[:, None] + np.arange(1000)
+    weights[starts[:20]] = 0.0
+    weights[starts[20:]] = 1e-12
+    mu = _law(weights / weights.sum())
+    guide = mu._guide[1]
+    assert len(guide) == 2 ** GUIDE_BITS < len(weights) and (guide < 0).mean() > 0.5
+    for rng_seed in range(3):
+        _draw_matches_choice(mu, (50, 2000), rng_seed)
 
 
 @pytest.fixture(scope="module", params=[1, 16, 65536, 5], ids=lambda kmax: "kmax%d-rank2" % kmax)
