@@ -314,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.set_defaults(func=cmd_census)
 
-    p = sub.add_parser("report")
+    p = sub.add_parser("report", allow_abbrev=False)
     p.add_argument("csv")
     p.add_argument("--out")
     p.set_defaults(func=cmd_report)

@@ -14,14 +14,13 @@ from __future__ import annotations
 import itertools
 import json
 import numbers
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import List, Sequence, Set, Tuple
 
 import numpy as np
 
-from .words import GroupWord, letter_rows, row_keys
+from .words import GroupWord, letter_rows, partial_products, row_keys
 from .geometry import Path, is_aligned
 
 
@@ -38,8 +37,7 @@ class SchottkySequence:
     _partials: Tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        partials = itertools.accumulate(self.steps, operator.mul, initial=GroupWord.identity())
-        object.__setattr__(self, "_partials", tuple(partials))
+        object.__setattr__(self, "_partials", tuple(partial_products(self.steps)))
 
     def __len__(self) -> int:
         return len(self.steps)

@@ -303,11 +303,7 @@ def run_discrepancy(
         applicable = 0
         violations = 0
         for t in range(claim_trials):
-            rng = _trial_rng(seed, 10_000 + t)
-            incs = measure.sample(rng, claim_n)
-            horizon = max(sch.m0, claim_n // 10)
-            aux = measure.sample(rng, 2 * (horizon + claim_n - claim_n // 2))
-            wit = discrepancy_bound_witness(sch, incs, aux, horizon=horizon)
+            wit = discrepancy_bound_witness(sch, measure.sample(_trial_rng(seed, 10_000 + t), claim_n))
             if wit.applicable:
                 applicable += 1
                 if wit.lhs > wit.rhs:

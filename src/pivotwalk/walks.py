@@ -21,7 +21,7 @@ import numpy as np
 
 from .geometry import is_aligned
 from .schottky import D1, SchottkySet
-from .words import GroupWord, syllable_table, word_from_str, word_to_str
+from .words import GroupWord, partial_products, syllable_table, word_from_str, word_to_str
 
 # `StepMeasure.draw` turns this many uniforms at a time into atom indices,
 # so that its temporaries stay in cache: one chunk a call raised the
@@ -198,13 +198,6 @@ def heavy_tail(eta: float = 1.1, kmax: int = 65536) -> StepMeasure:
     return StepMeasure(None, weights, "heavy_tail", table=(gens[:, None], exps[:, None]), params=params)
 
 
-def partial_products(increments: Sequence[GroupWord]) -> List[GroupWord]:
-    out = [GroupWord.identity()]
-    for s in increments:
-        out.append(out[-1] * s)
-    return out
-
-
 def walk_product(increments: Sequence[GroupWord]) -> GroupWord:
     """W_n = g_1 g_2 ... g_n, the last of the partial products."""
 
@@ -217,24 +210,24 @@ def walk_product(increments: Sequence[GroupWord]) -> GroupWord:
 
 def deviation(
     sch: SchottkySet,
-    back_incs: Sequence[GroupWord],
+    back_pts: Sequence[GroupWord],
     fwd_incs: Sequence[GroupWord],
-    horizon: int,
+    fwd_pts: Sequence[GroupWord],
 ) -> int:
     """Minimal k with a witness index i, m0 <= i <= k, such that the i-th
     forward window spells a Schottky block and the window's axis separates
     every backward point from every forward point at or past k (tested up
-    to `horizon`, D1-width alignment); horizon + 1 when no window is a
-    witness.  The backward side's variable is this one with the two sides
-    swapped.
+    to the horizon len(fwd_pts) - 1, D1-width alignment); horizon + 1 when
+    no window is a witness.  `fwd_pts` are the partial products of
+    `fwd_incs`, and the backward side's variable is this one with the two
+    sides swapped.
     """
 
     m0 = sch.m0
+    horizon = len(fwd_pts) - 1
     if horizon < m0:
         raise ValueError("horizon below block length")
     blocks = {tuple(seq.steps): seq for seq in sch.sequences}
-    fwd_pts = partial_products(fwd_incs[:horizon])
-    back_pts = partial_products(back_incs[:horizon])
 
     best = horizon + 1  # the least k found so far
     for i in range(m0, horizon + 1):
@@ -266,47 +259,34 @@ class DiscrepancyWitness:
     rhs: Optional[int]
 
 
-def discrepancy_bound_witness(
-    sch: SchottkySet,
-    increments: Sequence[GroupWord],
-    aux: Sequence[GroupWord],
-    horizon: int,
-) -> DiscrepancyWitness:
+def discrepancy_bound_witness(sch: SchottkySet, increments: Sequence[GroupWord]) -> DiscrepancyWitness:
     """Both sides of the displacement-vs-translation-length gap bound.
 
     The trajectory is re-split at its midpoint into two forward/backward
-    pairs (auxiliary fresh increments `aux` extend each piece past the
-    data it owns); when all four deviation variables are below n/10 the
-    bound gap <= 2 * min(forward, backward reach at the deviation time)
-    must hold, with the translation length computed exactly.
+    pairs; when all four deviation variables are below n/10 the bound
+    gap <= 2 * min(forward, backward reach at the deviation time) must
+    hold, with the translation length computed exactly.  Each side is
+    walked to the horizon h = min(max(m0, n // 10), n // 2), which keeps
+    it inside the walk: a deviation past h is at least n/10 anyway.
     """
 
-    n = len(increments)
-    half = n // 2
-    horizon = min(horizon, half)
-    need = horizon + (n - half)
-    if len(aux) < 2 * need:
-        raise ValueError("need at least %d auxiliary increments" % (2 * need))
-    aux_pos = list(aux[:need])
-    aux_neg = list(aux[need : 2 * need])
-
     g = list(increments)
-    fwd0 = g[:half] + aux_pos
-    chk0 = [w.inverse() for w in reversed(g[half:])] + aux_neg
-    fwd1 = g[half:] + aux_pos
-    chk1 = [w.inverse() for w in reversed(g[:half])] + aux_neg
-
-    d0 = deviation(sch, chk0, fwd0, horizon)
-    dc0 = deviation(sch, fwd0, chk0, horizon)
-    d1v = deviation(sch, chk1, fwd1, horizon)
-    dc1 = deviation(sch, fwd1, chk1, horizon)
-    if max(d0, dc0, d1v, dc1) >= n / 10:
+    inv = [s.inverse() for s in reversed(g)]  # the walk read back from its end
+    n, half = len(g), len(g) // 2
+    h = min(max(sch.m0, n // 10), half)
+    # h steps of each side: forward from o and back from Z_n o, then
+    # forward and back from the midpoint
+    sides = (g[:h], inv[:h], g[half : half + h], inv[n - half : n - half + h])
+    f0, c0, f1, c1 = map(partial_products, sides)
+    d0 = deviation(sch, c0, sides[0], f0)
+    dc0 = deviation(sch, f0, sides[1], c0)
+    d1 = deviation(sch, c1, sides[2], f1)
+    dc1 = deviation(sch, f1, sides[3], c1)
+    if max(d0, dc0, d1, dc1) >= n / 10:
         return DiscrepancyWitness(False, None, None)
 
     total = walk_product(g)
     lhs = len(total) - total.translation_length()
     # the reaches: displacements at the deviation times
-    reach_f = len(walk_product(fwd0[:d0]))
-    reach_b = len(walk_product(chk0[:dc0]))
-    rhs = 2 * min(reach_f, reach_b)
+    rhs = 2 * min(len(f0[d0]), len(c0[dc0]))
     return DiscrepancyWitness(True, lhs, rhs)

@@ -177,6 +177,14 @@ class GroupWord:
 _IDENTITY = GroupWord(())
 
 
+def partial_products(steps: Iterable[GroupWord]) -> List[GroupWord]:
+    """The identity, then the product of each leading run of steps."""
+    out = [_IDENTITY]
+    for s in steps:
+        out.append(out[-1] * s)
+    return out
+
+
 def common_prefix_letters(u: GroupWord, v: GroupWord) -> int:
     """Number of leading letters shared by two reduced words."""
     count = 0

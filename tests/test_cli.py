@@ -279,6 +279,13 @@ class TestReport:
     def test_missing_csv(self, monkeypatch, tmp_path):
         assert run_cli(monkeypatch, tmp_path, "report", "nope.csv") == EXIT_CONFIG
 
+    def test_abbreviated_flag_is_refused(self, monkeypatch, tmp_path, capsys):
+        # flags are spelled in full, as on every other verb: --o is no --out
+        (tmp_path / "samples.csv").write_text("n,trial,gap\n10,0,1\n40,0,2\n")
+        assert run_cli(monkeypatch, tmp_path, "report", "samples.csv", "--o", "x.svg") == EXIT_CONFIG
+        assert "unrecognized arguments: --o x.svg" in capsys.readouterr().err
+        assert not (tmp_path / "x.svg").exists()
+
 
 _PLANE_RUNS = [
     ["run", "--experiment", "genericity", "--n", "20,40"],

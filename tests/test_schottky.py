@@ -290,6 +290,25 @@ def test_heads_past_a_and_b_decide_general_position():
     assert verify_schottky(sch) == ["general_position"]
 
 
+@pytest.mark.parametrize("text, size, k0, failed", [
+    # w and w^-1 share 2 < k0 letters, yet the axis is not aligned with its
+    # translate: projections snap to the axis's samples, one a step
+    ("A b^3 a^2 B^2 a^2 B A^2 B a", 3, 3, ["self_alignment"]),
+    # w and w^-1 share 2 = k0 letters, yet the axis is aligned with its translate
+    ("b A^2 b a B a B^2 A B A B^2 a b^2 A b A b A B a^2 b A b a B", 6, 2, []),
+])
+def test_heads_do_not_decide_self_alignment_of_long_steps(text, size, k0, failed):
+    # a one-block set of five steps of `size` letters each
+    letters = list(w(text).letters())
+    seq = SchottkySequence(tuple(GroupWord.from_letters(letters[i:i + size]) for i in range(0, len(letters), size)))
+    product = seq.product()
+    assert (len(seq), len(product)) == (5, 5 * size)
+    # the head rule would pass the block iff w and w^-1 share fewer than k0 letters
+    head_rule_passes = common_prefix_letters(product, product.inverse()) < k0
+    assert verify_schottky(SchottkySet((seq,), k0)) == failed
+    assert head_rule_passes == bool(failed)
+
+
 def _reduced_letters(size):
     """Reduced spellings over a, b of `size` letters: each choice picks one
     of the letters that do not cancel the one before."""

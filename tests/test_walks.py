@@ -10,17 +10,18 @@ from hypothesis import given, seed, settings, strategies as st
 from pivotwalk import walks
 from pivotwalk.geometry import Path, is_aligned
 from pivotwalk.verifier import non_elementary, tree_walk_ensemble
-from pivotwalk.words import GroupWord, word_from_str, word_to_str
+from pivotwalk.words import GroupWord, partial_products, word_from_str, word_to_str
 from pivotwalk.spaces import TreeModel
-from pivotwalk.schottky import D1, SchottkySet, build_schottky
+from pivotwalk.schottky import D1, SchottkySet, build_schottky, tree_schottky_set
 from pivotwalk.walks import (
     GUIDE_BITS,
     StepMeasure,
     simple_rw,
     heavy_tail,
-    partial_products,
+    walk_product,
     deviation,
     discrepancy_bound_witness,
+    DiscrepancyWitness,
 )
 
 from test_verifier import reference_ensemble
@@ -368,6 +369,12 @@ def reference_deviation(sch, check_incs, fwd_incs, horizon, mirrored=False):
     return horizon + 1
 
 
+def deviation_to(sch, back_incs, fwd_incs, horizon):
+    """`deviation` of two sides of increments, each walked to `horizon`."""
+    return deviation(sch, partial_products(back_incs[:horizon]), fwd_incs,
+                     partial_products(fwd_incs[:horizon]))
+
+
 class TestDeviation:
     @pytest.mark.parametrize("rng_seed", range(12))
     def test_matches_reference_on_folding_walks(self, rng_seed):
@@ -391,24 +398,24 @@ class TestDeviation:
 
         chk, fwd = incs(60), incs(60)
         # the backward side is the forward variable with the sides swapped
-        for got, mirrored in ((deviation(sch, chk, fwd, 40), False), (deviation(sch, fwd, chk, 40), True)):
+        for got, mirrored in ((deviation_to(sch, chk, fwd, 40), False), (deviation_to(sch, fwd, chk, 40), True)):
             assert got == reference_deviation(sch, chk, fwd, 40, mirrored)
 
     def test_straight_block_walk_has_minimal_deviation(self):
         blk0, blk1 = list(SCH.sequences[0].steps), list(SCH.sequences[1].steps)
         fwd = blk0 + blk1 + blk0
         chk = blk1 + blk0 + blk1
-        assert deviation(SCH, chk, fwd, horizon=10) == SCH.m0
-        assert deviation(SCH, fwd, chk, horizon=10) == SCH.m0
+        assert deviation_to(SCH, chk, fwd, horizon=10) == SCH.m0
+        assert deviation_to(SCH, fwd, chk, horizon=10) == SCH.m0
 
     def test_capped_when_no_block_spelled(self):
         rng = np.random.default_rng(1)
         incs = simple_rw().sample(rng, 20)
-        assert deviation(SCH, incs, incs, horizon=10) == 11
+        assert deviation_to(SCH, incs, incs, horizon=10) == 11
 
     def test_horizon_validation(self):
         with pytest.raises(ValueError):
-            deviation(SCH, [a] * 10, [a] * 10, horizon=SCH.m0 - 1)
+            deviation_to(SCH, [a] * 10, [a] * 10, horizon=SCH.m0 - 1)
 
 
 class TestDiscrepancyWitness:
@@ -418,8 +425,7 @@ class TestDiscrepancyWitness:
         blk = list(sch.sequences[0].steps)
         inv = [s.inverse() for s in reversed(blk)]
         g = blk * 6 + inv * 6  # returns to the start: displacement 0, length 0
-        aux = blk * 72
-        wit = discrepancy_bound_witness(sch, g, aux[:72], horizon=6)
+        wit = discrepancy_bound_witness(sch, g)
         # the forward and backward deviations are 5, where each side has
         # spelled one block of 5 letters: both reaches are 5
         assert (wit.applicable, wit.lhs, wit.rhs) == (True, 0, 10)
@@ -428,11 +434,85 @@ class TestDiscrepancyWitness:
     def test_generic_walk_inapplicable_at_small_n(self):
         rng = np.random.default_rng(0)
         incs = simple_rw().sample(rng, 60)
-        aux = simple_rw().sample(rng, 2 * (6 + 30))
-        wit = discrepancy_bound_witness(SCH, incs, aux, horizon=6)
+        wit = discrepancy_bound_witness(SCH, incs)
         assert not wit.applicable
         assert wit.lhs is None and wit.rhs is None
 
-    def test_short_aux_rejected(self):
-        with pytest.raises(ValueError):
-            discrepancy_bound_witness(SCH, [a] * 20, [a] * 3, horizon=5)
+
+def reference_witness(
+    sch: SchottkySet,
+    increments,
+    aux,
+    horizon: int,
+) -> DiscrepancyWitness:
+    """Both sides of the displacement-vs-translation-length gap bound.
+
+    The trajectory is re-split at its midpoint into two forward/backward
+    pairs (auxiliary fresh increments `aux` extend each piece past the
+    data it owns); when all four deviation variables are below n/10 the
+    bound gap <= 2 * min(forward, backward reach at the deviation time)
+    must hold, with the translation length computed exactly.
+    """
+
+    n = len(increments)
+    half = n // 2
+    horizon = min(horizon, half)
+    need = horizon + (n - half)
+    if len(aux) < 2 * need:
+        raise ValueError("need at least %d auxiliary increments" % (2 * need))
+    aux_pos = list(aux[:need])
+    aux_neg = list(aux[need : 2 * need])
+
+    g = list(increments)
+    fwd0 = g[:half] + aux_pos
+    chk0 = [w.inverse() for w in reversed(g[half:])] + aux_neg
+    fwd1 = g[half:] + aux_pos
+    chk1 = [w.inverse() for w in reversed(g[:half])] + aux_neg
+
+    d0 = reference_deviation(sch, chk0, fwd0, horizon)
+    dc0 = reference_deviation(sch, fwd0, chk0, horizon)
+    d1v = reference_deviation(sch, chk1, fwd1, horizon)
+    dc1 = reference_deviation(sch, fwd1, chk1, horizon)
+    if max(d0, dc0, d1v, dc1) >= n / 10:
+        return DiscrepancyWitness(False, None, None)
+
+    total = walk_product(g)
+    lhs = len(total) - total.translation_length()
+    # the reaches: displacements at the deviation times
+    reach_f = len(walk_product(fwd0[:d0]))
+    reach_b = len(walk_product(chk0[:dc0]))
+    rhs = 2 * min(reach_f, reach_b)
+    return DiscrepancyWitness(True, lhs, rhs)
+
+
+WITNESS_SETS = {"tree18": lambda: tree_schottky_set(18, 0), "tree4": lambda: tree_schottky_set(4, 3),
+                "built2x10": lambda: build_schottky(2, 10)}
+# a law with two-letter atoms beside the simple walk
+TWO_LETTER = StepMeasure([w("a b"), w("B A"), w("b A"), w("a B"), a], [0.2] * 5)
+
+
+@pytest.mark.parametrize("law", [simple_rw, lambda: TWO_LETTER], ids=["simple", "two-letter"])
+@pytest.mark.parametrize("set_name", WITNESS_SETS)
+def test_witness_matches_reference(set_name, law):
+    # walks that alternate whole blocks, forward or inverted, with runs of
+    # steps of the law, longer for some seeds, so that some trials find a
+    # witness on every side and some do not; `aux` is drawn from the walk's
+    # generator after the walk, as the claim runner drew it
+    sch, mu = WITNESS_SETS[set_name](), law()
+    blocks = [seq.steps for seq in sch.sequences] + [seq.inverse().steps for seq in sch.sequences]
+    outcomes = set()
+    for n in (2 * sch.m0, 60, 101, 400, 1500):
+        for rng_seed in range(6):
+            rng = np.random.default_rng(rng_seed)
+            incs = []
+            while len(incs) < n:
+                pick = int(rng.integers(0, 2 * len(blocks)))
+                run = int(rng.integers(1, 2 + 4 * (rng_seed % 3)))
+                incs += blocks[pick] if pick < len(blocks) else mu.sample(rng, run)
+            incs = incs[:n]
+            horizon = max(sch.m0, n // 10)
+            aux = mu.sample(rng, 2 * (horizon + n - n // 2))
+            got = discrepancy_bound_witness(sch, incs)
+            assert got == reference_witness(sch, incs, aux, horizon), (n, rng_seed)
+            outcomes.add(got.applicable)
+    assert outcomes == {False, True}
