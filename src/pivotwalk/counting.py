@@ -1,4 +1,4 @@
-"""Ball enumeration, the ball census and the k-tuple census in the free group.
+"""Ball enumeration, the ball census and free-basis checks in the free group.
 
 The ball of a subgroup is walked level by level as rows of a
 `SyllableStack`, and the census reads each element's translation length off
@@ -8,7 +8,6 @@ exceed it, and sampled products fill in the rest, flagged as partial.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -116,17 +115,25 @@ def census_rows(ball: BallResult, n_max: int, K: float) -> List[Tuple[int, int, 
 
 
 # ---------------------------------------------------------------------------
-# freeness of tuples
+# free bases
 
 
 def subgroup_rank(words: Sequence[GroupWord]) -> int:
-    """Rank of the subgroup generated by `words`, via graph folding.
+    """Rank of the subgroup generated by `words`, via Stallings folding.
 
-    Wedge of labeled loops at a base vertex, folded until no vertex has two
-    equally-labeled edges in the same direction; the rank of the core graph
-    is E - V + 1."""
+    Each word is a loop of labelled edges at the base vertex 0.  A pass
+    merges the far ends of any two edges that leave one vertex with one
+    label (an edge read backwards carries the inverse label); passes repeat
+    until one merges nothing.  The rank of the folded graph is E - V + 1."""
 
-    parent: List[int] = [0]
+    edges: List[Tuple[int, int, int]] = []  # (tail, positive label, head)
+    size = 1
+    for w in words:
+        letters = list(w.letters())
+        loop = [0, *range(size, size + len(letters) - 1), 0]
+        size += max(len(letters) - 1, 0)
+        edges += [(u, x, v) if x > 0 else (v, -x, u) for u, x, v in zip(loop, letters, loop[1:])]
+    parent = list(range(size))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -134,66 +141,18 @@ def subgroup_rank(words: Sequence[GroupWord]) -> int:
             x = parent[x]
         return x
 
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    def new_vertex() -> int:
-        parent.append(len(parent))
-        return len(parent) - 1
-
-    edges: List[Tuple[int, int, int]] = []  # (u, positive label, v)
-    for w in words:
-        letters = list(w.letters())
-        if not letters:
-            continue
-        prev = 0
-        for i, letter in enumerate(letters):
-            tgt = 0 if i == len(letters) - 1 else new_vertex()
-            if letter > 0:
-                edges.append((prev, letter, tgt))
-            else:
-                edges.append((tgt, -letter, prev))
-            prev = tgt
-
-    changed = True
-    while changed:
-        changed = False
-        seen: Dict[Tuple[int, int], int] = {}
-        for u0, lab, v0 in edges:
-            u, v = find(u0), find(v0)
-            for key, other in (((u, lab), v), ((v, -lab), u)):
-                known = seen.get(key)
-                if known is None:
-                    seen[key] = other
-                elif find(known) != find(other):
-                    union(known, other)
-                    changed = True
-            if changed:
-                break
-
-    eset = set()
-    vset = {find(0)}
-    for u0, lab, v0 in edges:
-        u, v = find(u0), find(v0)
-        eset.add((u, lab, v))
-        vset.add(u)
-        vset.add(v)
-    return len(eset) - len(vset) + 1
-
-
-def tuple_is_free(words: Sequence[GroupWord]) -> bool:
-    """A k-tuple generates a rank-k free subgroup."""
-
-    seen = set()
-    for w in words:
-        if w.is_identity():
-            return False
-        if w in seen or w.inverse() in seen:
-            return False
-        seen.add(w)
-    return subgroup_rank(words) == len(words)
+    merged = True
+    while merged:
+        merged = False
+        seen: Dict[Tuple[int, int], int] = {}  # (vertex, signed label) -> far end
+        for u, lab, v in edges:
+            for key, far in (((find(u), lab), v), ((find(v), -lab), u)):
+                known, far = find(seen.setdefault(key, far)), find(far)
+                if known != far:
+                    parent[known] = far
+                    merged = True
+    folded = {(find(u), lab, find(v)) for u, lab, v in edges}
+    return len(folded) - len({find(x) for x in range(size)}) + 1
 
 
 def free_basis_margin(words: Sequence[GroupWord]) -> int:
@@ -211,43 +170,3 @@ def free_basis_margin(words: Sequence[GroupWord]) -> int:
     c = max(common_prefix_letters(signed[i, -s], signed[j, t])
             for i, s in signed for j, t in signed if (j, t) != (i, -s))
     return min(len(z) for z in words) - 2 * c
-
-
-@dataclass(frozen=True)
-class CensusResult:
-    total: int
-    free: int
-    fraction: float
-    exhaustive: bool
-    sampled: bool
-    tuple_count_examined: int
-
-
-def ktuple_census(
-    elements: Sequence[GroupWord],
-    k: int,
-    budget: int = 10_000_000,
-    rng=None,
-) -> CensusResult:
-    """Fraction of ordered k-tuples from `elements` generating free rank-k
-    subgroups.  Falls back to uniformly sampled tuples past the budget."""
-
-    n = len(elements)
-    total = n ** k
-    if total <= budget:
-        free = 0
-        examined = 0
-        for tup in itertools.product(elements, repeat=k):
-            examined += 1
-            if tuple_is_free(tup):
-                free += 1
-        return CensusResult(total, free, free / max(total, 1), True, False, examined)
-    rng = rng if rng is not None else np.random.default_rng(0)
-    samples = min(budget, 100_000)
-    free = 0
-    for _ in range(samples):
-        idx = rng.integers(0, n, size=k)
-        tup = [elements[int(i)] for i in idx]
-        if tuple_is_free(tup):
-            free += 1
-    return CensusResult(total, free, free / samples, False, True, samples)

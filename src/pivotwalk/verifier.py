@@ -279,8 +279,9 @@ def run_discrepancy(
                                  % ",".join(map(str, grid)))
     if claim_trials < 0 or (claim_n is not None and claim_n <= 0):
         raise ConfigurationError("claim_trials must be non-negative and claim_n positive")
-    if claim_trials > 0 and (sch is None or claim_n is None):
-        raise ConfigurationError("the reach-bound claim needs a Schottky set and claim_n")
+    if len({claim_trials > 0, sch is not None, claim_n is not None}) > 1:
+        raise ConfigurationError("the reach-bound claim takes --schottky, --claim-n and --claim-trials "
+                                 "above 0 together, or none of them")
     if claim_trials > 0 and claim_n // 2 < sch.m0:
         # each half of a claim walk must hold a whole block for `deviation`
         raise ConfigurationError("the reach-bound claim needs claim_n // 2 >= the block length %d, "

@@ -267,23 +267,24 @@ def discrepancy_bound_witness(sch: SchottkySet, increments: Sequence[GroupWord])
     gap <= 2 * min(forward, backward reach at the deviation time) must
     hold, with the translation length computed exactly.  Each side is
     walked to the horizon h = min(max(m0, n // 10), n // 2), which keeps
-    it inside the walk: a deviation past h is at least n/10 anyway.
+    it inside the walk: a deviation past h is at least n/10 anyway.  The
+    first deviation variable that reaches n/10 ends the trial.
     """
 
     g = list(increments)
-    inv = [s.inverse() for s in reversed(g)]  # the walk read back from its end
     n, half = len(g), len(g) // 2
     h = min(max(sch.m0, n // 10), half)
     # h steps of each side: forward from o and back from Z_n o, then
     # forward and back from the midpoint
-    sides = (g[:h], inv[:h], g[half : half + h], inv[n - half : n - half + h])
+    sides = (g[:h], [s.inverse() for s in reversed(g[n - h :])],
+             g[half : half + h], [s.inverse() for s in reversed(g[half - h : half])])
     f0, c0, f1, c1 = map(partial_products, sides)
-    d0 = deviation(sch, c0, sides[0], f0)
-    dc0 = deviation(sch, f0, sides[1], c0)
-    d1 = deviation(sch, c1, sides[2], f1)
-    dc1 = deviation(sch, f1, sides[3], c1)
-    if max(d0, dc0, d1, dc1) >= n / 10:
-        return DiscrepancyWitness(False, None, None)
+    devs = []
+    for back, incs, fwd in ((c0, sides[0], f0), (f0, sides[1], c0), (c1, sides[2], f1), (f1, sides[3], c1)):
+        devs.append(deviation(sch, back, incs, fwd))
+        if devs[-1] >= n / 10:
+            return DiscrepancyWitness(False, None, None)
+    d0, dc0 = devs[:2]
 
     total = walk_product(g)
     lhs = len(total) - total.translation_length()

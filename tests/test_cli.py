@@ -390,6 +390,11 @@ _SCHOTTKY_ARGVS = (["census", "--n-max", "2"],
     ["census", "--n-max", "1"],
     ["run", "--experiment", "clt", "--n", "50", "--trials", "1"],
     ["run", "--experiment", "discrepancy", "--n", "20,80", "--trials", "20", "--claim-trials", "2"],
+    # claim inputs without claim trials would be loaded and then ignored
+    ["run", "--experiment", "discrepancy", "--n", "20,80", "--trials", "20", "--claim-n", "40"],
+    ["run", "--experiment", "discrepancy", "--n", "20,80", "--trials", "20", "--schottky", "block5.json"],
+    ["run", "--experiment", "discrepancy", "--n", "20,80", "--trials", "20", "--claim-trials", "0",
+     "--claim-n", "40", "--schottky", "block5.json"],
     ["census", "--n-max", "2", "--schottky", "no-constants.json"],
     ["census", "--n-max", "2", "--schottky", "list.json"],
     ["census", "--n-max", "2", "--schottky", "bad-constants.json"],

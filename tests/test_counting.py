@@ -1,7 +1,10 @@
-"""Ball enumeration, subgraph-folding rank, and the k-tuple freeness census.
+"""Ball enumeration and subgroup rank by Stallings folding.
 
 Rank values are frozen from hand-worked foldings: <a, b> has rank 2,
 <a, a^3> folds to <a> (rank 1), and <a^2, a^3> also generates <a>.
+Property tests check the fold against facts about free groups that it
+does not use: Nielsen moves and conjugation keep the rank, and a tuple
+with the identity, a repeat or an inverse pair is not a free basis.
 The ball and its census rows are checked against `reference_ball`, a
 breadth-first walk of `GroupWord` products that shares no code with the
 stack walk.
@@ -9,7 +12,6 @@ stack walk.
 
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
@@ -21,8 +23,6 @@ from pivotwalk.counting import (
     census_rows,
     enumerate_ball,
     subgroup_rank,
-    tuple_is_free,
-    ktuple_census,
 )
 
 a = GroupWord.from_letters([1])
@@ -133,32 +133,12 @@ class TestRank:
         assert subgroup_rank([w("b a B"), w("b a^2 B")]) == 1
 
     def test_tuple_is_free(self):
-        assert tuple_is_free([a, b])
-        assert tuple_is_free([w("a^2"), w("b^2"), w("a b")])
-        assert not tuple_is_free([a, w("a^3")])
-        assert not tuple_is_free([a, a])
-        assert not tuple_is_free([a, a.inverse()])
-        assert not tuple_is_free([a, GroupWord.identity()])
-
-
-class TestCensus:
-    def test_exhaustive_pair_census_on_tiny_ball(self):
-        res = ktuple_census([a, a.inverse(), b, b.inverse()], 2)
-        assert res.exhaustive and not res.sampled
-        assert res.total == 16
-        # frozen by hand: unordered {x, y} free iff y not in {x, x^-1};
-        # 4*2 = 8 such ordered failures plus none others
-        assert res.free == 8
-        assert res.fraction == pytest.approx(0.5)
-
-    def test_sampled_census_past_budget(self):
-        # the 17 elements of the radius-2 ball of the rank-2 free group
-        elements = [GroupWord.identity()] + [w(x) for x in
-                                             "a A b B aa ab aB AA Ab AB ba bA bb Ba BA BB".split()]
-        res = ktuple_census(elements, 4, budget=1000, rng=np.random.default_rng(1))
-        assert res.sampled and not res.exhaustive
-        assert res.tuple_count_examined == 1000
-        assert 0 <= res.fraction <= 1
+        assert subgroup_rank([a, b]) == 2
+        assert subgroup_rank([w("a^2"), w("b^2"), w("a b")]) == 3
+        assert subgroup_rank([a, w("a^3")]) < 2
+        assert subgroup_rank([a, a]) < 2
+        assert subgroup_rank([a, a.inverse()]) < 2
+        assert subgroup_rank([a, GroupWord.identity()]) < 2
 
 
 def census_gens(seed):
@@ -194,6 +174,38 @@ def test_ball_and_rows_match_reference_on_any_set(words, n_max, K):
     assert all(ref_ball[x] <= level for x, level in ball_levels(partial).items())
     rows = census_rows(partial, n_max, K)
     assert rows[:-1] == ref_rows[:-1] and rows[-1][4] == 0
+
+
+_RANK_SETTINGS = settings(max_examples=300, deadline=None, database=None)
+
+
+@seed(2022)
+@_RANK_SETTINGS
+@given(st.lists(_words, min_size=1, max_size=2), st.sampled_from(["identity", "repeat", "inverse"]), st.data())
+def test_tuple_with_identity_repeat_or_inverse_has_rank_below_k(words, kind, data):
+    z = data.draw(st.sampled_from(words))
+    extra = {"identity": GroupWord.identity(), "repeat": z, "inverse": z.inverse()}[kind]
+    words.insert(data.draw(st.integers(0, len(words))), extra)
+    assert subgroup_rank(words) < len(words)
+
+
+@seed(2022)
+@_RANK_SETTINGS
+@given(st.lists(_words, min_size=2, max_size=3), st.data())
+def test_nielsen_move_keeps_the_rank(words, data):
+    i, j = data.draw(st.permutations(range(len(words))))[:2]
+    moved = list(words)
+    moved[i] = words[i] * words[j]
+    assert subgroup_rank(moved) == subgroup_rank(words)
+
+
+@seed(2022)
+@_RANK_SETTINGS
+@given(st.lists(_words, min_size=1, max_size=3), _words)
+def test_conjugation_keeps_the_rank_which_is_at_most_k(words, u):
+    rank = subgroup_rank(words)
+    assert 0 <= rank <= len(words)
+    assert subgroup_rank([u * z * u.inverse() for z in words]) == rank
 
 
 def test_huge_exponent_does_not_wrap():

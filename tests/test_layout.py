@@ -32,7 +32,7 @@ SRC = sorted((ROOT / "src" / "pivotwalk").glob("*.py"))
 
 # reached by no caller today, kept on purpose
 ALLOWED = {
-    "ktuple_census": "the census-tuples rows decide whether it stays",
+    "subgroup_rank": "the folding oracle that the planned not-free census column and certificate fallback read",
 }
 
 # methods reached by no caller today, kept on purpose

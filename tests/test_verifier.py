@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from pivotwalk.counting import free_basis_margin, tuple_is_free
+from pivotwalk.counting import free_basis_margin, subgroup_rank
 from pivotwalk.words import GroupWord, word_from_str
 from pivotwalk.spaces import PlaneModel, TreeModel
 from pivotwalk.schottky import build_schottky
@@ -293,6 +293,12 @@ class TestDiscrepancy:
         assert claim["trials"] == 2
         assert claim["violations"] == 0
 
+    def test_claim_inputs_without_claim_trials_are_refused(self):
+        sch = build_schottky(size=2, m0=5)
+        for claim in ({"sch": sch}, {"claim_n": 100}, {"sch": sch, "claim_n": 100, "claim_trials": 0}):
+            with pytest.raises(ConfigurationError, match="--claim-trials"):
+                run_discrepancy(simple_rw(), T, [100, 400], 50, seed=6, **claim)
+
 
 class TestClt:
     def test_verdict_at_moderate_n(self):
@@ -364,7 +370,7 @@ def _certificate_is_sound(z1: GroupWord, z2: GroupWord) -> bool:
     margin = free_basis_margin([z1, z2])
     if margin <= 0:
         return False
-    assert tuple_is_free([z1, z2])
+    assert subgroup_rank([z1, z2]) == 2
     assert reference_free_words_ok(T, z1, z2, 5, margin)
     return True
 

@@ -516,3 +516,17 @@ def test_witness_matches_reference(set_name, law):
             assert got == reference_witness(sch, incs, aux, horizon), (n, rng_seed)
             outcomes.add(got.applicable)
     assert outcomes == {False, True}
+
+
+def test_witness_stops_at_the_first_capped_deviation(monkeypatch):
+    # a generic walk of 60 steps spells no block early enough: n/10 = 6
+    found = []
+
+    def counted(*args):
+        found.append(deviation(*args))
+        return found[-1]
+
+    monkeypatch.setattr(walks, "deviation", counted)
+    wit = discrepancy_bound_witness(SCH, simple_rw().sample(np.random.default_rng(0), 60))
+    assert not wit.applicable and len(found) < 4
+    assert found[-1] >= 6 and all(d < 6 for d in found[:-1])
