@@ -61,8 +61,7 @@ def _config_tokens(path: str) -> List[str]:
     """A JSON config file as `--key value` flags: a list value is joined
     with commas, `true` is a bare flag, `false` and `null` are dropped."""
 
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _from_file(path, json.loads)
     if not isinstance(data, dict):
         raise ConfigurationError("config file must hold a JSON object")
     tokens: List[str] = []
@@ -78,10 +77,12 @@ def _config_tokens(path: str) -> List[str]:
 
 
 def _from_file(path: str, parse):
-    with open(path) as fh:
-        text = fh.read()
+    # a file that cannot be read or parsed is a configuration error naming it
     try:
-        return parse(text)
+        with open(path) as fh:
+            return parse(fh.read())
+    except OSError as exc:
+        raise ConfigurationError("cannot read input file %s (%s)" % (path, exc.strerror or exc))
     # a missing, mistyped or out-of-range entry; OverflowError is an
     # exponent beyond the 64 bits of a syllable table
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -226,8 +227,7 @@ def cmd_census(args) -> int:
     if len(exact) < 2:
         print("census: wrote %s (%s: too few exhaustive rows to fit a slope)" % (args.out, counted))
         return EXIT_FAIL
-    monotone = all(b[3] <= a[3] for a, b in zip(exact, exact[1:]))
-    slope, r2 = verifier.log_slope_fit([r[0] for r in exact], [r[3] for r in exact])
+    slope, _, monotone = verifier._decay_fit([r[0] for r in exact], [r[3] for r in exact])
     print("census: wrote %s (monotone=%s slope=%.3f %s)" % (args.out, monotone, slope, counted))
     return EXIT_PASS if monotone and slope < 0 else EXIT_FAIL
 
@@ -237,21 +237,16 @@ def cmd_report(args) -> int:
 
     from collections import defaultdict
 
-    if not os.path.exists(args.csv):
-        raise ConfigurationError("no such file: %s" % args.csv)
+    rows = _from_file(args.csv, lambda text: list(csv.reader(text.splitlines())))
     by_n = defaultdict(list)
-    with open(args.csv) as fh:
-        reader = csv.reader(fh)
-        next(reader, None)  # the header
-        for row in reader:
-            if len(row) < 2:
-                continue
-            value = float(row[-1])
-            # nan, inf and overflowing text would be drawn as nan coordinates
-            if not math.isfinite(value):
-                raise ConfigurationError("%s line %d: sample %r is not a finite number"
-                                         % (args.csv, reader.line_num, row[-1]))
-            by_n[int(row[0])].append(value)
+    for line, row in enumerate(rows[1:], 2):
+        if len(row) < 2:
+            continue
+        value = float(row[-1])
+        # nan, inf and overflowing text would be drawn as nan coordinates
+        if not math.isfinite(value):
+            raise ConfigurationError("%s line %d: sample %r is not a finite number" % (args.csv, line, row[-1]))
+        by_n[int(row[0])].append(value)
     if not by_n:
         raise ConfigurationError("no samples in %s" % args.csv)
     ns = sorted(by_n)

@@ -86,19 +86,6 @@ class MatrixIsometry:
     def inverse(self) -> "MatrixIsometry":
         return MatrixIsometry(self.d, -self.b, -self.c, self.a)
 
-    def __pow__(self, n: int) -> "MatrixIsometry":
-        base = self if n >= 0 else self.inverse()
-        result = MatrixIsometry(1, 0, 0, 1)
-        n = abs(n)
-        # square and multiply: one product per bit of n
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
     def trace(self):
         return self.a + self.d
 
@@ -119,11 +106,6 @@ class PlaneModel:
 
     kind = "plane"
 
-    def __init__(self):
-        # Sanov pair: generates a free group of rank 2 (Sanov 1947)
-        self.gen_a = MatrixIsometry(1, 2, 0, 1)
-        self.gen_b = MatrixIsometry(1, 0, 2, 1)
-
     def is_contracting_isometry(self, g: MatrixIsometry) -> bool:
         # hyperbolic, with an axis it translates along, iff |tr| > 2
         return abs(g.trace()) > 2
@@ -138,11 +120,18 @@ class PlaneModel:
         return abs((g * h * g.inverse() * h.inverse()).trace()) != 2
 
     def matrix_for_word(self, word: GroupWord) -> MatrixIsometry:
-        gens = {1: self.gen_a, 2: self.gen_b}
-        out = MatrixIsometry(1, 0, 0, 1)
+        """The Sanov image of `word` (a = [[1, 2], [0, 1]], b = [[1, 0], [2, 1]];
+        Sanov 1947), a syllable at a time: a^e adds 2e times the first column
+        to the second, b^e 2e times the second to the first."""
+        a, b, c, d = 1, 0, 0, 1
         for gen, exp in word.syls:
-            out = out * gens[gen] ** exp
-        return out
+            if gen == 1:
+                b, d = b + 2 * exp * a, d + 2 * exp * c
+            elif gen == 2:
+                a, c = a + 2 * exp * b, c + 2 * exp * d
+            else:
+                raise ValueError("the Sanov map takes words in a and b, not generator %d" % gen)
+        return MatrixIsometry(a, b, c, d)
 
 
 def model_by_name(name: str):

@@ -21,8 +21,8 @@ import numpy as np
 from .counting import free_basis_margin
 from .schottky import SchottkySet
 from .svgplot import line_plot
-from .walks import StepMeasure, discrepancy_bound_witness, walk_product
-from .words import SyllableStack
+from .walks import StepMeasure, discrepancy_bound_witness
+from .words import SyllableStack, row_words
 
 
 class ConfigurationError(ValueError):
@@ -99,21 +99,31 @@ class ExperimentReport:
 ENSEMBLE_BLOCK_CELLS = 1_200_000
 
 
-def tree_walk_ensemble(measure: StepMeasure, n: int, trials: int, rng) -> Tuple[np.ndarray, np.ndarray]:
-    """(displacement, translation length) arrays for `trials` independent
-    n-step walks, exact word arithmetic throughout: each step pushes its
-    sampled atoms onto a stack of the walks' reduced words.  The trials go
-    in blocks of near-equal rows; `rng.random` fills in C order and goes on
-    where it stopped, so the blocks draw what one (trials, n) draw would."""
+def _walk_blocks(measure: StepMeasure, n: int, trials: int, rng):
+    """Each block of near-equal rows of `trials` n-step walks: its trial
+    indices and the stack of their words.  `rng.random` fills in C order and
+    goes on where it stopped, so the blocks draw what one draw would."""
 
-    disp = np.empty(trials, dtype=np.int64)
-    cut = np.empty(trials, dtype=np.int64)
     for rows in np.array_split(np.arange(trials), -(-trials * n // ENSEMBLE_BLOCK_CELLS) or 1):
         stack = SyllableStack.identities(measure.table, len(rows), n)
         stack.push(measure.draw(rng, (len(rows), n)))
+        yield rows, stack
+        # the consumer is done with the block: free it before the next draw
+        del stack
+
+
+def tree_walk_ensemble(measure: StepMeasure, n: int, trials: int, rng) -> Tuple[np.ndarray, np.ndarray]:
+    """(displacement, translation length) arrays for `trials` independent
+    n-step walks, exact word arithmetic throughout: each step pushes its
+    sampled atoms onto a stack of the walks' reduced words."""
+
+    disp = np.empty(trials, dtype=np.int64)
+    cut = np.empty(trials, dtype=np.int64)
+    for rows, stack in _walk_blocks(measure, n, trials, rng):
         cut[rows] = stack.cyclic_cut()
         # the stack's last use: absolute exponents in place, not in a stack-sized copy
         disp[rows] = np.abs(stack.exps, out=stack.exps).sum(axis=1)
+        del stack
     return disp, disp - 2 * cut
 
 
@@ -426,19 +436,19 @@ def run_free_subgroup(
     freqs = []
     for gi, n in enumerate(n_grid):
         k1 = max(1.0, 0.05 * calib["lambda"] * n)
-        fails = 0
-        for t in range(trials):
-            rng1 = _trial_rng(seed, gi * trials + t)
-            rng2 = _trial_rng(seed + 500_000, gi * trials + t)
-            z1 = walk_product(measure.sample(rng1, n))
-            z2 = walk_product(measure.sample(rng2, n))
-            margin = free_basis_margin([z1, z2])
-            fail = int(margin < k1)
-            fails += fail
-            samples.append((n, t, margin, fail))
-        freq = fails / trials
+        margin = np.empty(trials, dtype=np.int64)
+        # trial t pairs row t of stream gi of the seed, the walk every other
+        # runner draws there, with row t of stream gi of seed + 500,000
+        blocks = (_walk_blocks(measure, n, trials, _trial_rng(s, gi)) for s in (seed, seed + 500_000))
+        for (rows, one), (_, two) in zip(*blocks):
+            margin[rows] = list(map(free_basis_margin, zip(row_words(one.gens, one.exps),
+                                                           row_words(two.gens, two.exps))))
+            del one, two
+        fail = margin < k1
+        freq = float(fail.mean())
         freqs.append(freq)
         per_n[str(n)] = {"failure_freq": freq, "k1": k1}
+        samples += zip([n] * trials, range(trials), margin.tolist(), fail.astype(int).tolist())
     slope, r2, monotone = _decay_fit(n_grid, freqs)
     verdict = monotone and (freqs[-1] == 0 or slope < 0) and freqs[-1] <= 0.05
     return _report("free_subgroup", model, measure, seed, n_grid, verdict,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .geometry import is_aligned
 from .schottky import D1, SchottkySet
-from .words import GroupWord, partial_products, syllable_table, word_from_str, word_to_str
+from .words import GroupWord, partial_products, row_words, syllable_table, word_from_str, word_to_str
 
 # `StepMeasure.draw` turns this many uniforms at a time into atom indices,
 # so that its temporaries stay in cache: one chunk a call raised the
@@ -69,9 +69,7 @@ class StepMeasure:
 
         word = self._words.get(i)
         if word is None:
-            gens, exps = self.table
-            # a row holds a reduced word, padding only at its end
-            word = GroupWord(tuple((g, e) for g, e in zip(gens[i].tolist(), exps[i].tolist()) if e))
+            [word] = row_words(*(t[i:i + 1] for t in self.table))
             self._words[i] = word
         return word
 

@@ -11,8 +11,9 @@ The kernel takes any generator index, while the program's inputs are words
 in a and b: `word_from_str` reads a, b, A, B only.
 
 `SyllableStack` holds many reduced words as rows of integer arrays, for the
-walk ensemble and the ball census, `letter_rows` their leading letters,
-and `row_keys` makes either kind of row one comparable item.
+walk ensemble and the ball census, `row_words` turns such rows back into
+words, `letter_rows` gives their leading letters, and `row_keys` makes
+either kind of row one comparable item.
 """
 
 from __future__ import annotations
@@ -281,6 +282,15 @@ def letter_rows(words: Sequence[GroupWord], width: int) -> Tuple[np.ndarray, np.
     return rows.reshape(len(words), width), np.array([len(word) for word in words], dtype=np.int64)
 
 
+def row_words(gens: np.ndarray, exps: np.ndarray) -> List[GroupWord]:
+    """The word of each row of a generator and an exponent array holding
+    reduced words: a cell with exponent 0 (padding, a stack's column 0, or
+    a cell above a row's top) is no syllable."""
+
+    return [GroupWord(tuple((g, e) for g, e in zip(row_g, row_e) if e))
+            for row_g, row_e in zip(gens.tolist(), exps.tolist())]
+
+
 def row_keys(rows: np.ndarray) -> np.ndarray:
     """Each row's bytes as one item, equal exactly for equal rows."""
 
@@ -383,32 +393,20 @@ class SyllableStack:
         return row_keys(np.hstack((self.gens.view(np.uint8), self.exps.view(np.uint8))))
 
     def cyclic_cut(self) -> np.ndarray:
-        """Letters that cyclic reduction cancels from each end of each row,
-        as `GroupWord.cyclic_reduce` strips them: while the first and last
-        syllables are inverse powers of one generator, the shorter wears
-        off both ends.  Only the rows still cancelling stay in the loop."""
+        """Letters that cyclic reduction cancels from each end of each row:
+        mirrored inverse powers wear off whole, and then a mirrored pair of
+        unequal opposite powers of one generator loses the shorter, leaving
+        ends on different generators.  Only rows still cancelling loop on."""
 
         G, E = self.gens, self.exps
         hi = self.top - np.arange(len(self)) * G.shape[1]
         cut = np.zeros(len(hi), dtype=np.int64)
         rows = np.arange(len(hi))
         lo = np.ones_like(hi)
-        # end exponents as worn so far; a fresh end is read from E
-        e_lo = E[rows, lo]
-        e_hi = E[rows, hi]
-        while True:
+        while len(rows):
+            e_lo, e_hi = E[rows, lo], E[rows, hi]
             live = (lo < hi) & (G[rows, lo] == G[rows, hi]) & ((e_lo > 0) != (e_hi > 0))
-            rows, lo, hi, e_lo, e_hi = rows[live], lo[live], hi[live], e_lo[live], e_hi[live]
-            if not len(rows):
-                return cut
-            c = np.minimum(np.abs(e_lo), np.abs(e_hi))
-            cut[rows] += c
-            c *= np.sign(e_lo)
-            e_lo -= c
-            e_hi += c
-            gone_lo = e_lo == 0
-            gone_hi = e_hi == 0
-            lo += gone_lo
-            hi -= gone_hi
-            e_lo = np.where(gone_lo, E[rows, lo], e_lo)
-            e_hi = np.where(gone_hi, E[rows, hi], e_hi)
+            cut[rows[live]] += np.minimum(np.abs(e_lo[live]), np.abs(e_hi[live]))
+            whole = live & (e_lo == -e_hi)
+            rows, lo, hi = rows[whole], lo[whole] + 1, hi[whole] - 1
+        return cut

@@ -370,7 +370,20 @@ _INPUT_FILES = {
     "one-letter.json": json.dumps({"m0": 1, "sequences": [[[1]], [[2]]], "constants": {
         "k0": 1, "d0": 4, "d1": 6, "e0": 0, "length_floor": 0}}),
     "d1-only.json": _with_constants(d1=7),
+    "brace.json": "{bad",
 }
+
+# input files that cannot be read or are no JSON: each ends its argv, and
+# `a-dir` is made as a directory
+_UNREADABLE = [
+    ["run", "--experiment", "discrepancy", "--n", "20,80", "--trials", "20", "--schottky", "missing.json"],
+    ["census", "--n-max", "2", "--schottky", "a-dir"],
+    ["run", "--experiment", "genericity", "--n", "20,40", "--trials", "20", "--measure", "a-dir"],
+    ["run", "--config", "missing.json"],
+    ["run", "--config", "brace.json"],
+    ["report", "a-dir"],
+    ["report", "missing.csv"],
+]
 
 _SCHOTTKY_ARGVS = (["census", "--n-max", "2"],
                    ["run", "--experiment", "discrepancy", "--n", "20,80", "--trials", "20"])
@@ -452,16 +465,22 @@ _SCHOTTKY_ARGVS = (["census", "--n-max", "2"],
     ["census", "--model", "tree7", "--n-max", "2"],
     ["run", "--experiment", "genericity", "--model", "tree3", "--n", "20,40", "--trials", "20"],
     ["run", "--experiment", "genericity", "--n", "50,100", "--measure", "product-int64.json"],
+    *_UNREADABLE,
 ])
 def test_bad_input_is_refused_cleanly(monkeypatch, tmp_path, capsys, argv):
     for name in set(argv) & set(_INPUT_FILES):
         (tmp_path / name).write_text(_INPUT_FILES[name])
+    (tmp_path / "a-dir").mkdir()
     # leading NAME=value words set the environment, as in a shell
     while "=" in argv[0]:
         monkeypatch.setenv(*argv[0].split("=", 1))
         argv = argv[1:]
     assert run_cli(monkeypatch, tmp_path, *argv) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("configuration error:")
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    # a file that cannot be read is named, not left to the OSError text
+    if argv in _UNREADABLE:
+        assert argv[-1] in err
 
 
 @pytest.mark.parametrize("experiment", ["genericity", "discrepancy", "clt", "clt-converse", "free-subgroup"])

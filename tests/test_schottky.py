@@ -362,11 +362,12 @@ class TestPlaneIndependence:
 
     def test_sanov_pair(self):
         P = PlaneModel()
+        A, B = P.matrix_for_word(word_from_str("a")), P.matrix_for_word(word_from_str("b"))
         # the Sanov generators are parabolic, so not contracting; their
         # products a b and b a are hyperbolic with distinct axes
-        assert not P.independent(P.gen_a, P.gen_b)
-        assert P.independent(P.gen_a * P.gen_b, P.gen_b * P.gen_a)
-        assert not P.independent(P.gen_a * P.gen_b, (P.gen_a * P.gen_b) ** 2)
+        assert not P.independent(A, B)
+        assert P.independent(A * B, B * A)
+        assert not P.independent(A * B, A * B * A * B)
 
 
 class TestAxes:

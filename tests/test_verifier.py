@@ -2,8 +2,10 @@
 
 The vectorized walk ensemble is compared draw for draw against
 `reference_ensemble`, which multiplies each trial's sampled words step by
-step.  The free-basis margin is checked against `reference_free_words_ok`,
-the word enumeration it replaced in the free-subgroup runner.
+step, and the free-subgroup runner's pairs against `folded_pairs`, which
+does the same for both of its streams.  The free-basis margin is checked
+against `reference_free_words_ok`, the word enumeration it replaced in the
+free-subgroup runner.
 """
 
 import json
@@ -18,11 +20,11 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from pivotwalk.counting import free_basis_margin, subgroup_rank
-from pivotwalk.words import GroupWord, word_from_str
+from pivotwalk.words import GroupWord, SyllableStack, word_from_str
 from pivotwalk.spaces import PlaneModel, TreeModel
 from pivotwalk.schottky import build_schottky
 from pivotwalk import verifier
-from pivotwalk.walks import StepMeasure, simple_rw, heavy_tail, walk_product
+from pivotwalk.walks import StepMeasure, simple_rw, heavy_tail
 from pivotwalk.verifier import (
     ConfigurationError,
     tree_walk_ensemble,
@@ -341,6 +343,35 @@ class TestCltConverse:
             run_clt_converse(heavy_tail(), T, [100], 10, seed=0, contrast=True)
 
 
+def folded_pairs(measure, n: int, trials: int, seed_: int, gi: int):
+    """Trial t's two walks at grid index gi as the runner pairs them, each
+    multiplied out one atom word at a time: row t of one (trials, n) draw
+    from stream gi of `seed_`, and row t of one from stream gi of
+    seed_ + 500,000."""
+
+    walks = []
+    for stream_seed in (seed_, seed_ + 500_000):
+        words = []
+        for row in measure.draw(_trial_rng(stream_seed, gi), (trials, n)).tolist():
+            acc = GroupWord.identity()
+            for i in row:
+                acc = acc * measure.atom(i)
+            words.append(acc)
+        walks.append(words)
+    return list(zip(*walks))
+
+
+# the free-subgroup runner's measures: the simple walk, the heavy tail, and
+# a measure file of multi-syllable atoms
+_RUNNER_MEASURES = {
+    "simple": simple_rw,
+    "heavy": heavy_tail,
+    "file": lambda: StepMeasure.from_json(json.dumps({
+        "support": ["a b", "B A", "a^2 B^3 a", "A^2 b^3 A", "b A^2", "B"],
+        "weights": [0.2, 0.2, 0.15, 0.15, 0.2, 0.1]})),
+}
+
+
 def reference_free_words_ok(model, z1: GroupWord, z2: GroupWord, word_len: int, k1: float) -> bool:
     """Every nontrivial reduced word of length <= word_len in z1, z2 and
     inverses moves the basepoint by at least (word length) * k1."""
@@ -397,15 +428,49 @@ class TestFreeSubgroup:
 
     @pytest.mark.parametrize("seed_", [0, 7])
     def test_certificate_implies_oracle_on_walks(self, seed_):
-        # the runner's own draws: walk 1 from `seed`, walk 2 from seed + 500,000
+        # the runner's own draws: row t of stream gi of `seed` and of seed + 500,000
         mu = simple_rw()
         for gi, n in enumerate((10, 20, 50)):
-            certified = 0
-            for t in range(200):
-                z1 = walk_product(mu.sample(_trial_rng(seed_, gi * 200 + t), n))
-                z2 = walk_product(mu.sample(_trial_rng(seed_ + 500_000, gi * 200 + t), n))
-                certified += _certificate_is_sound(z1, z2)
+            certified = sum(_certificate_is_sound(*pair) for pair in folded_pairs(mu, n, 200, seed_, gi))
             assert certified > 0
+
+    @pytest.mark.parametrize("name", ["simple", "heavy", "file"])
+    def test_margins_match_folded_pairs(self, name):
+        mu = _RUNNER_MEASURES[name]()
+        rep = run_free_subgroup(mu, T, [6, 15], 40, seed=3, calibration=CAL)
+        for gi, n in enumerate((6, 15)):
+            want = [free_basis_margin(list(pair)) for pair in folded_pairs(mu, n, 40, 3, gi)]
+            assert [m for k, _, m, _ in rep.samples if k == n] == want
+            assert len(set(want)) > 1
+        if name == "heavy":
+            # the walks' exponents pass 16 bits: the stacks hold int32
+            assert SyllableStack.identities(mu.table, 1, 6).exps.dtype == np.int32
+
+    @pytest.mark.parametrize("cells", [7 * 30, 1], ids=["7n", "1"])
+    @pytest.mark.parametrize("name", ["simple", "file"])
+    def test_blocks_leave_the_samples_unchanged(self, monkeypatch, tmp_path, name, cells):
+        mu = _RUNNER_MEASURES[name]()
+        run_free_subgroup(mu, T, [10, 30], 50, seed=4, calibration=CAL).write(str(tmp_path / "one"))
+        # 7 * 30 cells: blocks of 6 or 7 rows at n = 30 and 16 or 17 at n = 10
+        monkeypatch.setattr(verifier, "ENSEMBLE_BLOCK_CELLS", cells)
+        run_free_subgroup(mu, T, [10, 30], 50, seed=4, calibration=CAL).write(str(tmp_path / "blocks"))
+        for artifact in ("samples.csv", "report.json"):
+            assert (tmp_path / "one" / artifact).read_bytes() == (tmp_path / "blocks" / artifact).read_bytes()
+
+    def test_walk_one_is_the_genericity_walk(self, monkeypatch):
+        # the runner's first walk of trial t at grid index gi is the walk
+        # genericity draws there; its second comes from another stream
+        lengths = []
+
+        def recording_margin(pair):
+            lengths.append(tuple(map(len, pair)))
+            return free_basis_margin(pair)
+
+        monkeypatch.setattr(verifier, "free_basis_margin", recording_margin)
+        run_free_subgroup(simple_rw(), T, [20, 40], 60, seed=11, calibration=CAL)
+        rep = run_genericity(simple_rw(), T, [20, 40], 60, 0.25, seed=11, calibration=CAL)
+        assert [one for one, _ in lengths] == [disp for _, _, disp, _, _ in rep.samples]
+        assert any(one != two for one, two in lengths)
 
     @pytest.mark.parametrize("z", ["a", "a b", "a^2 b A b", "a b^3 A^2 B a"])
     def test_equal_and_inverse_pairs_are_never_certified(self, z):

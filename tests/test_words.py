@@ -12,8 +12,11 @@ from hypothesis import given, seed, settings, strategies as st
 
 from pivotwalk.words import (
     GroupWord,
+    SyllableStack,
     common_prefix_letters,
     random_reduced_word,
+    row_words,
+    syllable_table,
     tree_distance,
     word_from_str,
     word_to_str,
@@ -165,3 +168,80 @@ def test_suffix_is_last_letters(pairs, count):
     # the last letters of a word are the inverse of its inverse's first letters
     suffix = word.inverse().prefix(count).inverse()
     assert suffix == GroupWord.from_letters(letters[max(0, len(letters) - count):])
+
+
+# stacks against word folds: rows of atom indices pushed onto a stack, and
+# the same atoms multiplied one GroupWord at a time
+
+
+def _stack_and_folds(atoms, rows):
+    """A stack of `rows` (lists of atom indices, all one length) pushed
+    onto identities, and each row's product of its atoms as a word."""
+
+    stack = SyllableStack.identities(syllable_table(atoms), len(rows), len(rows[0]))
+    stack.push(np.array(rows, dtype=np.int64))
+    folds = []
+    for row in rows:
+        acc = GroupWord.identity()
+        for i in row:
+            acc = acc * atoms[i]
+        folds.append(acc)
+    return stack, folds
+
+
+@st.composite
+def _stacked_rows(draw):
+    """Up to 4 atoms of 1 to 4 syllables and their inverses, and rows of
+    their indices.  A row is random, or u g u^-1 for a random u, so that
+    some rows cancel to the identity and others reduce cyclically over
+    many syllables; each pop leaves a stale generator above a row's top."""
+
+    atoms = draw(st.lists(st.lists(st.tuples(st.integers(1, 3), st.integers(-3, 3)), max_size=4)
+                          .map(GroupWord.from_syllables).filter(len), min_size=1, max_size=4))
+    atoms += [g.inverse() for g in atoms]
+    k = len(atoms) // 2
+    index = st.integers(0, len(atoms) - 1)
+    half, mid = draw(st.integers(0, 5)), draw(st.integers(0, 1))
+    width = 2 * half + mid or 1
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        if 2 * half + mid == width and draw(st.booleans()):
+            u = draw(st.lists(index, min_size=half, max_size=half))
+            middle = draw(st.lists(index, min_size=mid, max_size=mid))
+            rows.append(u + middle + [(i + k) % len(atoms) for i in reversed(u)])
+        else:
+            rows.append(draw(st.lists(index, min_size=width, max_size=width)))
+    return atoms, rows
+
+
+@seed(2022)
+@_kernel
+@given(_stacked_rows())
+def test_row_words_are_the_folds(case):
+    stack, folds = _stack_and_folds(*case)
+    assert row_words(stack.gens, stack.exps) == folds
+
+
+@seed(2022)
+@_kernel
+@given(_stacked_rows())
+def test_cyclic_cut_matches_cyclic_reduce(case):
+    stack, folds = _stack_and_folds(*case)
+    want = [(len(w) - len(w.cyclic_reduce())) // 2 for w in folds]
+    assert stack.cyclic_cut().tolist() == want
+
+
+def test_row_words_skip_stale_cells_and_padding():
+    # a b, then B A, cancels to the identity and leaves a, b above the top;
+    # a^2 b^-1 then b a^-2 likewise; the table pads the one-syllable atom
+    atoms = [W("a b"), W("B A"), W("a"), W("a^2 B"), W("b A^2")]
+    table = syllable_table(atoms)
+    assert row_words(*table) == atoms and table[1][2, 1] == 0
+    stack, folds = _stack_and_folds(atoms, [[0, 1, 2], [3, 4, 0], [2, 0, 1]])
+    assert folds == [W("a"), W("a b"), W("a")]
+    # pops left generators where the exponents are 0
+    assert (stack.gens[:, 1:][stack.exps[:, 1:] == 0] != 0).any()
+    assert row_words(stack.gens, stack.exps) == folds
+    stack, folds = _stack_and_folds(atoms, [[0, 1], [3, 4]])
+    assert row_words(stack.gens, stack.exps) == folds == [GroupWord.identity()] * 2
+    assert stack.cyclic_cut().tolist() == [0, 0]
