@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from collections import defaultdict
 from typing import List, Optional
 
 import numpy as np
@@ -233,27 +234,28 @@ def cmd_census(args) -> int:
 
 
 def cmd_report(args) -> int:
-    """Re-render an SVG decay plot from a samples.csv file."""
-
-    from collections import defaultdict
+    """Plot the per-n mean of a samples.csv file's last column as an SVG."""
 
     rows = _from_file(args.csv, lambda text: list(csv.reader(text.splitlines())))
     by_n = defaultdict(list)
     for line, row in enumerate(rows[1:], 2):
         if len(row) < 2:
             continue
-        value = float(row[-1])
+        try:
+            n, value = int(row[0]), float(row[-1])
+        except ValueError:
+            raise ConfigurationError("%s line %d: n %r must be a whole number and sample %r a number"
+                                     % (args.csv, line, row[0], row[-1])) from None
         # nan, inf and overflowing text would be drawn as nan coordinates
         if not math.isfinite(value):
             raise ConfigurationError("%s line %d: sample %r is not a finite number" % (args.csv, line, row[-1]))
-        by_n[int(row[0])].append(value)
+        by_n[n].append(value)
     if not by_n:
         raise ConfigurationError("no samples in %s" % args.csv)
     ns = sorted(by_n)
     means = [float(np.mean(by_n[n])) for n in ns]
     out = args.out or (os.path.splitext(args.csv)[0] + ".svg")
-    svgplot.line_plot("mean", [float(n) for n in ns], means,
-                      title="samples", xlabel="n", ylabel="mean", path=out)
+    svgplot.line_plot("samples", "mean", [float(n) for n in ns], means, out)
     print("report: wrote %s" % out)
     return EXIT_PASS
 

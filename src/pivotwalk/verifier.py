@@ -10,10 +10,13 @@ seed give identical JSON/CSV bytes.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
+from itertools import count, repeat, starmap
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,22 +46,12 @@ class ExperimentReport:
     sample_header: Tuple[str, ...] = ()
 
     def to_json(self) -> str:
-        payload = {
-            "experiment": self.experiment,
-            "model": self.model,
-            "measure": self.measure,
-            "seed": self.seed,
-            "n_grid": list(self.n_grid),
-            "stats": self.stats,
-            "thresholds": self.thresholds,
-            "verdict": bool(self.verdict),
-        }
+        payload = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)
+                   if f.name not in ("samples", "sample_header")}
         # NaN and Infinity are not JSON: a runner writes an unbounded value as null
         return json.dumps(payload, sort_keys=True, indent=1, allow_nan=False) + "\n"
 
     def write(self, outdir: str, svg: bool = False) -> None:
-        import os
-
         os.makedirs(outdir, exist_ok=True)
         with open(os.path.join(outdir, "report.json"), "w") as fh:
             fh.write(self.to_json())
@@ -70,18 +63,15 @@ class ExperimentReport:
             self._plot(os.path.join(outdir, "%s.svg" % self.experiment))
 
     def _plot(self, path: str) -> None:
+        # the first of these statistics that every per-n record holds; a
+        # degenerate clt run has no per-n records and no plot
         per_n = self.stats.get("per_n", {})
-        key = None
-        for cand in ("failure_freq", "iqr", "p95", "ks_disp"):
-            if per_n and all(cand in rec for rec in per_n.values()):
-                key = cand
-                break
-        if key is None:
-            return
-        ns = sorted(int(n) for n in per_n)
-        ys = [per_n[str(n)][key] for n in ns]
-        line_plot(key, [float(n) for n in ns], [float(y) for y in ys],
-                  title=self.experiment, xlabel="n", ylabel=key, path=path)
+        for key in ("failure_freq", "iqr", "p95", "ks_disp"):
+            if per_n and all(key in rec for rec in per_n.values()):
+                ns = sorted(int(n) for n in per_n)
+                ys = [float(per_n[str(n)][key]) for n in ns]
+                line_plot(self.experiment, key, [float(n) for n in ns], ys, path)
+                return
 
 
 # ---------------------------------------------------------------------------
@@ -99,17 +89,27 @@ class ExperimentReport:
 ENSEMBLE_BLOCK_CELLS = 1_200_000
 
 
-def _walk_blocks(measure: StepMeasure, n: int, trials: int, rng):
-    """Each block of near-equal rows of `trials` n-step walks: its trial
-    indices and the stack of their words.  `rng.random` fills in C order and
+def _walk_blocks(measure: StepMeasure, n: int, trials: int, rng, read):
+    """`read` of each block of near-equal rows of `trials` n-step walks, in
+    trial order: the stack of their words, which only `read` sees, so it is
+    freed before the next block is drawn.  `rng.random` fills in C order and
     goes on where it stopped, so the blocks draw what one draw would."""
 
-    for rows in np.array_split(np.arange(trials), -(-trials * n // ENSEMBLE_BLOCK_CELLS) or 1):
-        stack = SyllableStack.identities(measure.table, len(rows), n)
-        stack.push(measure.draw(rng, (len(rows), n)))
-        yield rows, stack
-        # the consumer is done with the block: free it before the next draw
-        del stack
+    blocks = -(-trials * n // ENSEMBLE_BLOCK_CELLS) or 1
+    # the first trials % blocks blocks hold one row more, as np.array_split's
+    q, r = divmod(trials, blocks)
+    for rows in [q + 1] * r + [q] * (blocks - r):
+        yield read(SyllableStack.identities(measure.table, rows, n).push(measure.draw(rng, (rows, n))))
+
+
+def _cut_and_letters(stack: SyllableStack) -> Tuple[np.ndarray, np.ndarray]:
+    # the letter count is the stack's last use: absolute exponents in place,
+    # not in a stack-sized copy
+    return stack.cyclic_cut(), np.abs(stack.exps, out=stack.exps).sum(axis=1)
+
+
+def _row_words(stack: SyllableStack) -> List:
+    return row_words(stack.gens, stack.exps)
 
 
 def tree_walk_ensemble(measure: StepMeasure, n: int, trials: int, rng) -> Tuple[np.ndarray, np.ndarray]:
@@ -117,13 +117,7 @@ def tree_walk_ensemble(measure: StepMeasure, n: int, trials: int, rng) -> Tuple[
     n-step walks, exact word arithmetic throughout: each step pushes its
     sampled atoms onto a stack of the walks' reduced words."""
 
-    disp = np.empty(trials, dtype=np.int64)
-    cut = np.empty(trials, dtype=np.int64)
-    for rows, stack in _walk_blocks(measure, n, trials, rng):
-        cut[rows] = stack.cyclic_cut()
-        # the stack's last use: absolute exponents in place, not in a stack-sized copy
-        disp[rows] = np.abs(stack.exps, out=stack.exps).sum(axis=1)
-        del stack
+    cut, disp = map(np.concatenate, zip(*_walk_blocks(measure, n, trials, rng, _cut_and_letters)))
     return disp, disp - 2 * cut
 
 
@@ -152,8 +146,7 @@ def _grid_ensembles(measure: StepMeasure, n_grid: Sequence[int], trials: int, se
     stream gi of the seed at grid index gi."""
 
     for gi, n in enumerate(n_grid):
-        disp, tau = tree_walk_ensemble(measure, n, trials, _trial_rng(seed, gi))
-        yield n, disp, tau
+        yield (n, *tree_walk_ensemble(measure, n, trials, _trial_rng(seed, gi)))
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +203,19 @@ def _report(experiment: str, model, measure: StepMeasure, seed: int, n_grid: Seq
     """The report of one run of `measure` on `model`."""
 
     return ExperimentReport(experiment=experiment, model=model.kind, measure=measure.to_json(),
-                            seed=seed, n_grid=tuple(n_grid), verdict=verdict, **fields)
+                            seed=seed, n_grid=tuple(n_grid), verdict=bool(verdict), **fields)
+
+
+def _sweep(point, grid) -> Tuple[Dict[str, Dict], List[Tuple]]:
+    """per_n and the sample rows (n, trial, columns...) of the grid points
+    `point(*g)` gives for each g of `grid`: (n, per-n record, per-trial
+    columns)."""
+
+    per_n, samples = {}, []
+    for n, record, columns in starmap(point, grid):
+        per_n[str(n)] = record
+        samples += zip(repeat(n), count(), *columns)
+    return per_n, samples
 
 
 def _decay_fit(n_grid: Sequence[int], freqs: List[float]) -> Tuple[float, float, bool]:
@@ -241,22 +246,17 @@ def run_genericity(
         raise ConfigurationError("measure is elementary")
     calib = _calibration(calibration, measure, max(n_grid), trials, seed)
     if not (math.isfinite(L) and L < calib["lambda"]):
-        raise ConfigurationError(
-            "rate floor L=%g must be finite and below the escape rate estimate %g" % (L, calib["lambda"])
-        )
-    per_n: Dict[str, Dict] = {}
-    samples: List[Tuple] = []
-    freqs = []
-    for n, disp, tau in _grid_ensembles(measure, n_grid, trials, seed):
+        raise ConfigurationError("rate floor L=%g must be finite and below the escape rate estimate %g"
+                                 % (L, calib["lambda"]))
+
+    def point(n, disp, tau):
         fail = (tau < L * n) | (disp == 0)
-        freq = float(fail.mean())
-        freqs.append(freq)
-        per_n[str(n)] = {
-            "failure_freq": freq,
-            "mean_tau": float(tau.mean()),
-            "mean_disp": float(disp.mean()),
-        }
-        samples += zip([n] * trials, range(trials), disp.tolist(), tau.tolist(), fail.astype(int).tolist())
+        record = {"failure_freq": float(fail.mean()), "mean_tau": float(tau.mean()),
+                  "mean_disp": float(disp.mean())}
+        return n, record, (disp.tolist(), tau.tolist(), fail.astype(int).tolist())
+
+    per_n, samples = _sweep(point, _grid_ensembles(measure, n_grid, trials, seed))
+    freqs = [rec["failure_freq"] for rec in per_n.values()]
     slope, r2, monotone = _decay_fit(n_grid, freqs)
     # decay either reaches zero or fits a negative log-slope
     verdict = monotone and (freqs[-1] == 0 or (slope < 0 and r2 >= 0.8))
@@ -296,15 +296,13 @@ def run_discrepancy(
         # each half of a claim walk must hold a whole block for `deviation`
         raise ConfigurationError("the reach-bound claim needs claim_n // 2 >= the block length %d, "
                                  "got claim_n %d" % (sch.m0, claim_n))
-    per_n: Dict[str, Dict] = {}
-    samples: List[Tuple] = []
-    p95s = []
-    for n, disp, tau in _grid_ensembles(measure, n_grid, trials, seed):
+
+    def point(n, disp, tau):
         gap = disp - tau
-        p95 = float(np.percentile(gap, 95))
-        p95s.append(p95)
-        per_n[str(n)] = {"p95": p95, "mean_gap": float(gap.mean())}
-        samples += zip([n] * trials, range(trials), gap.tolist())
+        return n, {"p95": float(np.percentile(gap, 95)), "mean_gap": float(gap.mean())}, (gap.tolist(),)
+
+    per_n, samples = _sweep(point, _grid_ensembles(measure, n_grid, trials, seed))
+    p95s = [rec["p95"] for rec in per_n.values()]
     worst_ratio = max(p95s[j] / p95s[i] if p95s[i] > 0 else (0.0 if p95s[j] == 0 else math.inf)
                       for i, j in pairs)
 
@@ -347,24 +345,24 @@ def run_clt(
     if sigma2 <= 1e-12:
         return _report("clt", model, measure, seed, (n,), True,
                        stats={"degenerate": True, "calibration": calib}, thresholds={})
-    [(_, disp, tau)] = _grid_ensembles(measure, (n,), trials, seed)
-    scale = math.sqrt(sigma2 * n)
-    z_disp = (disp - lam * n) / scale
-    z_tau = (tau - lam * n) / scale
     # only this runner needs scipy.stats, which is most of the CLI's import time and memory
     from scipy import stats as sps
 
-    ks_disp = float(sps.kstest(z_disp, "norm").statistic)
-    ks_tau = float(sps.kstest(z_tau, "norm").statistic)
-    with warnings.catch_warnings():
-        # scipy warns when it falls back from the exact p-value, which is not read
-        warnings.filterwarnings("ignore", "ks_2samp: Exact calculation unsuccessful", RuntimeWarning)
-        ks_two = float(sps.ks_2samp(z_disp, z_tau).statistic)
-    verdict = ks_disp <= 0.05 and ks_tau <= 0.05 and ks_two <= 0.03
-    samples = list(zip([n] * trials, range(trials), disp.tolist(), tau.tolist()))
+    def point(n, disp, tau):
+        z_disp, z_tau = ((x - lam * n) / math.sqrt(sigma2 * n) for x in (disp, tau))
+        with warnings.catch_warnings():
+            # scipy warns when it falls back from the exact p-value, which is not read
+            warnings.filterwarnings("ignore", "ks_2samp: Exact calculation unsuccessful", RuntimeWarning)
+            ks_two = float(sps.ks_2samp(z_disp, z_tau).statistic)
+        record = {"ks_disp": float(sps.kstest(z_disp, "norm").statistic),
+                  "ks_tau": float(sps.kstest(z_tau, "norm").statistic), "ks_two_sample": ks_two}
+        return n, record, (disp.tolist(), tau.tolist())
+
+    per_n, samples = _sweep(point, _grid_ensembles(measure, (n,), trials, seed))
+    ks = per_n[str(n)]
+    verdict = ks["ks_disp"] <= 0.05 and ks["ks_tau"] <= 0.05 and ks["ks_two_sample"] <= 0.03
     return _report("clt", model, measure, seed, (n,), verdict,
-                   stats={"per_n": {str(n): {"ks_disp": ks_disp, "ks_tau": ks_tau, "ks_two_sample": ks_two}},
-                          "calibration": calib},
+                   stats={"per_n": per_n, "calibration": calib},
                    thresholds={"ks_one_sample_max": 0.05, "ks_two_sample_max": 0.03},
                    samples=samples, sample_header=("n", "trial", "disp", "tau"))
 
@@ -388,16 +386,14 @@ def run_clt_converse(
         raise ConfigurationError("converse test requires an infinite-variance measure")
     if contrast and measure.moment_profile == "heavy_tail":
         raise ConfigurationError("contrast run requires a finite-variance measure")
-    per_n: Dict[str, Dict] = {}
-    samples: List[Tuple] = []
-    iqrs = []
-    for n, disp, _ in _grid_ensembles(measure, n_grid, trials, seed):
+
+    def point(n, disp):
         med = float(np.median(disp))
         z = (disp - med) / math.sqrt(n)
-        iqr = float(np.percentile(z, 75) - np.percentile(z, 25))
-        iqrs.append(iqr)
-        per_n[str(n)] = {"iqr": iqr, "median": med}
-        samples += zip([n] * trials, range(trials), disp.tolist())
+        return n, {"iqr": float(np.percentile(z, 75) - np.percentile(z, 25)), "median": med}, (disp.tolist(),)
+
+    per_n, samples = _sweep(point, ((n, disp) for n, disp, _ in _grid_ensembles(measure, n_grid, trials, seed)))
+    iqrs = [rec["iqr"] for rec in per_n.values()]
     ratios = [iqrs[i + 1] / max(iqrs[i], 1e-12) for i in range(len(iqrs) - 1)]
     # growth per doubling, averaged over the grid (endpoint geometric mean);
     # individual ratios are quantile estimates and too noisy to gate on
@@ -431,24 +427,18 @@ def run_free_subgroup(
 
     _check_grid(model, n_grid, trials)
     calib = _calibration(calibration, measure, max(n_grid), trials, seed)
-    per_n: Dict[str, Dict] = {}
-    samples: List[Tuple] = []
-    freqs = []
-    for gi, n in enumerate(n_grid):
+
+    def point(gi, n):
         k1 = max(1.0, 0.05 * calib["lambda"] * n)
-        margin = np.empty(trials, dtype=np.int64)
         # trial t pairs row t of stream gi of the seed, the walk every other
         # runner draws there, with row t of stream gi of seed + 500,000
-        blocks = (_walk_blocks(measure, n, trials, _trial_rng(s, gi)) for s in (seed, seed + 500_000))
-        for (rows, one), (_, two) in zip(*blocks):
-            margin[rows] = list(map(free_basis_margin, zip(row_words(one.gens, one.exps),
-                                                           row_words(two.gens, two.exps))))
-            del one, two
+        blocks = (_walk_blocks(measure, n, trials, _trial_rng(s, gi), _row_words) for s in (seed, seed + 500_000))
+        margin = np.array([free_basis_margin(pair) for one, two in zip(*blocks) for pair in zip(one, two)])
         fail = margin < k1
-        freq = float(fail.mean())
-        freqs.append(freq)
-        per_n[str(n)] = {"failure_freq": freq, "k1": k1}
-        samples += zip([n] * trials, range(trials), margin.tolist(), fail.astype(int).tolist())
+        return n, {"failure_freq": float(fail.mean()), "k1": k1}, (margin.tolist(), fail.astype(int).tolist())
+
+    per_n, samples = _sweep(point, enumerate(n_grid))
+    freqs = [rec["failure_freq"] for rec in per_n.values()]
     slope, r2, monotone = _decay_fit(n_grid, freqs)
     verdict = monotone and (freqs[-1] == 0 or slope < 0) and freqs[-1] <= 0.05
     return _report("free_subgroup", model, measure, seed, n_grid, verdict,

@@ -362,9 +362,9 @@ class SyllableStack:
         return SyllableStack(self.table, np.concatenate((self.gens, other.gens)),
                              np.concatenate((self.exps, other.exps)))
 
-    def push(self, atoms: np.ndarray) -> None:
+    def push(self, atoms: np.ndarray) -> "SyllableStack":
         """Multiply row i by the table atoms atoms[i, 0], atoms[i, 1], ...
-        in turn, one syllable column at a time, one update for all rows."""
+        in turn, one update for all rows a syllable column; returns self."""
 
         Gf, Ef, top = self.gens.reshape(-1), self.exps.reshape(-1), self.top
         steps = atoms.T
@@ -384,6 +384,7 @@ class SyllableStack:
                 top -= s == 0
         # a push needs a new top generator and a pop leaves no new adjacent
         # pair, so each row stays a reduced word
+        return self
 
     def keys(self) -> np.ndarray:
         """Each row's bytes as one item, equal exactly for equal words: the

@@ -269,12 +269,22 @@ class TestCensus:
 
 class TestReport:
     def test_svg_from_samples(self, monkeypatch, tmp_path):
-        run_cli(monkeypatch, tmp_path, "run", "--experiment", "genericity",
-                "--n", "40,80", "--trials", "50", "--seed", "1", "--out", "g")
-        code = run_cli(monkeypatch, tmp_path, "report", "g/samples.csv")
-        assert code == EXIT_PASS
-        svg = (tmp_path / "g" / "samples.svg").read_text()
-        assert svg.startswith("<svg") or "<svg" in svg
+        # each plot's bytes, a run's own and the report verb's, pinned; clt
+        # plots one point, which spans a unit around it on both axes
+        for experiment, n, code, digests in [
+            ("genericity", "40,80", EXIT_PASS, {
+                "genericity.svg": "4938fad066197ad06cad889dd49d596fe3c61b7853c286bf7019f94f080b61d6",
+                "samples.svg": "d2dd2954aed5bcc8c01e448a16d60f8b654ef4600d9499fb08a5f9a2a84c1400"}),
+            # 50 trials are too few for the KS thresholds: the verdict fails
+            ("clt", "40", EXIT_FAIL, {
+                "clt.svg": "41ced2b7539b4bed9f51f1cc27c8efba0f75ee5249d06ec8190034a19ff569af",
+                "samples.svg": "26f518116dbaced86ee9514948000d779347c7910d9074fea2b45f0e2a2066a8"}),
+        ]:
+            assert run_cli(monkeypatch, tmp_path, "run", "--experiment", experiment, "--n", n, "--trials", "50",
+                           "--seed", "1", "--svg", "--out", experiment) == code
+            assert run_cli(monkeypatch, tmp_path, "report", experiment + "/samples.csv") == EXIT_PASS
+            for name, digest in digests.items():
+                assert hashlib.sha256((tmp_path / experiment / name).read_bytes()).hexdigest() == digest, name
 
     def test_missing_csv(self, monkeypatch, tmp_path):
         assert run_cli(monkeypatch, tmp_path, "report", "nope.csv") == EXIT_CONFIG
@@ -343,6 +353,9 @@ _INPUT_FILES = {
     "nan.csv": "n,value\n1,nan\n2,inf\n",
     "inf.csv": "n,value\n1,0.5\n2,-inf\n",
     "overflow.csv": "n,value\n1,1e400\n",
+    # a sample or an n that is no number
+    "word-sample.csv": "n,value\n1,abc\n",
+    "word-n.csv": "n,value\nx,1\n",
     # 131,072 powers of a, given by their atoms: elementary
     "rank1.json": json.dumps({"support": ["%s^%d" % (x, k) for k in range(1, 65537) for x in "aA"],
                               "weights": [2.0 ** -17] * 2 ** 17}),
@@ -383,6 +396,13 @@ _UNREADABLE = [
     ["run", "--config", "brace.json"],
     ["report", "a-dir"],
     ["report", "missing.csv"],
+]
+
+# samples.csv rows whose n or sample is no number: each message names the
+# file and the line
+_NOT_NUMBERS = [
+    ["report", "word-sample.csv"],
+    ["report", "word-n.csv"],
 ]
 
 _SCHOTTKY_ARGVS = (["census", "--n-max", "2"],
@@ -466,6 +486,7 @@ _SCHOTTKY_ARGVS = (["census", "--n-max", "2"],
     ["run", "--experiment", "genericity", "--model", "tree3", "--n", "20,40", "--trials", "20"],
     ["run", "--experiment", "genericity", "--n", "50,100", "--measure", "product-int64.json"],
     *_UNREADABLE,
+    *_NOT_NUMBERS,
 ])
 def test_bad_input_is_refused_cleanly(monkeypatch, tmp_path, capsys, argv):
     for name in set(argv) & set(_INPUT_FILES):
@@ -481,6 +502,8 @@ def test_bad_input_is_refused_cleanly(monkeypatch, tmp_path, capsys, argv):
     # a file that cannot be read is named, not left to the OSError text
     if argv in _UNREADABLE:
         assert argv[-1] in err
+    if argv in _NOT_NUMBERS:
+        assert "%s line 2: " % argv[-1] in err
 
 
 @pytest.mark.parametrize("experiment", ["genericity", "discrepancy", "clt", "clt-converse", "free-subgroup"])

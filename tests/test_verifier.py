@@ -12,6 +12,7 @@ import json
 import math
 import tracemalloc
 import warnings
+import weakref
 from fractions import Fraction
 from typing import Dict, Tuple
 
@@ -159,6 +160,28 @@ class TestEnsembles:
         finally:
             tracemalloc.stop()
         assert peak < 40e6
+
+    @pytest.mark.parametrize("run", [
+        lambda: tree_walk_ensemble(simple_rw(), 20, 100, np.random.default_rng(0)),
+        lambda: run_free_subgroup(simple_rw(), T, [20], 100, seed=0, calibration=CAL),
+    ], ids=["ensemble", "free_subgroup"])
+    def test_no_earlier_block_is_alive_when_the_next_is_made(self, monkeypatch, run):
+        # a block's stack is freed before the next one, of either of
+        # free-subgroup's streams, is made: a run holds one stack at a time
+        made, alive = [], []
+        identities = SyllableStack.identities
+
+        def tracked(table, rows, steps):
+            alive.append(sum(ref() is not None for ref in made))
+            stack = identities(table, rows, steps)
+            made.append(weakref.ref(stack))
+            return stack
+
+        monkeypatch.setattr(SyllableStack, "identities", staticmethod(tracked))
+        # blocks of 30 rows of 20 steps: 4 blocks of the 100 trials
+        monkeypatch.setattr(verifier, "ENSEMBLE_BLOCK_CELLS", 600)
+        run()
+        assert len(alive) >= 4 and alive == [0] * len(alive)
 
     def test_tau_at_most_displacement(self):
         disp, tau = tree_walk_ensemble(simple_rw(), 50, 200, np.random.default_rng(5))
@@ -552,3 +575,5 @@ class TestReport:
         lines = (tmp_path / "samples.csv").read_text().strip().splitlines()
         assert lines[0] == "n,trial,disp,tau,fail"
         assert len(lines) == 11
+        # rows (n, trial, ...) with the trials numbered from 0
+        assert [line.split(",")[:2] for line in lines[1:]] == [["40", str(t)] for t in range(10)]
