@@ -29,13 +29,15 @@ EXIT_PASS = 0
 EXIT_CONFIG = 1
 EXIT_FAIL = 2
 
-# each experiment's --n when none is given
-_DEFAULT_GRIDS = {
-    "genericity": [50, 100, 200, 400],
-    "discrepancy": [1000, 4000],
-    "clt": [2000],
-    "clt-converse": [500, 1000, 2000, 4000],
-    "free-subgroup": [50, 100],
+# each experiment's runner, its --n when none is given, and the flags that
+# only it reads, each with the runner keyword (and argparse dest) it sets
+_EXPERIMENTS = {
+    "genericity": (verifier.run_genericity, [50, 100, 200, 400], {"--L": "L"}),
+    "discrepancy": (verifier.run_discrepancy, [1000, 4000],
+                    {"--schottky": "sch", "--claim-n": "claim_n", "--claim-trials": "claim_trials"}),
+    "clt": (verifier.run_clt, [2000], {}),
+    "clt-converse": (verifier.run_clt_converse, [500, 1000, 2000, 4000], {"--contrast": "contrast"}),
+    "free-subgroup": (verifier.run_free_subgroup, [50, 100], {}),
 }
 
 _MEASURES = {
@@ -148,15 +150,14 @@ def cmd_run(args) -> int:
     if not experiment:
         raise ConfigurationError("run requires --experiment")
     # a flag that one experiment reads is refused by every other, not ignored
-    for flag, value, owner in (("--L", args.L, "genericity"), ("--contrast", args.contrast, "clt-converse"),
-                               ("--schottky", args.schottky, "discrepancy"),
-                               ("--claim-n", args.claim_n, "discrepancy"),
-                               ("--claim-trials", args.claim_trials, "discrepancy")):
-        if value is not None and experiment != owner:
-            raise ConfigurationError("%s applies only to --experiment %s, not %s" % (flag, owner, experiment))
-    if experiment not in _DEFAULT_GRIDS:
+    for owner, (_, _, flags) in _EXPERIMENTS.items():
+        for flag, key in flags.items():
+            if getattr(args, key) is not None and experiment != owner:
+                raise ConfigurationError("%s applies only to --experiment %s, not %s" % (flag, owner, experiment))
+    if experiment not in _EXPERIMENTS:
         raise ConfigurationError("unknown experiment %r" % experiment)
-    n_grid = _grid(args.n, _DEFAULT_GRIDS[experiment])
+    runner, default_grid, flags = _EXPERIMENTS[experiment]
+    n_grid = _grid(args.n, default_grid)
     model = _model(args.model)
     measure = _measure_from_spec(args.measure)
     # every walk of a run is at most max(n_grid) steps long; refuse the
@@ -165,26 +166,12 @@ def cmd_run(args) -> int:
         raise ConfigurationError("--measure %s: a product of %d steps (the largest --n) has exponents beyond 64 bits"
                                  % (args.measure, max(n_grid)))
     seed = _resolve_seed(args)
-    trials = args.trials
+    # the runner's own defaults stand for the flags not given
+    given = {key: getattr(args, key) for key in flags.values() if getattr(args, key) is not None}
+    if "sch" in given:
+        given["sch"] = _schottky_from_file(given["sch"])
+    report = runner(measure, model, n_grid, args.trials, seed, **given)
     outdir = args.out or "out-%s" % experiment
-
-    if experiment == "genericity":
-        L = 0.25 if args.L is None else args.L
-        report = verifier.run_genericity(measure, model, n_grid, trials, L, seed)
-    elif experiment == "discrepancy":
-        sch = _schottky_from_file(args.schottky) if args.schottky else None
-        report = verifier.run_discrepancy(
-            measure, model, n_grid, trials, seed, sch=sch,
-            claim_n=args.claim_n, claim_trials=args.claim_trials or 0,
-        )
-    elif experiment == "clt":
-        if len(n_grid) != 1:
-            raise ConfigurationError("clt takes a single --n value")
-        report = verifier.run_clt(measure, model, n_grid[0], trials, seed)
-    elif experiment == "clt-converse":
-        report = verifier.run_clt_converse(measure, model, n_grid, trials, seed, contrast=bool(args.contrast))
-    else:
-        report = verifier.run_free_subgroup(measure, model, n_grid, trials, seed)
     report.write(outdir, svg=args.svg)
     print("run[%s]: verdict=%s -> %s" % (experiment, "pass" if report.verdict else "fail", outdir))
     return EXIT_PASS if report.verdict else EXIT_FAIL
@@ -284,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     # seen even when it holds the default
     p.add_argument("--L", type=float)
     p.add_argument("--contrast", action="store_true", default=None)
-    p.add_argument("--schottky")
+    p.add_argument("--schottky", dest="sch")
     p.add_argument("--claim-n", type=int)
     p.add_argument("--claim-trials", type=int)
     p.add_argument("--svg", action="store_true")

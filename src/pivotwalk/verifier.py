@@ -44,10 +44,13 @@ class ExperimentReport:
     verdict: bool
     samples: List[Tuple] = field(default_factory=list)
     sample_header: Tuple[str, ...] = ()
+    # the per-n statistic that `write(svg=True)` plots; None on a run with
+    # no per-n records
+    plotted: Optional[str] = None
 
     def to_json(self) -> str:
         payload = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)
-                   if f.name not in ("samples", "sample_header")}
+                   if f.name not in ("samples", "sample_header", "plotted")}
         # NaN and Infinity are not JSON: a runner writes an unbounded value as null
         return json.dumps(payload, sort_keys=True, indent=1, allow_nan=False) + "\n"
 
@@ -59,19 +62,12 @@ class ExperimentReport:
             writer = csv.writer(fh)
             writer.writerow(self.sample_header)
             writer.writerows(self.samples)
-        if svg:
+        if svg and self.plotted:
             self._plot(os.path.join(outdir, "%s.svg" % self.experiment))
 
     def _plot(self, path: str) -> None:
-        # the first of these statistics that every per-n record holds; a
-        # degenerate clt run has no per-n records and no plot
-        per_n = self.stats.get("per_n", {})
-        for key in ("failure_freq", "iqr", "p95", "ks_disp"):
-            if per_n and all(key in rec for rec in per_n.values()):
-                ns = sorted(int(n) for n in per_n)
-                ys = [float(per_n[str(n)][key]) for n in ns]
-                line_plot(self.experiment, key, [float(n) for n in ns], ys, path)
-                return
+        ys = [self.stats["per_n"][str(n)][self.plotted] for n in self.n_grid]
+        line_plot(self.experiment, self.plotted, [float(n) for n in self.n_grid], ys, path)
 
 
 # ---------------------------------------------------------------------------
@@ -133,12 +129,17 @@ def require_tree(model) -> None:
         raise ConfigurationError("experiments run on the tree, not the %s model" % model.kind)
 
 
-def _check_grid(model, n_grid: Sequence[int], trials: int) -> None:
+def _check_grid(measure: StepMeasure, model, n_grid: Sequence[int], trials: int) -> None:
+    """The hypotheses every runner shares: the tree, a grid of positive,
+    strictly increasing n, positive trials and a non-elementary measure."""
+
     require_tree(model)
     if not n_grid or min(n_grid) <= 0 or trials <= 0:
         raise ConfigurationError("need a non-empty n grid, every n and the trial count positive")
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ConfigurationError("the n grid must be strictly increasing, not %s" % ",".join(map(str, n_grid)))
+    if not non_elementary(measure, model):
+        raise ConfigurationError("measure is elementary")
 
 
 def _grid_ensembles(measure: StepMeasure, n_grid: Sequence[int], trials: int, seed: int):
@@ -234,16 +235,14 @@ def run_genericity(
     model,
     n_grid: Sequence[int],
     trials: int,
-    L: float,
     seed: int,
+    L: float = 0.25,
     calibration: Optional[Dict] = None,
 ) -> ExperimentReport:
     """Frequency of {trivial or translation length < L*n} along the grid:
     must be non-increasing with a negative log-slope (or identically 0)."""
 
-    _check_grid(model, n_grid, trials)
-    if not non_elementary(measure, model):
-        raise ConfigurationError("measure is elementary")
+    _check_grid(measure, model, n_grid, trials)
     calib = _calibration(calibration, measure, max(n_grid), trials, seed)
     if not (math.isfinite(L) and L < calib["lambda"]):
         raise ConfigurationError("rate floor L=%g must be finite and below the escape rate estimate %g"
@@ -263,7 +262,7 @@ def run_genericity(
     return _report("genericity", model, measure, seed, n_grid, verdict,
                    stats={"per_n": per_n, "log_slope": slope, "r2": r2, "calibration": calib, "L": L},
                    thresholds={"r2_min": 0.8, "monotone": True},
-                   samples=samples, sample_header=("n", "trial", "disp", "tau", "fail"))
+                   samples=samples, sample_header=("n", "trial", "disp", "tau", "fail"), plotted="failure_freq")
 
 
 def run_discrepancy(
@@ -281,7 +280,7 @@ def run_discrepancy(
     4n of the grid); optionally checks the per-trial two-sided reach bound
     on non-capped trials."""
 
-    _check_grid(model, n_grid, trials)
+    _check_grid(measure, model, n_grid, trials)
     grid = list(n_grid)
     pairs = [(i, grid.index(4 * n)) for i, n in enumerate(grid) if 4 * n in grid]
     if not pairs:
@@ -325,13 +324,13 @@ def run_discrepancy(
                           # p95 0 at n and positive at 4n: unbounded, written as null
                           "worst_quadrupling_ratio": worst_ratio if worst_ratio < math.inf else None},
                    thresholds={"quadrupling_ratio_max": 1.6, "claim_violations": 0},
-                   samples=samples, sample_header=("n", "trial", "gap"))
+                   samples=samples, sample_header=("n", "trial", "gap"), plotted="p95")
 
 
 def run_clt(
     measure: StepMeasure,
     model,
-    n: int,
+    n_grid: Sequence[int],
     trials: int,
     seed: int,
     calibration: Optional[Dict] = None,
@@ -339,11 +338,14 @@ def run_clt(
     """Standardized displacement and translation length against the normal
     law, and against each other."""
 
-    _check_grid(model, (n,), trials)
+    if len(n_grid) != 1:
+        raise ConfigurationError("clt takes a single --n value")
+    _check_grid(measure, model, n_grid, trials)
+    [n] = n_grid
     calib = _calibration(calibration, measure, n, trials, seed)
     lam, sigma2 = calib["lambda"], calib["sigma2"]
     if sigma2 <= 1e-12:
-        return _report("clt", model, measure, seed, (n,), True,
+        return _report("clt", model, measure, seed, n_grid, True,
                        stats={"degenerate": True, "calibration": calib}, thresholds={})
     # only this runner needs scipy.stats, which is most of the CLI's import time and memory
     from scipy import stats as sps
@@ -358,13 +360,13 @@ def run_clt(
                   "ks_tau": float(sps.kstest(z_tau, "norm").statistic), "ks_two_sample": ks_two}
         return n, record, (disp.tolist(), tau.tolist())
 
-    per_n, samples = _sweep(point, _grid_ensembles(measure, (n,), trials, seed))
+    per_n, samples = _sweep(point, _grid_ensembles(measure, n_grid, trials, seed))
     ks = per_n[str(n)]
     verdict = ks["ks_disp"] <= 0.05 and ks["ks_tau"] <= 0.05 and ks["ks_two_sample"] <= 0.03
-    return _report("clt", model, measure, seed, (n,), verdict,
+    return _report("clt", model, measure, seed, n_grid, verdict,
                    stats={"per_n": per_n, "calibration": calib},
                    thresholds={"ks_one_sample_max": 0.05, "ks_two_sample_max": 0.03},
-                   samples=samples, sample_header=("n", "trial", "disp", "tau"))
+                   samples=samples, sample_header=("n", "trial", "disp", "tau"), plotted="ks_disp")
 
 
 def run_clt_converse(
@@ -379,7 +381,7 @@ def run_clt_converse(
     steps: the IQR must grow by >= 20% per doubling.  With `contrast` set,
     a finite-variance measure must instead stabilize within 5%."""
 
-    _check_grid(model, n_grid, trials)
+    _check_grid(measure, model, n_grid, trials)
     if n_grid[0] == n_grid[-1]:
         raise ConfigurationError("the growth per doubling needs a grid whose first and last n differ")
     if not contrast and measure.moment_profile != "heavy_tail":
@@ -408,7 +410,7 @@ def run_clt_converse(
     return _report("clt_converse" + ("_contrast" if contrast else ""), model, measure, seed, n_grid,
                    verdict, stats={"per_n": per_n, "doubling_ratios": ratios,
                                    "growth_per_doubling": growth, "statistic": "disp"},
-                   thresholds=thresholds, samples=samples, sample_header=("n", "trial", "value"))
+                   thresholds=thresholds, samples=samples, sample_header=("n", "trial", "value"), plotted="iqr")
 
 
 def run_free_subgroup(
@@ -425,7 +427,7 @@ def run_free_subgroup(
     reduced word of every length m in the pair moves the basepoint by at
     least m * k1."""
 
-    _check_grid(model, n_grid, trials)
+    _check_grid(measure, model, n_grid, trials)
     calib = _calibration(calibration, measure, max(n_grid), trials, seed)
 
     def point(gi, n):
@@ -444,4 +446,4 @@ def run_free_subgroup(
     return _report("free_subgroup", model, measure, seed, n_grid, verdict,
                    stats={"per_n": per_n, "log_slope": slope, "r2": r2, "calibration": calib},
                    thresholds={"final_failure_max": 0.05, "monotone": True},
-                   samples=samples, sample_header=("n", "trial", "margin", "fail"))
+                   samples=samples, sample_header=("n", "trial", "margin", "fail"), plotted="failure_freq")

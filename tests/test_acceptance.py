@@ -174,7 +174,7 @@ def test_05_escape_rate_and_normal_limit():
     ok = abs(calib["lambda"] - 0.5) <= 0.01
     # variance oracle: |W_n| is a birth-death chain stepping +1 w.p. 3/4
     # and -1 w.p. 1/4 (off 0), so lambda = 1/2 and sigma^2 = 3/4
-    rep = run_clt(simple_rw(), T, 2000, 5000, seed=12, calibration=CAL)
+    rep = run_clt(simple_rw(), T, [2000], 5000, seed=12, calibration=CAL)
     stats = rep.stats["per_n"]["2000"]
     ok &= stats["ks_disp"] <= 0.05 and stats["ks_tau"] <= 0.05
     ok &= stats["ks_two_sample"] <= 0.03
@@ -183,7 +183,7 @@ def test_05_escape_rate_and_normal_limit():
 
 
 def test_06_short_translation_is_rare():
-    rep = run_genericity(simple_rw(), T, [50, 100, 200, 400], 10_000, 0.25,
+    rep = run_genericity(simple_rw(), T, [50, 100, 200, 400], 10_000,
                          seed=13, calibration=CAL)
     freq_400 = rep.stats["per_n"]["400"]["failure_freq"]
     ok = rep.verdict and freq_400 < 1e-3

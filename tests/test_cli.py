@@ -269,18 +269,27 @@ class TestCensus:
 
 class TestReport:
     def test_svg_from_samples(self, monkeypatch, tmp_path):
-        # each plot's bytes, a run's own and the report verb's, pinned; clt
-        # plots one point, which spans a unit around it on both axes
-        for experiment, n, code, digests in [
-            ("genericity", "40,80", EXIT_PASS, {
+        # each runner's plot and the report verb's, pinned byte for byte;
+        # clt plots one point, which spans a unit around it on both axes
+        for experiment, argv, code, digests in [
+            ("genericity", ["--n", "40,80"], EXIT_PASS, {
                 "genericity.svg": "4938fad066197ad06cad889dd49d596fe3c61b7853c286bf7019f94f080b61d6",
                 "samples.svg": "d2dd2954aed5bcc8c01e448a16d60f8b654ef4600d9499fb08a5f9a2a84c1400"}),
             # 50 trials are too few for the KS thresholds: the verdict fails
-            ("clt", "40", EXIT_FAIL, {
+            ("clt", ["--n", "40"], EXIT_FAIL, {
                 "clt.svg": "41ced2b7539b4bed9f51f1cc27c8efba0f75ee5249d06ec8190034a19ff569af",
                 "samples.svg": "26f518116dbaced86ee9514948000d779347c7910d9074fea2b45f0e2a2066a8"}),
+            ("discrepancy", ["--n", "20,80"], EXIT_FAIL, {
+                "discrepancy.svg": "e409b574fd2796038c51acf08973d3714c6f9ec13b20b94178946cda9f9db883",
+                "samples.svg": "f25614e1ce1f1d8250ae6e2688f35f53691475eef044d37e7ccc60fe88ba382a"}),
+            ("free-subgroup", ["--n", "10,20"], EXIT_FAIL, {
+                "free_subgroup.svg": "8e0ad2ca04476a801edd7db2637c37600265b4b54c473bdd9944e34203662465",
+                "samples.svg": "3c0b24f6e5b8515ac7d30531280ef4c131df45975c09958d22f66c529a362804"}),
+            ("clt-converse", ["--measure", "heavy", "--n", "20,40"], EXIT_PASS, {
+                "clt_converse.svg": "52154087769d5cc30054bc23661b2b4d03b20a3ff023f319774ebfb72ebf7a7f",
+                "samples.svg": "b4320f31d8def5a5a6e1473159e90fd0531deb2f9a4b62e0870eff77eb44bc73"}),
         ]:
-            assert run_cli(monkeypatch, tmp_path, "run", "--experiment", experiment, "--n", n, "--trials", "50",
+            assert run_cli(monkeypatch, tmp_path, "run", "--experiment", experiment, *argv, "--trials", "50",
                            "--seed", "1", "--svg", "--out", experiment) == code
             assert run_cli(monkeypatch, tmp_path, "report", experiment + "/samples.csv") == EXIT_PASS
             for name, digest in digests.items():
@@ -356,6 +365,8 @@ _INPUT_FILES = {
     # a sample or an n that is no number
     "word-sample.csv": "n,value\n1,abc\n",
     "word-n.csv": "n,value\nx,1\n",
+    # one atom: the walk's group is cyclic, elementary
+    "a-only.json": '{"support": ["a"], "weights": [1.0]}',
     # 131,072 powers of a, given by their atoms: elementary
     "rank1.json": json.dumps({"support": ["%s^%d" % (x, k) for k in range(1, 65537) for x in "aA"],
                               "weights": [2.0 ** -17] * 2 ** 17}),
@@ -403,6 +414,16 @@ _UNREADABLE = [
 _NOT_NUMBERS = [
     ["report", "word-sample.csv"],
     ["report", "word-n.csv"],
+]
+
+# an elementary measure, refused by every experiment
+_ELEMENTARY = [
+    ["run", "--experiment", "genericity", "--n", "20,40", "--trials", "20", "--measure", "a-only.json"],
+    ["run", "--experiment", "discrepancy", "--n", "20,80", "--trials", "20", "--measure", "a-only.json"],
+    ["run", "--experiment", "clt", "--n", "40", "--trials", "20", "--measure", "a-only.json"],
+    ["run", "--experiment", "clt-converse", "--n", "20,40", "--trials", "20", "--contrast",
+     "--measure", "a-only.json"],
+    ["run", "--experiment", "free-subgroup", "--n", "10,20", "--trials", "20", "--measure", "a-only.json"],
 ]
 
 _SCHOTTKY_ARGVS = (["census", "--n-max", "2"],
@@ -487,6 +508,9 @@ _SCHOTTKY_ARGVS = (["census", "--n-max", "2"],
     ["run", "--experiment", "genericity", "--n", "50,100", "--measure", "product-int64.json"],
     *_UNREADABLE,
     *_NOT_NUMBERS,
+    *_ELEMENTARY,
+    # an empty --schottky path names no file: refused, not ignored
+    ["run", "--experiment", "discrepancy", "--n", "20,80", "--trials", "20", "--schottky", ""],
 ])
 def test_bad_input_is_refused_cleanly(monkeypatch, tmp_path, capsys, argv):
     for name in set(argv) & set(_INPUT_FILES):
@@ -504,6 +528,8 @@ def test_bad_input_is_refused_cleanly(monkeypatch, tmp_path, capsys, argv):
         assert argv[-1] in err
     if argv in _NOT_NUMBERS:
         assert "%s line 2: " % argv[-1] in err
+    if argv in _ELEMENTARY:
+        assert err == "configuration error: measure is elementary\n"
 
 
 @pytest.mark.parametrize("experiment", ["genericity", "discrepancy", "clt", "clt-converse", "free-subgroup"])
@@ -517,19 +543,37 @@ def test_measure_too_wide_for_the_grid_is_refused_by_name(monkeypatch, tmp_path,
     assert not (tmp_path / "o").exists()
 
 
-# each experiment-specific flag given to an experiment that does not read
-# it, at its default value where it has one
-@pytest.mark.parametrize("experiment, flag", [
+# each experiment-specific flag, at its default value where it has one, and
+# the experiment that reads it
+_FLAG_OWNERS = [
+    (["--L", "0.25"], "genericity"),
+    (["--contrast"], "clt-converse"),
+    (["--schottky", "block5.json"], "discrepancy"),
+    (["--claim-n", "40"], "discrepancy"),
+    (["--claim-trials", "0"], "discrepancy"),
+]
+# these five come first, so that they keep their earlier ids
+_FIRST_STRAYS = [
     ("clt-converse", ["--L", "0.25"]),
     ("genericity", ["--contrast"]),
     ("free-subgroup", ["--schottky", "block5.json"]),
     ("clt", ["--claim-n", "40"]),
     ("genericity", ["--claim-trials", "0"]),
+]
+
+
+# every flag given to every experiment that does not read it
+@pytest.mark.parametrize("experiment, flag", _FIRST_STRAYS + [
+    (experiment, flag) for flag, owner in _FLAG_OWNERS
+    for experiment in ("genericity", "discrepancy", "clt", "clt-converse", "free-subgroup")
+    if experiment != owner and (experiment, flag) not in _FIRST_STRAYS
 ])
 def test_stray_flag_is_refused_by_name(monkeypatch, tmp_path, capsys, experiment, flag):
+    [owner] = [owner for owned, owner in _FLAG_OWNERS if owned == flag]
     argv = ["run", "--experiment", experiment, "--n", "20,40", "--trials", "20", *flag]
     assert run_cli(monkeypatch, tmp_path, *argv) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("configuration error: %s applies only to --experiment " % flag[0])
+    assert capsys.readouterr().err == ("configuration error: %s applies only to --experiment %s, not %s\n"
+                                       % (flag[0], owner, experiment))
 
 
 @pytest.mark.parametrize("argv", _SCHOTTKY_ARGVS)

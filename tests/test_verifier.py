@@ -289,18 +289,18 @@ class TestStatistics:
 
 class TestGenericity:
     def test_verdict_and_monotone_freqs(self):
-        rep = run_genericity(simple_rw(), T, [40, 80], 300, 0.25, seed=2, calibration=CAL)
+        rep = run_genericity(simple_rw(), T, [40, 80], 300, seed=2, calibration=CAL)
         assert rep.verdict
         freqs = [rep.stats["per_n"][str(n)]["failure_freq"] for n in (40, 80)]
         assert freqs[1] <= freqs[0]
 
     def test_elementary_measure_rejected(self):
         with pytest.raises(ConfigurationError):
-            run_genericity(StepMeasure((a,), (1.0,)), T, [10], 10, 0.25, seed=0, calibration=CAL)
+            run_genericity(StepMeasure((a,), (1.0,)), T, [10], 10, seed=0, calibration=CAL)
 
     def test_rate_floor_above_escape_rate_rejected(self):
         with pytest.raises(ConfigurationError):
-            run_genericity(simple_rw(), T, [10], 10, 0.9, seed=0, calibration=CAL)
+            run_genericity(simple_rw(), T, [10], 10, seed=0, L=0.9, calibration=CAL)
 
 
 class TestDiscrepancy:
@@ -327,7 +327,7 @@ class TestDiscrepancy:
 
 class TestClt:
     def test_verdict_at_moderate_n(self):
-        rep = run_clt(simple_rw(), T, 2000, 2000, seed=3, calibration=CAL)
+        rep = run_clt(simple_rw(), T, [2000], 2000, seed=3, calibration=CAL)
         assert rep.verdict
         stats = rep.stats["per_n"]["2000"]
         assert stats["ks_disp"] <= 0.05
@@ -339,13 +339,19 @@ class TestClt:
         # the run reads only the statistic
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rep = run_clt(simple_rw(), T, 20, 5, seed=0)
+            rep = run_clt(simple_rw(), T, [20], 5, seed=0)
         assert 0 <= rep.stats["per_n"]["20"]["ks_two_sample"] <= 1
 
-    def test_degenerate_measure_short_circuits(self):
-        rep = run_clt(StepMeasure((a,), (1.0,)), T, 100, 100, seed=0,
-                      calibration={"lambda": 1.0, "sigma2": 0.0, "n": 0, "trials": 0})
+    def test_degenerate_measure_short_circuits(self, tmp_path):
+        # ab and ba never cancel, so every walk has d = 2n and its own
+        # calibration reads sigma^2 = 0; the run draws no trial, so it
+        # writes no sample and no plot
+        rep = run_clt(StepMeasure((a * b, b * a), (0.5, 0.5)), T, [100], 100, seed=0)
         assert rep.verdict and rep.stats.get("degenerate")
+        assert rep.stats["calibration"]["sigma2"] == 0
+        rep.write(str(tmp_path), svg=True)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "samples.csv"]
+        assert (tmp_path / "samples.csv").read_text().strip() == ""
 
 
 class TestCltConverse:
@@ -491,7 +497,7 @@ class TestFreeSubgroup:
 
         monkeypatch.setattr(verifier, "free_basis_margin", recording_margin)
         run_free_subgroup(simple_rw(), T, [20, 40], 60, seed=11, calibration=CAL)
-        rep = run_genericity(simple_rw(), T, [20, 40], 60, 0.25, seed=11, calibration=CAL)
+        rep = run_genericity(simple_rw(), T, [20, 40], 60, seed=11, calibration=CAL)
         assert [one for one, _ in lengths] == [disp for _, _, disp, _, _ in rep.samples]
         assert any(one != two for one, two in lengths)
 
@@ -539,9 +545,9 @@ def test_certificate_implies_oracle_on_adversarial_pairs(pair):
 
 
 @pytest.mark.parametrize("run", [
-    lambda P: run_genericity(simple_rw(), P, [40], 10, 0.25, seed=0, calibration=CAL),
+    lambda P: run_genericity(simple_rw(), P, [40], 10, seed=0, calibration=CAL),
     lambda P: run_discrepancy(simple_rw(), P, [40], 10, seed=0),
-    lambda P: run_clt(simple_rw(), P, 40, 10, seed=0, calibration=CAL),
+    lambda P: run_clt(simple_rw(), P, [40], 10, seed=0, calibration=CAL),
     lambda P: run_clt_converse(heavy_tail(kmax=16), P, [40, 80], 10, seed=0),
     lambda P: run_free_subgroup(simple_rw(), P, [10], 5, seed=0, calibration=CAL),
 ], ids=["genericity", "discrepancy", "clt", "clt_converse", "free_subgroup"])
@@ -553,7 +559,7 @@ def test_runners_refuse_the_plane(run):
 
 class TestReport:
     def test_json_shape(self):
-        rep = run_genericity(simple_rw(), T, [40], 50, 0.25, seed=2, calibration=CAL)
+        rep = run_genericity(simple_rw(), T, [40], 50, seed=2, calibration=CAL)
         text = rep.to_json()
         assert text.endswith("\n")
         data = json.loads(text)
@@ -564,13 +570,13 @@ class TestReport:
     def test_rerun_is_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "one", tmp_path / "two"
         for out in (out1, out2):
-            rep = run_genericity(simple_rw(), T, [40, 80], 100, 0.25, seed=9, calibration=CAL)
+            rep = run_genericity(simple_rw(), T, [40, 80], 100, seed=9, calibration=CAL)
             rep.write(str(out))
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
         assert (out1 / "samples.csv").read_bytes() == (out2 / "samples.csv").read_bytes()
 
     def test_csv_has_header_and_rows(self, tmp_path):
-        rep = run_genericity(simple_rw(), T, [40], 10, 0.25, seed=2, calibration=CAL)
+        rep = run_genericity(simple_rw(), T, [40], 10, seed=2, calibration=CAL)
         rep.write(str(tmp_path))
         lines = (tmp_path / "samples.csv").read_text().strip().splitlines()
         assert lines[0] == "n,trial,disp,tau,fail"
